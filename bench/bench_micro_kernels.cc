@@ -18,8 +18,6 @@
 #include "nn/gcn.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
-#include "tensor/dispatch/bf16.h"
-#include "tensor/dispatch/quantize.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -375,155 +373,6 @@ BENCHMARK(BM_DualContrastiveLossStep)
     ->Args({1, 0})
     ->Args({4, 0})
     ->UseRealTime();
-
-// ----------------------- low-precision forward kernels --------------------
-// The serving-only int8/bf16 paths (docs/PERFORMANCE.md §12). Counters
-// report both arithmetic rate (GFLOP/s — int ops counted like flops, 2 per
-// multiply-add, so the columns compare directly against the fp32 rows) and
-// memory traffic (GB/s over the operand + result bytes actually touched),
-// since the quantized kernels win mostly by moving 1/4 (int8) or 1/2 (bf16)
-// of the weight/activation bytes.
-
-void SetGemmBytesCounter(benchmark::State& state, int64_t bytes) {
-  state.counters["GB/s"] = benchmark::Counter(
-      static_cast<double>(bytes) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate, benchmark::Counter::kIs1024);
-}
-
-// fp32 reference for the transposed-weights product the quantized kernels
-// implement (same memory layout: row-major activations x row-major weights).
-void BM_GemmTransBFp32(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int prev_threads = NumThreads();
-  SetNumThreads(static_cast<int>(state.range(1)));
-  Rng rng(51);
-  Tensor a = RandomNormal(n, 32, 0, 1, &rng);
-  Tensor w = RandomNormal(48, 32, 0, 1, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMulTransB(a, w));
-  }
-  SetMatMulCounters(state, n, 32, 48);
-  SetGemmBytesCounter(state, 4 * (int64_t{n} * 32 + 48 * 32 + int64_t{n} * 48));
-  SetNumThreads(prev_threads);
-}
-BENCHMARK(BM_GemmTransBFp32)
-    ->Args({4000, 1})
-    ->Args({16000, 1})
-    ->Args({16000, 4})
-    ->UseRealTime();
-
-void BM_GemmTransBInt8(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int prev_threads = NumThreads();
-  SetNumThreads(static_cast<int>(state.range(1)));
-  Rng rng(51);
-  auto qa = dispatch::QuantizeRowsInt8(RandomNormal(n, 32, 0, 1, &rng));
-  auto qw = dispatch::QuantizeRowsInt8(RandomNormal(48, 32, 0, 1, &rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dispatch::Int8GemmTransB(*qa, *qw));
-  }
-  SetMatMulCounters(state, n, 32, 48);
-  SetGemmBytesCounter(state, int64_t{n} * 32 + 48 * 32 + int64_t{n} * 48 * 4);
-  SetNumThreads(prev_threads);
-}
-BENCHMARK(BM_GemmTransBInt8)
-    ->Args({4000, 1})
-    ->Args({16000, 1})
-    ->Args({16000, 4})
-    ->UseRealTime();
-
-void BM_GemmTransBBf16(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int prev_threads = NumThreads();
-  SetNumThreads(static_cast<int>(state.range(1)));
-  Rng rng(51);
-  dispatch::Bf16Matrix a =
-      dispatch::Bf16FromTensor(RandomNormal(n, 32, 0, 1, &rng));
-  dispatch::Bf16Matrix w =
-      dispatch::Bf16FromTensor(RandomNormal(48, 32, 0, 1, &rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dispatch::Bf16GemmTransB(a, w));
-  }
-  SetMatMulCounters(state, n, 32, 48);
-  SetGemmBytesCounter(
-      state, 2 * (int64_t{n} * 32 + 48 * 32) + int64_t{n} * 48 * 4);
-  SetNumThreads(prev_threads);
-}
-BENCHMARK(BM_GemmTransBBf16)
-    ->Args({4000, 1})
-    ->Args({16000, 1})
-    ->Args({16000, 4})
-    ->UseRealTime();
-
-// Square 512^3 (the shape the fp32 kernel rewrite was gated on), for the
-// headline speedup table.
-void BM_GemmTransBInt8_512(benchmark::State& state) {
-  const int prev_threads = NumThreads();
-  SetNumThreads(static_cast<int>(state.range(0)));
-  Rng rng(52);
-  auto qa = dispatch::QuantizeRowsInt8(RandomNormal(512, 512, 0, 1, &rng));
-  auto qw = dispatch::QuantizeRowsInt8(RandomNormal(512, 512, 0, 1, &rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dispatch::Int8GemmTransB(*qa, *qw));
-  }
-  SetMatMulCounters(state, 512, 512, 512);
-  SetGemmBytesCounter(state, 512 * 512 * (1 + 1 + 4));
-  SetNumThreads(prev_threads);
-}
-BENCHMARK(BM_GemmTransBInt8_512)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_GemmTransBBf16_512(benchmark::State& state) {
-  const int prev_threads = NumThreads();
-  SetNumThreads(static_cast<int>(state.range(0)));
-  Rng rng(52);
-  dispatch::Bf16Matrix a =
-      dispatch::Bf16FromTensor(RandomNormal(512, 512, 0, 1, &rng));
-  dispatch::Bf16Matrix w =
-      dispatch::Bf16FromTensor(RandomNormal(512, 512, 0, 1, &rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dispatch::Bf16GemmTransB(a, w));
-  }
-  SetMatMulCounters(state, 512, 512, 512);
-  SetGemmBytesCounter(state, 512 * 512 * (2 + 2 + 4));
-  SetNumThreads(prev_threads);
-}
-BENCHMARK(BM_GemmTransBBf16_512)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-// bf16 SpMM vs the fp32 BM_Spmm rows above: same adjacency, bf16-rounded
-// dense operand (and values), fp32 accumulation.
-void BM_SpmmBf16(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int prev_threads = NumThreads();
-  SetNumThreads(static_cast<int>(state.range(1)));
-  SparseMatrix adj = RandomAdj(n, 8, 1).NormalizedWithSelfLoops();
-  Rng rng(2);
-  dispatch::Bf16Matrix x =
-      dispatch::Bf16FromTensor(RandomNormal(n, 48, 0, 1, &rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dispatch::SpmmBf16(adj, x));
-  }
-  state.SetItemsProcessed(state.iterations() * adj.nnz());
-  SetGemmBytesCounter(state, adj.nnz() * (4 + 4) + int64_t{n} * 48 * (2 + 4));
-  SetNumThreads(prev_threads);
-}
-BENCHMARK(BM_SpmmBf16)
-    ->Args({4000, 1})
-    ->Args({16000, 1})
-    ->Args({16000, 4})
-    ->UseRealTime();
-
-// Per-row quantization cost — the serve hot path pays this once per
-// re-scored activation row.
-void BM_QuantizeRowsInt8(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(53);
-  Tensor t = RandomNormal(n, 48, 0, 1, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dispatch::QuantizeRowsInt8(t));
-  }
-  state.SetItemsProcessed(state.iterations() * int64_t{n} * 48);
-}
-BENCHMARK(BM_QuantizeRowsInt8)->Arg(4000)->Arg(16000);
 
 void BM_RwrSampling(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

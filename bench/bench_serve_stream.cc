@@ -25,7 +25,6 @@
 #include "serve/online_scorer.h"
 #include "serve/serve_metrics.h"
 #include "serve/shard_router.h"
-#include "tensor/dispatch/precision.h"
 
 namespace umgad {
 namespace {
@@ -96,46 +95,6 @@ StreamResult RunStream(OnlineScorer* scorer,
   result.hit_rate =
       lookups > 0 ? static_cast<double>(stats.cache_hits) / lookups : 0.0;
   return result;
-}
-
-/// Low-precision serving at DG-Fin scale: the same update stream through
-/// fp32 / int8 / bf16 scorers (docs/PERFORMANCE.md §12). Reports per-update
-/// p50/p99 re-score latency and sustained throughput per precision, plus
-/// the serial full re-score cost — the quantized win shows up in both.
-void PrecisionSweep() {
-  std::cout << "\n=== Serving precision sweep (--precision) — DG-Fin ===\n\n";
-  const double scale = BenchScale(0.05);
-  const int stream_len = 200;
-  MultiplexGraph graph = bench::LoadBenchDataset("DG-Fin", /*seed=*/5, scale);
-  std::cout << "Graph: " << graph.Summary() << "\n";
-
-  UmgadModel model(bench::BenchUmgadConfig(/*seed=*/13, /*default_epochs=*/5));
-  UMGAD_CHECK(model.Fit(graph).ok());
-  Result<TrainedModel> trained = TrainedModel::FromFitted(model, graph);
-  UMGAD_CHECK(trained.ok());
-
-  const std::vector<EdgeUpdate> updates = MakeStream(graph, stream_len, 47);
-
-  TablePrinter table;
-  table.SetHeader({"Precision", "Edges/s", "p50 (us)", "p99 (us)",
-                   "Full re-score (ms)"});
-  for (const dispatch::Precision precision :
-       {dispatch::Precision::kFp32, dispatch::Precision::kInt8,
-        dispatch::Precision::kBf16}) {
-    ServeOptions options;
-    options.precision = precision;
-    Result<std::unique_ptr<OnlineScorer>> scorer =
-        OnlineScorer::Create(*trained, graph, options);
-    UMGAD_CHECK(scorer.ok());
-    WallTimer naive_timer;
-    (void)(*scorer)->RescoreFullNaive();
-    const double naive_ms = naive_timer.ElapsedMillis();
-    const StreamResult r = RunStream(scorer->get(), updates);
-    table.AddRow({dispatch::PrecisionName(precision),
-                  FormatFloat(r.edges_per_sec, 0), FormatFloat(r.p50_us, 1),
-                  FormatFloat(r.p99_us, 1), FormatFloat(naive_ms, 2)});
-  }
-  table.Print(std::cout);
 }
 
 /// Sharded serving at DG-Fin scale: shard-count sweep, latency metrics,
@@ -289,7 +248,6 @@ int Main() {
             << FormatFloat(naive_ms, 2) << " ms ("
             << FormatFloat(1000.0 / std::max(naive_ms, 1e-9), 1)
             << " updates/s if recomputed per edge)\n";
-  PrecisionSweep();
   return ShardSweep();
 }
 

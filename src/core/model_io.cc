@@ -1,5 +1,6 @@
 #include "core/model_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -45,6 +46,12 @@ constexpr uint32_t kMaxConfigBytes = 1 << 16;
 // remaining-file-size guard.
 constexpr int64_t kMaxTensorDim = 1 << 24;
 constexpr int64_t kMaxModelTensors = 1 << 20;
+// Caps on config counts that size scoring-time allocations: serving
+// unrolls every encoder layer and decoder hop into a cached n x d stage and
+// keeps num_score_negatives draws per node and relation, so a corrupt
+// count must fail the load instead of reaching those allocations.
+constexpr int32_t kMaxLayers = 64;
+constexpr int32_t kMaxScoreNegatives = 1024;
 
 bool HostIsLittleEndian() {
   const uint32_t probe = 1;
@@ -219,7 +226,9 @@ Status ReadConfig(Reader* r, UmgadConfig* c) {
       r->Pod(&c->num_score_negatives, "config.num_score_negatives"));
   UMGAD_RETURN_IF_ERROR(r->Pod(&c->seed, "config.seed"));
   if (c->hidden_dim <= 0 || c->hidden_dim > kMaxTensorDim ||
-      c->encoder_layers < 0 || c->decoder_layers < 0) {
+      c->encoder_layers < 0 || c->encoder_layers > kMaxLayers ||
+      c->decoder_layers < 0 || c->decoder_layers > kMaxLayers ||
+      c->num_score_negatives > kMaxScoreNegatives) {
     return Status::InvalidArgument("corrupt model config dimensions");
   }
   bool* bools[8] = {&c->use_masking,          &c->use_original_view,
@@ -417,7 +426,11 @@ Result<TrainedModel> TrainedModel::Load(const std::string& path) {
     UMGAD_RETURN_IF_ERROR(
         r.Array(&data, static_cast<int64_t>(rows) * cols, "weight data"));
     Tensor tensor(rows, cols);
-    std::memcpy(tensor.data(), data.data(), data.size() * sizeof(float));
+    // An empty tensor's buffers may be null, and memcpy from null is UB
+    // even for zero bytes.
+    if (!data.empty()) {
+      std::memcpy(tensor.data(), data.data(), data.size() * sizeof(float));
+    }
     out.weights_.push_back(std::move(tensor));
   }
 
@@ -440,6 +453,23 @@ TrainedModel::BuildViews() const {
   std::vector<std::unique_ptr<ReconstructionView>> views;
   const int f = fingerprint_.feature_dim;
   const int r_count = fingerprint_.num_relations;
+  // A corrupt config or fingerprint must not drive the view constructors
+  // into a huge allocation before the per-tensor shape check below fires.
+  // Any view holds r_count encoders, each storing at least an f x hidden
+  // projection plus a hidden x hidden one per further layer. Double math:
+  // no overflow.
+  double stored = 0.0;
+  for (const Tensor& t : weights_) stored += static_cast<double>(t.size());
+  const double h = config_.hidden_dim;
+  const int depth = std::max(1, config_.encoder_layers);
+  if (r_count * (f * h + (depth - 1) * h * h) > stored) {
+    return Status::InvalidArgument(StrFormat(
+        "model weight count mismatch: config (hidden_dim %d, %d encoder "
+        "layers, %d relations, %d features) needs more weights than the "
+        "%zu stored tensors hold",
+        config_.hidden_dim, config_.encoder_layers, r_count, f,
+        weights_.size()));
+  }
   if (config_.use_original_view) {
     views.push_back(std::make_unique<ReconstructionView>(
         ReconstructionView::Kind::kOriginal, f, r_count, config_, &init_rng));

@@ -1,6 +1,7 @@
 #include "serve/online_scorer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <utility>
 
@@ -9,8 +10,6 @@
 #include "core/views.h"
 #include "nn/gcn.h"
 #include "tensor/autograd.h"
-#include "tensor/dispatch/bf16.h"
-#include "tensor/dispatch/quantize.h"
 
 namespace umgad {
 namespace serve {
@@ -95,11 +94,6 @@ struct StagePlan {
   float slope = 0.2f;   // kGatAttend
   Tensor bias;          // kBiasAct
   nn::Activation act = nn::Activation::kNone;  // kGatAttend / kBiasAct
-  // Low-precision forms of `weight`, transposed to d x k so the row kernels
-  // run the TransB (output-row-major) walk. Built once at Create when
-  // ServeOptions::precision asks for them; empty under fp32.
-  dispatch::QuantizedRows weight_q8;   // Precision::kInt8
-  dispatch::Bf16Matrix weight_bf16;    // Precision::kBf16
 };
 
 struct ChainPlan {
@@ -230,6 +224,42 @@ class NodeSet {
 
 }  // namespace
 
+Result<EdgeUpdate> ParseEdgeUpdateLine(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  std::string_view fields[4];
+  int count = 0;
+  size_t pos = line.find_first_not_of(kSpace);
+  while (pos != std::string_view::npos) {
+    if (count == 4) {
+      return Status::InvalidArgument(
+          "expected '+|- src dst rel': trailing input after the relation");
+    }
+    const size_t end = std::min(line.find_first_of(kSpace, pos), line.size());
+    fields[count++] = line.substr(pos, end - pos);
+    pos = line.find_first_not_of(kSpace, end);
+  }
+  if (count < 4) {
+    return Status::InvalidArgument("expected '+|- src dst rel': missing fields");
+  }
+  if (fields[0] != "+" && fields[0] != "-") {
+    return Status::InvalidArgument("expected '+|- src dst rel': bad op");
+  }
+  EdgeUpdate update;
+  update.add = fields[0] == "+";
+  int* const ids[3] = {&update.src, &update.dst, &update.relation};
+  for (int k = 0; k < 3; ++k) {
+    const std::string_view f = fields[k + 1];
+    const char* const end = f.data() + f.size();
+    const std::from_chars_result parsed =
+        std::from_chars(f.data(), end, *ids[k]);
+    if (parsed.ec != std::errc() || parsed.ptr != end) {
+      return Status::InvalidArgument(
+          "expected '+|- src dst rel': src, dst and rel must be integers");
+    }
+  }
+  return update;
+}
+
 std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
                                       int num_nodes, int num_relations,
                                       float epsilon) {
@@ -288,12 +318,6 @@ struct OnlineScorer::Impl {
   // global (a residual reads neighbour/negative embeddings anywhere).
   std::vector<uint8_t> owned;
   bool component_only = false;
-  // Forward kernel precision (ServeOptions::precision). Under kInt8/kBf16
-  // the kProject and kSpmm row walks run their quantized forms; everything
-  // else (attention, bias/activation, combine) stays fp32. Both the
-  // incremental path and RescoreFullNaive go through the same row walks,
-  // so the scores()-equals-oracle invariant holds per precision.
-  dispatch::Precision precision = dispatch::Precision::kFp32;
   EngineState state;
 
   bool Owned(int i) const { return owned.empty() || owned[i] != 0; }
@@ -389,50 +413,23 @@ void OnlineScorer::Impl::ComputeStageRow(const ChainPlan& plan,
     case StageKind::kProject: {
       const float* arow = prev.row(i);
       const int k = sp.weight.rows();
-      if (precision == dispatch::Precision::kInt8) {
-        // Row i of the W8A8 product: quantize the activation row, exact
-        // int32 accumulation against the pre-quantized (transposed)
-        // weights, per-row dequant. Bit-identical to row i of
-        // Int8GemmTransB over the whole activation matrix.
-        dispatch::Int8GemmRow(arow, k, sp.weight_q8, out);
-      } else if (precision == dispatch::Precision::kBf16) {
-        dispatch::Bf16GemmRow(arow, k, sp.weight_bf16, out);
-      } else {
-        // MatMulNaive's row-i walk (i-k-j order, zero skip).
-        std::fill(out, out + d, 0.0f);
-        for (int p = 0; p < k; ++p) {
-          const float av = arow[p];
-          if (av == 0.0f) continue;
-          const float* brow = sp.weight.row(p);
-          for (int j = 0; j < d; ++j) out[j] += av * brow[j];
-        }
+      // MatMulNaive's row-i walk (i-k-j order, zero skip).
+      std::fill(out, out + d, 0.0f);
+      for (int p = 0; p < k; ++p) {
+        const float av = arow[p];
+        if (av == 0.0f) continue;
+        const float* brow = sp.weight.row(p);
+        for (int j = 0; j < d; ++j) out[j] += av * brow[j];
       }
       break;
     }
     case StageKind::kSpmm: {
       // SparseMatrix::Multiply's row-i walk over the normalised operator.
-      // Quantized modes run the bf16 form (SpmmBf16's row walk): operator
-      // values and activations round to bf16, accumulation stays fp32 in
-      // the same ascending-column order. int8 SpMM is deliberately absent —
-      // per-entry scale products cannot be factored out of an integer
-      // accumulation, so bf16 is the fastest form that keeps the error
-      // analytically bounded.
       std::fill(out, out + d, 0.0f);
-      if (precision == dispatch::Precision::kFp32) {
-        adj[rel].ForEachNormEntry(i, [&](int col, float v) {
-          const float* xrow = prev.row(col);
-          for (int j = 0; j < d; ++j) out[j] += v * xrow[j];
-        });
-      } else {
-        adj[rel].ForEachNormEntry(i, [&](int col, float v) {
-          const float vb = dispatch::FloatFromBf16(dispatch::Bf16FromFloat(v));
-          const float* xrow = prev.row(col);
-          for (int j = 0; j < d; ++j) {
-            out[j] +=
-                vb * dispatch::FloatFromBf16(dispatch::Bf16FromFloat(xrow[j]));
-          }
-        });
-      }
+      adj[rel].ForEachNormEntry(i, [&](int col, float v) {
+        const float* xrow = prev.row(col);
+        for (int j = 0; j < d; ++j) out[j] += v * xrow[j];
+      });
       break;
     }
     case StageKind::kGatAttend: {
@@ -1012,7 +1009,6 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
     impl.owned = options.owned_nodes;
     impl.component_only = true;
   }
-  impl.precision = options.precision;
 
   // Unroll the views into stage plans; the weight tensors are copied out of
   // the reconstructed modules (Tensor is a deep-copy value type), so the
@@ -1050,29 +1046,6 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
         vp.fusion_w = SoftmaxWeights(view->fusion_a().logits_value());
       }
       impl.plans.push_back(std::move(vp));
-    }
-  }
-
-  // Quantize the projection weights once, up front. Transposed to d x k so
-  // the per-row kernels run the output-row-major (TransB) walk; int8 rows
-  // are then per-output-channel quantized. A non-finite weight is a load
-  // error, not a per-row surprise later.
-  if (impl.precision != dispatch::Precision::kFp32) {
-    for (ViewPlan& vp : impl.plans) {
-      for (std::vector<ChainPlan>* chains : {&vp.attr_chains, &vp.struct_chains}) {
-        for (ChainPlan& chain : *chains) {
-          for (StagePlan& sp : chain.stages) {
-            if (sp.kind != StageKind::kProject) continue;
-            const Tensor wt = Transpose(sp.weight);
-            if (impl.precision == dispatch::Precision::kInt8) {
-              UMGAD_ASSIGN_OR_RETURN(sp.weight_q8,
-                                     dispatch::QuantizeRowsInt8(wt));
-            } else {
-              sp.weight_bf16 = dispatch::Bf16FromTensor(wt);
-            }
-          }
-        }
-      }
     }
   }
 

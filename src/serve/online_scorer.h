@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "core/model_io.h"
 #include "graph/multiplex_graph.h"
 #include "serve/dynamic_adjacency.h"
-#include "tensor/dispatch/precision.h"
 
 namespace umgad {
 namespace serve {
@@ -41,20 +41,6 @@ struct ServeOptions {
   /// ShardRouter stitch S masked scorers back into the flat oracle's
   /// exact score vector.
   std::vector<uint8_t> owned_nodes;
-
-  /// Numeric precision of the forward re-score kernels (fp32 default —
-  /// the exact path, bit-identical to training). kInt8 runs the dense
-  /// projections through the per-row symmetric W8A8 GEMM and the
-  /// neighborhood propagation through bf16; kBf16 runs both through bf16.
-  /// GAT attention, bias/activation, and the score combine always stay
-  /// fp32. Quantized scores are NOT bit-identical to fp32 — they are gated
-  /// by AUC parity (|dAUC| <= 1e-3) instead — but remain deterministic:
-  /// scores() under any precision is still bit-identical to
-  /// RescoreFullNaive() under the same precision, for any thread/arena/
-  /// cache-budget setting. BatchReplayScores() stays fp32-only (it replays
-  /// the training tape). Weights are quantized once at Create; activation
-  /// rows quantize on the fly per re-scored row.
-  dispatch::Precision precision = dispatch::Precision::kFp32;
 };
 
 /// One undirected edge mutation of a relation layer. `add == false`
@@ -66,6 +52,14 @@ struct EdgeUpdate {
   int relation = 0;
   bool add = true;
 };
+
+/// Parses one update-stream line: "+ src dst rel" inserts an edge, "- src
+/// dst rel" removes one. Fields are separated by ASCII whitespace; each id
+/// must be a whole decimal int. Anything else — a missing or extra field,
+/// a number with an unparsed tail ("0.5", "3x"), an out-of-int-range id —
+/// is InvalidArgument. Range checks against a graph happen at apply time;
+/// skipping blank and '#' comment lines is the stream reader's job.
+Result<EdgeUpdate> ParseEdgeUpdateLine(std::string_view line);
 
 /// Serving counters. Cache hits/misses count EnsureRow lookups during
 /// incremental update passes (the initial full pass is excluded);

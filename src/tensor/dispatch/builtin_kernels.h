@@ -12,10 +12,7 @@ class KernelRegistry;
 /// translation units (and their registrars) silently.
 void RegisterBuiltinMatMul(KernelRegistry* r);  // matmul_variants.cc
 void RegisterBuiltinSpmm(KernelRegistry* r);    // spmm_variants.cc
-void RegisterBuiltinInt8(KernelRegistry* r);    // quantize.cc
-void RegisterBuiltinBf16(KernelRegistry* r);    // bf16.cc
 void RegisterAvx2Kernels(KernelRegistry* r);    // simd_avx2.cc
-void RegisterInt8Avx2Kernels(KernelRegistry* r);  // int8_avx2.cc
 
 }  // namespace dispatch
 }  // namespace umgad

@@ -8,8 +8,7 @@
 namespace umgad {
 namespace dispatch {
 
-/// Blocked-core geometry, shared by every dense variant (and reused by the
-/// int8 panel packing in quantize.cc).
+/// Blocked-core geometry, shared by every dense variant.
 inline constexpr int kMicroRows = 8;   // rows of C per micro-kernel call
 inline constexpr int kPanelCols = 64;  // packed-panel width
 

@@ -13,9 +13,8 @@ namespace umgad {
 namespace dispatch {
 namespace {
 
-constexpr const char* kOpNames[kNumKernelOps] = {
-    "matmul", "matmul_transb", "spmm", "int8_gemm", "bf16_gemm", "bf16_spmm",
-};
+constexpr const char* kOpNames[kNumKernelOps] = {"matmul", "matmul_transb",
+                                                  "spmm"};
 
 int OpIndexByName(const std::string& name) {
   for (int i = 0; i < kNumKernelOps; ++i) {
@@ -35,10 +34,7 @@ KernelRegistry* KernelRegistry::Global() {
     KernelRegistry* r = new KernelRegistry();
     RegisterBuiltinMatMul(r);
     RegisterBuiltinSpmm(r);
-    RegisterBuiltinInt8(r);
-    RegisterBuiltinBf16(r);
     RegisterAvx2Kernels(r);
-    RegisterInt8Avx2Kernels(r);
     if (const char* env = std::getenv("UMGAD_KERNEL")) {
       Status s = r->SetOverride(env);
       if (!s.ok()) {

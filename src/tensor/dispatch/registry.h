@@ -17,9 +17,6 @@ class SparseMatrix;
 
 namespace dispatch {
 
-struct QuantizedRows;
-struct Bf16Matrix;
-
 /// Dispatchable kernel operations. Each op holds one or more named variants;
 /// the registry resolves the active variant at first use (highest priority
 /// whose required CPU features are available), overridable per-op or globally
@@ -28,11 +25,8 @@ enum class KernelOp : int {
   kMatMul = 0,
   kMatMulTransB,
   kSpmm,
-  kInt8Gemm,
-  kBf16Gemm,
-  kBf16Spmm,
 };
-constexpr int kNumKernelOps = 6;
+constexpr int kNumKernelOps = 3;
 
 /// Typed signatures per op. Variants are stored type-erased; the accessors
 /// below cast back. All variants of one op must be bit-identical for any
@@ -40,9 +34,6 @@ constexpr int kNumKernelOps = 6;
 /// a semantics dial.
 using MatMulFn = Tensor (*)(const Tensor&, const Tensor&);
 using SpmmFn = Tensor (*)(const SparseMatrix&, const Tensor&);
-using Int8GemmFn = Tensor (*)(const QuantizedRows&, const QuantizedRows&);
-using Bf16GemmFn = Tensor (*)(const Bf16Matrix&, const Bf16Matrix&);
-using Bf16SpmmFn = Tensor (*)(const SparseMatrix&, const Bf16Matrix&);
 
 using KernelFn = void (*)();
 
@@ -80,7 +71,7 @@ class KernelRegistry {
 
   /// Pins variants by name. `spec` is either a bare variant name, applied to
   /// every op that has it, or a comma-separated `op=name` list with op names
-  /// matmul, matmul_transb, spmm, int8_gemm, bf16_gemm, bf16_spmm.
+  /// matmul, matmul_transb, spmm.
   /// Unknown op or variant name → InvalidArgument, no state change. A known
   /// variant whose CPU features are unavailable is accepted; resolution
   /// falls back gracefully (with a warning) at first use.
@@ -101,15 +92,6 @@ class KernelRegistry {
     return reinterpret_cast<MatMulFn>(Resolve(KernelOp::kMatMulTransB));
   }
   SpmmFn spmm() { return reinterpret_cast<SpmmFn>(Resolve(KernelOp::kSpmm)); }
-  Int8GemmFn int8_gemm() {
-    return reinterpret_cast<Int8GemmFn>(Resolve(KernelOp::kInt8Gemm));
-  }
-  Bf16GemmFn bf16_gemm() {
-    return reinterpret_cast<Bf16GemmFn>(Resolve(KernelOp::kBf16Gemm));
-  }
-  Bf16SpmmFn bf16_spmm() {
-    return reinterpret_cast<Bf16SpmmFn>(Resolve(KernelOp::kBf16Spmm));
-  }
 
   /// Invalidates cached selections (after a feature-mask change).
   void InvalidateCache();
@@ -130,7 +112,7 @@ class KernelRegistry {
   OpState ops_[kNumKernelOps];
 };
 
-/// Display name of an op ("matmul", "int8_gemm", ...).
+/// Display name of an op ("matmul", "matmul_transb", "spmm").
 const char* KernelOpName(KernelOp op);
 
 /// Test hook: masks CPU features off (as if the CPU lacked them) and

@@ -2,14 +2,9 @@
 // so the baseline build stays portable while capable hosts get 256-bit
 // vectors at runtime.
 //
-// Registered only in non--march=native builds: a native build already
-// compiles *every* TU for the host's widest ISA (and with FMA contraction),
-// so a separate AVX2 tier adds nothing there — and mixing contraction-free
-// target("avx2") code with contracted native code could break the
-// bit-identity invariant. The target attribute deliberately enables avx2
-// but NOT fma: without an FMA ISA the compiler cannot contract the
-// multiply-add chains, so this tier rounds exactly like the baseline tier
-// and stays bit-identical to it.
+// The target attribute deliberately enables avx2 but NOT fma: without an
+// FMA ISA the compiler cannot contract the multiply-add chains, so this
+// tier rounds exactly like the baseline tier and stays bit-identical to it.
 
 #include "tensor/dispatch/builtin_kernels.h"
 #include "tensor/dispatch/matmul_impl.h"
@@ -19,8 +14,7 @@
 namespace umgad {
 namespace dispatch {
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(UMGAD_MARCH_NATIVE)
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 
 namespace {
 
@@ -48,7 +42,7 @@ void RegisterAvx2Kernels(KernelRegistry* r) {
                reinterpret_cast<KernelFn>(&MatMulTransBBlockedAvx2)});
 }
 
-#else  // non-x86-64 or -march=native build
+#else  // non-x86-64 or non-GNU compiler
 
 void RegisterAvx2Kernels(KernelRegistry*) {}
 

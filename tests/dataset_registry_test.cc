@@ -242,6 +242,10 @@ struct LegacyCase {
   double scale;
 };
 
+// Without this gtest prints the raw bytes of the case, function pointer
+// included, and the listed (ctest) test name changes from run to run.
+void PrintTo(const LegacyCase& c, std::ostream* os) { *os << c.name; }
+
 class RegistryVsLegacy : public ::testing::TestWithParam<LegacyCase> {};
 
 TEST_P(RegistryVsLegacy, BitIdentical) {

@@ -7,13 +7,9 @@
 // old binary. On an intentional pipeline change, regenerate with
 // tests/golden_scores_gen.cc (instructions in golden_scores_common.h).
 //
-// Strictness: in the fixture's own build configuration — optimized,
-// -march=native on an FMA host (UMGAD_GOLDEN_EXACT from CMake + __FMA__)
-// — the comparison is exact bit-equality. Other configurations compile the
-// same arithmetic to different contractions (-O0 keeps separate mul+add
-// where -O3 emits FMA), which drifts trained scores by ~1e-7; they assert
-// a 1e-4 bound instead — still far below any genuine kernel bug, which
-// perturbs training trajectories at O(1e-2) or worse.
+// Strictness: exact bit-equality in every build configuration. The build
+// targets the baseline ISA and every dispatched kernel tier is
+// contraction-free, so Release and Debug builds compute the same bits.
 
 #include <cmath>
 #include <cstdio>
@@ -32,13 +28,6 @@ namespace umgad {
 namespace testing {
 namespace {
 
-#if defined(UMGAD_GOLDEN_EXACT) && defined(__FMA__)
-constexpr bool kExactConfig = true;
-#else
-constexpr bool kExactConfig = false;
-#endif
-constexpr double kCrossBuildTolerance = 1e-4;
-
 void ExpectScoresMatchFixture(const std::vector<double>& scores,
                               const uint64_t (&golden)[kGoldenScoreCount],
                               const char* label, int threads, bool arena) {
@@ -48,28 +37,11 @@ void ExpectScoresMatchFixture(const std::vector<double>& scores,
     std::memcpy(&bits, &scores[i], sizeof(bits));
     double expected = 0.0;
     std::memcpy(&expected, &golden[i], sizeof(expected));
-    if (kExactConfig) {
-      // Self-diagnosing failure: a diff within the cross-build tolerance
-      // is almost certainly compiler/CPU codegen drift (new FMA
-      // contraction decisions after a toolchain bump) — regenerate the
-      // fixture per golden_scores_common.h. A diff beyond it is a real
-      // kernel regression.
-      EXPECT_EQ(bits, golden[i])
-          << label << " node " << i << " threads=" << threads
-          << " arena=" << (arena ? 1 : 0) << ": got " << scores[i]
-          << ", fixture " << expected << " (|diff| "
-          << std::abs(scores[i] - expected)
-          << (std::abs(scores[i] - expected) <= kCrossBuildTolerance
-                  ? " <= 1e-4: likely toolchain codegen drift — regenerate "
-                    "the fixture with golden_scores_gen"
-                  : " > 1e-4: kernel regression")
-          << ")";
-    } else {
-      EXPECT_LE(std::abs(scores[i] - expected), kCrossBuildTolerance)
-          << label << " node " << i << " threads=" << threads
-          << " arena=" << (arena ? 1 : 0) << ": got " << scores[i]
-          << ", fixture " << expected;
-    }
+    EXPECT_EQ(bits, golden[i])
+        << label << " node " << i << " threads=" << threads
+        << " arena=" << (arena ? 1 : 0) << ": got " << scores[i]
+        << ", fixture " << expected << " (|diff| "
+        << std::abs(scores[i] - expected) << ")";
   }
 }
 

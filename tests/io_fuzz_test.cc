@@ -1,22 +1,29 @@
-// Corruption fuzzing for the .umgb readers: every mutation of a valid
-// image — truncation at every byte length, seeded random byte flips,
-// hostile header counts at computed offsets — must come back as a Status
-// (or as a successfully loaded graph, for flips in sections whose bits are
-// not structurally validated), never as a crash, a hang, or an attempted
-// huge allocation. The copying reader and the mmap reader validate the
-// same invariants, so the two must also *agree*: same ok-ness on every
-// mutant, bit-identical graphs whenever both accept.
+// Corruption fuzzing for the untrusted inputs: .umgb graph images, edge
+// lists, .umgm model artifacts, and serve update-stream lines. Every
+// mutation of a valid input — truncation at every byte length, seeded
+// random byte flips, hostile counts at computed offsets — must come back
+// as a Status (or as a successfully loaded, usable object, for flips in
+// bytes that are not structurally validated), never as a crash, a hang, or
+// an attempted huge allocation. The copying and mmap .umgb readers
+// validate the same invariants, so the two must also *agree*: same
+// ok-ness on every mutant, bit-identical graphs whenever both accept.
 
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/model_io.h"
+#include "core/umgad.h"
 #include "graph/datasets.h"
 #include "graph/io/binary_format.h"
 #include "graph/io/edge_list.h"
@@ -24,6 +31,8 @@
 #include "graph/io/mmap_format.h"
 #include "graph/multiplex_graph.h"
 #include "oracle_harness.h"
+#include "serve/online_scorer.h"
+#include "tensor/autograd.h"
 #include "tensor/init.h"
 
 namespace umgad {
@@ -226,6 +235,257 @@ TEST_F(IoFuzzTest, EdgeListFuzzNeverCrashes) {
     }
   }
   std::remove(edges_path.c_str());
+}
+
+// ------------------------- .umgm model artifacts --------------------------
+
+/// Byte offsets inside a v2 .umgm image (docs/FORMATS.md): 12-byte header,
+/// u32 config length, the 116-byte config, then the fingerprint.
+constexpr size_t kHiddenDimAt = 20;
+constexpr size_t kEncoderLayersAt = 24;
+constexpr size_t kDecoderLayersAt = 28;
+constexpr size_t kScoreNegativesAt = 112;
+constexpr size_t kNumNodesAt = 132;
+constexpr size_t kFeatureDimAt = 136;
+constexpr size_t kNumRelationsAt = 140;
+
+class IoFuzzModelTest : public ::testing::Test {
+ protected:
+  /// Fits a deliberately tiny model (6 nodes, hidden width 2, one epoch)
+  /// so the per-byte truncation sweep stays cheap, and snapshots it.
+  void SetUp() override {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "/umgad_fuzz_" + info->name() + ".umgm";
+    UmgadConfig config;
+    config.epochs = 1;
+    config.hidden_dim = 2;
+    config.mask_repeats = 1;
+    config.num_subgraphs = 1;
+    config.subgraph_size = 3;
+    config.num_score_negatives = 2;
+    config.seed = 3;
+    UmgadModel model(config);
+    ASSERT_TRUE(model.Fit(graph_).ok());
+    Result<TrainedModel> trained = TrainedModel::FromFitted(model, graph_);
+    ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+    ASSERT_TRUE(trained->Save(path_).ok());
+    ASSERT_TRUE(ReadFileToString(path_, &image_).ok());
+    tensor_count_at_ =
+        kNumRelationsAt + 4 + 8 * graph_.num_relations() + 8 + 41;
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Loads the mutant. When Load accepts it, the object must be usable:
+  /// rebuilding its views and standing up a scorer over the fuzz graph
+  /// each end in a Status or a working object. Returns Load's verdict.
+  bool LoadAndUse(const std::string& mutant) {
+    WriteImage(path_, mutant);
+    Result<TrainedModel> loaded = TrainedModel::Load(path_);
+    if (!loaded.ok()) return false;
+    {
+      ag::ParamScope params;
+      (void)loaded->BuildViews();
+    }
+    (void)serve::OnlineScorer::Create(*std::move(loaded), graph_);
+    return true;
+  }
+
+  template <typename T>
+  std::string Patched(size_t at, T value) const {
+    std::string mutant = image_;
+    std::memcpy(&mutant[at], &value, sizeof(value));
+    return mutant;
+  }
+
+  const MultiplexGraph graph_ = FuzzGraph();
+  std::string path_;
+  std::string image_;
+  size_t tensor_count_at_ = 0;
+};
+
+TEST_F(IoFuzzModelTest, TruncationAtEveryLengthIsAStatus) {
+  ASSERT_TRUE(LoadAndUse(image_));
+  // The trailer magic sits at the very end, so every strict prefix either
+  // starves a bounded read or loses the trailer.
+  for (size_t len = 0; len < image_.size(); ++len) {
+    EXPECT_FALSE(LoadAndUse(image_.substr(0, len)))
+        << "accepted a " << len << "-byte prefix of a " << image_.size()
+        << "-byte artifact";
+  }
+}
+
+TEST_F(IoFuzzModelTest, SeededByteFlipsNeverCrash) {
+  Rng rng(0x0D37ULL);
+  int accepted = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string mutant = image_;
+    const int flips = 1 + static_cast<int>(rng.UniformInt(3));
+    for (int f = 0; f < flips; ++f) {
+      const size_t at = static_cast<size_t>(rng.UniformInt(mutant.size()));
+      mutant[at] = static_cast<char>(
+          static_cast<unsigned char>(mutant[at]) ^
+          static_cast<unsigned char>(1 + rng.UniformInt(255)));
+    }
+    if (LoadAndUse(mutant)) ++accepted;
+  }
+  // Most of the image is raw weight bytes, which no reader can validate:
+  // flips there must load (and serve) fine.
+  EXPECT_GT(accepted, 0);
+}
+
+TEST_F(IoFuzzModelTest, HostileCountsAreAStatusNotAnAllocation) {
+  // Every int32 count field at INT32_MAX is past its cap and must fail the
+  // load; the other hostile values must at least end without a crash or
+  // a huge allocation downstream.
+  // The last two are the first weight tensor's rows and cols.
+  const size_t int32_fields[] = {kHiddenDimAt,         kEncoderLayersAt,
+                                 kDecoderLayersAt,     kScoreNegativesAt,
+                                 kNumNodesAt,          kFeatureDimAt,
+                                 kNumRelationsAt,      tensor_count_at_ + 8,
+                                 tensor_count_at_ + 12};
+  for (const size_t at : int32_fields) {
+    for (const int32_t value : {0, -1, INT32_MIN, 65, 1 << 24}) {
+      LoadAndUse(Patched(at, value));
+    }
+    EXPECT_FALSE(LoadAndUse(Patched(at, INT32_MAX)))
+        << "accepted INT32_MAX at offset " << at;
+  }
+  for (const int64_t value :
+       {int64_t{-1}, int64_t{1} << 62, int64_t{INT64_MAX}}) {
+    EXPECT_FALSE(LoadAndUse(Patched(tensor_count_at_, value)))
+        << "accepted weight count " << value;
+  }
+  // A hostile config-block length: past the sanity cap, and just short of
+  // the fields this build reads.
+  for (const uint32_t value : {0xFFFFFFFFu, 115u}) {
+    EXPECT_FALSE(LoadAndUse(Patched(size_t{12}, value)))
+        << "accepted config length " << value;
+  }
+}
+
+// ------------------------- serve update-stream lines ----------------------
+
+/// Independent reference for ParseEdgeUpdateLine: whitespace-split tokens
+/// (std::isspace), exactly four, an op of "+" or "-", and three optionally
+/// negative decimal literals that strtoll consumes whole and that fit in
+/// an int.
+bool ReferenceAccepts(const std::string& line, serve::EdgeUpdate* out) {
+  std::istringstream in(line);
+  std::vector<std::string> tokens;
+  for (std::string t; in >> t;) tokens.push_back(t);
+  if (tokens.size() != 4 || (tokens[0] != "+" && tokens[0] != "-")) {
+    return false;
+  }
+  int* ids[3] = {&out->src, &out->dst, &out->relation};
+  for (int k = 0; k < 3; ++k) {
+    const std::string& t = tokens[k + 1];
+    const size_t digits = t[0] == '-' ? 1 : 0;
+    if (t.size() == digits ||
+        t.find_first_not_of("0123456789", digits) != std::string::npos) {
+      return false;
+    }
+    errno = 0;
+    const long long v = std::strtoll(t.c_str(), nullptr, 10);
+    if (errno != 0 || v < INT_MIN || v > INT_MAX) return false;
+    *ids[k] = static_cast<int>(v);
+  }
+  out->add = tokens[0] == "+";
+  return true;
+}
+
+void ExpectParses(const std::string& line, bool add, int src, int dst,
+                  int rel) {
+  const Result<serve::EdgeUpdate> u = serve::ParseEdgeUpdateLine(line);
+  ASSERT_TRUE(u.ok()) << "'" << line << "': " << u.status().ToString();
+  EXPECT_EQ(u->add, add) << line;
+  EXPECT_EQ(u->src, src) << line;
+  EXPECT_EQ(u->dst, dst) << line;
+  EXPECT_EQ(u->relation, rel) << line;
+}
+
+TEST(IoFuzzUpdateLineTest, AcceptsWellFormedLines) {
+  ExpectParses("+ 1 2 0", true, 1, 2, 0);
+  ExpectParses("- 30 4 1", false, 30, 4, 1);
+  ExpectParses("\t+\t5   6 2\r", true, 5, 6, 2);
+  ExpectParses("  - 2147483647 0 0  ", false, INT_MAX, 0, 0);
+  // Range checks belong to the scorer, which knows the graph.
+  ExpectParses("+ -1 2 0", true, -1, 2, 0);
+}
+
+TEST(IoFuzzUpdateLineTest, RejectsTrailingTokens) {
+  for (const char* line :
+       {"+ 1 2 0 junk", "+ 1 2 0 0", "- 1 2 0 # note", "+ 1 2 0 -"}) {
+    const Result<serve::EdgeUpdate> u = serve::ParseEdgeUpdateLine(line);
+    ASSERT_FALSE(u.ok()) << "accepted '" << line << "'";
+    EXPECT_EQ(u.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(u.status().message().find("trailing input"), std::string::npos)
+        << u.status().message();
+  }
+}
+
+TEST(IoFuzzUpdateLineTest, RejectsPartiallyConsumedNumbers) {
+  for (const char* line :
+       {"+ 1 2 0.5", "+ 1x 2 0", "+ 1 2 0x1", "+ 1 2e3 0", "+ 1 2 -",
+        "+ 1 +2 0", "+ 1 2 2147483648", "+ 99999999999999999999 2 0"}) {
+    const Result<serve::EdgeUpdate> u = serve::ParseEdgeUpdateLine(line);
+    ASSERT_FALSE(u.ok()) << "accepted '" << line << "'";
+    EXPECT_NE(u.status().message().find("must be integers"),
+              std::string::npos)
+        << u.status().message();
+  }
+}
+
+TEST(IoFuzzUpdateLineTest, RejectsMalformedLines) {
+  for (const char* line : {"", "   ", "+ 1 2", "* 1 2 0", "+1 2 0",
+                           "++ 1 2 0", "# + 1 2 0"}) {
+    EXPECT_FALSE(serve::ParseEdgeUpdateLine(line).ok())
+        << "accepted '" << line << "'";
+  }
+}
+
+TEST(IoFuzzUpdateLineTest, SeededMutantsAgreeWithTheReference) {
+  const std::string seeds[] = {"+ 12 345 0", "- 7 8 1", "+\t0\t19\t3",
+                               "- 2147483647 1 0"};
+  Rng rng(0x11E5ULL);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string line = seeds[rng.UniformInt(4)];
+    const int edits = 1 + static_cast<int>(rng.UniformInt(3));
+    for (int e = 0; e < edits; ++e) {
+      const size_t at = static_cast<size_t>(rng.UniformInt(line.size() + 1));
+      switch (rng.UniformInt(4)) {
+        case 0:  // flip a byte (any of the 255 other values)
+          if (at < line.size()) {
+            line[at] = static_cast<char>(
+                static_cast<unsigned char>(line[at]) ^
+                static_cast<unsigned char>(1 + rng.UniformInt(255)));
+          }
+          break;
+        case 1:  // truncate
+          line.resize(at);
+          break;
+        case 2:  // insert a character from the grammar's alphabet
+          line.insert(at, 1, " \t-+.x09#"[rng.UniformInt(9)]);
+          break;
+        default:  // duplicate a token-sized slice
+          line.insert(at, line.substr(at / 2, 3));
+          break;
+      }
+    }
+    serve::EdgeUpdate want;
+    const bool ref_ok = ReferenceAccepts(line, &want);
+    const Result<serve::EdgeUpdate> got = serve::ParseEdgeUpdateLine(line);
+    ASSERT_EQ(got.ok(), ref_ok)
+        << "trial " << trial << " '" << line << "': "
+        << (got.ok() ? "ok" : got.status().message());
+    if (ref_ok) {
+      EXPECT_EQ(got->add, want.add) << line;
+      EXPECT_EQ(got->src, want.src) << line;
+      EXPECT_EQ(got->dst, want.dst) << line;
+      EXPECT_EQ(got->relation, want.relation) << line;
+    }
+  }
 }
 
 }  // namespace

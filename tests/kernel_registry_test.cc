@@ -99,6 +99,15 @@ TEST_F(KernelRegistryTest, EveryOpHasANaiveFloorAndADefaultWinner) {
   }
 }
 
+TEST_F(KernelRegistryTest, RegistryHoldsExactlyTheFloatForwardOps) {
+  std::vector<std::string> names;
+  for (const KernelSelection& sel : KernelRegistry::Global()->Selections()) {
+    names.push_back(dispatch::KernelOpName(sel.op));
+  }
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"matmul", "matmul_transb", "spmm"}));
+}
+
 TEST_F(KernelRegistryTest, ResolveReturnsNonNullForEveryOp) {
   KernelRegistry* reg = KernelRegistry::Global();
   for (int i = 0; i < dispatch::kNumKernelOps; ++i) {

@@ -132,6 +132,10 @@ struct AblationCase {
   void (*apply)(UmgadConfig*);
 };
 
+// Without this gtest prints the raw bytes of the case, function pointer
+// included, and the listed (ctest) test name changes from run to run.
+void PrintTo(const AblationCase& c, std::ostream* os) { *os << c.name; }
+
 class AblationVariants : public ::testing::TestWithParam<AblationCase> {};
 
 TEST_P(AblationVariants, VariantTrainsAndScores) {

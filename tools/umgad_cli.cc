@@ -31,12 +31,10 @@
 // UMGAD_DATASET_DIR resolution) all behave identically across subcommands.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,7 +47,6 @@
 #include "core/threshold.h"
 #include "core/umgad.h"
 #include "eval/experiment.h"
-#include "eval/metrics.h"
 #include "graph/dataset_registry.h"
 #include "graph/io/binary_format.h"
 #include "graph/io/graph_io.h"
@@ -57,7 +54,6 @@
 #include "serve/online_scorer.h"
 #include "serve/serve_metrics.h"
 #include "serve/shard_router.h"
-#include "tensor/dispatch/precision.h"
 #include "tensor/dispatch/registry.h"
 
 namespace umgad {
@@ -89,11 +85,8 @@ struct CliArgs {
   bool mmap = false;
   std::string header = "auto";
   bool serial_import = false;
-  std::string precision = "fp32";
   std::string kernel;     // registry override spec (--kernel)
   bool kernels = false;   // inspect --kernels
-  std::string parity;     // serve --parity: reference-score CSV to gate on
-  double parity_tol = 1e-3;
 };
 
 int Usage() {
@@ -120,14 +113,12 @@ int Usage() {
       "  serve <path|name> --model PATH.umgm [--stream FILE|-]\n"
       "                  [--naive | --replay-batch] [--save-scores PATH]\n"
       "                  [--shards S] [--queue-capacity N] [--metrics]\n"
-      "                  [--precision fp32|int8|bf16]\n"
-      "                  [--parity CSV [--parity-tol X]]\n"
       "                  [--seed N] [--scale S]\n"
       "\n"
       "kernel flags (any command): --kernel NAME or --kernel op=name,...\n"
-      "pins registry kernel variants (ops: matmul, matmul_transb, spmm,\n"
-      "int8_gemm, bf16_gemm, bf16_spmm); same syntax as the UMGAD_KERNEL\n"
-      "env var. inspect --kernels shows what is registered and selected.\n"
+      "pins registry kernel variants (ops: matmul, matmul_transb, spmm);\n"
+      "same syntax as the UMGAD_KERNEL env var. inspect --kernels shows\n"
+      "what is registered and selected.\n"
       "\n"
       "load flags (any command that loads a graph): --mmap maps .umgb\n"
       "inputs read-only (zero-copy; UMGAD_NO_MMAP=1 forces the copying\n"
@@ -144,12 +135,7 @@ int Usage() {
       "routes the stream through S concurrent scorer shards instead — the\n"
       "drained CSV is byte-identical to the single-scorer path (the CI\n"
       "cli-smoke job diffs them). --metrics prints serving counters and\n"
-      "latency percentiles to stderr. --precision int8|bf16 runs the\n"
-      "forward re-score through the quantized kernels (scores shift within\n"
-      "quantization error; rankings hold). --parity CSV gates the run's\n"
-      "scores against a reference CSV (normally a --precision fp32\n"
-      "--save-scores run) by AUC parity on the dataset labels:\n"
-      "|dAUC| <= --parity-tol (default 1e-3) or exit 1.\n"
+      "latency percentiles to stderr.\n"
       "\n"
       "<path|name> is a registered dataset name (umgad_cli list), a graph\n"
       "file in either format, or a raw edge list (src dst [relation] per\n"
@@ -269,33 +255,12 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
     } else if (arg == "--metrics") {
       args->metrics = true;
-    } else if (arg == "--precision") {
-      const char* v = next("--precision");
-      if (v == nullptr) return false;
-      args->precision = v;
-      if (args->precision != "fp32" && args->precision != "int8" &&
-          args->precision != "bf16") {
-        std::cerr << "--precision must be fp32, int8, or bf16\n";
-        return false;
-      }
     } else if (arg == "--kernel") {
       const char* v = next("--kernel");
       if (v == nullptr) return false;
       args->kernel = v;
     } else if (arg == "--kernels") {
       args->kernels = true;
-    } else if (arg == "--parity") {
-      const char* v = next("--parity");
-      if (v == nullptr) return false;
-      args->parity = v;
-    } else if (arg == "--parity-tol") {
-      const char* v = next("--parity-tol");
-      if (v == nullptr) return false;
-      args->parity_tol = std::atof(v);
-      if (args->parity_tol <= 0.0) {
-        std::cerr << "--parity-tol must be positive\n";
-        return false;
-      }
     } else if (arg == "--mmap") {
       args->mmap = true;
     } else if (arg == "--serial-import") {
@@ -458,8 +423,8 @@ void PrintKernelReport(std::ostream& os) {
 }
 
 /// One-line form for serve --metrics (stderr, greppable).
-std::string KernelSummaryLine(const std::string& precision) {
-  std::string line = "kernels: precision=" + precision;
+std::string KernelSummaryLine() {
+  std::string line = "kernels:";
   for (const dispatch::KernelSelection& sel :
        dispatch::KernelRegistry::Global()->Selections()) {
     line += StrFormat(" %s=%s", dispatch::KernelOpName(sel.op),
@@ -558,61 +523,6 @@ Status WriteScoresCsv(const std::string& path,
   return Status::OK();
 }
 
-/// Reads the first score column of a WriteScoresCsv file ("node,score" with
-/// a header row). Rows must be the ascending 0..n-1 node ids that
-/// WriteScoresCsv emits.
-Result<std::vector<double>> ReadScoresCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound(StrFormat("cannot open %s", path.c_str()));
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IoError(StrFormat("%s: empty file", path.c_str()));
-  }
-  std::vector<double> scores;
-  int line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const size_t comma = line.find(',');
-    if (comma == std::string::npos) {
-      return Status::InvalidArgument(
-          StrFormat("%s:%d: expected node,score", path.c_str(), line_no));
-    }
-    scores.push_back(std::strtod(line.c_str() + comma + 1, nullptr));
-  }
-  return scores;
-}
-
-/// The serve --parity gate: AUC of this run's scores vs the reference CSV's
-/// on the dataset labels must agree within --parity-tol. Returns the process
-/// exit code (0 pass, 1 fail); no-op without --parity.
-int CheckAucParity(const CliArgs& args, const MultiplexGraph& graph,
-                   const std::vector<double>& scores) {
-  if (args.parity.empty()) return 0;
-  if (!graph.has_labels()) {
-    std::cerr << "--parity needs a labeled dataset (AUC is undefined)\n";
-    return 1;
-  }
-  Result<std::vector<double>> ref = ReadScoresCsv(args.parity);
-  if (!ref.ok()) return FailWith(ref.status());
-  if (ref->size() != scores.size()) {
-    std::cerr << args.parity << ": " << ref->size() << " scores but graph has "
-              << scores.size() << " nodes\n";
-    return 1;
-  }
-  const double auc = RocAuc(scores, graph.labels());
-  const double ref_auc = RocAuc(*ref, graph.labels());
-  const double delta = std::abs(auc - ref_auc);
-  const bool pass = delta <= args.parity_tol;
-  std::cerr << StrFormat(
-      "parity: precision=%s auc=%.6f ref_auc=%.6f |dAUC|=%.3g tol=%.3g %s\n",
-      args.precision.c_str(), auc, ref_auc, delta, args.parity_tol,
-      pass ? "OK" : "FAIL");
-  return pass ? 0 : 1;
-}
-
 int CmdTrain(const CliArgs& args) {
   if (args.positional.size() != 1) return Usage();
   if (args.save_model.empty()) {
@@ -668,17 +578,13 @@ int64_t ReplayStream(const CliArgs& args,
     ++line_no;
     const size_t first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream fields(line);
-    std::string op;
-    serve::EdgeUpdate update;
-    if (!(fields >> op >> update.src >> update.dst >> update.relation) ||
-        (op != "+" && op != "-")) {
-      std::cerr << args.stream << ":" << line_no
-                << ": expected '+|- src dst rel', got: " << line << "\n";
+    const Result<serve::EdgeUpdate> update = serve::ParseEdgeUpdateLine(line);
+    if (!update.ok()) {
+      std::cerr << args.stream << ":" << line_no << ": "
+                << update.status().message() << ", got: " << line << "\n";
       return -1;
     }
-    update.add = op == "+";
-    const Status status = apply(update);
+    const Status status = apply(*update);
     if (!status.ok()) {
       std::cerr << args.stream << ":" << line_no << ": " << status.ToString()
                 << "\n";
@@ -698,11 +604,6 @@ int ServeSharded(const CliArgs& args, TrainedModel trained,
   serve::RouterOptions options;
   options.num_shards = args.shards;
   if (args.queue_capacity > 0) options.queue_capacity = args.queue_capacity;
-  {
-    Result<dispatch::Precision> prec = dispatch::ParsePrecision(args.precision);
-    if (!prec.ok()) return FailWith(prec.status());
-    options.serve.precision = *prec;
-  }
   auto router = serve::ShardRouter::Create(std::move(trained), graph, options);
   if (!router.ok()) return FailWith(router.status());
 
@@ -733,7 +634,7 @@ int ServeSharded(const CliArgs& args, TrainedModel trained,
   }
   if (args.metrics) {
     std::cerr << FormatRouterStats((*router)->Stats());
-    std::cerr << KernelSummaryLine(args.precision) << "\n";
+    std::cerr << KernelSummaryLine() << "\n";
   }
 
   const std::vector<double> scores = (*router)->Snapshot()->scores;
@@ -742,7 +643,7 @@ int ServeSharded(const CliArgs& args, TrainedModel trained,
   if (!args.save_scores.empty()) {
     std::cerr << args.save_scores << ": " << scores.size() << " scores\n";
   }
-  return CheckAucParity(args, graph, scores);
+  return 0;
 }
 
 int CmdServe(const CliArgs& args) {
@@ -768,20 +669,7 @@ int CmdServe(const CliArgs& args) {
   if (args.shards > 0) {
     return ServeSharded(args, *std::move(trained), *graph);
   }
-  serve::ServeOptions serve_options;
-  {
-    Result<dispatch::Precision> prec = dispatch::ParsePrecision(args.precision);
-    if (!prec.ok()) return FailWith(prec.status());
-    serve_options.precision = *prec;
-  }
-  if (args.replay_batch &&
-      serve_options.precision != dispatch::Precision::kFp32) {
-    std::cerr << "--replay-batch replays the fp32 training tape; it has no "
-                 "quantized form (drop --precision)\n";
-    return 2;
-  }
-  auto scorer =
-      serve::OnlineScorer::Create(*std::move(trained), *graph, serve_options);
+  auto scorer = serve::OnlineScorer::Create(*std::move(trained), *graph);
   if (!scorer.ok()) return FailWith(scorer.status());
 
   if (!args.stream.empty()) {
@@ -812,7 +700,7 @@ int CmdServe(const CliArgs& args) {
                              4)
               << " last_dirty_rows=" << stats.last_dirty_rows
               << " last_rescored_nodes=" << stats.last_rescored_nodes << "\n";
-    std::cerr << KernelSummaryLine(args.precision) << "\n";
+    std::cerr << KernelSummaryLine() << "\n";
   }
 
   std::vector<double> scores;
@@ -830,7 +718,7 @@ int CmdServe(const CliArgs& args) {
   if (!args.save_scores.empty()) {
     std::cerr << args.save_scores << ": " << scores.size() << " scores\n";
   }
-  return CheckAucParity(args, *graph, scores);
+  return 0;
 }
 
 int CmdRun(const CliArgs& args) {
