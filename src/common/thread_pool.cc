@@ -10,22 +10,9 @@
 
 namespace umgad {
 
-namespace {
-
-thread_local bool tls_in_parallel_region = false;
-
-/// RAII guard for the nested-parallelism flag.
-struct RegionGuard {
-  RegionGuard() : prev(tls_in_parallel_region) { tls_in_parallel_region = true; }
-  ~RegionGuard() { tls_in_parallel_region = prev; }
-  bool prev;
-};
-
-}  // namespace
-
 /// Shared state of one ParallelFor call. Workers claim chunks from `next`
-/// until the range is exhausted; the caller participates too, then waits for
-/// `active` to reach zero.
+/// until the range is exhausted; the caller participates too, withdraws the
+/// helper entries still queued, then waits for `active` to reach zero.
 struct ThreadPool::Work {
   std::function<void(int64_t, int64_t)> body;
   int64_t end = 0;
@@ -34,7 +21,7 @@ struct ThreadPool::Work {
 
   std::mutex mutex;
   std::condition_variable done_cv;
-  int active = 0;  // workers currently inside RunChunks (caller excluded)
+  int active = 0;  // helper entries queued or running (caller excluded)
   std::exception_ptr error;  // first exception thrown by any chunk
 };
 
@@ -55,10 +42,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-bool ThreadPool::InParallelRegion() { return tls_in_parallel_region; }
-
 void ThreadPool::RunChunks(Work* work) {
-  RegionGuard guard;
   for (;;) {
     const int64_t begin = work->next.fetch_add(work->chunk,
                                                std::memory_order_relaxed);
@@ -102,10 +86,7 @@ void ThreadPool::ParallelFor(
   if (grain < 1) grain = 1;
   const int64_t n = end - begin;
 
-  // Inline when the range is small, the pool has one lane, or we are already
-  // inside a chunk (nested call): see the class comment.
-  if (n <= grain || num_threads_ == 1 || tls_in_parallel_region) {
-    RegionGuard guard;
+  if (n <= grain || num_threads_ == 1) {
     body(begin, end);
     return;
   }
@@ -137,7 +118,19 @@ void ThreadPool::ParallelFor(
   RunChunks(work.get());
 
   if (helpers > 0) {
+    // The range is fully claimed, so a helper that has not started yet has
+    // nothing left to do. Withdraw those entries: every other lane may be
+    // busy in an outer fan-out, or blocked on a call enclosing this one, so
+    // nothing guarantees they are ever drained.
+    int withdrawn = 0;
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      const auto kept = std::remove(queue_.begin(), queue_.end(), work);
+      withdrawn = static_cast<int>(queue_.end() - kept);
+      queue_.erase(kept, queue_.end());
+    }
     std::unique_lock<std::mutex> lock(work->mutex);
+    work->active -= withdrawn;
     work->done_cv.wait(lock, [&work] { return work->active == 0; });
   }
   if (work->error) std::rethrow_exception(work->error);

@@ -21,11 +21,14 @@ namespace umgad {
 ///    arithmetic regardless of the thread count or the partition. All
 ///    callers keep each output element owned by a single index, so results
 ///    are bit-identical for UMGAD_THREADS=1 and UMGAD_THREADS=N.
-///  - **Nested calls run inline**: a `ParallelFor` issued from inside a
-///    worker (e.g. a matmul inside a view-level fan-out) executes its whole
-///    range on the calling thread. This avoids deadlock (workers never wait
-///    on the queue they drain) and keeps the outermost, coarsest fan-out in
-///    charge of the hardware.
+///  - **Nested calls fan out too**: a `ParallelFor` issued from inside a
+///    chunk (e.g. a matmul inside a view-level fan-out) queues helpers like
+///    any other call, so idle lanes join the inner range. The issuing
+///    thread runs chunks itself, then withdraws the helper entries no
+///    worker has started and waits only for helpers already running. A
+///    thread never waits on a queue entry that nobody will drain, so nesting
+///    of any depth cannot deadlock, and no thread runs foreign work while
+///    it waits.
 ///  - **Exceptions propagate**: the first exception thrown by a body is
 ///    captured and rethrown on the calling thread after all chunks finish;
 ///    the pool stays usable afterwards.
@@ -49,10 +52,6 @@ class ThreadPool {
   /// chunk is smaller than `grain` except the final remainder.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int64_t, int64_t)>& body);
-
-  /// True while the current thread is executing a ParallelFor chunk (worker
-  /// or participating caller). Used to route nested parallelism inline.
-  static bool InParallelRegion();
 
  private:
   struct Work;
@@ -95,12 +94,12 @@ inline constexpr int64_t kParallelElemGrain = int64_t{1} << 15;
 inline constexpr int64_t kParallelRowGrain = 256;
 
 /// ParallelFor over [0, n) on the global pool. The template avoids the
-/// std::function allocation on the (hot) inline path: small ranges, a pool
-/// of one lane, and nested calls dispatch `body(0, n)` directly.
+/// std::function allocation on the (hot) inline path: small ranges and a
+/// pool of one lane dispatch `body(0, n)` directly.
 template <typename Body>
 inline void ParallelFor(int64_t n, int64_t grain, Body&& body) {
   if (n <= 0) return;
-  if (n <= grain || ThreadPool::InParallelRegion()) {
+  if (n <= grain) {
     body(int64_t{0}, n);
     return;
   }

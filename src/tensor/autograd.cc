@@ -302,7 +302,6 @@ void Backward(const VarPtr& root) {
     ++scan;
     batch.clear();
     while (first_remaining < n && done[first_remaining]) ++first_remaining;
-    bool batch_is_wide = false;
     for (size_t i = first_remaining; i < n && batch.size() < kMaxBatch;
          ++i) {
       Node* v = sched[i];
@@ -312,18 +311,9 @@ void Backward(const VarPtr& root) {
         Node* u = v->inputs_[j];
         if (u->requires_grad_ && u->sched_stamp_ == scan) admit = false;
       }
-      // Wide closures (internally parallel over the pool — edge-softmax /
-      // fused-loss backward) run as singleton batches on the calling
-      // thread, where their own ParallelFor reaches the pool instead of
-      // being inlined inside a batch worker. An admissible wide node joins
-      // only an empty batch (and closes it); a non-empty batch defers it to
-      // the next scan. Whether a node is wide depends only on its op, so
-      // the schedule is identical for every thread count.
-      if (admit && v->wide_backward() && !batch.empty()) admit = false;
       if (admit) {
         batch.push_back(v);
         done[i] = 1;
-        batch_is_wide = v->wide_backward();
       }
       // Claim the write-set either way: a skipped node must still block
       // later nodes from overtaking it on a shared gradient.
@@ -331,22 +321,15 @@ void Backward(const VarPtr& root) {
         Node* u = v->inputs_[j];
         if (u->requires_grad_) u->sched_stamp_ = scan;
       }
-      if (batch_is_wide) break;
     }
     // The first remaining node always qualifies (its consumers are earlier
     // in serial order, hence executed, and it is scanned before any claim),
     // so every pass makes progress.
     UMGAD_CHECK(!batch.empty());
-    if (batch.size() == 1) {
-      // Direct call on this thread: outside any parallel region, so a wide
-      // closure's internal ParallelFor can fan out.
-      batch[0]->RunBackward();
-    } else {
-      ParallelFor(static_cast<int64_t>(batch.size()), 1,
-                  [&batch](int64_t b, int64_t e) {
-                    for (int64_t i = b; i < e; ++i) batch[i]->RunBackward();
-                  });
-    }
+    ParallelFor(static_cast<int64_t>(batch.size()), 1,
+                [&batch](int64_t b, int64_t e) {
+                  for (int64_t i = b; i < e; ++i) batch[i]->RunBackward();
+                });
     executed += batch.size();
     for (Node* v : batch) {
       for (uint32_t j = 0; j < v->num_inputs_; ++j) {

@@ -117,16 +117,6 @@ class Node {
     if (backward_fn_) backward_fn_(this);
   }
 
-  /// Marks a closure that parallelises internally over the global pool
-  /// (edge-softmax backward, the fused loss scatters). Backward() runs wide
-  /// nodes as singleton batches on the calling thread, so their internal
-  /// ParallelFor reaches the pool instead of being inlined inside a batch
-  /// worker. The flag is a property of the op, never of the thread count,
-  /// so the schedule — and therefore every float — stays identical for any
-  /// UMGAD_THREADS.
-  bool wide_backward() const { return wide_backward_; }
-  void set_wide_backward(bool wide) { wide_backward_ = wide; }
-
  private:
   friend void Backward(const VarPtr&);
 
@@ -136,7 +126,6 @@ class Node {
   const char* op_;
   Node* const* inputs_ = nullptr;
   uint32_t num_inputs_ = 0;
-  bool wide_backward_ = false;
   std::function<void(Node*)> backward_fn_;
   // Scratch used by Backward()'s scheduler (topo mark, unfinished-consumer
   // count, batch-conflict stamp). Valid only inside one Backward call;

@@ -16,9 +16,10 @@ namespace {
 /// repeat exactly across training steps, so after the first backward of a
 /// run every ScratchSized/ScratchZeroed call is served from the existing
 /// capacity and steady-state backwards perform zero scratch mallocs
-/// (asserted in pool_test). Safe as thread_local: wide-backward closures
-/// run one at a time on any given thread, and the ParallelFor workers they
-/// fan out to only read the owning thread's buckets.
+/// (asserted in pool_test). Safe as thread_local: a thread waiting in
+/// ParallelFor runs only chunks of its own call, so two loss backwards never
+/// interleave on one thread, and the chunks they fan out to only read the
+/// owning thread's buckets.
 struct LossScratch {
   std::vector<int64_t> ptr;
   std::vector<int64_t> fill;
@@ -560,7 +561,7 @@ VarPtr ScaledCosineLoss(const VarPtr& recon, const Tensor& target,
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(loss / m);
 
-  VarPtr node = MakeNode(
+  return MakeNode(
       std::move(out), {recon}, "scaled_cosine_loss",
       [idx = std::move(idx), target, eta, cos = std::move(cos),
        rnorm = std::move(rnorm), tnorm = std::move(tnorm),
@@ -591,19 +592,15 @@ VarPtr ScaledCosineLoss(const VarPtr& recon, const Tensor& target,
           }
         };
         // Serial when idx aliases rows (the blocked/parallel sweep needs
-        // exclusive row ownership) or when flat single-threaded anyway;
-        // otherwise each k writes only dr.row(idx[k]), which it owns
-        // exclusively, so the blocked sweep is race-free and order-proof —
-        // it runs even at one thread to keep the cache-blocked row order.
-        if (ThreadPool::InParallelRegion() || HasDuplicateRows(idx) ||
-            (NumThreads() == 1 && pool_blocks == nullptr)) {
+        // exclusive row ownership); otherwise each k writes only
+        // dr.row(idx[k]), which it owns exclusively, so the blocked sweep is
+        // race-free and order-proof.
+        if (HasDuplicateRows(idx)) {
           for (int k = 0; k < m; ++k) row_grad(k);
         } else {
           ForEachRowBlocked(m, pool_blocks.get(), kRowGrain, row_grad);
         }
       });
-  node->set_wide_backward(true);
-  return node;
 }
 
 VarPtr ScaledCosineLossNaive(const VarPtr& recon, const Tensor& target,
@@ -750,7 +747,7 @@ VarPtr MaskedEdgeSoftmaxCE(const VarPtr& z,
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(loss / m);
 
-  VarPtr node = MakeNode(
+  return MakeNode(
       std::move(out), {z}, "masked_edge_softmax_ce",
       [sets = std::move(sets), probs = std::move(probs),
        blocks = std::move(blocks)](Node* self) {
@@ -767,31 +764,6 @@ VarPtr MaskedEdgeSoftmaxCE(const VarPtr& z,
              static_cast<int64_t>(blocks->block_of.size()) == n)
                 ? blocks.get()
                 : nullptr;
-        if (ThreadPool::InParallelRegion() ||
-            (NumThreads() == 1 && row_blocks == nullptr)) {
-          // One flat lane (or inlined inside an outer fan-out): the
-          // ownership buckets below would cost an O(C + N) build with
-          // nothing to gain, so run the serial scatter directly —
-          // bit-identical by the oracle contract, just cheaper. With a
-          // partition attached the bucketed path runs even at one thread,
-          // for the cache-blocked destination-row order.
-          for (size_t e = 0; e < sets.size(); ++e) {
-            const auto& set = sets[e];
-            const float* zsrc = zv.row(set.src);
-            float* dzsrc = dz.row(set.src);
-            for (size_t c = 0; c < set.cands.size(); ++c) {
-              const double delta =
-                  coef * (probs[e][c] - (c == 0 ? 1.0 : 0.0));
-              const float* zc = zv.row(set.cands[c]);
-              float* dzc = dz.row(set.cands[c]);
-              for (int j = 0; j < d; ++j) {
-                dzsrc[j] += static_cast<float>(delta * zc[j]);
-                dzc[j] += static_cast<float>(delta * zsrc[j]);
-              }
-            }
-          }
-          return;
-        }
         // Sources and candidates alias freely across sets, so the serial
         // scatter cannot be partitioned by set. Two-phase ownership trick:
         // every (set, candidate) pair contributes delta * z.row(cand) to
@@ -841,8 +813,6 @@ VarPtr MaskedEdgeSoftmaxCE(const VarPtr& z,
           }
         });
       });
-  node->set_wide_backward(true);
-  return node;
 }
 
 VarPtr MaskedEdgeSoftmaxCENaive(const VarPtr& z,
@@ -988,7 +958,7 @@ VarPtr DualContrastiveLoss(const VarPtr& zo, const VarPtr& za,
   for (int i = 0; i < n; ++i) loss += term[i];
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(loss / n);
-  VarPtr node = MakeNode(
+  return MakeNode(
       std::move(out), {zo, za}, "dual_contrastive",
       [neg_idx = std::move(neg_idx), sig1 = std::move(sig1),
        sig2 = std::move(sig2), blocks = std::move(blocks)](Node* self) {
@@ -1089,8 +1059,6 @@ VarPtr DualContrastiveLoss(const VarPtr& zo, const VarPtr& za,
           });
         }
       });
-  node->set_wide_backward(true);
-  return node;
 }
 
 VarPtr DualContrastiveLossNaive(const VarPtr& zo, const VarPtr& za,
@@ -1503,7 +1471,7 @@ VarPtr MakeGatAttention(const VarPtr& h, const VarPtr& a_src,
     }
   }
 
-  VarPtr node = MakeNode(
+  return MakeNode(
       std::move(out), {h, a_src, a_dst},
       naive ? "gat_attention_naive" : "gat_attention",
       [adj, slope, naive, alpha = std::move(alpha),
@@ -1523,8 +1491,6 @@ VarPtr MakeGatAttention(const VarPtr& h, const VarPtr& a_src,
           EdgeSoftmaxBackward(*adj, slope, alpha, pos, io);
         }
       });
-  node->set_wide_backward(!naive);
-  return node;
 }
 
 }  // namespace

@@ -122,9 +122,9 @@ TEST(TensorPoolTest, LossBackwardScratchIsReusedAcrossSteps) {
   // backward come from per-thread reusable scratch. Shapes repeat across
   // training steps, so after one warm step every further backward at the
   // same shapes must allocate zero fresh scratch bytes. Run at 4 threads:
-  // the 1-thread fast path of MaskedEdgeSoftmaxCE skips the buckets
-  // entirely, and wide-backward closures execute on this (the calling)
-  // thread, so the same thread_local scratch serves every repeat.
+  // each loss is the whole tape, so its backward is a one-node batch that
+  // runs on this (the calling) thread, and the same thread_local scratch
+  // serves every repeat.
   const int prev_threads = NumThreads();
   SetNumThreads(4);
   const int n = 60;

@@ -1,15 +1,45 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace umgad {
 namespace {
+
+constexpr auto kLatchTimeout = std::chrono::seconds(5);
+
+/// Opens once `needed` distinct threads have arrived. A test whose bodies
+/// wait on it can only finish early if that many lanes run them at once.
+class ThreadLatch {
+ public:
+  explicit ThreadLatch(size_t needed) : needed_(needed) {}
+
+  /// Registers the calling thread, then waits for the latch to open or the
+  /// timeout to pass. Returns whether the latch opened.
+  bool ArriveAndWait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ids_.insert(std::this_thread::get_id());
+    cv_.notify_all();
+    return cv_.wait_for(lock, kLatchTimeout,
+                        [this] { return ids_.size() >= needed_; });
+  }
+
+ private:
+  const size_t needed_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::set<std::thread::id> ids_;
+};
 
 TEST(ThreadPoolTest, ConstructAndDestructRepeatedly) {
   for (int round = 0; round < 10; ++round) {
@@ -74,23 +104,74 @@ TEST(ThreadPoolTest, RangeSmallerThanGrainRunsInline) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInlineAndCompletes) {
+TEST(ThreadPoolTest, NestedParallelForReachesOtherLanes) {
+  // Each nested call's two chunks wait on a latch that only a second thread
+  // can open, so the test passes only if nested calls fan out to idle lanes.
   ThreadPool pool(4);
-  const int outer = 8;
-  const int inner = 1000;
-  std::atomic<int64_t> total{0};
+  const int outer = 2;
+  ThreadLatch latches[outer] = {ThreadLatch(2), ThreadLatch(2)};
+  std::atomic<int> opened{0};
   pool.ParallelFor(0, outer, 1, [&](int64_t ob, int64_t oe) {
     for (int64_t o = ob; o < oe; ++o) {
-      EXPECT_TRUE(ThreadPool::InParallelRegion());
-      // Nested: must run inline on this thread rather than deadlock on the
-      // shared queue.
-      pool.ParallelFor(0, inner, 1, [&](int64_t b, int64_t e) {
-        total.fetch_add(e - b);
+      pool.ParallelFor(0, 2, 1, [&](int64_t b, int64_t e) {
+        for (int64_t i = b; i < e; ++i) {
+          if (latches[o].ArriveAndWait()) opened.fetch_add(1);
+        }
       });
     }
   });
-  EXPECT_EQ(total.load(), outer * inner);
-  EXPECT_FALSE(ThreadPool::InParallelRegion());
+  EXPECT_EQ(opened.load(), 2 * outer);
+}
+
+constexpr int kStressMid = 6;
+constexpr int kStressInner = 200;
+
+/// Three levels of fan-out on the global pool. Every lane runs one outer
+/// index and waits until all lanes hold one, so every lane issues its nested
+/// calls while the others are busy. Counts each innermost index in `hits`;
+/// the body at flat index `throw_at` throws instead.
+void NestedRound(std::vector<std::atomic<int>>* hits, int64_t throw_at) {
+  const int lanes = NumThreads();
+  ThreadLatch all_lanes(static_cast<size_t>(lanes));
+  ParallelFor(lanes, 1, [&](int64_t ob, int64_t oe) {
+    for (int64_t o = ob; o < oe; ++o) {
+      EXPECT_TRUE(all_lanes.ArriveAndWait());
+      ParallelFor(kStressMid, 1, [&](int64_t mb, int64_t me) {
+        for (int64_t m = mb; m < me; ++m) {
+          ParallelFor(kStressInner, 8, [&](int64_t ib, int64_t ie) {
+            for (int64_t i = ib; i < ie; ++i) {
+              const int64_t flat = (o * kStressMid + m) * kStressInner + i;
+              if (flat == throw_at) throw std::runtime_error("nested");
+              (*hits)[flat].fetch_add(1);
+            }
+          });
+        }
+      });
+    }
+  });
+}
+
+TEST(ThreadPoolTest, NestedStress) {
+  const int prev_threads = NumThreads();
+  for (int lanes : {1, 4, 3}) {
+    SetNumThreads(lanes);
+    const int64_t total = int64_t{lanes} * kStressMid * kStressInner;
+    // A body two levels down throws; the outermost caller sees it, and the
+    // rounds after it find the pool intact.
+    {
+      std::vector<std::atomic<int>> hits(total);
+      EXPECT_THROW(NestedRound(&hits, total / 2 + 1), std::runtime_error);
+    }
+    for (int round = 0; round < 10; ++round) {
+      std::vector<std::atomic<int>> hits(total);
+      for (auto& h : hits) h.store(0);
+      NestedRound(&hits, /*throw_at=*/-1);
+      for (int64_t i = 0; i < total; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "lanes " << lanes << " index " << i;
+      }
+    }
+  }
+  SetNumThreads(prev_threads);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesAndPoolSurvives) {
