@@ -4,7 +4,7 @@
 // binary load is >= 20x faster than the text path at this size, and the
 // mmap load materialises >= 5x less memory than the copying binary load —
 // the copying reader pulls every file byte through the page cache and then
-// duplicates them into owned arrays, while the mapped load faults only the
+// duplicates them into an owned buffer, while the mapped load faults only the
 // pages validation reads (header + CSR + labels) and leaves the value and
 // attribute sections on disk until first use. Wall clock is reported too,
 // but on a warm fast disk it is bounded by the CSR validation both loaders
@@ -150,7 +150,7 @@ int Main() {
                 StrFormat("%.1fx", text_load / mmap_load)});
   table.Print(std::cout);
   // The copying loader materialises every file byte twice over: once through
-  // the page cache and once into the owned CSR/attribute arrays. The mapped
+  // the page cache and once into its owned buffer. The mapped
   // load materialises only what mincore reports resident.
   const double copy_touched_kb = 2.0 * mmap_file_bytes / 1024.0;
   const double mmap_touched_kb = mmap_resident / 1024.0;
@@ -159,7 +159,7 @@ int Main() {
             << " wall clock (validation-bound on a warm disk)\n"
             << "bytes materialised at load: copy "
             << StrFormat("%.0f", copy_touched_kb) << " KB (file + owned "
-            << "arrays), mmap " << StrFormat("%.0f", mmap_touched_kb)
+            << "buffer), mmap " << StrFormat("%.0f", mmap_touched_kb)
             << " KB (" << StrFormat("%.0f%%",
                                     100.0 * mmap_resident / mmap_file_bytes)
             << " of file faulted) -> "

@@ -9,13 +9,13 @@ namespace umgad {
 
 /// Non-owning read-only view over a contiguous array. The accessor type of
 /// SparseMatrix's CSR arrays: owned matrices view their internal vectors,
-/// mmap-backed matrices view the mapped file directly, and callers cannot
+/// `.umgb`-loaded matrices view the file image directly, and callers cannot
 /// tell the difference. Implicitly constructible from const std::vector<T>&
 /// so existing `const auto& rp = m.row_ptr();` call sites keep working.
 ///
 /// Like all views, a ConstSpan is valid only while its backing storage is —
 /// for matrices that is managed by the SparseMatrix itself (vectors or a
-/// keepalive on the mapping), so spans obtained from accessors share the
+/// keepalive on the image), so spans obtained from accessors share the
 /// matrix's lifetime.
 template <typename T>
 class ConstSpan {

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <utility>
 
+#include "common/byte_io.h"
 #include "common/string_util.h"
 #include "core/scorer.h"
 #include "graph/io/io_limits.h"
@@ -42,8 +41,8 @@ constexpr uint32_t kMaxConfigBytes = 1 << 16;
 
 // A model tensor axis never exceeds the feature cap (weights are
 // in_dim x out_dim with in_dim <= kMaxFeatures), but hidden_dim is
-// user-chosen, so allow headroom; the byte-level bound stays the Reader's
-// remaining-file-size guard.
+// user-chosen, so allow headroom; the byte-level bound stays the
+// ByteReader's remaining-bytes guard.
 constexpr int64_t kMaxTensorDim = 1 << 24;
 constexpr int64_t kMaxModelTensors = 1 << 20;
 // Caps on config counts that size scoring-time allocations: serving
@@ -52,106 +51,6 @@ constexpr int64_t kMaxModelTensors = 1 << 20;
 // count must fail the load instead of reaching those allocations.
 constexpr int32_t kMaxLayers = 64;
 constexpr int32_t kMaxScoreNegatives = 1024;
-
-bool HostIsLittleEndian() {
-  const uint32_t probe = 1;
-  unsigned char byte;
-  std::memcpy(&byte, &probe, 1);
-  return byte == 1;
-}
-
-class Writer {
- public:
-  explicit Writer(const std::string& path) : out_(path, std::ios::binary) {}
-
-  bool ok() const { return static_cast<bool>(out_); }
-
-  template <typename T>
-  void Pod(T value) {
-    out_.write(reinterpret_cast<const char*>(&value), sizeof(T));
-  }
-
-  void Bytes(const void* data, size_t n) {
-    if (n > 0) out_.write(reinterpret_cast<const char*>(data), n);
-  }
-
- private:
-  std::ofstream out_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::string& path) : in_(path, std::ios::binary) {
-    if (in_) {
-      in_.seekg(0, std::ios::end);
-      file_size_ = static_cast<int64_t>(in_.tellg());
-      in_.seekg(0, std::ios::beg);
-    }
-  }
-
-  bool open() const { return static_cast<bool>(in_.is_open()); }
-
-  int64_t Remaining() {
-    return file_size_ - static_cast<int64_t>(in_.tellg());
-  }
-
-  template <typename T>
-  Status Pod(T* value, const char* what) {
-    if (!in_.read(reinterpret_cast<char*>(value), sizeof(T))) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    return Status::OK();
-  }
-
-  Status Bytes(void* dst, int64_t n, const char* what) {
-    if (n > Remaining()) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated %s: need %lld bytes, %lld left", what,
-          static_cast<long long>(n), static_cast<long long>(Remaining())));
-    }
-    if (n > 0 && !in_.read(reinterpret_cast<char*>(dst), n)) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    return Status::OK();
-  }
-
-  Status Skip(int64_t n, const char* what) {
-    if (n > Remaining()) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated %s: need %lld bytes, %lld left", what,
-          static_cast<long long>(n), static_cast<long long>(Remaining())));
-    }
-    if (n > 0) in_.seekg(n, std::ios::cur);
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status Array(std::vector<T>* v, int64_t count, const char* what) {
-    // Divide instead of multiplying: count * sizeof(T) could wrap for a
-    // hostile count and slip past the file-size bound into resize().
-    if (count < 0 || count > Remaining() / static_cast<int64_t>(sizeof(T))) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated or corrupt %s: %lld elements declared", what,
-          static_cast<long long>(count)));
-    }
-    v->resize(count);
-    return Bytes(v->empty() ? nullptr : v->data(),
-                 count * static_cast<int64_t>(sizeof(T)), what);
-  }
-
- private:
-  std::ifstream in_;
-  int64_t file_size_ = 0;
-};
-
-Status RequireLittleEndianHost() {
-  if (!HostIsLittleEndian()) {
-    return Status::FailedPrecondition(
-        "umgad model artifacts are little-endian; big-endian hosts are not "
-        "supported");
-  }
-  return Status::OK();
-}
 
 uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -162,7 +61,7 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
   return h;
 }
 
-void WriteConfig(Writer* w, const UmgadConfig& c) {
+void WriteConfig(ByteWriter* w, const UmgadConfig& c) {
   w->Pod<uint32_t>(c.encoder == EncoderKind::kGat ? 0u : 1u);
   w->Pod<int32_t>(c.hidden_dim);
   w->Pod<int32_t>(c.encoder_layers);
@@ -194,7 +93,7 @@ void WriteConfig(Writer* w, const UmgadConfig& c) {
   for (bool b : bools) w->Pod<uint8_t>(b ? 1 : 0);
 }
 
-Status ReadConfig(Reader* r, UmgadConfig* c) {
+Status ReadConfig(ByteReader* r, UmgadConfig* c) {
   uint32_t encoder = 0;
   UMGAD_RETURN_IF_ERROR(r->Pod(&encoder, "config.encoder"));
   if (encoder > 1) {
@@ -292,11 +191,7 @@ Result<TrainedModel> TrainedModel::FromFitted(const UmgadModel& model,
 
 Status TrainedModel::Save(const std::string& path) const {
   UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
-  Writer w(path);
-  if (!w.ok()) {
-    return Status::NotFound(StrFormat("cannot open %s for writing",
-                                      path.c_str()));
-  }
+  ByteWriter w(path);
   w.Pod<uint32_t>(kMagic);
   w.Pod<uint32_t>(kVersion);
   w.Pod<uint32_t>(0);  // flags, reserved
@@ -322,18 +217,14 @@ Status TrainedModel::Save(const std::string& path) const {
     w.Bytes(t.data(), static_cast<size_t>(t.size()) * sizeof(float));
   }
   w.Pod<uint32_t>(kTrailerMagic);
-  if (!w.ok()) {
-    return Status::Internal(StrFormat("write to %s failed", path.c_str()));
-  }
-  return Status::OK();
+  return w.Commit();
 }
 
 Result<TrainedModel> TrainedModel::Load(const std::string& path) {
   UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
-  Reader r(path);
-  if (!r.open()) {
-    return Status::NotFound(StrFormat("cannot open %s", path.c_str()));
-  }
+  Result<std::shared_ptr<const FileImage>> image = FileImage::Read(path);
+  if (!image.ok()) return Status::NotFound(image.status().message());
+  ByteReader r((*image)->data(), (*image)->size());
   uint32_t magic = 0;
   uint32_t version = 0;
   uint32_t flags = 0;
@@ -422,15 +313,13 @@ Result<TrainedModel> TrainedModel::Load(const std::string& path) {
           StrFormat("corrupt model: weight %lld declares shape %dx%d",
                     static_cast<long long>(t), rows, cols));
     }
-    std::vector<float> data;
-    UMGAD_RETURN_IF_ERROR(
-        r.Array(&data, static_cast<int64_t>(rows) * cols, "weight data"));
+    // Bounded before Tensor allocates, so a hostile shape fails without
+    // touching memory. Weights sit at unaligned offsets and are copied
+    // once, straight into the tensor.
+    const int64_t count = static_cast<int64_t>(rows) * cols;
+    UMGAD_RETURN_IF_ERROR(r.Require<float>(count, "weight data"));
     Tensor tensor(rows, cols);
-    // An empty tensor's buffers may be null, and memcpy from null is UB
-    // even for zero bytes.
-    if (!data.empty()) {
-      std::memcpy(tensor.data(), data.data(), data.size() * sizeof(float));
-    }
+    UMGAD_RETURN_IF_ERROR(r.Read(tensor.data(), count, "weight data"));
     out.weights_.push_back(std::move(tensor));
   }
 
@@ -440,6 +329,11 @@ Result<TrainedModel> TrainedModel::Load(const std::string& path) {
     return Status::InvalidArgument(
         StrFormat("%s: trailer mismatch (truncated or corrupt file)",
                   path.c_str()));
+  }
+  if (r.Remaining() != 0) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: %lld trailing bytes after trailer", path.c_str(),
+        static_cast<long long>(r.Remaining())));
   }
   return out;
 }

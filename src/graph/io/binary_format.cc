@@ -1,12 +1,11 @@
 #include "graph/io/binary_format.h"
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
-#include <limits>
+#include <cstdio>
+#include <utility>
 
+#include "common/byte_io.h"
 #include "common/string_util.h"
-#include "graph/io/binary_layout.h"
 #include "graph/io/io_limits.h"
 
 namespace umgad {
@@ -16,145 +15,14 @@ const char kTextGraphExtension[] = "txt";
 
 namespace {
 
-// Layout constants (magic/version/flags/alignment) are shared with the
-// zero-copy mapped reader via binary_layout.h.
-using binfmt::kFlagHasLabels;
-using binfmt::kMagic;
-using binfmt::kSectionAlign;
-using binfmt::kTrailerMagic;
-using binfmt::kVersion;
-
-bool HostIsLittleEndian() {
-  const uint32_t probe = 1;
-  unsigned char byte;
-  std::memcpy(&byte, &probe, 1);
-  return byte == 1;
-}
-
-class Writer {
- public:
-  explicit Writer(const std::string& path)
-      : out_(path, std::ios::binary) {}
-
-  bool ok() const { return static_cast<bool>(out_); }
-
-  template <typename T>
-  void Pod(T value) {
-    out_.write(reinterpret_cast<const char*>(&value), sizeof(T));
-    written_ += sizeof(T);
-  }
-
-  void Bytes(const void* data, size_t n) {
-    if (n > 0) out_.write(reinterpret_cast<const char*>(data), n);
-    written_ += static_cast<int64_t>(n);
-  }
-
-  void String(const std::string& s) {
-    Pod<uint32_t>(static_cast<uint32_t>(s.size()));
-    Bytes(s.data(), s.size());
-  }
-
-  /// Zero-pads to the next kSectionAlign boundary (v3 array alignment).
-  void Align() {
-    static const char zeros[kSectionAlign] = {};
-    const int64_t pad = (kSectionAlign - written_ % kSectionAlign) %
-                        kSectionAlign;
-    Bytes(zeros, static_cast<size_t>(pad));
-  }
-
- private:
-  std::ofstream out_;
-  int64_t written_ = 0;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::string& path)
-      : in_(path, std::ios::binary) {
-    if (in_) {
-      in_.seekg(0, std::ios::end);
-      file_size_ = static_cast<int64_t>(in_.tellg());
-      in_.seekg(0, std::ios::beg);
-    }
-  }
-
-  bool open() const { return static_cast<bool>(in_.is_open()); }
-
-  /// Remaining unread bytes; bounds every array allocation so a corrupt
-  /// element count cannot OOM — it fails the availability check instead.
-  int64_t Remaining() {
-    return file_size_ - static_cast<int64_t>(in_.tellg());
-  }
-
-  template <typename T>
-  Status Pod(T* value, const char* what) {
-    if (!in_.read(reinterpret_cast<char*>(value), sizeof(T))) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    return Status::OK();
-  }
-
-  Status Bytes(void* dst, int64_t n, const char* what) {
-    if (n > Remaining()) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated %s: need %lld bytes, %lld left", what,
-          static_cast<long long>(n), static_cast<long long>(Remaining())));
-    }
-    if (n > 0 && !in_.read(reinterpret_cast<char*>(dst), n)) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    return Status::OK();
-  }
-
-  Status String(std::string* s, const char* what) {
-    uint32_t len = 0;
-    UMGAD_RETURN_IF_ERROR(Pod(&len, what));
-    if (static_cast<int64_t>(len) > io_limits::kMaxNameLen) {
-      return Status::InvalidArgument(StrFormat("oversized %s", what));
-    }
-    s->resize(len);
-    return Bytes(s->empty() ? nullptr : &(*s)[0], len, what);
-  }
-
-  /// Skips v3 alignment padding (bytes the writer's Align() emitted).
-  Status Align(const char* what) {
-    const int64_t pos = static_cast<int64_t>(in_.tellg());
-    const int64_t pad = (kSectionAlign - pos % kSectionAlign) % kSectionAlign;
-    if (pad > Remaining()) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    in_.seekg(pad, std::ios::cur);
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status Array(std::vector<T>* v, int64_t count, const char* what) {
-    // Divide instead of multiplying: count * sizeof(T) could wrap for a
-    // hostile count and slip past the file-size bound into resize().
-    if (count < 0 ||
-        count > Remaining() / static_cast<int64_t>(sizeof(T))) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated or corrupt %s: %lld elements declared", what,
-          static_cast<long long>(count)));
-    }
-    v->resize(count);
-    return Bytes(v->empty() ? nullptr : v->data(),
-                 count * static_cast<int64_t>(sizeof(T)), what);
-  }
-
- private:
-  std::ifstream in_;
-  int64_t file_size_ = 0;
-};
-
-Status RequireLittleEndianHost() {
-  if (!HostIsLittleEndian()) {
-    return Status::FailedPrecondition(
-        "umgad binary graph files are little-endian; big-endian hosts are "
-        "not supported");
-  }
-  return Status::OK();
-}
+// v3 zero-pads to kSectionAlign before each relation's row_ptr block and
+// before the attribute block, so every bulk array sits at a naturally
+// aligned offset — the precondition for reading the arrays in place.
+constexpr uint32_t kMagic = 0x42474D55;         // 'U' 'M' 'G' 'B'
+constexpr uint32_t kTrailerMagic = 0x444E4547;  // 'G' 'E' 'N' 'D'
+constexpr uint32_t kVersion = 3;
+constexpr uint32_t kFlagHasLabels = 1u << 0;
+constexpr int64_t kSectionAlign = 8;
 
 }  // namespace
 
@@ -174,8 +42,7 @@ Status SaveGraphBinary(const MultiplexGraph& graph, const std::string& path) {
   for (int r = 0; r < graph.num_relations(); ++r) {
     UMGAD_RETURN_IF_ERROR(check_name(graph.relation_name(r)));
   }
-  Writer w(path);
-  if (!w.ok()) return Status::IoError("cannot open " + path + " for writing");
+  ByteWriter w(path);
 
   w.Pod(kMagic);
   w.Pod(kVersion);
@@ -191,30 +58,37 @@ Status SaveGraphBinary(const MultiplexGraph& graph, const std::string& path) {
     w.Pod<uint64_t>(static_cast<uint64_t>(layer.nnz()));
     // row_ptr lands 8-aligned; col_idx ((N+1) int64s later) inherits the
     // alignment, and values only needs 4. Same invariant for attributes.
-    w.Align();
+    w.Align(kSectionAlign);
     w.Bytes(layer.row_ptr().data(),
             layer.row_ptr().size() * sizeof(int64_t));
     w.Bytes(layer.col_idx().data(), layer.col_idx().size() * sizeof(int));
     w.Bytes(layer.values().data(), layer.values().size() * sizeof(float));
   }
 
-  w.Align();
+  w.Align(kSectionAlign);
   const Tensor& x = graph.attributes();
   w.Bytes(x.data(), static_cast<size_t>(x.size()) * sizeof(float));
   if (graph.has_labels()) {
     w.Bytes(graph.labels().data(), graph.labels().size() * sizeof(int));
   }
   w.Pod(kTrailerMagic);
-
-  if (!w.ok()) return Status::IoError("write to " + path + " failed");
-  return Status::OK();
+  return w.Commit();
 }
 
 Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
-  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
-  Reader in(path);
-  if (!in.open()) return Status::IoError("cannot open " + path);
+  UMGAD_ASSIGN_OR_RETURN(std::shared_ptr<const FileImage> image,
+                         FileImage::Read(path));
+  const unsigned char* bytes = image->data();
+  const int64_t size = image->size();
+  return ParseGraphImage(path, bytes, size, std::move(image));
+}
 
+Result<MultiplexGraph> ParseGraphImage(
+    const std::string& path, const unsigned char* bytes, int64_t size,
+    std::shared_ptr<const void> keepalive,
+    void (*prefetch)(const void* p, int64_t bytes)) {
+  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
+  ByteReader in(bytes, size);
   uint32_t magic = 0;
   uint32_t version = 0;
   uint32_t flags = 0;
@@ -235,7 +109,7 @@ Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
   }
 
   std::string name;
-  UMGAD_RETURN_IF_ERROR(in.String(&name, "name"));
+  UMGAD_RETURN_IF_ERROR(in.String(&name, io_limits::kMaxNameLen, "name"));
   uint64_t nodes = 0;
   uint64_t features = 0;
   uint64_t relations = 0;
@@ -263,7 +137,8 @@ Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
   std::vector<std::string> rel_names;
   for (uint64_t r = 0; r < relations; ++r) {
     std::string rel_name;
-    UMGAD_RETURN_IF_ERROR(in.String(&rel_name, "relation name"));
+    UMGAD_RETURN_IF_ERROR(
+        in.String(&rel_name, io_limits::kMaxNameLen, "relation name"));
     for (const std::string& seen : rel_names) {
       if (seen == rel_name) {
         return Status::InvalidArgument("duplicate relation name '" +
@@ -272,34 +147,48 @@ Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
     }
     uint64_t nnz = 0;
     UMGAD_RETURN_IF_ERROR(in.Pod(&nnz, "nnz"));
-    UMGAD_RETURN_IF_ERROR(in.Align("relation section"));
-    std::vector<int64_t> row_ptr;
-    std::vector<int> col_idx;
-    std::vector<float> values;
+    UMGAD_RETURN_IF_ERROR(in.Align(kSectionAlign, "relation section"));
+    ConstSpan<int64_t> row_ptr;
+    ConstSpan<int> col_idx;
+    ConstSpan<float> values;
     UMGAD_RETURN_IF_ERROR(
-        in.Array(&row_ptr, static_cast<int64_t>(nodes) + 1, "row_ptr"));
+        in.View(&row_ptr, static_cast<int64_t>(nodes) + 1, "row_ptr"));
     UMGAD_RETURN_IF_ERROR(
-        in.Array(&col_idx, static_cast<int64_t>(nnz), "col_idx"));
+        in.View(&col_idx, static_cast<int64_t>(nnz), "col_idx"));
     UMGAD_RETURN_IF_ERROR(
-        in.Array(&values, static_cast<int64_t>(nnz), "values"));
+        in.View(&values, static_cast<int64_t>(nnz), "values"));
+    // The CSR validation scan reads exactly row_ptr and col_idx, which sit
+    // back to back; the values section after them is never read here.
+    if (prefetch != nullptr) {
+      prefetch(row_ptr.data(),
+               reinterpret_cast<const unsigned char*>(col_idx.end()) -
+                   reinterpret_cast<const unsigned char*>(row_ptr.data()));
+    }
     UMGAD_ASSIGN_OR_RETURN(
-        SparseMatrix layer,
-        SparseMatrix::FromCsr(n, n, std::move(row_ptr), std::move(col_idx),
-                              std::move(values)));
+        SparseMatrix layer, SparseMatrix::FromBorrowedCsr(
+                                n, n, row_ptr, col_idx, values, keepalive));
     layers.push_back(std::move(layer));
     rel_names.push_back(std::move(rel_name));
   }
 
-  UMGAD_RETURN_IF_ERROR(in.Align("attribute section"));
-  Tensor x(n, d);
-  UMGAD_RETURN_IF_ERROR(in.Bytes(
-      x.data(), static_cast<int64_t>(x.size()) * sizeof(float),
-      "attribute matrix"));
+  UMGAD_RETURN_IF_ERROR(in.Align(kSectionAlign, "attribute section"));
+  ConstSpan<float> attr;
+  UMGAD_RETURN_IF_ERROR(in.View(&attr, static_cast<int64_t>(nodes) * d,
+                                "attribute matrix"));
+  Tensor x = Tensor::FromBorrowed(attr.data(), n, d, keepalive);
 
+  // Labels are copied (4 bytes per node): labels() is consumed as a
+  // std::vector across metrics/eval.
   std::vector<int> labels;
   if (flags & kFlagHasLabels) {
+    ConstSpan<int> label_view;
     UMGAD_RETURN_IF_ERROR(
-        in.Array(&labels, static_cast<int64_t>(nodes), "labels"));
+        in.View(&label_view, static_cast<int64_t>(nodes), "labels"));
+    if (prefetch != nullptr) {
+      prefetch(label_view.data(),
+               static_cast<int64_t>(label_view.size() * sizeof(int)));
+    }
+    labels = label_view.ToVector();
   }
 
   uint32_t trailer = 0;
@@ -315,17 +204,19 @@ Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
 
   // kTrustSymmetry: the writer only serialises graphs that passed the full
   // factory checks, and every element-level CSR invariant was re-validated
-  // above — see LayerChecks.
+  // above (FromBorrowedCsr) — see LayerChecks.
   return MultiplexGraph::Create(name, std::move(x), std::move(layers),
                                 std::move(rel_names), std::move(labels),
                                 LayerChecks::kTrustSymmetry);
 }
 
 bool LooksLikeBinaryGraph(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
   uint32_t magic = 0;
-  if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) return false;
-  return magic == kMagic;
+  const bool read = std::fread(&magic, sizeof(magic), 1, f) == 1;
+  std::fclose(f);
+  return read && magic == kMagic;
 }
 
 }  // namespace umgad

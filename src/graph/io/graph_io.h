@@ -18,9 +18,10 @@ struct LoadDatasetOptions {
   /// When false, registered names always build in-process even if
   /// UMGAD_DATASET_DIR holds a file for them.
   bool use_dataset_dir = true;
-  /// Map .umgb files read-only instead of copying them into owned memory
-  /// (falls back to the copying reader when the platform lacks mmap or
-  /// UMGAD_NO_MMAP is set). The loaded graph is bit-identical either way.
+  /// Map .umgb files read-only instead of reading them into an owned
+  /// buffer (platforms without mmap read them). Both run the same parse and
+  /// load a bit-identical graph; the owned buffer also survives a later
+  /// in-place rewrite of the file by another process, a mapping does not.
   bool prefer_mmap = false;
   /// Parse edge-list imports in newline-aligned chunks on the thread pool
   /// (bit-identical to the serial parse); overrides edge_list.parallel.

@@ -1,15 +1,9 @@
 #include "graph/io/mmap_format.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
-#include "common/string_util.h"
 #include "graph/io/binary_format.h"
-#include "graph/io/binary_layout.h"
-#include "graph/io/io_limits.h"
-#include "tensor/sparse.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define UMGAD_HAS_MMAP 1
@@ -23,16 +17,9 @@
 
 namespace umgad {
 
-namespace {
-
 #if UMGAD_HAS_MMAP
 
-bool HostIsLittleEndian() {
-  const uint32_t probe = 1;
-  unsigned char byte;
-  std::memcpy(&byte, &probe, 1);
-  return byte == 1;
-}
+namespace {
 
 /// Applies `advice` to the pages covering [p, p + bytes), rounded outward
 /// to page boundaries. Best-effort: advice is a hint everywhere it exists.
@@ -52,224 +39,18 @@ void AdviseBytes(const void* p, int64_t bytes, int advice) {
 #endif
 }
 
-/// Bounds-checked cursor over the mapped bytes. The same availability rule
-/// as the copying Reader: every read is checked against the remaining byte
-/// count first, and array *views* are additionally divide-bounded so a
-/// hostile element count cannot wrap past the file size. Scalar reads go
-/// through memcpy (the header fields sit at arbitrary offsets); array views
-/// hand out in-place pointers, which v3's section alignment makes legal.
-class ViewReader {
- public:
-  ViewReader(const unsigned char* base, int64_t size)
-      : base_(base), size_(size) {}
-
-  int64_t Remaining() const { return size_ - pos_; }
-  int64_t pos() const { return pos_; }
-
-  template <typename T>
-  Status Pod(T* value, const char* what) {
-    if (Remaining() < static_cast<int64_t>(sizeof(T))) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    std::memcpy(value, base_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
-  }
-
-  Status String(std::string* s, const char* what) {
-    uint32_t len = 0;
-    UMGAD_RETURN_IF_ERROR(Pod(&len, what));
-    if (static_cast<int64_t>(len) > io_limits::kMaxNameLen) {
-      return Status::InvalidArgument(StrFormat("oversized %s", what));
-    }
-    if (Remaining() < static_cast<int64_t>(len)) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    s->assign(reinterpret_cast<const char*>(base_ + pos_), len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  Status Align(const char* what) {
-    const int64_t pad = (binfmt::kSectionAlign -
-                         pos_ % binfmt::kSectionAlign) %
-                        binfmt::kSectionAlign;
-    if (pad > Remaining()) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    pos_ += pad;
-    return Status::OK();
-  }
-
-  /// A view of `count` elements of T starting at the cursor — no copy, no
-  /// allocation. The divide-not-multiply bound rejects wrapping counts.
-  template <typename T>
-  Status ArrayView(ConstSpan<T>* out, int64_t count, const char* what) {
-    if (count < 0 ||
-        count > Remaining() / static_cast<int64_t>(sizeof(T))) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated or corrupt %s: %lld elements declared", what,
-          static_cast<long long>(count)));
-    }
-    // v3 structural invariant: Align() ran before the first array of each
-    // section and element sizes keep successors aligned, so the pointer is
-    // naturally aligned for T whatever the declared counts were.
-    UMGAD_CHECK(reinterpret_cast<uintptr_t>(base_ + pos_) % alignof(T) == 0);
-    *out = ConstSpan<T>(reinterpret_cast<const T*>(base_ + pos_),
-                        static_cast<size_t>(count));
-    pos_ += count * static_cast<int64_t>(sizeof(T));
-    return Status::OK();
-  }
-
- private:
-  const unsigned char* base_;
-  int64_t size_;
-  int64_t pos_ = 0;
-};
-
-/// Parses a v3 `.umgb` image into a graph of borrowed views. Mirrors
-/// LoadGraphBinary's checks one-for-one; see docs/FORMATS.md ("mmap
-/// contract") for the validation guarantees.
-Result<MultiplexGraph> ParseMappedImage(
-    const std::string& path, std::shared_ptr<const MappedFile> file) {
-  ViewReader in(file->data(), file->size());
-
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  uint32_t flags = 0;
-  UMGAD_RETURN_IF_ERROR(in.Pod(&magic, "magic"));
-  if (magic != binfmt::kMagic) {
-    return Status::InvalidArgument(path + ": not a umgad binary graph file");
-  }
-  UMGAD_RETURN_IF_ERROR(in.Pod(&version, "version"));
-  if (version != binfmt::kVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: unsupported binary graph version %u (expected %u)",
-        path.c_str(), version, binfmt::kVersion));
-  }
-  UMGAD_RETURN_IF_ERROR(in.Pod(&flags, "flags"));
-  if ((flags & ~binfmt::kFlagHasLabels) != 0) {
-    return Status::InvalidArgument(StrFormat(
-        "unknown flag bits 0x%x", flags & ~binfmt::kFlagHasLabels));
-  }
-
-  std::string name;
-  UMGAD_RETURN_IF_ERROR(in.String(&name, "name"));
-  uint64_t nodes = 0;
-  uint64_t features = 0;
-  uint64_t relations = 0;
-  UMGAD_RETURN_IF_ERROR(in.Pod(&nodes, "node count"));
-  UMGAD_RETURN_IF_ERROR(in.Pod(&features, "feature dim"));
-  UMGAD_RETURN_IF_ERROR(in.Pod(&relations, "relation count"));
-  if (nodes == 0 || features == 0 || relations == 0 ||
-      nodes > static_cast<uint64_t>(io_limits::kMaxNodes) ||
-      features > static_cast<uint64_t>(io_limits::kMaxFeatures) ||
-      relations > static_cast<uint64_t>(io_limits::kMaxRelations) ||
-      io_limits::CheckedElemCount(static_cast<int64_t>(nodes),
-                                  static_cast<int64_t>(features),
-                                  io_limits::kMaxAttributeEntries) < 0) {
-    return Status::InvalidArgument(StrFormat(
-        "oversized or empty header: %llu nodes x %llu features, "
-        "%llu relations",
-        static_cast<unsigned long long>(nodes),
-        static_cast<unsigned long long>(features),
-        static_cast<unsigned long long>(relations)));
-  }
-  const int n = static_cast<int>(nodes);
-  const int d = static_cast<int>(features);
-
-  std::vector<SparseMatrix> layers;
-  std::vector<std::string> rel_names;
-  for (uint64_t r = 0; r < relations; ++r) {
-    std::string rel_name;
-    UMGAD_RETURN_IF_ERROR(in.String(&rel_name, "relation name"));
-    for (const std::string& seen : rel_names) {
-      if (seen == rel_name) {
-        return Status::InvalidArgument("duplicate relation name '" +
-                                       rel_name + "'");
-      }
-    }
-    uint64_t nnz = 0;
-    UMGAD_RETURN_IF_ERROR(in.Pod(&nnz, "nnz"));
-    UMGAD_RETURN_IF_ERROR(in.Align("relation section"));
-    ConstSpan<int64_t> row_ptr;
-    ConstSpan<int> col_idx;
-    ConstSpan<float> values;
-    UMGAD_RETURN_IF_ERROR(
-        in.ArrayView(&row_ptr, static_cast<int64_t>(nodes) + 1, "row_ptr"));
-    UMGAD_RETURN_IF_ERROR(
-        in.ArrayView(&col_idx, static_cast<int64_t>(nnz), "col_idx"));
-    UMGAD_RETURN_IF_ERROR(
-        in.ArrayView(&values, static_cast<int64_t>(nnz), "values"));
+/// ParseGraphImage's prefetch hook: async readahead of exactly the ranges
+/// the parse scans (the CSR index arrays and the labels).
+void WillNeed(const void* p, int64_t bytes) {
 #if defined(POSIX_MADV_WILLNEED)
-    // Async readahead of exactly what the CSR validation scan reads —
-    // row_ptr and col_idx sit back to back. The values section that
-    // follows is never read here and stays on disk.
-    AdviseBytes(row_ptr.data(),
-                reinterpret_cast<const unsigned char*>(col_idx.end()) -
-                    reinterpret_cast<const unsigned char*>(row_ptr.data()),
-                POSIX_MADV_WILLNEED);
+  AdviseBytes(p, bytes, POSIX_MADV_WILLNEED);
+#else
+  (void)p;
+  (void)bytes;
 #endif
-    UMGAD_ASSIGN_OR_RETURN(
-        SparseMatrix layer,
-        SparseMatrix::FromBorrowedCsr(n, n, row_ptr, col_idx, values, file));
-    layers.push_back(std::move(layer));
-    rel_names.push_back(std::move(rel_name));
-  }
-
-  UMGAD_RETURN_IF_ERROR(in.Align("attribute section"));
-  ConstSpan<float> attr;
-  UMGAD_RETURN_IF_ERROR(in.ArrayView(
-      &attr, static_cast<int64_t>(nodes) * d, "attribute matrix"));
-  Tensor x = Tensor::FromBorrowed(attr.data(), n, d, file);
-
-  std::vector<int> labels;
-  if (flags & binfmt::kFlagHasLabels) {
-    // Labels are copied (4 bytes per node): labels() is consumed as a
-    // std::vector across metrics/eval, and the copy is negligible next to
-    // the CSR + attribute sections that stay mapped.
-    ConstSpan<int> label_view;
-    UMGAD_RETURN_IF_ERROR(
-        in.ArrayView(&label_view, static_cast<int64_t>(nodes), "labels"));
-#if defined(POSIX_MADV_WILLNEED)
-    AdviseBytes(label_view.data(),
-                static_cast<int64_t>(label_view.size() * sizeof(int)),
-                POSIX_MADV_WILLNEED);
-#endif
-    labels = label_view.ToVector();
-  }
-
-  uint32_t trailer = 0;
-  UMGAD_RETURN_IF_ERROR(in.Pod(&trailer, "trailer"));
-  if (trailer != binfmt::kTrailerMagic) {
-    return Status::InvalidArgument(path + ": bad trailer (truncated file?)");
-  }
-  if (in.Remaining() != 0) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: %lld trailing bytes after trailer", path.c_str(),
-        static_cast<long long>(in.Remaining())));
-  }
-
-#if defined(POSIX_MADV_NORMAL)
-  // The load's targeted prefetching is done; hand the mapping back to the
-  // kernel's default readahead so later streaming over the value/attribute
-  // sections (SpMM, encoders) gets normal sequential behaviour.
-  AdviseBytes(file->data(), file->size(), POSIX_MADV_NORMAL);
-#endif
-
-  // kTrustSymmetry: same contract as the copying reader — element-level CSR
-  // safety was re-validated above (FromBorrowedCsr), symmetry is the
-  // writer's invariant.
-  return MultiplexGraph::Create(name, std::move(x), std::move(layers),
-                                std::move(rel_names), std::move(labels),
-                                LayerChecks::kTrustSymmetry);
 }
 
-#endif  // UMGAD_HAS_MMAP
-
 }  // namespace
-
-#if UMGAD_HAS_MMAP
 
 MappedFile::~MappedFile() {
   if (map_ != nullptr) munmap(map_, static_cast<size_t>(size_));
@@ -340,41 +121,29 @@ Result<std::shared_ptr<const MappedFile>> MappedFile::Open(
 
 #endif  // UMGAD_HAS_MMAP
 
-bool MmapSupported() {
-#if !UMGAD_HAS_MMAP
-  return false;
-#else
-  if (!HostIsLittleEndian()) return false;
-  const char* knob = std::getenv("UMGAD_NO_MMAP");
-  if (knob != nullptr && knob[0] != '\0' &&
-      !(knob[0] == '0' && knob[1] == '\0')) {
-    return false;
-  }
-  return true;
-#endif
-}
+bool MmapSupported() { return UMGAD_HAS_MMAP != 0; }
 
 Result<MappedGraph> MappedGraph::Load(const std::string& path) {
   MappedGraph result;
 #if UMGAD_HAS_MMAP
-  if (MmapSupported()) {
-    UMGAD_ASSIGN_OR_RETURN(std::shared_ptr<const MappedFile> file,
-                           MappedFile::Open(path));
-    const int64_t bytes = file->size();
-    UMGAD_ASSIGN_OR_RETURN(MultiplexGraph graph, ParseMappedImage(path, file));
-    result.graph_ = std::move(graph);
-    result.file_ = std::move(file);
-    result.mapped_ = true;
-    result.file_bytes_ = bytes;
-    return result;
-  }
+  UMGAD_ASSIGN_OR_RETURN(std::shared_ptr<const MappedFile> file,
+                         MappedFile::Open(path));
+  UMGAD_ASSIGN_OR_RETURN(
+      MultiplexGraph graph,
+      ParseGraphImage(path, file->data(), file->size(), file, WillNeed));
+#if defined(POSIX_MADV_NORMAL)
+  // The load's targeted prefetching is done; hand the mapping back to the
+  // kernel's default readahead so later streaming over the value/attribute
+  // sections (SpMM, encoders) gets normal sequential behaviour.
+  AdviseBytes(file->data(), file->size(), POSIX_MADV_NORMAL);
 #endif
-  // Fallback: platforms without mmap (or the UMGAD_NO_MMAP knob) take the
-  // copying loader — same format, same validation, owned storage.
+  result.file_ = std::move(file);
+#else
+  // Platforms without mmap take the copying loader: the same parse over an
+  // owned buffer.
   UMGAD_ASSIGN_OR_RETURN(MultiplexGraph graph, LoadGraphBinary(path));
+#endif
   result.graph_ = std::move(graph);
-  result.mapped_ = false;
-  result.file_bytes_ = 0;
   return result;
 }
 

@@ -47,22 +47,21 @@ class MappedFile {
   int64_t size_;
 };
 
-/// True when this platform can mmap and the UMGAD_NO_MMAP env knob (set to
-/// anything but "0"/empty) does not disable it. Checked per call, so tests
-/// can toggle the knob at runtime.
+/// True when this platform can mmap (a compile-time property).
 bool MmapSupported();
 
-/// A `.umgb` graph loaded through a file mapping: the CSR arrays and the
-/// attribute matrix are *views* into the mapped bytes (zero copy; labels —
-/// 4 bytes per node — are copied so `labels()` can stay a vector), with the
-/// mapping kept alive by the views themselves. Validation is identical to
-/// the copying loader's: every section is bounded by the physical file size
-/// before use, header counts are capped, the CSR invariants are checked
-/// (SparseMatrix::FromBorrowedCsr), and the graph-level factory re-checks
-/// shapes and symmetry — a corrupt file fails with a Status either way.
+/// A `.umgb` graph loaded through a file mapping: ParseGraphImage — the same
+/// parse LoadGraphBinary runs over an owned buffer — over the mapped bytes,
+/// so the CSR arrays and the attribute matrix are *views* into the mapping
+/// (zero copy; labels — 4 bytes per node — are copied so `labels()` can
+/// stay a vector), kept alive by the views themselves. A corrupt file fails
+/// with the same Status either loader would give.
 ///
-/// When the platform cannot map (or UMGAD_NO_MMAP disables it), Load falls
-/// back to the copying binary loader and reports mapped() == false.
+/// The mapping sees the file's inode, not a snapshot: SaveGraphBinary
+/// replaces files by rename and never disturbs it, but another process
+/// truncating the file in place would. Use LoadGraphBinary when that can
+/// happen. On platforms without mmap, Load is LoadGraphBinary and reports
+/// mapped() == false.
 class MappedGraph {
  public:
   static Result<MappedGraph> Load(const std::string& path);
@@ -72,12 +71,12 @@ class MappedGraph {
   /// the attribute tensor, so the mapping survives this wrapper.
   MultiplexGraph TakeGraph() { return std::move(graph_); }
 
-  /// False when the copying fallback path produced the graph.
-  bool mapped() const { return mapped_; }
-  /// Size of the backing file in bytes; 0 when the copying fallback ran.
-  int64_t file_bytes() const { return file_bytes_; }
+  /// False on platforms without mmap (the copying loader ran).
+  bool mapped() const { return file_ != nullptr; }
+  /// Size of the backing file in bytes; 0 when the copying loader ran.
+  int64_t file_bytes() const { return file_ == nullptr ? 0 : file_->size(); }
   /// Bytes of the mapping resident in memory right now (see
-  /// MappedFile::ResidentBytes); 0 when the copying fallback ran.
+  /// MappedFile::ResidentBytes); 0 when the copying loader ran.
   int64_t resident_bytes() const {
     return file_ == nullptr ? 0 : file_->ResidentBytes();
   }
@@ -85,8 +84,6 @@ class MappedGraph {
  private:
   MultiplexGraph graph_;
   std::shared_ptr<const MappedFile> file_;
-  bool mapped_ = false;
-  int64_t file_bytes_ = 0;
 };
 
 /// Convenience wrapper: MappedGraph::Load + TakeGraph. This is what

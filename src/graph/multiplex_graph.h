@@ -24,8 +24,8 @@ enum class LayerChecks {
   /// pattern). The default for graphs assembled in-process or parsed from
   /// human-editable formats.
   kFull,
-  /// Trust symmetry. For the .umgb readers: SaveGraphBinary only serialises
-  /// graphs that passed kFull, and both binary readers re-validate every
+  /// Trust symmetry. For the .umgb parse: SaveGraphBinary only serialises
+  /// graphs that passed kFull, and ParseGraphImage re-validates every
   /// element-level CSR invariant memory safety depends on (section bounds,
   /// row_ptr monotonicity, column range/ordering) — so a hand-corrupted
   /// file can at worst yield an asymmetric graph (wrong scores), never an
@@ -52,10 +52,11 @@ class MultiplexGraph {
   int feature_dim() const { return attributes_.cols(); }
 
   const Tensor& attributes() const { return attributes_; }
-  /// Mutable attribute access is copy-on-write: an mmap-loaded graph views
-  /// the read-only mapped section until the first mutable request, which
-  /// materialises an owned copy (so injection/perturbation work on mapped
-  /// graphs without ever writing through the mapping).
+  /// Mutable attribute access is copy-on-write: a `.umgb`-loaded graph
+  /// views the read-only image section (mapped or in the loader's buffer)
+  /// until the first mutable request, which materialises an owned copy (so
+  /// injection/perturbation work on loaded graphs without ever writing
+  /// through a mapping).
   Tensor& mutable_attributes() {
     attributes_.EnsureOwned();
     return attributes_;

@@ -87,8 +87,8 @@ class SparseMatrix {
   static SparseMatrix FromEdges(int n, const std::vector<Edge>& edges,
                                 bool symmetrize);
 
-  /// Adopt raw CSR arrays without re-sorting (the binary graph loader's
-  /// zero-copy path). Validates the invariants every other constructor
+  /// Adopt raw CSR arrays without re-sorting (DynamicAdjacency's
+  /// snapshots). Validates the invariants every other constructor
   /// guarantees — monotonic row_ptr covering all of col_idx/values, and
   /// strictly ascending in-range columns within each row — and returns an
   /// error Status for malformed input instead of constructing a matrix
@@ -98,13 +98,13 @@ class SparseMatrix {
                                       std::vector<int> col_idx,
                                       std::vector<float> values);
 
-  /// Adopt CSR arrays the matrix does not own — the mmap loader's view
-  /// straight into a mapped `.umgb` section. Runs the same validation as
-  /// FromCsr; `payload` keeps the backing storage (the file mapping) alive
-  /// for as long as this matrix — or any copy-on-write descendant that
-  /// still shares the view — exists. The matrix is read-only like every
-  /// other; mutating factories (RowNormalized) transparently materialise an
-  /// owned copy first.
+  /// Adopt CSR arrays the matrix does not own — the `.umgb` parse's view
+  /// straight into a loaded image's section. Runs the same validation as
+  /// FromCsr; `payload` keeps the backing storage (the file mapping or the
+  /// owned file buffer) alive for as long as this matrix — or any
+  /// copy-on-write descendant that still shares the view — exists. The
+  /// matrix is read-only like every other; mutating factories
+  /// (RowNormalized) transparently materialise an owned copy first.
   static Result<SparseMatrix> FromBorrowedCsr(
       int rows, int cols, ConstSpan<int64_t> row_ptr, ConstSpan<int> col_idx,
       ConstSpan<float> values, std::shared_ptr<const void> payload);

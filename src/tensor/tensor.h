@@ -18,11 +18,12 @@ namespace umgad {
 /// construction (see pool.h). Fresh buffers are zero-initialised, matching
 /// the std::vector<float> storage this replaces.
 ///
-/// A buffer can also *borrow* read-only external storage (the mmap graph
-/// loader's attribute section): a borrowed buffer holds a keepalive on its
-/// owner instead of a pool allocation, rejects every non-const access with
-/// UMGAD_CHECK (the mapping is PROT_READ — writes must go through an owned
-/// copy), and materialises into a normal pool buffer on copy.
+/// A buffer can also *borrow* read-only external storage (a loaded `.umgb`
+/// image's attribute section, mapped or in an owned file buffer): a
+/// borrowed buffer holds a keepalive on its owner instead of a pool
+/// allocation, rejects every non-const access with UMGAD_CHECK (a mapping
+/// is PROT_READ — writes must go through an owned copy), and materialises
+/// into a normal pool buffer on copy.
 class TensorBuffer {
  public:
   TensorBuffer() noexcept = default;
@@ -124,8 +125,8 @@ class Tensor {
   /// 1xN row vector from values.
   static Tensor RowVector(std::vector<float> values);
 
-  /// Read-only view over external row-major storage (the mmap loader's
-  /// attribute section); `owner` keeps the backing memory alive. All
+  /// Read-only view over external row-major storage (a loaded `.umgb`
+  /// image's attribute section); `owner` keeps the backing memory alive. All
   /// mutating accessors UMGAD_CHECK-fail until EnsureOwned() materialises a
   /// pool-backed copy; const reads and copies behave like any other tensor.
   static Tensor FromBorrowed(const float* data, int rows, int cols,

@@ -335,6 +335,15 @@ TEST_F(IoFuzzModelTest, SeededByteFlipsNeverCrash) {
   EXPECT_GT(accepted, 0);
 }
 
+TEST_F(IoFuzzModelTest, SeededTailGrowthAndShrink) {
+  // Bytes after the trailer are rejected, as for .umgb: a grown tail and a
+  // doubled image (a second header the reader must never reach) both fail.
+  ASSERT_TRUE(LoadAndUse(image_));
+  EXPECT_FALSE(LoadAndUse(image_ + std::string(17, '\x5a')))
+      << "accepted 17 junk bytes after the trailer";
+  EXPECT_FALSE(LoadAndUse(image_ + image_)) << "accepted a doubled image";
+}
+
 TEST_F(IoFuzzModelTest, HostileCountsAreAStatusNotAnAllocation) {
   // Every int32 count field at INT32_MAX is past its cap and must fail the
   // load; the other hostile values must at least end without a crash or

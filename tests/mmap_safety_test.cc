@@ -3,13 +3,13 @@
 // handed out — across file deletion, double loads, wrapper destruction, and
 // any destruction order; writes can never reach the mapping (the borrowed
 // tensor rejects mutable access, the pages themselves are PROT_READ, and
-// mutable_attributes() is copy-on-write); and the UMGAD_NO_MMAP knob drops
-// to the copying loader with an identical graph. The resident-bytes meter
-// is pinned too: a mapped load must not materialise the attribute section.
+// mutable_attributes() is copy-on-write); and saving over a mapped path
+// replaces the file without disturbing the mapping. The resident-bytes
+// meter is pinned too: a mapped load must not materialise the attribute
+// section.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -112,25 +112,27 @@ TEST(MmapSafetyTest, MutableAttributesIsCopyOnWrite) {
   std::remove(path.c_str());
 }
 
-TEST(MmapSafetyTest, NoMmapKnobFallsBackToCopyingLoader) {
-#if defined(__unix__) || defined(__APPLE__)
-  const std::string path = TempPath("umgad_mmap_knob");
+TEST(MmapSafetyTest, SaveOverMappedPathKeepsMappedBytes) {
+  if (!MmapSupported()) GTEST_SKIP() << "no mmap on this platform";
+  const std::string path = TempPath("umgad_mmap_overwrite");
   const MultiplexGraph reference = MakeTiny(5);
-  ASSERT_TRUE(SaveGraphBinary(reference, path).ok());
-  ASSERT_EQ(setenv("UMGAD_NO_MMAP", "1", 1), 0);
-  EXPECT_FALSE(MmapSupported());
-  Result<MappedGraph> fallback = MappedGraph::Load(path);
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_FALSE(fallback->mapped());
-  EXPECT_EQ(fallback->resident_bytes(), 0);
-  EXPECT_FALSE(fallback->graph().attributes().borrowed());
-  ExpectGraphsBitIdentical("fallback", fallback->graph(), reference);
-  ASSERT_EQ(unsetenv("UMGAD_NO_MMAP"), 0);
-  EXPECT_TRUE(MmapSupported());
+  // Far smaller than the mapped file, so an in-place truncation would
+  // leave most mapped pages past EOF and SIGBUS the reads below.
+  auto replacement = MultiplexGraph::Create(
+      "small", Tensor(2, 1), {SparseMatrix::FromEdges(2, {Edge{0, 1}}, true)},
+      {"r"});
+  ASSERT_TRUE(replacement.ok());
+  MappedGraph mapped = SaveAndMap(reference, path);
+  // Saving over the mapped path replaces the file by rename: the mapping
+  // keeps the old inode, so its bytes neither change nor vanish.
+  ASSERT_TRUE(SaveGraphBinary(*replacement, path).ok());
+  ExpectGraphsBitIdentical("mapped after overwrite", mapped.graph(),
+                           reference);
+  Result<MultiplexGraph> fresh = LoadGraphBinary(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectGraphsBitIdentical("fresh load after overwrite", *fresh,
+                           *replacement);
   std::remove(path.c_str());
-#else
-  GTEST_SKIP() << "env knobs are POSIX-only here";
-#endif
 }
 
 #if defined(POSIX_FADV_DONTNEED)

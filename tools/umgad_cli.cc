@@ -121,10 +121,12 @@ int Usage() {
       "what is registered and selected.\n"
       "\n"
       "load flags (any command that loads a graph): --mmap maps .umgb\n"
-      "inputs read-only (zero-copy; UMGAD_NO_MMAP=1 forces the copying\n"
-      "fallback), --header auto|always|never controls edge-list header-row\n"
-      "detection, --serial-import disables chunked parallel parsing (the\n"
-      "loaded graph is bit-identical either way).\n"
+      "inputs read-only instead of reading them into memory (zero-copy;\n"
+      "same parse, bit-identical graph), --header auto|always|never\n"
+      "controls edge-list header-row detection, --serial-import disables\n"
+      "chunked parallel parsing (the loaded graph is bit-identical either\n"
+      "way). Saves replace their target file atomically, so converting a\n"
+      ".umgb onto itself is safe even under --mmap.\n"
       "\n"
       "serve applies a stream of edge updates (\"+ src dst rel\" inserts,\n"
       "\"- src dst rel\" removes; '#' comments) with incremental re-scoring\n"
