@@ -1,6 +1,8 @@
 #ifndef UMGAD_CORE_SCORER_H_
 #define UMGAD_CORE_SCORER_H_
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -38,11 +40,118 @@ std::vector<double> StructureResidual(const SparseMatrix& adj,
 std::vector<double> StructureResidualExact(const SparseMatrix& adj,
                                            const Tensor& z);
 
+/// Population mean and standard deviation of one score component, frozen
+/// for standardisation. A zero stddev (a constant component) maps every
+/// value to 0.
+struct ZScore {
+  double mean = 0.0;
+  double stddev = 0.0;
+  double operator()(double x) const {
+    return stddev == 0.0 ? 0.0 : (x - mean) / stddev;
+  }
+};
+
+/// Exact, order-independent moments (count, sum x, sum x^2) of a multiset of
+/// doubles: the state behind every z-score of Eq. 19.
+///
+/// Both sums are Kulisch-style long accumulators: fixed-point integers
+/// wide enough for any finite double (and any square of one) at a 2^-1074
+/// (2^-2148) resolution, held as 32-bit digits in 64-bit limbs so a deposit
+/// never carries. A deposit is therefore exact integer addition, and the
+/// state — hence Scale() — is bit-identical under any deposit order,
+/// chunking, lane count or Merge tree. Remove(x) undoes Add(x) exactly,
+/// which is what lets a serving update apply deltas for the nodes it
+/// re-scored instead of re-summing all of them.
+///
+/// Scale() derives mean = sum/n and the stddev from the exact integer
+/// n * sum(x^2) - (sum x)^2, each from its top 64 bits (within an ulp or
+/// two of the true value): no cancellation when |mean| >> stddev, and a
+/// constant multiset has its value as mean and stddev exactly 0. NaN and
+/// +-Inf inputs are counted separately: any of them makes the stddev NaN
+/// (the mean is NaN, or the infinity's sign when only one sign occurs).
+/// The count must stay below 2^32.
+class ExactMoments {
+ public:
+  void Add(double x) { Deposit(&x, 1, 1); }
+  void Remove(double x) { Deposit(&x, 1, -1); }
+  /// Add(v[i]) for every i.
+  void AddAll(const double* v, int64_t n) { Deposit(v, n, 1); }
+  void Merge(const ExactMoments& other);
+
+  int64_t count() const { return count_; }
+  ZScore Scale() const;
+
+  /// Same multiset sums (compares the carried, canonical form).
+  bool operator==(const ExactMoments& other) const;
+
+ private:
+  static constexpr int kSumLimbs = 70;
+  static constexpr int kSquareLimbs = 136;
+
+  void Deposit(const double* v, int64_t n, int64_t sign);
+  void Carry();
+
+  int64_t count_ = 0;
+  int64_t pending_ = 0;  // deposits since the last carry
+  int64_t nan_ = 0;
+  int64_t pos_inf_ = 0;
+  int64_t neg_inf_ = 0;
+  std::array<int64_t, kSumLimbs> sum_{};        // digit k weighs 2^(32k-1074)
+  std::array<int64_t, kSquareLimbs> square_{};  // digit k weighs 2^(32k-2148)
+};
+
+/// Exact moments of v[0..n), summed in chunks across the thread pool.
+ExactMoments MomentsOf(const double* v, int64_t n);
+
+/// Raw per-node score components of one view: the inputs of Eq. 19 before
+/// standardisation. Pointers are null for the branch the view lacks.
+struct ViewComponents {
+  bool attr_used = false;
+  bool struct_used = false;
+  /// num_nodes attribute reconstruction distances (null unless attr_used).
+  const std::vector<double>* attr_val = nullptr;
+  /// [relation][node] structure residuals (null unless struct_used).
+  const std::vector<std::vector<double>>* residual = nullptr;
+};
+
+/// The structure column of Eq. 19 for node i: its residuals averaged over
+/// relations, accumulated in relation order.
+double RelationMean(const std::vector<std::vector<double>>& residual, int i);
+
+/// One view's two Eq. 19 columns with their z-scores: per-node attribute
+/// distances and relation-averaged residuals, each null when the view
+/// lacks that branch.
+struct ViewColumns {
+  const double* attr = nullptr;
+  const double* structure = nullptr;
+  ZScore attr_z;
+  ZScore structure_z;
+};
+
+/// Eq. 19 for one node: per view, eps * z(attr) + (1 - eps) * z(structure)
+/// (or the one z-score a single-branch view has), averaged over the views
+/// with a branch. Checks that at least one view contributes. Every score
+/// vector in the repo is built from this function, so a per-node lookup
+/// is bit-identical to the full vector.
+double ScoreNode(const std::vector<ViewColumns>& views, float epsilon, int i);
+
+/// ScoreNode for nodes [0, num_nodes), fanned across the thread pool.
+std::vector<double> ScoreAllNodes(const std::vector<ViewColumns>& views,
+                                  float epsilon, int num_nodes);
+
+/// Eq. 19 over raw components: each view's attribute distances and
+/// relation-averaged residuals are z-scored over all nodes (exact moments,
+/// summed in parallel chunks) and mixed by ScoreNode.
+std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
+                                      int num_nodes, int num_relations,
+                                      float epsilon);
+
 /// Anomaly scores (Eq. 19): for each view with outputs available,
 ///   S_v(i) = eps * ||x~_v(i) - x(i)||_2
 ///            + (1-eps) * mean_r residual_r(i)   (standardised parts),
 /// and S(i) is the arithmetic mean over views. Views missing a branch
-/// contribute only the branch they have.
+/// contribute only the branch they have. Builds the components and hands
+/// them to CombineComponents.
 ///
 /// Both components are z-score standardised over nodes before combination
 /// so eps weighs comparable magnitudes — attribute distances and edge
@@ -56,7 +165,8 @@ std::vector<double> ComputeAnomalyScores(
 /// Min-max normalise to [0, 1]; constant vectors map to all-zeros.
 std::vector<double> MinMaxNormalize(const std::vector<double>& v);
 
-/// Z-score standardise; constant vectors map to all-zeros.
+/// Z-score standardise with ExactMoments; constant vectors map to
+/// all-zeros.
 std::vector<double> Standardize(const std::vector<double>& v);
 
 }  // namespace umgad

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <mutex>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -196,24 +197,30 @@ struct ViewState {
   std::vector<ChainState> struct_chains;
   std::vector<double> attr_val;                          // per node
   std::vector<std::vector<double>> residual;             // [rel][node]
+  std::vector<double> structure;  // per node: RelationMean of residual
+  ViewMoments moments;            // of attr_val and structure, owned nodes
   std::vector<std::vector<std::vector<int>>> negatives;  // [rel][node]
   std::vector<std::vector<std::vector<int>>> samplers;   // [rel][u] -> nodes
 };
 
 struct EngineState {
   std::vector<ViewState> views;
-  std::vector<double> scores;
 };
 
-/// Dedup helper for dirty-set accumulation.
+/// Dedup set for dirty-set accumulation. The marks live across updates and
+/// Clear() resets only the ones it set, so a pass costs O(items), not O(n).
 class NodeSet {
  public:
-  explicit NodeSet(int n) : mark_(n, 0) {}
+  explicit NodeSet(int n = 0) : mark_(n, 0) {}
   void Add(int i) {
     if (!mark_[i]) {
       mark_[i] = 1;
       items_.push_back(i);
     }
+  }
+  void Clear() {
+    for (int i : items_) mark_[i] = 0;
+    items_.clear();
   }
   const std::vector<int>& items() const { return items_; }
 
@@ -260,42 +267,6 @@ Result<EdgeUpdate> ParseEdgeUpdateLine(std::string_view line) {
   return update;
 }
 
-std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
-                                      int num_nodes, int num_relations,
-                                      float epsilon) {
-  const int n = num_nodes;
-  std::vector<double> total(n, 0.0);
-  int contributing = 0;
-  for (const ViewComponents& vc : views) {
-    const bool has_attr = vc.attr_used;
-    const bool has_struct = vc.struct_used;
-    if (!has_attr && !has_struct) continue;
-    ++contributing;
-    std::vector<double> attr_part(n, 0.0);
-    if (has_attr) attr_part = Standardize(*vc.attr_val);
-    std::vector<double> struct_part(n, 0.0);
-    if (has_struct) {
-      for (int r = 0; r < num_relations; ++r) {
-        const std::vector<double>& res = (*vc.residual)[r];
-        for (int i = 0; i < n; ++i) struct_part[i] += res[i] / num_relations;
-      }
-      struct_part = Standardize(struct_part);
-    }
-    for (int i = 0; i < n; ++i) {
-      if (has_attr && has_struct) {
-        total[i] += epsilon * attr_part[i] + (1.0f - epsilon) * struct_part[i];
-      } else if (has_attr) {
-        total[i] += attr_part[i];
-      } else {
-        total[i] += struct_part[i];
-      }
-    }
-  }
-  UMGAD_CHECK_GT(contributing, 0);
-  for (double& s : total) s /= contributing;
-  return total;
-}
-
 // ---------------------------------------------------------------------------
 // Impl
 // ---------------------------------------------------------------------------
@@ -314,11 +285,19 @@ struct OnlineScorer::Impl {
   std::vector<uint8_t> resident;
   // Owner mask (ServeOptions::owned_nodes): empty = every node owned.
   // Component maintenance (negatives, residuals, attribute distances) and
-  // the global Combine are restricted to owned nodes; stage rows stay
-  // global (a residual reads neighbour/negative embeddings anywhere).
+  // the moments are restricted to owned nodes; stage rows stay global (a
+  // residual reads neighbour/negative embeddings anywhere).
   std::vector<uint8_t> owned;
   bool component_only = false;
   EngineState state;
+  // ApplyBatch's dirty sets, sized once: s_norm/endpoints per relation
+  // (see ApplyBatch), `front` for one propagation stage, `rescore` for one
+  // (view, relation)'s residuals, `moved` for one view's changed columns.
+  std::vector<NodeSet> s_norm;
+  std::vector<NodeSet> endpoints;
+  NodeSet front;
+  NodeSet rescore;
+  NodeSet moved;
 
   bool Owned(int i) const { return owned.empty() || owned[i] != 0; }
 
@@ -336,7 +315,8 @@ struct OnlineScorer::Impl {
                            ServeStats* stats) const;
   void ComputeAttrValNode(EngineState& st, int view, int i,
                           ServeStats* stats) const;
-  void Combine(EngineState& st) const;
+  void BuildMoments(EngineState* st, bool parallel) const;
+  std::vector<ViewColumns> Columns(const EngineState& st) const;
   void FullCompute(EngineState* st, bool parallel) const;
   void EvictNonResident(EngineState* st) const;
   Status ApplyBatch(const std::vector<EdgeUpdate>& updates,
@@ -372,6 +352,7 @@ EngineState OnlineScorer::Impl::MakeEmptyState() const {
     init_chains(vp.struct_chains, &vs.struct_chains);
     if (vp.attr_used) vs.attr_val.assign(n, 0.0);
     if (vp.struct_used) {
+      vs.structure.assign(n, 0.0);
       vs.residual.assign(r_count, std::vector<double>(n, 0.0));
       vs.negatives.assign(r_count, std::vector<std::vector<int>>(n));
       vs.samplers.assign(r_count, std::vector<std::vector<int>>(n));
@@ -611,29 +592,61 @@ void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view, int i,
       static_cast<double>(static_cast<float>(std::sqrt(acc)));
 }
 
-void OnlineScorer::Impl::Combine(EngineState& st) const {
-  // ComputeAnomalyScores (Eq. 19) over the cached per-node parts: the raw
-  // components are maintained incrementally; standardisation and the
-  // epsilon mix are cheap O(n) double passes. The standardisation is
-  // *global* (a z-score over all nodes), so an owner-masked shard — which
-  // only maintains its own nodes' components — cannot combine; ShardRouter
-  // gathers every shard's owned slices and runs the same CombineComponents
-  // over the full board instead.
-  if (component_only) {
-    st.scores.clear();
-    return;
+void OnlineScorer::Impl::BuildMoments(EngineState* st, bool parallel) const {
+  // From scratch over the owned nodes: the relation means and both
+  // columns' moments. The moments are exact, so per-chunk sums merged in
+  // any order equal the serial sweep (RescoreFullNaive) bit for bit.
+  const size_t v_count = plans.size();
+  for (ViewState& vs : st->views) vs.moments = ViewMoments();
+  std::mutex mu;
+  auto deposit = [&](int64_t b, int64_t e) {
+    std::vector<ViewMoments> local(v_count);
+    std::vector<double> attr;
+    std::vector<double> structure;
+    for (size_t v = 0; v < v_count; ++v) {
+      ViewState& vs = st->views[v];
+      attr.clear();
+      structure.clear();
+      for (int i = static_cast<int>(b); i < e; ++i) {
+        if (!Owned(i)) continue;
+        if (plans[v].attr_used) attr.push_back(vs.attr_val[i]);
+        if (plans[v].struct_used) {
+          vs.structure[i] = RelationMean(vs.residual, i);
+          structure.push_back(vs.structure[i]);
+        }
+      }
+      local[v].attr.AddAll(attr.data(), static_cast<int64_t>(attr.size()));
+      local[v].structure.AddAll(structure.data(),
+                                static_cast<int64_t>(structure.size()));
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    for (size_t v = 0; v < v_count; ++v) {
+      st->views[v].moments.attr.Merge(local[v].attr);
+      st->views[v].moments.structure.Merge(local[v].structure);
+    }
+  };
+  if (parallel) {
+    ParallelFor(n, 4096, deposit);
+  } else {
+    deposit(0, n);
   }
-  std::vector<ViewComponents> views;
-  views.reserve(plans.size());
+}
+
+std::vector<ViewColumns> OnlineScorer::Impl::Columns(
+    const EngineState& st) const {
+  std::vector<ViewColumns> columns(plans.size());
   for (size_t v = 0; v < plans.size(); ++v) {
-    ViewComponents vc;
-    vc.attr_used = plans[v].attr_used;
-    vc.struct_used = plans[v].struct_used;
-    if (vc.attr_used) vc.attr_val = &st.views[v].attr_val;
-    if (vc.struct_used) vc.residual = &st.views[v].residual;
-    views.push_back(vc);
+    const ViewState& vs = st.views[v];
+    if (plans[v].attr_used) {
+      columns[v].attr = vs.attr_val.data();
+      columns[v].attr_z = vs.moments.attr.Scale();
+    }
+    if (plans[v].struct_used) {
+      columns[v].structure = vs.structure.data();
+      columns[v].structure_z = vs.moments.structure.Scale();
+    }
   }
-  st.scores = CombineComponents(views, n, r_count, config.epsilon);
+  return columns;
 }
 
 void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
@@ -700,7 +713,7 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
       });
     }
   }
-  Combine(*st);
+  BuildMoments(st, parallel);
 }
 
 void OnlineScorer::Impl::EvictNonResident(EngineState* st) const {
@@ -736,13 +749,9 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
   // differs between the initial and final adjacency.
   // endpoints[r]: distinct endpoint nodes of relation r's updates — the
   // nodes whose own adjacency row (and negative stream) changed.
-  std::vector<NodeSet> s_norm;
-  std::vector<NodeSet> endpoints;
-  s_norm.reserve(r_count);
-  endpoints.reserve(r_count);
   for (int r = 0; r < r_count; ++r) {
-    s_norm.emplace_back(n);
-    endpoints.emplace_back(n);
+    s_norm[r].Clear();
+    endpoints[r].Clear();
   }
   Status error = Status::OK();
   size_t applied = 0;
@@ -834,13 +843,13 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
           next = cur;
           break;
         case StageKind::kSpmm: {
-          NodeSet set(n);
-          for (int i : sn.items()) set.Add(i);
+          front.Clear();
+          for (int i : sn.items()) front.Add(i);
           for (int d : cur) {
-            set.Add(d);
-            for (int j : a.neighbors(d)) set.Add(j);
+            front.Add(d);
+            for (int j : a.neighbors(d)) front.Add(j);
           }
-          next = set.items();
+          next = front.items();
           break;
         }
         case StageKind::kGatAttend: {
@@ -848,13 +857,13 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
           // dirty projections one hop out. s/t of a node follow its own
           // projection row.
           for (int d : cur) ss.st_valid[d] = 0;
-          NodeSet set(n);
-          for (int d : ends) set.Add(d);
+          front.Clear();
+          for (int d : ends) front.Add(d);
           for (int d : cur) {
-            set.Add(d);
-            for (int j : a.neighbors(d)) set.Add(j);
+            front.Add(d);
+            for (int j : a.neighbors(d)) front.Add(j);
           }
-          next = set.items();
+          next = front.items();
           break;
         }
       }
@@ -892,11 +901,13 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
   }
 
   // Phase B.2 — recompute the affected per-node score components, once per
-  // node per component for the whole burst.
+  // node per component for the whole burst, and move the view's moments by
+  // exactly those nodes' old and new values.
   for (size_t w = 0; w < plans.size(); ++w) {
     const ViewPlan& vp = plans[w];
     ViewState& vs = state.views[w];
     if (vp.struct_used) {
+      moved.Clear();
       for (int rel = 0; rel < r_count; ++rel) {
         const std::vector<int>& ends = endpoints[rel].items();
         if (ends.empty()) continue;
@@ -932,36 +943,43 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
         // changed), nodes with a dirty embedding, their neighbours (the
         // edge-error term reads neighbour embeddings), and nodes whose
         // negative set contains a dirty-embedding node.
-        NodeSet dirty_res(n);
-        for (int node : ends) dirty_res.Add(node);
+        rescore.Clear();
+        for (int node : ends) rescore.Add(node);
         for (int d : embed_dirty) {
-          dirty_res.Add(d);
-          for (int j : a.neighbors(d)) dirty_res.Add(j);
-          for (int i : vs.samplers[rel][d]) dirty_res.Add(i);
+          rescore.Add(d);
+          for (int j : a.neighbors(d)) rescore.Add(j);
+          for (int i : vs.samplers[rel][d]) rescore.Add(i);
         }
-        for (int i : dirty_res.items()) {
+        for (int i : rescore.items()) {
           if (!Owned(i)) continue;
           ComputeResidualNode(state, static_cast<int>(w), rel, i, stats);
+          moved.Add(i);
           ++rescored;
         }
+      }
+      for (int i : moved.items()) {
+        vs.moments.structure.Remove(vs.structure[i]);
+        vs.structure[i] = RelationMean(vs.residual, i);
+        vs.moments.structure.Add(vs.structure[i]);
       }
     }
     if (vp.attr_used) {
       // One attribute-value pass over the union of every updated
       // relation's final dirty front (the fused value reads all chains).
-      NodeSet attr_final(n);
+      moved.Clear();
       for (int rel = 0; rel < r_count; ++rel) {
-        for (int i : attr_dirty[w][rel].final) attr_final.Add(i);
+        for (int i : attr_dirty[w][rel].final) moved.Add(i);
       }
-      for (int i : attr_final.items()) {
+      for (int i : moved.items()) {
         if (!Owned(i)) continue;
+        vs.moments.attr.Remove(vs.attr_val[i]);
         ComputeAttrValNode(state, static_cast<int>(w), i, stats);
+        vs.moments.attr.Add(vs.attr_val[i]);
         ++rescored;
       }
     }
   }
 
-  Combine(state);
   EvictNonResident(&state);
   if (stats != nullptr) {
     stats->updates_applied += static_cast<int64_t>(updates.size());
@@ -1074,14 +1092,21 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
     impl.resident.assign(impl.n, 1);
   }
 
+  impl.s_norm.assign(impl.r_count, NodeSet(impl.n));
+  impl.endpoints.assign(impl.r_count, NodeSet(impl.n));
+  impl.front = NodeSet(impl.n);
+  impl.rescore = NodeSet(impl.n);
+  impl.moved = NodeSet(impl.n);
   impl.state = impl.MakeEmptyState();
   impl.FullCompute(&impl.state, /*parallel=*/true);
   impl.EvictNonResident(&impl.state);
   return scorer;
 }
 
-const std::vector<double>& OnlineScorer::scores() const {
-  return impl_->state.scores;
+std::vector<double> OnlineScorer::scores() const {
+  if (impl_->component_only) return {};
+  return ScoreAllNodes(impl_->Columns(impl_->state), impl_->config.epsilon,
+                       impl_->n);
 }
 
 Result<std::vector<double>> OnlineScorer::Query(
@@ -1090,16 +1115,19 @@ Result<std::vector<double>> OnlineScorer::Query(
     return Status::FailedPrecondition(
         "owner-masked scorer has no combined scores; query the ShardRouter");
   }
-  const std::vector<double>& s = impl_->state.scores;
   for (int node : nodes) {
     if (node < 0 || node >= impl_->n) {
       return Status::OutOfRange("query node out of range");
     }
   }
+  const std::vector<ViewColumns> columns = impl_->Columns(impl_->state);
+  const float epsilon = impl_->config.epsilon;
   std::vector<double> out(nodes.size(), 0.0);
   ParallelFor(static_cast<int64_t>(nodes.size()), 256,
               [&](int64_t b, int64_t e) {
-                for (int64_t k = b; k < e; ++k) out[k] = s[nodes[k]];
+                for (int64_t k = b; k < e; ++k) {
+                  out[k] = ScoreNode(columns, epsilon, nodes[k]);
+                }
               });
   return out;
 }
@@ -1113,9 +1141,15 @@ Status OnlineScorer::ApplyEdgeUpdates(const std::vector<EdgeUpdate>& updates) {
 }
 
 std::vector<double> OnlineScorer::RescoreFullNaive() const {
+  if (impl_->component_only) return {};
   EngineState scratch = impl_->MakeEmptyState();
   impl_->FullCompute(&scratch, /*parallel=*/false);
-  return std::move(scratch.scores);
+  const std::vector<ViewColumns> columns = impl_->Columns(scratch);
+  std::vector<double> out(impl_->n);
+  for (int i = 0; i < impl_->n; ++i) {
+    out[i] = ScoreNode(columns, impl_->config.epsilon, i);
+  }
+  return out;
 }
 
 Result<std::vector<double>> OnlineScorer::BatchReplayScores() const {
@@ -1146,6 +1180,13 @@ std::vector<ViewComponents> OnlineScorer::Components() const {
     if (vc.struct_used) vc.residual = &impl_->state.views[v].residual;
     out.push_back(vc);
   }
+  return out;
+}
+
+std::vector<ViewMoments> OnlineScorer::Moments() const {
+  std::vector<ViewMoments> out;
+  out.reserve(impl_->state.views.size());
+  for (const ViewState& vs : impl_->state.views) out.push_back(vs.moments);
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "core/model_io.h"
+#include "core/scorer.h"
 #include "graph/multiplex_graph.h"
 #include "serve/dynamic_adjacency.h"
 
@@ -32,9 +33,10 @@ struct ServeOptions {
   /// *component provider*: it still replicates the full graph (stage rows
   /// are global — a residual reads neighbour and negative embeddings
   /// anywhere), but maintains the per-node score components (attribute
-  /// distances, structure residuals) and negative-sample streams only for
-  /// owned nodes, and skips the global Combine entirely — scores() stays
-  /// empty and Query() errors. The per-node components of owned nodes are
+  /// distances, structure residuals), their exact moments (Moments()) and
+  /// negative-sample streams only for owned nodes. It cannot z-score
+  /// alone — scores() is empty and Query() errors. The per-node components
+  /// of owned nodes are
   /// bit-identical to an unmasked scorer's (each node's negatives come
   /// from its own stream; each component is a pure function of the
   /// adjacency, the weights, and that stream), which is what lets
@@ -75,31 +77,19 @@ struct ServeStats {
   int64_t last_rescored_nodes = 0;
 };
 
-/// Read-only borrow of one view's raw per-node score components, as
-/// maintained by an OnlineScorer (attribute reconstruction distances and
-/// per-relation structure residuals — the inputs of Eq. 19 *before*
-/// standardisation). Pointers are null for parts the view does not use and
-/// are invalidated by the next Apply* call on the owning scorer.
-struct ViewComponents {
-  bool attr_used = false;
-  bool struct_used = false;
-  /// num_nodes attribute distances (null unless attr_used).
-  const std::vector<double>* attr_val = nullptr;
-  /// [relation][node] structure residuals (null unless struct_used).
-  const std::vector<std::vector<double>>* residual = nullptr;
-};
+/// The Eq. 19 component types and the full-vector combine live in
+/// core/scorer.h; serve keeps their names. ViewComponents handed out by an
+/// OnlineScorer borrow its state and are invalidated by the next Apply*
+/// call.
+using umgad::CombineComponents;
+using umgad::ViewComponents;
 
-/// ComputeAnomalyScores (Eq. 19) over raw per-node components: per view,
-/// standardise the attribute distances and the relation-averaged residuals
-/// globally (z-score over all nodes), mix with epsilon, then average over
-/// contributing views. This is the exact float path Impl-side Combine used
-/// to inline — extracted so ShardRouter can run the identical global
-/// combine over components gathered from S masked shards and stay
-/// bit-identical to the flat scorer. Checks that at least one view
-/// contributes.
-std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
-                                      int num_nodes, int num_relations,
-                                      float epsilon);
+/// Exact moments of one view's two Eq. 19 columns (attribute distances,
+/// relation-averaged residuals) over the nodes a scorer owns.
+struct ViewMoments {
+  ExactMoments attr;
+  ExactMoments structure;
+};
 
 /// Online anomaly-scoring service over a trained-model artifact (Sec. IV-E
 /// applied at serving time): load a TrainedModel (.umgm) plus the graph,
@@ -118,7 +108,11 @@ std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
 /// Determinism policy (two score paths, both exact):
 ///  - Incremental path (scores(), ApplyEdgeUpdate): structure-residual
 ///    negatives are drawn from per-(view, relation, node) Rng streams, so
-///    a node's draw is independent of every other node. scores() is
+///    a node's draw is independent of every other node. Eq. 19's z-scores
+///    read each view's ExactMoments, which an update adjusts by removing
+///    and re-adding only the components it re-scored — the moments are
+///    exact, so they equal a from-scratch sum bit for bit, and an update
+///    costs O(dirty), not O(n). scores() is
 ///    bit-identical to RescoreFullNaive() — a from-scratch serial batch
 ///    recompute with the same kernels and streams — after any update
 ///    sequence, for any UMGAD_THREADS / arena / cache-budget setting
@@ -134,12 +128,14 @@ std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
 ///
 /// Thread-safety contract: an OnlineScorer is **not** internally
 /// synchronised. ApplyEdgeUpdate(s) mutates the adjacency replicas, the
-/// row caches, and the score vector in place, so
+/// row caches, the components and their moments in place, so
 ///   - at most one thread may be inside Apply* at a time, and
-///   - no thread may call scores(), Query(), Components(),
+///   - no thread may call scores(), Query(), Components(), Moments(),
 ///     RescoreFullNaive(), BatchReplayScores(), SnapshotGraph(), or stats()
 ///     while another is inside Apply* — a concurrent read observes torn
 ///     intermediate state (a data race, flagged by TSan).
+/// The read methods mutate nothing (there is no cached score vector), so
+/// any number of threads may read an idle scorer at once.
 /// Distinct OnlineScorer instances share no mutable state and may be
 /// driven from different threads freely. Concurrent serving goes through
 /// serve/shard_router.h, which serialises writes per shard behind bounded
@@ -156,12 +152,14 @@ class OnlineScorer {
 
   ~OnlineScorer();
 
-  /// Current anomaly scores (Eq. 19) for all nodes. Empty in owner-masked
-  /// component mode (the mask makes the global Combine impossible — see
-  /// ServeOptions::owned_nodes).
-  const std::vector<double>& scores() const;
+  /// Current anomaly scores (Eq. 19) for all nodes, built on demand by
+  /// ScoreNode from the components and the moments (O(n); Query is the
+  /// O(k) lookup). Empty in owner-masked component mode (the moments cover
+  /// only owned nodes — see ServeOptions::owned_nodes).
+  std::vector<double> scores() const;
 
-  /// Batched score lookup (fans the gather across the thread pool).
+  /// Batched score lookup: ScoreNode per requested node, fanned across the
+  /// thread pool, so each entry is bit-identical to scores()[node].
   /// FailedPrecondition in owner-masked component mode.
   Result<std::vector<double>> Query(const std::vector<int>& nodes) const;
 
@@ -169,6 +167,10 @@ class OnlineScorer {
   /// owner-masked mode only owned nodes' entries are maintained; the rest
   /// hold stale or initial values. Invalidated by the next Apply* call.
   std::vector<ViewComponents> Components() const;
+
+  /// Per-view exact moments of the Eq. 19 columns over the owned nodes
+  /// (every node when unmasked). ShardRouter merges S of these.
+  std::vector<ViewMoments> Moments() const;
 
   /// True when ServeOptions::owned_nodes restricted this scorer to a
   /// component provider.
@@ -191,9 +193,10 @@ class OnlineScorer {
   /// Serial from-scratch batch recompute with the serving kernels and
   /// per-node negative streams: the differential oracle the incremental
   /// path is pinned against (mirrors the repo's *Naive convention). Does
-  /// not touch the cached state. In owner-masked mode the result is empty
-  /// (no global Combine); the sharded oracle comparisons run against a
-  /// separate unmasked scorer instead (tests/shard_router_test.cc).
+  /// not touch the cached state; the moments are rebuilt from scratch too.
+  /// In owner-masked mode the result is empty; the sharded oracle
+  /// comparisons run against a separate unmasked scorer instead
+  /// (tests/shard_router_test.cc).
   std::vector<double> RescoreFullNaive() const;
 
   /// TrainedModel::Score over the current graph snapshot (training-time

@@ -20,7 +20,6 @@ namespace serve {
 
 struct ShardRouter::Impl {
   int n = 0;
-  int r_count = 0;
   float epsilon = 0.0f;
   RouterOptions options;
   std::vector<int> shard_of;
@@ -62,18 +61,20 @@ struct ShardRouter::Impl {
   std::mutex submit_mu;
   std::atomic<int64_t> dropped_updates{0};
 
-  /// The component board: every shard's owned slices of each view's raw
-  /// score components, plus each shard's stream position at its last
-  /// gather. Guarded by board_mu; the publish path (gather + global
-  /// combine + snapshot swap) runs entirely under it.
+  /// The component board: every shard's owned slices of each view's two
+  /// Eq. 19 columns, each shard's exact moments of them, and each shard's
+  /// stream position at its last gather. Guarded by board_mu; the publish
+  /// path (gather + moment merge + per-node mix + snapshot swap) runs
+  /// entirely under it.
   struct BoardView {
     bool attr_used = false;
     bool struct_used = false;
-    std::vector<double> attr_val;               // n
-    std::vector<std::vector<double>> residual;  // [rel][n]
+    std::vector<double> attr_val;   // n
+    std::vector<double> structure;  // n, relation-averaged residuals
   };
   std::mutex board_mu;
   std::vector<BoardView> board;
+  std::vector<std::vector<ViewMoments>> board_moments;  // [shard][view]
   std::vector<int64_t> board_pos;
   uint64_t epoch = 0;
 
@@ -86,7 +87,8 @@ struct ShardRouter::Impl {
 };
 
 void ShardRouter::Impl::CopyOwnedComponentsLocked(int s) {
-  const std::vector<ViewComponents> comps = shards[s]->scorer->Components();
+  const OnlineScorer& scorer = *shards[s]->scorer;
+  const std::vector<ViewComponents> comps = scorer.Components();
   const std::vector<int>& owned = owned_lists[s];
   for (size_t v = 0; v < board.size(); ++v) {
     BoardView& bv = board[v];
@@ -95,26 +97,31 @@ void ShardRouter::Impl::CopyOwnedComponentsLocked(int s) {
       for (int i : owned) bv.attr_val[i] = src[i];
     }
     if (bv.struct_used) {
-      for (int r = 0; r < r_count; ++r) {
-        const std::vector<double>& src = (*comps[v].residual)[r];
-        std::vector<double>& dst = bv.residual[r];
-        for (int i : owned) dst[i] = src[i];
-      }
+      for (int i : owned) bv.structure[i] = RelationMean(*comps[v].residual, i);
     }
   }
+  board_moments[s] = scorer.Moments();
 }
 
 void ShardRouter::Impl::PublishLocked(LatencyHistogram* hist) {
   WallTimer timer;
-  std::vector<ViewComponents> views;
-  views.reserve(board.size());
-  for (BoardView& bv : board) {
-    ViewComponents vc;
-    vc.attr_used = bv.attr_used;
-    vc.struct_used = bv.struct_used;
-    if (bv.attr_used) vc.attr_val = &bv.attr_val;
-    if (bv.struct_used) vc.residual = &bv.residual;
-    views.push_back(vc);
+  // The shards' moments cover disjoint owned sets; their exact merge is
+  // the flat scorer's moments, so only the per-node mix touches n values.
+  std::vector<ViewColumns> columns(board.size());
+  for (size_t v = 0; v < board.size(); ++v) {
+    ViewMoments merged;
+    for (const std::vector<ViewMoments>& shard : board_moments) {
+      merged.attr.Merge(shard[v].attr);
+      merged.structure.Merge(shard[v].structure);
+    }
+    if (board[v].attr_used) {
+      columns[v].attr = board[v].attr_val.data();
+      columns[v].attr_z = merged.attr.Scale();
+    }
+    if (board[v].struct_used) {
+      columns[v].structure = board[v].structure.data();
+      columns[v].structure_z = merged.structure.Scale();
+    }
   }
   auto snap = std::make_shared<ScoreSnapshot>();
   snap->epoch = ++epoch;
@@ -125,7 +132,7 @@ void ShardRouter::Impl::PublishLocked(LatencyHistogram* hist) {
     snap->max_applied = std::max(snap->max_applied, p);
   }
   snap->stream_consistent = snap->min_applied == snap->max_applied;
-  snap->scores = CombineComponents(views, n, r_count, epsilon);
+  snap->scores = ScoreAllNodes(columns, epsilon, n);
   std::atomic_store(&snapshot,
                     std::shared_ptr<const ScoreSnapshot>(std::move(snap)));
   if (hist != nullptr) hist->Record(timer.ElapsedMillis() * 1000.0);
@@ -235,7 +242,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   Impl& impl = *router->impl_;
   impl.options = options;
   impl.n = graph.num_nodes();
-  impl.r_count = graph.num_relations();
   impl.epsilon = model.config().epsilon;
 
   // Whole-row vertex ownership from the streaming edge partitioner —
@@ -279,11 +285,9 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     impl.board[v].attr_used = layout[v].attr_used;
     impl.board[v].struct_used = layout[v].struct_used;
     if (layout[v].attr_used) impl.board[v].attr_val.assign(impl.n, 0.0);
-    if (layout[v].struct_used) {
-      impl.board[v].residual.assign(impl.r_count,
-                                    std::vector<double>(impl.n, 0.0));
-    }
+    if (layout[v].struct_used) impl.board[v].structure.assign(impl.n, 0.0);
   }
+  impl.board_moments.resize(options.num_shards);
   impl.board_pos.assign(options.num_shards, 0);
   {
     std::lock_guard<std::mutex> lock(impl.board_mu);

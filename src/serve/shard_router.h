@@ -52,7 +52,7 @@ struct ScoreSnapshot {
   /// prefix of the update stream, so `scores` is bit-identical to a flat
   /// OnlineScorer at that position. Always true for the snapshot visible
   /// after Flush(). When false the snapshot is still never torn — it is
-  /// one atomic Combine over a consistent board — but mixes shards at
+  /// one atomic publish over a consistent board — but mixes shards at
   /// different stream positions (see ARCHITECTURE.md §12).
   bool stream_consistent = false;
   std::vector<double> scores;
@@ -74,10 +74,13 @@ struct ScoreSnapshot {
 ///    ApplyEdgeUpdates; an invalid update inside a burst falls back to
 ///    deterministic one-at-a-time apply-or-skip, so the final state is
 ///    independent of how the stream was chopped into bursts.
-///  - Reads: after a burst, the worker copies its owned component slices
-///    onto a shared board, runs the *global* CombineComponents (the flat
-///    scorer's exact float path) and publishes the result as an immutable
-///    ScoreSnapshot behind one atomic pointer swap with a monotone epoch.
+///  - Reads: after a burst, the worker copies its owned slices of each
+///    view's two Eq. 19 columns and its exact moments of them onto a
+///    shared board. Publishing merges the S shards' moments exactly (they
+///    cover disjoint owned sets, so the merge equals the flat scorer's
+///    moments), runs the per-node ScoreNode mix — no re-summing of n
+///    components — and publishes the result as an immutable ScoreSnapshot
+///    behind one atomic pointer swap with a monotone epoch.
 ///    Query()/Snapshot() only ever touch that pointer: readers never
 ///    block on update application, never observe a torn vector, and a
 ///    drained router is bit-identical to the flat single-scorer oracle

@@ -1,9 +1,14 @@
-#include <cmath>
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/scorer.h"
 #include "graph/datasets.h"
 #include "tensor/init.h"
@@ -39,6 +44,205 @@ TEST(NormalizeTest, StandardizePreservesOrder) {
   std::vector<double> z = Standardize(v);
   EXPECT_GT(z[0], z[2]);
   EXPECT_GT(z[2], z[1]);
+}
+
+TEST(NormalizeTest, StandardizeConstantIsZero) {
+  // Two-pass double sums leave a ~1e-17 residual spread on these, which
+  // used to blow every entry up to +-1; exact moments give stddev 0.
+  for (int n : {3, 10, 1194, 37000}) {
+    for (double x : {0.1, 0.7, 1.3}) {
+      const std::vector<double> v(n, x);
+      const ZScore z = MomentsOf(v.data(), n).Scale();
+      EXPECT_EQ(z.mean, x) << "n=" << n << " x=" << x;
+      EXPECT_EQ(z.stddev, 0.0) << "n=" << n << " x=" << x;
+      for (double s : Standardize(v)) {
+        ASSERT_EQ(s, 0.0) << "n=" << n << " x=" << x;
+      }
+    }
+  }
+}
+
+// ------------------------- ExactMoments -----------------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameScale(const ExactMoments& got, const ExactMoments& want,
+                     const std::string& label) {
+  EXPECT_TRUE(got == want) << label;
+  const ZScore g = got.Scale();
+  const ZScore w = want.Scale();
+  EXPECT_TRUE(SameBits(g.mean, w.mean)) << label << ": " << g.mean;
+  EXPECT_TRUE(SameBits(g.stddev, w.stddev)) << label << ": " << g.stddev;
+}
+
+/// Values over many binades and both signs, with repeats and zeros.
+std::vector<double> MixedValues(int n, uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> binade(-60, 60);
+  std::vector<double> v(n);
+  for (int i = 0; i < n; ++i) v[i] = std::ldexp(unit(gen), binade(gen));
+  v[n / 3] = 0.0;
+  v[n / 2] = -0.0;
+  v[n - 1] = v[0];
+  return v;
+}
+
+TEST(ExactMomentsTest, ShuffledAndChunkedDepositsAreBitIdentical) {
+  const std::vector<double> v = MixedValues(20000, 1);
+  ExactMoments serial;
+  for (double x : v) serial.Add(x);
+
+  std::vector<double> shuffled = v;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(2));
+  ExactMoments reordered;
+  for (double x : shuffled) reordered.Add(x);
+  ExpectSameScale(reordered, serial, "shuffled");
+
+  // Uneven chunks merged in reverse.
+  std::vector<ExactMoments> chunks;
+  for (size_t b = 0; b < shuffled.size();) {
+    const size_t e = std::min(shuffled.size(), b + 1 + (b * 7) % 3001);
+    ExactMoments chunk;
+    for (size_t i = b; i < e; ++i) chunk.Add(shuffled[i]);
+    chunks.push_back(chunk);
+    b = e;
+  }
+  ExactMoments merged;
+  for (size_t c = chunks.size(); c-- > 0;) merged.Merge(chunks[c]);
+  ExpectSameScale(merged, serial, "chunked");
+
+  const std::vector<double> z_serial = [&] {
+    SetNumThreads(1);
+    return Standardize(v);
+  }();
+  for (int lanes : {1, 2, 4}) {
+    SetNumThreads(lanes);
+    const std::string label = "lanes=" + std::to_string(lanes);
+    ExpectSameScale(MomentsOf(v.data(), static_cast<int64_t>(v.size())),
+                    serial, label);
+    const std::vector<double> z = Standardize(v);
+    for (size_t i = 0; i < z.size(); ++i) {
+      ASSERT_TRUE(SameBits(z[i], z_serial[i])) << label << " i=" << i;
+    }
+  }
+  SetNumThreads(1);
+}
+
+TEST(ExactMomentsTest, AddThenRemoveRestoresTheExactPriorState) {
+  const std::vector<double> base = MixedValues(500, 3);
+  const std::vector<double> extra = MixedValues(300, 4);
+  ExactMoments m;
+  for (double x : base) m.Add(x);
+  const ExactMoments before = m;
+  for (double x : extra) m.Add(x);
+  EXPECT_FALSE(m == before);
+  for (size_t i = extra.size(); i-- > 0;) m.Remove(extra[i]);
+  ExpectSameScale(m, before, "add then remove");
+
+  // A value swap (remove old, add new) equals the moments of the edited
+  // multiset built from scratch — the serving update's delta.
+  std::vector<double> edited = base;
+  for (size_t i = 0; i < edited.size(); i += 5) {
+    m.Remove(edited[i]);
+    edited[i] = edited[i] * 3.0 + 1e-3;
+    m.Add(edited[i]);
+  }
+  ExactMoments fresh;
+  for (double x : edited) fresh.Add(x);
+  ExpectSameScale(m, fresh, "swapped values");
+
+  for (double x : edited) m.Remove(x);
+  ExpectSameScale(m, ExactMoments(), "emptied");
+  EXPECT_EQ(m.count(), 0);
+}
+
+/// Two-pass long double reference, scaled by a power of two so squares
+/// stay in range even for values near 1e300.
+void ExpectMatchesReference(const std::vector<double>& v,
+                            const std::string& label) {
+  long double mean = 0.0L;
+  for (double x : v) mean += x;
+  mean /= static_cast<long double>(v.size());
+  long double spread = 0.0L;
+  for (double x : v) spread = std::max(spread, std::fabs(x - mean));
+  int exp = 0;
+  std::frexp(static_cast<double>(spread), &exp);
+  long double var = 0.0L;
+  for (double x : v) {
+    const long double d = std::ldexp(x - mean, -exp);
+    var += d * d;
+  }
+  const double ref_sd = static_cast<double>(
+      std::ldexp(std::sqrt(var / static_cast<long double>(v.size())), exp));
+
+  const ZScore z = MomentsOf(v.data(), static_cast<int64_t>(v.size())).Scale();
+  EXPECT_NEAR(z.mean, static_cast<double>(mean),
+              1e-15 * std::fabs(static_cast<double>(mean)) + 1e-320)
+      << label;
+  ASSERT_GT(ref_sd, 0.0) << label;
+  EXPECT_NEAR(z.stddev / ref_sd, 1.0, 1e-9) << label;
+}
+
+TEST(ExactMomentsTest, AccurateOnHardInputs) {
+  std::mt19937_64 gen(5);
+  std::uniform_real_distribution<double> u01(0.0, 1.0);
+  const int n = 4000;
+  std::vector<double> subnormal(n), huge(n), mixed(n), offset(n);
+  for (int i = 0; i < n; ++i) {
+    subnormal[i] = std::ldexp(std::floor(u01(gen) * 4503599627370496.0), -1074);
+    huge[i] = 1e300 * (1.0 + u01(gen));
+    mixed[i] = std::ldexp(u01(gen) - 0.5, static_cast<int>(u01(gen) * 80) - 40);
+    offset[i] = 1e6 + u01(gen);
+  }
+  ExpectMatchesReference(subnormal, "subnormal");
+  ExpectMatchesReference(huge, "near 1e300");
+  ExpectMatchesReference(mixed, "mixed signs");
+  ExpectMatchesReference(offset, "1e6 + U(0,1)");
+  // |mean| >> stddev: a naive sum(x^2)/n - mean^2 in double cancels to
+  // noise here.
+  const ZScore z = MomentsOf(offset.data(), n).Scale();
+  EXPECT_GT(z.stddev, 0.25);
+  EXPECT_LT(z.stddev, 0.33);
+}
+
+TEST(ExactMomentsTest, NonFiniteInputsGiveADefinedResult) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExactMoments m;
+  for (double x : {1.0, 2.0, 4.0}) m.Add(x);
+  const ExactMoments finite = m;
+
+  m.Add(inf);
+  EXPECT_EQ(m.Scale().mean, inf);
+  EXPECT_TRUE(std::isnan(m.Scale().stddev));
+  m.Add(-inf);
+  EXPECT_TRUE(std::isnan(m.Scale().mean));
+  m.Remove(inf);
+  EXPECT_EQ(m.Scale().mean, -inf);
+  m.Remove(-inf);
+  m.Add(nan);
+  EXPECT_TRUE(std::isnan(m.Scale().mean));
+  EXPECT_TRUE(std::isnan(m.Scale().stddev));
+  EXPECT_TRUE(std::isnan(m.Scale()(1.0)));
+  m.Remove(nan);
+  ExpectSameScale(m, finite, "non-finite removed");
+
+  // Extremes of the finite range deposit without overflow.
+  ExactMoments extremes;
+  for (double x : {std::numeric_limits<double>::max(),
+                   -std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::min()}) {
+    extremes.Add(x);
+  }
+  const ZScore z = extremes.Scale();
+  EXPECT_TRUE(std::isfinite(z.mean));
+  EXPECT_TRUE(std::isfinite(z.stddev));
+  EXPECT_GT(z.stddev, 0.0);
+  EXPECT_EQ(ExactMoments().Scale().stddev, 0.0);
 }
 
 SparseMatrix TriangleWithTail() {

@@ -175,9 +175,10 @@ TEST(ServeConcurrencyTest, ConcurrentQueriesNeverTearDuringBursts) {
   }
   auto snap = (*router)->Snapshot();
   EXPECT_TRUE(snap->stream_consistent);
-  ASSERT_EQ(snap->scores.size(), (*flat)->scores().size());
+  const std::vector<double> flat_scores = (*flat)->scores();
+  ASSERT_EQ(snap->scores.size(), flat_scores.size());
   for (size_t i = 0; i < snap->scores.size(); ++i) {
-    EXPECT_EQ(snap->scores[i], (*flat)->scores()[i]) << "node " << i;
+    EXPECT_EQ(snap->scores[i], flat_scores[i]) << "node " << i;
   }
 }
 
@@ -241,10 +242,45 @@ TEST(ServeConcurrencyTest, ConcurrentSubmittersShareOneStreamOrder) {
   for (const EdgeUpdate& u : a) {
     ASSERT_TRUE((*flat)->ApplyEdgeUpdate(u).ok());
   }
-  ASSERT_EQ(snap->scores.size(), (*flat)->scores().size());
+  const std::vector<double> flat_scores = (*flat)->scores();
+  ASSERT_EQ(snap->scores.size(), flat_scores.size());
   for (size_t i = 0; i < snap->scores.size(); ++i) {
-    EXPECT_EQ(snap->scores[i], (*flat)->scores()[i]) << "node " << i;
+    EXPECT_EQ(snap->scores[i], flat_scores[i]) << "node " << i;
   }
+}
+
+TEST(ServeConcurrencyTest, ConcurrentReadersOfAnIdleScorerAgree) {
+  // scores() and Query() build their answers from the components and the
+  // moments without caching anything, so concurrent readers of an idle
+  // scorer need no lock (TSan checks there is no write on this path).
+  auto scorer = OnlineScorer::Create(Fixture().trained, Fixture().graph);
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+  ASSERT_TRUE(
+      (*scorer)->ApplyEdgeUpdates(MakeUpdateSequence(Fixture().graph, 20, 9))
+          .ok());
+  const OnlineScorer& idle = **scorer;
+  const std::vector<double> want = idle.scores();
+  const int n = Fixture().graph.num_nodes();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        if (idle.scores() != want) mismatches.fetch_add(1);
+        const std::vector<int> nodes = {(t * 7 + round) % n, n - 1, 0};
+        Result<std::vector<double>> got = idle.Query(nodes);
+        if (!got.ok()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (size_t k = 0; k < nodes.size(); ++k) {
+          if ((*got)[k] != want[nodes[k]]) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ------------------------- persistent-leaf reclamation --------------------

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/model_io.h"
 #include "core/umgad.h"
 #include "graph/datasets.h"
@@ -434,6 +435,41 @@ TEST(ServeOracleTest, QueryGathersAndValidates) {
 
   EXPECT_FALSE((*scorer)->Query({n}).ok());
   EXPECT_FALSE((*scorer)->Query({-1}).ok());
+}
+
+TEST(ServeOracleTest, QueryMatchesScoresAndNaive) {
+  // Query scores each node from its components and the current moments
+  // with the same per-node function scores() uses, so after a stream the
+  // three reads agree bit for bit, at any lane count.
+  const std::vector<EdgeUpdate> updates =
+      MakeUpdateSequence(Fixture().graph, 30, 17);
+  const int n = Fixture().graph.num_nodes();
+  std::vector<int> nodes;
+  for (int k = 0; k < 3 * n; k += 7) nodes.push_back((k * 31) % n);
+  std::vector<double> first;
+  for (int lanes : {1, 4}) {
+    SetNumThreads(lanes);
+    const std::string label = "lanes=" + std::to_string(lanes);
+    auto scorer = OnlineScorer::Create(Fixture().trained, Fixture().graph);
+    ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+    ASSERT_TRUE((*scorer)->ApplyEdgeUpdates(updates).ok());
+    const std::vector<double> all = (*scorer)->scores();
+    const std::vector<double> naive = (*scorer)->RescoreFullNaive();
+    auto queried = (*scorer)->Query(nodes);
+    ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+    ASSERT_EQ(queried->size(), nodes.size());
+    for (size_t k = 0; k < nodes.size(); ++k) {
+      EXPECT_EQ((*queried)[k], all[nodes[k]]) << label << " node " << nodes[k];
+      EXPECT_EQ((*queried)[k], naive[nodes[k]])
+          << label << " node " << nodes[k];
+    }
+    if (first.empty()) {
+      first = all;
+    } else {
+      ExpectSameBits(all, first, label + " vs lanes=1");
+    }
+  }
+  SetNumThreads(1);
 }
 
 // ------------------------- DynamicAdjacency contract ----------------------

@@ -415,6 +415,26 @@ TEST(ShardRouterTest, OwnerMaskedScorerProvidesComponentsOnly) {
     }
   }
 
+  // Complementary masks' moments merge exactly into the flat scorer's —
+  // what lets the router publish without re-summing n components.
+  ServeOptions odd;
+  odd.owned_nodes.assign(n, 0);
+  for (int i = 1; i < n; i += 2) odd.owned_nodes[i] = 1;
+  auto other = OnlineScorer::Create(Fixture().trained, Fixture().graph, odd);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  const auto even_moments = (*scorer)->Moments();
+  const auto odd_moments = (*other)->Moments();
+  const auto flat_moments = (*flat)->Moments();
+  ASSERT_EQ(even_moments.size(), flat_moments.size());
+  for (size_t v = 0; v < flat_moments.size(); ++v) {
+    serve::ViewMoments merged = even_moments[v];
+    merged.attr.Merge(odd_moments[v].attr);
+    merged.structure.Merge(odd_moments[v].structure);
+    EXPECT_TRUE(merged.attr == flat_moments[v].attr) << "view " << v;
+    EXPECT_TRUE(merged.structure == flat_moments[v].structure)
+        << "view " << v;
+  }
+
   // A wrongly sized mask is rejected at Create.
   ServeOptions bad;
   bad.owned_nodes.assign(n + 1, 1);
