@@ -79,7 +79,7 @@ class AdaGad : public BaselineBase {
     ag::VarPtr recon = dec.Forward(view.norm, h);
     std::vector<double> attr_err = RowL2(recon->value(), x);
     std::vector<double> struct_err =
-        StructureResidual(view.adj, h->value(), 16, &rng_, false);
+        StructureResidual(view.adj, h->value(), 16, rng_.NextU64(), false);
     scores_ = CombineStandardized({attr_err, struct_err}, {0.7, 0.3});
     return Status::OK();
   }

@@ -8,9 +8,13 @@ namespace baselines {
 namespace {
 
 /// AnomalyDAE (Fan et al., ICASSP'20): dual autoencoders. The structure AE
-/// embeds nodes with a GCN and reconstructs edges by inner product; the
-/// attribute AE is a plain MLP autoencoder on the feature matrix. Both
-/// residuals are combined with the paper's fixed balance weight.
+/// embeds nodes with a GCN (Z_V) and reconstructs edges by inner product;
+/// the attribute decoder reconstructs attributes from the same node
+/// embedding, X~ = Z_V Z_A^T, with the attribute embedding Z_A (f x d)
+/// learned as the decoder's weight. Decoding from Z_V is what lets the
+/// attribute residual flag a node whose attributes disagree with its
+/// neighbourhood. Both residuals are combined with the paper's fixed
+/// balance weight.
 class AnomalyDae : public BaselineBase {
  public:
   explicit AnomalyDae(uint64_t seed) : BaselineBase("AnomalyDAE", seed) {}
@@ -20,18 +24,11 @@ class AnomalyDae : public BaselineBase {
     SingleView view(graph);
     const Tensor& x = graph.attributes();
 
-    // Structure AE.
     nn::GcnConv struct_enc(view.f, kBaselineHidden, nn::Activation::kRelu,
                            &rng_);
-    // Attribute AE (no propagation — pure MLP, per the paper's design).
-    // Must be a genuine bottleneck or it learns the identity map and
-    // reconstructs anomalies as well as normal nodes.
-    const int bottleneck = std::max(2, view.f / 4);
-    nn::Linear attr_enc(view.f, bottleneck, &rng_);
-    nn::Linear attr_dec(bottleneck, view.f, &rng_);
+    nn::Linear attr_dec(kBaselineHidden, view.f, &rng_);
 
     std::vector<ag::VarPtr> params = struct_enc.Parameters();
-    for (auto& p : attr_enc.Parameters()) params.push_back(p);
     for (auto& p : attr_dec.Parameters()) params.push_back(p);
     nn::Adam opt(params, kBaselineLr);
 
@@ -50,7 +47,7 @@ class AnomalyDae : public BaselineBase {
       ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
       opt.ZeroGrad();
       h = struct_enc.Forward(view.norm, ag::Constant(x));
-      recon = attr_dec.Forward(ag::Relu(attr_enc.Forward(ag::Constant(x))));
+      recon = attr_dec.Forward(h);
       const int batch = std::min<int>(1024, static_cast<int>(edges.size()));
       std::vector<int> pick = rng_.SampleWithoutReplacement(
           static_cast<int>(edges.size()), batch);
@@ -75,7 +72,7 @@ class AnomalyDae : public BaselineBase {
     }
 
     std::vector<double> struct_err =
-        StructureResidual(view.adj, h->value(), 16, &rng_, false);
+        StructureResidual(view.adj, h->value(), 16, rng_.NextU64(), false);
     std::vector<double> attr_err = RowL2(recon->value(), x);
     // The paper's alpha leans on the attribute residual; the raw
     // structure residual is hub-biased and only supplements it.

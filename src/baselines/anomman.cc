@@ -67,7 +67,7 @@ class AnomMan : public BaselineBase {
     std::vector<double> struct_err(n, 0.0);
     for (int r = 0; r < r_count; ++r) {
       std::vector<double> res = StructureResidual(
-          graph.layer(r), embeddings[r]->value(), 16, &rng_,
+          graph.layer(r), embeddings[r]->value(), 16, rng_.NextU64(),
           /*degree_normalized=*/false);
       for (int i = 0; i < n; ++i) struct_err[i] += res[i] / r_count;
     }

@@ -72,7 +72,7 @@ class Dominant : public BaselineBase {
 
     std::vector<double> attr_err = RowL2(recon->value(), x);
     std::vector<double> struct_err =
-        StructureResidual(view.adj, h->value(), 16, &rng_, false);
+        StructureResidual(view.adj, h->value(), 16, rng_.NextU64(), false);
     scores_ = CombineStandardized({attr_err, struct_err}, {0.8, 0.2});
     return Status::OK();
   }

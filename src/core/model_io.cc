@@ -440,7 +440,7 @@ Result<std::vector<double>> TrainedModel::Score(const MultiplexGraph& graph,
           graph.layer(r).NormalizedWithSelfLoops()));
     }
     // Exactly the Fit scoring block: deterministic view passes, then the
-    // residual negatives drawn from the checkpointed stream.
+    // residual negatives drawn from streams seeded by the checkpointed Rng.
     std::vector<ViewScoring> scorings;
     for (const auto& view : *views) {
       scorings.push_back(view->Score(graph, norm_adjs));

@@ -32,7 +32,8 @@ GraphFingerprint FingerprintGraph(const MultiplexGraph& graph);
 /// hyperparameter surface, every trainable tensor (flattened in
 /// nn::Module::Parameters() registration order across the active views),
 /// the dataset fingerprint, and the Rng state captured at the start of the
-/// scoring pass. Round trips through the version-framed .umgm binary
+/// scoring pass (it seeds the structure residual's negative streams, see
+/// NegativeStreamBase). Round trips through the version-framed .umgm binary
 /// container (spec: docs/FORMATS.md) and replays the batch scoring pass
 /// bit-identically: Score() on the training graph returns exactly the
 /// scores the fitted UmgadModel produced.

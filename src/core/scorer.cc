@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "graph/graph_ops.h"
 
 namespace umgad {
 
@@ -16,42 +15,62 @@ namespace {
 
 double SigmoidD(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
+uint64_t MixSeed(uint64_t h, uint64_t v) {
+  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
 }  // namespace
+
+uint64_t NegativeStreamBase(Rng* rng) { return rng->NextU64(); }
+
+uint64_t NegativeStreamSeed(uint64_t base, int view, int rel) {
+  uint64_t h = MixSeed(base, 0x53455256454E4547ULL);  // "SERVENEG"
+  h = MixSeed(h, static_cast<uint64_t>(view));
+  return MixSeed(h, static_cast<uint64_t>(rel));
+}
+
+uint64_t NodeStreamSeed(uint64_t stream_seed, int node) {
+  return MixSeed(stream_seed, static_cast<uint64_t>(node));
+}
 
 std::vector<double> StructureResidual(const SparseMatrix& adj,
                                       const Tensor& z, int num_negatives,
-                                      Rng* rng, bool degree_normalized) {
+                                      uint64_t stream_seed,
+                                      bool degree_normalized) {
   const int n = adj.rows();
   std::vector<double> residual(n, 0.0);
   const auto& rp = adj.row_ptr();
   const auto& ci = adj.col_idx();
-  for (int i = 0; i < n; ++i) {
-    // Degree-normalised residual: "how badly are my edges predicted" plus
-    // "how much do I leak probability onto non-edges". The unnormalised
-    // row L1 norm grows linearly with degree, which ranks hubs of dense
-    // noisy layers above true anomalies; normalising keeps the ranking on
-    // predictability rather than volume.
-    double edge_err = 0.0;
-    int degree = 0;
-    for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-      edge_err += 1.0 - SigmoidD(z.RowDot(i, z, ci[k]));
-      ++degree;
-    }
-    double leak = 0.0;
-    if (num_negatives > 0 && n - 1 - degree > 0) {
+  ParallelFor(n, kParallelRowGrain, [&](int64_t b, int64_t e) {
+    for (int i = static_cast<int>(b); i < e; ++i) {
+      // Degree-normalised residual: "how badly are my edges predicted" plus
+      // "how much do I leak probability onto non-edges". The unnormalised
+      // row L1 norm grows linearly with degree, which ranks hubs of dense
+      // noisy layers above true anomalies; normalising keeps the ranking on
+      // predictability rather than volume.
+      double edge_err = 0.0;
+      int degree = 0;
+      for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
+        edge_err += 1.0 - SigmoidD(z.RowDot(i, z, ci[k]));
+        ++degree;
+      }
+      double leak = 0.0;
       const std::vector<int> negs =
-          SampleNonNeighbors(adj, i, num_negatives, rng);
-      for (int u : negs) leak += SigmoidD(z.RowDot(i, z, u));
-      leak /= static_cast<double>(negs.size());
+          NodeNegatives(adj, i, degree, num_negatives, stream_seed);
+      if (!negs.empty()) {
+        for (int u : negs) leak += SigmoidD(z.RowDot(i, z, u));
+        leak /= static_cast<double>(negs.size());
+      }
+      if (degree_normalized) {
+        residual[i] = (degree > 0 ? edge_err / degree : 0.0) + leak;
+      } else {
+        // Raw row-norm estimate (the GAE papers' scorer).
+        residual[i] =
+            edge_err + leak * static_cast<double>(n - 1 - degree);
+      }
     }
-    if (degree_normalized) {
-      residual[i] = (degree > 0 ? edge_err / degree : 0.0) + leak;
-    } else {
-      // Raw row-norm estimate (the GAE papers' scorer).
-      residual[i] =
-          edge_err + leak * static_cast<double>(n - 1 - degree);
-    }
-  }
+  });
   return residual;
 }
 
@@ -470,6 +489,7 @@ std::vector<double> ComputeAnomalyScores(
     float epsilon, int num_negatives, Rng* rng) {
   const int n = graph.num_nodes();
   const int r_count = graph.num_relations();
+  const uint64_t base = NegativeStreamBase(rng);
   std::vector<std::vector<double>> attr(views.size());
   std::vector<std::vector<std::vector<double>>> residual(views.size());
   std::vector<ViewComponents> components(views.size());
@@ -487,7 +507,8 @@ std::vector<double> ComputeAnomalyScores(
       UMGAD_CHECK_EQ(static_cast<int>(view.embeddings.size()), r_count);
       for (int r = 0; r < r_count; ++r) {
         residual[v].push_back(StructureResidual(
-            graph.layer(r), view.embeddings[r], num_negatives, rng));
+            graph.layer(r), view.embeddings[r], num_negatives,
+            NegativeStreamSeed(base, static_cast<int>(v), r)));
       }
       vc.struct_used = true;
       vc.residual = &residual[v];

@@ -7,9 +7,33 @@
 
 #include "common/rng.h"
 #include "core/views.h"
+#include "graph/graph_ops.h"
 #include "graph/multiplex_graph.h"
 
 namespace umgad {
+
+/// The structure residual's negatives come from one Rng stream per (view,
+/// relation, node), so a node's draw depends only on its seed and its own
+/// adjacency row: batch scoring fans nodes across the pool and serving
+/// redraws one node, both bit-identical to a serial pass. All streams
+/// derive from one draw of the scoring pass's Rng (Fit's, or the state a
+/// .umgm artifact restores).
+uint64_t NegativeStreamBase(Rng* rng);
+/// Seed of one (view, relation)'s streams.
+uint64_t NegativeStreamSeed(uint64_t base, int view, int rel);
+/// Seed of node `node`'s stream among those of `stream_seed`.
+uint64_t NodeStreamSeed(uint64_t stream_seed, int node);
+
+/// Node `node`'s negatives (row length `degree`): none when `count` <= 0
+/// or the node neighbours every other node. `Adj` is SparseMatrix (batch)
+/// or serve::DynamicAdjacency.
+template <typename Adj>
+std::vector<int> NodeNegatives(const Adj& adj, int node, int degree,
+                               int count, uint64_t stream_seed) {
+  if (count <= 0 || adj.rows() - 1 - degree <= 0) return {};
+  Rng rng(NodeStreamSeed(stream_seed, node));
+  return SampleNonNeighbors(adj, node, count, &rng);
+}
 
 /// Per-node structure residual of one relation (the ||zeta~ - zeta|| term of
 /// Eq. 19): how badly the inner-product decoder sigmoid(z_i . z_j)
@@ -24,16 +48,17 @@ namespace umgad {
 /// U-S-U) ranks hubs above true anomalies; normalisation keeps the ranking
 /// on predictability. The exact version averages over all non-neighbours
 /// (Theta(N) per node, tests/tiny graphs); the sampled version estimates
-/// the leak term from `num_negatives` samples.
+/// the leak term from `num_negatives` samples, node i's drawn by
+/// NodeNegatives from the streams of `stream_seed`.
 /// With `degree_normalized == false` the raw row-norm estimate
 ///   sum_{j in N(i)} (1 - sig) + (N-1-deg_i)/S * sum_samples sig
 /// is returned instead — the form the GAE-family papers (DOMINANT,
 /// AnomalyDAE, AnomMAN, ...) actually compute, which is hub-biased on
 /// dense weakly-informative layers. The baselines use it; UMGAD uses the
-/// normalised refinement.
+/// normalised refinement. Bit-identical at any lane count.
 std::vector<double> StructureResidual(const SparseMatrix& adj,
                                       const Tensor& z, int num_negatives,
-                                      Rng* rng,
+                                      uint64_t stream_seed,
                                       bool degree_normalized = true);
 
 /// Exact O(N^2 d) version, for tests and tiny graphs.
@@ -151,7 +176,8 @@ std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
 ///            + (1-eps) * mean_r residual_r(i)   (standardised parts),
 /// and S(i) is the arithmetic mean over views. Views missing a branch
 /// contribute only the branch they have. Builds the components and hands
-/// them to CombineComponents.
+/// them to CombineComponents. View v, relation r draws from the streams of
+/// NegativeStreamSeed(NegativeStreamBase(rng), v, r).
 ///
 /// Both components are z-score standardised over nodes before combination
 /// so eps weighs comparable magnitudes — attribute distances and edge

@@ -225,9 +225,10 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
                              loss_history_.size());
 
   // Scoring (Eq. 19) over the unperturbed graph. The Rng state is captured
-  // first so a serialized model (core/model_io) can replay this exact pass:
-  // view->Score is deterministic, and ComputeAnomalyScores walks the stream
-  // from precisely this point.
+  // first so a serialized model (core/model_io) and the online scorer draw
+  // the same negatives: view->Score is deterministic, and
+  // ComputeAnomalyScores seeds every per-node negative stream from one draw
+  // made at precisely this point.
   scoring_rng_state_ = rng.state();
   std::vector<ViewScoring> scorings;
   for (ReconstructionView* view :

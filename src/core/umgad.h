@@ -54,9 +54,10 @@ class UmgadModel : public Detector {
   std::vector<const ReconstructionView*> ActiveViews() const;
 
   /// Rng state captured right before the post-training scoring pass
-  /// (ComputeAnomalyScores draws the structure-residual negatives from this
-  /// stream). Saved into the .umgm artifact so a reloaded model replays the
-  /// scoring pass bit-identically. Valid after Fit.
+  /// (ComputeAnomalyScores draws the base of the structure-residual
+  /// negative streams from it). Saved into the .umgm artifact so a reloaded
+  /// model, and the online scorer, draw the same negatives. Valid after
+  /// Fit.
   const Rng::State& scoring_rng_state() const { return scoring_rng_state_; }
 
   /// Allocator accounting from the last Fit: fresh tensor-buffer bytes the

@@ -135,27 +135,4 @@ std::vector<int> KHopNeighborhood(const SparseMatrix& adj, int start,
   return out;
 }
 
-std::vector<int> SampleNonNeighbors(const SparseMatrix& adj, int src,
-                                    int count, Rng* rng) {
-  std::vector<int> out;
-  out.reserve(count);
-  const int n = adj.rows();
-  int attempts = 0;
-  const int max_attempts = count * 50 + 100;
-  while (static_cast<int>(out.size()) < count && attempts < max_attempts) {
-    ++attempts;
-    const int cand = static_cast<int>(rng->UniformInt(n));
-    if (cand == src || adj.Has(src, cand)) continue;
-    out.push_back(cand);
-  }
-  // Dense rows can exhaust attempts; pad with arbitrary distinct nodes so
-  // callers always get `count` candidates.
-  int fallback = 0;
-  while (static_cast<int>(out.size()) < count && fallback < n) {
-    if (fallback != src) out.push_back(fallback);
-    ++fallback;
-  }
-  return out;
-}
-
 }  // namespace umgad

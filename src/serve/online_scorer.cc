@@ -36,47 +36,6 @@ float ApplyActivation(float x, nn::Activation act) {
   return x;
 }
 
-uint64_t MixSeed(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-/// Seed of the per-(view, relation, node) negative-sample stream. A node's
-/// structure-residual negatives depend on nothing but this seed and the
-/// node's own adjacency row, which is what makes single-node re-scoring
-/// possible (the training-time sampler walks one sequential stream
-/// node-major and cannot be replayed per node).
-uint64_t NegativeStreamSeed(uint64_t model_seed, int view, int rel, int node) {
-  uint64_t h = MixSeed(model_seed, 0x53455256454E4547ULL);  // "SERVENEG"
-  h = MixSeed(h, static_cast<uint64_t>(view));
-  h = MixSeed(h, static_cast<uint64_t>(rel));
-  h = MixSeed(h, static_cast<uint64_t>(node));
-  return h;
-}
-
-/// graph_ops.cc SampleNonNeighbors against the dynamic adjacency: the same
-/// rejection walk and deterministic fallback pad.
-std::vector<int> SampleNonNeighborsDyn(const DynamicAdjacency& adj, int src,
-                                       int count, Rng* rng) {
-  std::vector<int> out;
-  out.reserve(count);
-  const int n = adj.rows();
-  int attempts = 0;
-  const int max_attempts = count * 50 + 100;
-  while (static_cast<int>(out.size()) < count && attempts < max_attempts) {
-    ++attempts;
-    const int cand = static_cast<int>(rng->UniformInt(n));
-    if (cand == src || adj.Has(src, cand)) continue;
-    out.push_back(cand);
-  }
-  int fallback = 0;
-  while (static_cast<int>(out.size()) < count && fallback < n) {
-    if (fallback != src) out.push_back(fallback);
-    ++fallback;
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Stage pipeline: each GMAE encoder/decoder unrolls into a list of per-row
 // stages. A stage's row i is a pure function of the previous stage's rows
@@ -273,6 +232,7 @@ Result<EdgeUpdate> ParseEdgeUpdateLine(std::string_view line) {
 
 struct OnlineScorer::Impl {
   UmgadConfig config;
+  uint64_t stream_base = 0;  // NegativeStreamBase of the artifact's Rng
   std::string name;
   std::vector<std::string> relation_names;
   std::vector<int> labels;
@@ -516,13 +476,10 @@ void OnlineScorer::Impl::EnsureRow(const ChainPlan& plan, ChainState& cs,
 
 std::vector<int> OnlineScorer::Impl::DrawNegatives(int view, int rel,
                                                    int node) const {
-  // Mirrors the gate in StructureResidual: no draw when sampling is off or
-  // the node neighbours every other node.
-  const int count = config.num_score_negatives;
-  const int degree = adj[rel].degree(node);
-  if (count <= 0 || n - 1 - degree <= 0) return {};
-  Rng rng(NegativeStreamSeed(config.seed, view, rel, node));
-  return SampleNonNeighborsDyn(adj[rel], node, count, &rng);
+  // StructureResidual's draw for this node, against the current row.
+  return NodeNegatives(adj[rel], node, adj[rel].degree(node),
+                       config.num_score_negatives,
+                       NegativeStreamSeed(stream_base, view, rel));
 }
 
 void OnlineScorer::Impl::ComputeResidualNode(EngineState& st, int view,
@@ -1008,6 +965,9 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
   Impl& impl = *scorer->impl_;
   const UmgadConfig& config = scorer->model_.config();
   impl.config = config;
+  Rng scoring_rng;
+  scoring_rng.set_state(scorer->model_.scoring_rng_state());
+  impl.stream_base = NegativeStreamBase(&scoring_rng);
   impl.name = graph.name();
   impl.labels = graph.labels();
   impl.x = graph.attributes();
@@ -1150,10 +1110,6 @@ std::vector<double> OnlineScorer::RescoreFullNaive() const {
     out[i] = ScoreNode(columns, impl_->config.epsilon, i);
   }
   return out;
-}
-
-Result<std::vector<double>> OnlineScorer::BatchReplayScores() const {
-  return model_.Score(SnapshotGraph(), /*check_fingerprint=*/false);
 }
 
 MultiplexGraph OnlineScorer::SnapshotGraph() const {

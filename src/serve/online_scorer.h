@@ -105,35 +105,25 @@ struct ViewMoments {
 /// each propagation stage widens the dirty front by one hop — and lazy
 /// row-level recomputation restores them.
 ///
-/// Determinism policy (two score paths, both exact):
-///  - Incremental path (scores(), ApplyEdgeUpdate): structure-residual
-///    negatives are drawn from per-(view, relation, node) Rng streams, so
-///    a node's draw is independent of every other node. Eq. 19's z-scores
-///    read each view's ExactMoments, which an update adjusts by removing
-///    and re-adding only the components it re-scored — the moments are
-///    exact, so they equal a from-scratch sum bit for bit, and an update
-///    costs O(dirty), not O(n). scores() is
-///    bit-identical to RescoreFullNaive() — a from-scratch serial batch
-///    recompute with the same kernels and streams — after any update
-///    sequence, for any UMGAD_THREADS / arena / cache-budget setting
-///    (tests/serve_oracle_test.cc). With num_score_negatives == 0 the
-///    incremental scores also equal the training-time scores bit-for-bit.
-///  - Batch-replay path (BatchReplayScores): TrainedModel::Score over the
-///    current graph snapshot, using the artifact's captured Rng state.
-///    On the unmutated training graph this reproduces the fitted model's
-///    scores exactly (the golden-fixture serve leg).
-/// The two paths differ only in where the residual's negative samples come
-/// from; the training-time sampler walks one sequential stream node-major,
-/// which cannot be replayed for a single node in isolation.
+/// Determinism: structure-residual negatives come from the per-(view,
+/// relation, node) streams of core/scorer.h (NodeNegatives), seeded from
+/// the artifact's captured scoring Rng state, so a node's draw is
+/// independent of every other node's and can be redrawn alone after an
+/// update. Batch scoring draws from the same streams, so on the training
+/// graph scores() equals the fitted model's scores and
+/// TrainedModel::Score bit for bit. Eq. 19's z-scores read each view's
+/// ExactMoments, which an update adjusts by removing and re-adding only
+/// the components it re-scored; the moments are exact, so they equal a
+/// from-scratch sum bit for bit, and an update costs O(dirty), not O(n).
 ///
 /// Thread-safety contract: an OnlineScorer is **not** internally
 /// synchronised. ApplyEdgeUpdate(s) mutates the adjacency replicas, the
 /// row caches, the components and their moments in place, so
 ///   - at most one thread may be inside Apply* at a time, and
 ///   - no thread may call scores(), Query(), Components(), Moments(),
-///     RescoreFullNaive(), BatchReplayScores(), SnapshotGraph(), or stats()
-///     while another is inside Apply* — a concurrent read observes torn
-///     intermediate state (a data race, flagged by TSan).
+///     RescoreFullNaive(), SnapshotGraph(), or stats() while another is
+///     inside Apply* — a concurrent read observes torn intermediate state
+///     (a data race, flagged by TSan).
 /// The read methods mutate nothing (there is no cached score vector), so
 /// any number of threads may read an idle scorer at once.
 /// Distinct OnlineScorer instances share no mutable state and may be
@@ -154,8 +144,12 @@ class OnlineScorer {
 
   /// Current anomaly scores (Eq. 19) for all nodes, built on demand by
   /// ScoreNode from the components and the moments (O(n); Query is the
-  /// O(k) lookup). Empty in owner-masked component mode (the moments cover
-  /// only owned nodes — see ServeOptions::owned_nodes).
+  /// O(k) lookup). Bit-identical to RescoreFullNaive() after any update
+  /// sequence, for any UMGAD_THREADS / arena / cache-budget setting, and
+  /// to TrainedModel::Score over the current graph; on the training graph
+  /// that is the fitted model's scores (tests/serve_oracle_test.cc). Empty
+  /// in owner-masked component mode (the moments cover only owned nodes —
+  /// see ServeOptions::owned_nodes).
   std::vector<double> scores() const;
 
   /// Batched score lookup: ScoreNode per requested node, fanned across the
@@ -198,11 +192,6 @@ class OnlineScorer {
   /// comparisons run against a separate unmasked scorer instead
   /// (tests/shard_router_test.cc).
   std::vector<double> RescoreFullNaive() const;
-
-  /// TrainedModel::Score over the current graph snapshot (training-time
-  /// sequential negative stream). See the class comment for how this
-  /// differs from scores().
-  Result<std::vector<double>> BatchReplayScores() const;
 
   /// Immutable copy of the current (possibly mutated) graph.
   MultiplexGraph SnapshotGraph() const;

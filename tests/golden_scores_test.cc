@@ -61,11 +61,12 @@ TEST(GoldenScoresTest, UmgadBitEqualAcrossThreadsAndArena) {
 
 TEST(GoldenScoresTest, ServedArtifactReproducesUmgadScores) {
   // The serve leg: the pinned scores must survive a full artifact round
-  // trip — train, snapshot to .umgm, reload, stand up the online scorer,
-  // and batch-replay. Training happens once (at the reference 1-thread /
-  // arena-on setting); the replay through the reloaded artifact must then
-  // reproduce the fixture for every thread-count x arena-mode, which is
-  // exactly the serve layer's determinism contract.
+  // trip — train, snapshot to .umgm, reload, and stand up the online
+  // scorer, whose initial pass draws the same per-node negatives as Fit.
+  // Training happens once (at the reference 1-thread / arena-on setting);
+  // the served scores from the reloaded artifact must then reproduce the
+  // fixture for every thread-count x arena-mode, which is exactly the
+  // serve layer's determinism contract.
   const bool prev_arena = ArenaEnabled();
   SetArenaEnabled(true);
   SetNumThreads(1);
@@ -87,9 +88,7 @@ TEST(GoldenScoresTest, ServedArtifactReproducesUmgadScores) {
       SetNumThreads(threads);
       auto scorer = serve::OnlineScorer::Create(*loaded, graph);
       ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
-      auto replay = (*scorer)->BatchReplayScores();
-      ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-      std::vector<double> scores = *std::move(replay);
+      std::vector<double> scores = (*scorer)->scores();
       scores.resize(kGoldenScoreCount);
       ExpectScoresMatchFixture(scores, kGoldenUmgadScoreBits, "UMGAD-serve",
                                threads, arena);

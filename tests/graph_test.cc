@@ -166,5 +166,18 @@ TEST(GraphOpsTest, SampleNonNeighborsDenseRowFallback) {
   EXPECT_EQ(negs.size(), 3u);
 }
 
+TEST(GraphOpsTest, SampleNonNeighborsFallbackStaysOffNeighbours) {
+  // Node 0 neighbours every node but 999: rejection finds ~1 non-neighbour
+  // in its attempts, and the rest must be padded with non-neighbours too
+  // (999, the only one), never with edges.
+  Rng rng(11);
+  std::vector<Edge> edges;
+  for (int i = 1; i < 999; ++i) edges.push_back(Edge{0, i});
+  SparseMatrix adj = SparseMatrix::FromEdges(1000, edges, true);
+  std::vector<int> negs = SampleNonNeighbors(adj, 0, 16, &rng);
+  EXPECT_EQ(negs.size(), 16u);
+  for (int v : negs) EXPECT_EQ(v, 999);
+}
+
 }  // namespace
 }  // namespace umgad

@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "core/scorer.h"
 #include "graph/datasets.h"
+#include "serve/dynamic_adjacency.h"
 #include "tensor/init.h"
 
 namespace umgad {
@@ -255,11 +256,64 @@ TEST(StructureResidualTest, ExactAndSampledAgreeOnRanking) {
   Rng init_rng(1);
   Tensor z = RandomNormal(5, 4, 0, 1, &init_rng);
   std::vector<double> exact = StructureResidualExact(adj, z);
-  Rng rng(2);
-  std::vector<double> sampled = StructureResidual(adj, z, 200, &rng);
+  std::vector<double> sampled = StructureResidual(adj, z, 200, /*seed=*/2);
   // With enough samples the two estimates converge (all nodes here have
   // few non-neighbours).
   for (int i = 0; i < 5; ++i) EXPECT_NEAR(sampled[i], exact[i], 0.15);
+}
+
+TEST(StructureResidualTest, LaneInvariantAndEqualToServingStreams) {
+  // 600 nodes (more than one pool chunk), sparse random edges, and one hub
+  // that neighbours all but two nodes so the sampler's fallback pad runs.
+  const int n = 600;
+  Rng edge_rng(21);
+  std::vector<Edge> edges;
+  for (int k = 0; k < 1500; ++k) {
+    const int u = static_cast<int>(edge_rng.UniformInt(n));
+    const int v = static_cast<int>(edge_rng.UniformInt(n));
+    if (u != v && u != 0 && v != 0) edges.push_back(Edge{u, v});
+  }
+  for (int v = 1; v < n - 2; ++v) edges.push_back(Edge{0, v});
+  const SparseMatrix adj = SparseMatrix::FromEdges(n, edges, true);
+  Rng init_rng(22);
+  const Tensor z = RandomNormal(n, 8, 0, 1, &init_rng);
+  const uint64_t seed = NegativeStreamSeed(/*base=*/23, /*view=*/1, 0);
+  const int negatives = 16;
+
+  SetNumThreads(1);
+  const std::vector<double> reference =
+      StructureResidual(adj, z, negatives, seed);
+  for (int lanes : {2, 4}) {
+    SetNumThreads(lanes);
+    const std::vector<double> got = StructureResidual(adj, z, negatives, seed);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], reference[i]) << "lanes=" << lanes << " node " << i;
+    }
+  }
+  SetNumThreads(1);
+
+  // Per node: the serving engine's draw from the node's own stream against
+  // its mutable adjacency, combined the way it combines a residual.
+  const serve::DynamicAdjacency dyn(adj);
+  auto sigmoid = [](double x) { return 1.0 / (1.0 + std::exp(-x)); };
+  for (int i = 0; i < n; ++i) {
+    double edge_err = 0.0;
+    for (int j : dyn.neighbors(i)) {
+      edge_err += 1.0 - sigmoid(z.RowDot(i, z, j));
+    }
+    const std::vector<int> negs =
+        NodeNegatives(dyn, i, dyn.degree(i), negatives, seed);
+    ASSERT_EQ(negs.size(), static_cast<size_t>(negatives)) << "node " << i;
+    double leak = 0.0;
+    for (int u : negs) {
+      EXPECT_FALSE(dyn.Has(i, u)) << "node " << i << " negative " << u;
+      leak += sigmoid(z.RowDot(i, z, u));
+    }
+    leak /= static_cast<double>(negs.size());
+    const int degree = dyn.degree(i);
+    const double want = (degree > 0 ? edge_err / degree : 0.0) + leak;
+    EXPECT_EQ(reference[i], want) << "node " << i;
+  }
 }
 
 TEST(StructureResidualTest, PerfectEmbeddingScoresLow) {
@@ -284,8 +338,7 @@ TEST(StructureResidualTest, PerfectEmbeddingScoresLow) {
 TEST(StructureResidualTest, IsolatedNodeOnlyLeaks) {
   SparseMatrix adj = SparseMatrix::FromEdges(3, {Edge{1, 2}}, true);
   Tensor z = Tensor::Full(3, 2, 0.0f);
-  Rng rng(3);
-  std::vector<double> residual = StructureResidual(adj, z, 10, &rng);
+  std::vector<double> residual = StructureResidual(adj, z, 10, /*seed=*/3);
   // Zero embeddings: sigmoid(0) = 0.5 leak; node 0 has no edge-error term.
   EXPECT_NEAR(residual[0], 0.5, 1e-6);
 }

@@ -3,11 +3,11 @@
 // must be bit-identical to RescoreFullNaive() — a from-scratch serial
 // recompute with the same kernels — for every UMGAD_THREADS x arena-mode
 // combination (the grid comes from tests/oracle_harness.h) and every
-// cache-budget setting. Also covers the batch-replay path against the
-// fitted model's scores, the num_score_negatives == 0 equivalence with
-// training-time scoring, batched bursts (ApplyEdgeUpdates ==
-// one-at-a-time == full rescore, with prefix rollback on error),
-// ApplyEdgeUpdate's error paths, and the DynamicAdjacency
+// cache-budget setting. Also covers the one-score-path contract (the
+// fitted model's scores == TrainedModel::Score == scores() ==
+// RescoreFullNaive() at any num_score_negatives), batched bursts
+// (ApplyEdgeUpdates == one-at-a-time == full rescore, with prefix rollback
+// on error), ApplyEdgeUpdate's error paths, and the DynamicAdjacency
 // bit-compatibility contract.
 
 #include <string>
@@ -189,17 +189,19 @@ TEST(ServeOracleTest, CacheBudgetNeverChangesScores) {
 // ------------------------- score-path equivalences ------------------------
 
 TEST(ServeOracleTest, BatchReplayReproducesFittedScores) {
-  auto scorer = OnlineScorer::Create(Fixture().trained, Fixture().graph);
-  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
-  auto replay = (*scorer)->BatchReplayScores();
+  // A batch TrainedModel::Score over the artifact state replays the fitted
+  // model's scores, and the engine built from that artifact serves them.
+  auto replay = Fixture().trained.Score(Fixture().graph);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   ExpectSameBits(*replay, Fixture().model.scores(), "batch replay");
+  auto scorer = OnlineScorer::Create(Fixture().trained, Fixture().graph);
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+  ExpectSameBits((*scorer)->scores(), *replay, "serve vs batch replay");
 }
 
 TEST(ServeOracleTest, ZeroNegativesMatchesTrainingScores) {
-  // With no structure negatives the per-node streams draw nothing, so the
-  // incremental path's only divergence from training-time scoring
-  // disappears: serve scores == fitted scores bit for bit.
+  // With no structure negatives the per-node streams draw nothing; serve
+  // scores still equal the fitted scores bit for bit.
   MultiplexGraph graph = MakeTiny(123);
   UmgadConfig config = ServeConfig();
   config.num_score_negatives = 0;
@@ -210,9 +212,59 @@ TEST(ServeOracleTest, ZeroNegativesMatchesTrainingScores) {
   auto scorer = OnlineScorer::Create(*trained, graph);
   ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
   ExpectSameBits((*scorer)->scores(), model.scores(), "zero negatives");
-  auto replay = (*scorer)->BatchReplayScores();
+  auto replay = trained->Score(graph);
   ASSERT_TRUE(replay.ok());
   ExpectSameBits(*replay, model.scores(), "zero negatives replay");
+}
+
+TEST(ServeOracleTest, FittedScoresEqualServeScores) {
+  // Training and serving draw the residual negatives from the same
+  // per-node streams, so the four score paths agree bit for bit at any
+  // sample count, lane count and arena mode: Fit, TrainedModel::Score on
+  // the reloaded artifact state, the incremental engine and its serial
+  // oracle. After a stream of updates the engine still equals a batch
+  // TrainedModel::Score over the mutated graph.
+  const bool prev_arena = ArenaEnabled();
+  MultiplexGraph graph = MakeTiny(123);
+  const std::vector<EdgeUpdate> updates =
+      MakeUpdateSequence(graph, 6, /*seed=*/59);
+  for (int negatives : {0, 2, 16}) {
+    for (bool arena : {true, false}) {
+      for (int threads : {1, 4}) {
+        SetArenaEnabled(arena);
+        SetNumThreads(threads);
+        const std::string label =
+            "negatives=" + std::to_string(negatives) +
+            " threads=" + std::to_string(threads) +
+            " arena=" + (arena ? "1" : "0");
+        UmgadConfig config = ServeConfig();
+        config.num_score_negatives = negatives;
+        UmgadModel model(config);
+        ASSERT_TRUE(model.Fit(graph).ok()) << label;
+        auto trained = TrainedModel::FromFitted(model, graph);
+        ASSERT_TRUE(trained.ok()) << label;
+        auto batch = trained->Score(graph);
+        ASSERT_TRUE(batch.ok()) << label << ": " << batch.status().ToString();
+        ExpectSameBits(*batch, model.scores(), label + " TrainedModel::Score");
+        auto scorer = OnlineScorer::Create(*trained, graph);
+        ASSERT_TRUE(scorer.ok()) << label << ": "
+                                 << scorer.status().ToString();
+        ExpectSameBits((*scorer)->scores(), model.scores(), label + " serve");
+        ExpectSameBits((*scorer)->RescoreFullNaive(), model.scores(),
+                       label + " naive");
+
+        ASSERT_TRUE((*scorer)->ApplyEdgeUpdates(updates).ok()) << label;
+        auto mutated =
+            trained->Score((*scorer)->SnapshotGraph(),
+                           /*check_fingerprint=*/false);
+        ASSERT_TRUE(mutated.ok()) << label;
+        ExpectSameBits((*scorer)->scores(), *mutated,
+                       label + " after updates");
+      }
+    }
+  }
+  SetNumThreads(1);
+  SetArenaEnabled(prev_arena);
 }
 
 TEST(ServeOracleTest, RevertedUpdateRestoresScores) {

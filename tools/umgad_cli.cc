@@ -20,8 +20,8 @@
 // train: --save-model PATH.umgm, --epochs N
 // serve: --model PATH.umgm, --stream FILE|- ("+ src dst rel" inserts an
 //        edge, "- src dst rel" removes one, applied incrementally),
-//        --naive / --replay-batch (score-path selection for differential
-//        checks), --shards S / --queue-capacity N (concurrent sharded
+//        --naive (serial from-scratch oracle, for differential checks),
+//        --shards S / --queue-capacity N (concurrent sharded
 //        serving; drained output byte-identical to the flat path),
 //        --metrics (counters + latency percentiles to stderr),
 //        --save-scores PATH (CSV; default stdout)
@@ -78,7 +78,6 @@ struct CliArgs {
   std::string stream;
   std::string save_scores;
   bool naive = false;
-  bool replay_batch = false;
   int shards = 0;  // 0 = flat single-scorer path
   int queue_capacity = 0;  // 0 = RouterOptions default
   bool metrics = false;
@@ -111,7 +110,7 @@ int Usage() {
       "                  [--epochs N] [--partitions P]\n"
       "                  [--partition-method dbh|hdrf]\n"
       "  serve <path|name> --model PATH.umgm [--stream FILE|-]\n"
-      "                  [--naive | --replay-batch] [--save-scores PATH]\n"
+      "                  [--naive] [--save-scores PATH]\n"
       "                  [--shards S] [--queue-capacity N] [--metrics]\n"
       "                  [--seed N] [--scale S]\n"
       "\n"
@@ -131,9 +130,8 @@ int Usage() {
       "serve applies a stream of edge updates (\"+ src dst rel\" inserts,\n"
       "\"- src dst rel\" removes; '#' comments) with incremental re-scoring\n"
       "and emits \"node,score\" CSV. --naive re-scores from scratch with the\n"
-      "serial oracle kernels; --replay-batch replays the artifact's batch\n"
-      "scoring pass over the final graph. All three paths agree on an\n"
-      "unmutated graph; the first two agree after any stream. --shards S\n"
+      "serial oracle kernels; both paths agree after any stream, and on an\n"
+      "unmutated graph they equal the scores `run` prints. --shards S\n"
       "routes the stream through S concurrent scorer shards instead — the\n"
       "drained CSV is byte-identical to the single-scorer path (the CI\n"
       "cli-smoke job diffs them). --metrics prints serving counters and\n"
@@ -237,8 +235,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->save_scores = v;
     } else if (arg == "--naive") {
       args->naive = true;
-    } else if (arg == "--replay-batch") {
-      args->replay_batch = true;
     } else if (arg == "--shards") {
       const char* v = next("--shards");
       if (v == nullptr) return false;
@@ -654,13 +650,8 @@ int CmdServe(const CliArgs& args) {
     std::cerr << "serve needs --model PATH." << kModelExtension << "\n";
     return 2;
   }
-  if (args.naive && args.replay_batch) {
-    std::cerr << "--naive and --replay-batch are mutually exclusive\n";
-    return 2;
-  }
-  if (args.shards > 0 && (args.naive || args.replay_batch)) {
-    std::cerr << "--shards serves the incremental path only (no --naive/"
-                 "--replay-batch)\n";
+  if (args.shards > 0 && args.naive) {
+    std::cerr << "--shards serves the incremental path only (no --naive)\n";
     return 2;
   }
   LoadDatasetOptions load = LoadOptionsFrom(args);
@@ -705,16 +696,8 @@ int CmdServe(const CliArgs& args) {
     std::cerr << KernelSummaryLine() << "\n";
   }
 
-  std::vector<double> scores;
-  if (args.replay_batch) {
-    Result<std::vector<double>> replay = (*scorer)->BatchReplayScores();
-    if (!replay.ok()) return FailWith(replay.status());
-    scores = *std::move(replay);
-  } else if (args.naive) {
-    scores = (*scorer)->RescoreFullNaive();
-  } else {
-    scores = (*scorer)->scores();
-  }
+  const std::vector<double> scores =
+      args.naive ? (*scorer)->RescoreFullNaive() : (*scorer)->scores();
   const Status written = WriteScoresCsv(args.save_scores, {"score"}, {scores});
   if (!written.ok()) return FailWith(written);
   if (!args.save_scores.empty()) {
