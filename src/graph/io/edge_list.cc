@@ -127,7 +127,6 @@ int AutoChunkCount(size_t bytes) {
 }
 
 int ResolveChunkCount(const EdgeListOptions& options, size_t bytes) {
-  if (!options.parallel) return 1;
   if (options.import_chunks >= 1) return options.import_chunks;
   return AutoChunkCount(bytes);
 }

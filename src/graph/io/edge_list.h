@@ -40,7 +40,7 @@ enum class HeaderMode {
 /// newline-aligned byte ranges (line_chunks.h), and the ranges are parsed
 /// on the global ThreadPool, then merged in chunk order. The merged graph
 /// — and every error message — is bit-identical to the serial parse
-/// (`parallel = false`, equivalently one chunk) for any UMGAD_THREADS;
+/// (`import_chunks = 1`) for any UMGAD_THREADS;
 /// tests/io_differential_test.cc pins that contract.
 struct EdgeListOptions {
   /// Graph name recorded in the result.
@@ -52,13 +52,10 @@ struct EdgeListOptions {
   /// Header handling for the edges file (see HeaderMode).
   HeaderMode header = HeaderMode::kAuto;
 
-  /// Parse edge/feature chunks on the ThreadPool (bit-identical to the
-  /// serial parse either way; false forces one chunk).
-  bool parallel = true;
-
   /// Chunk-count override: 0 sizes chunks automatically from the file size
-  /// and thread count; >= 1 forces exactly that target (tests use this to
-  /// exercise multi-chunk merges on small files).
+  /// and thread count; >= 1 forces exactly that target (1 is the serial
+  /// parse; tests use larger counts to exercise multi-chunk merges on small
+  /// files).
   int import_chunks = 0;
 
   /// Node count; 0 infers (max node id + 1, or the feature-file row count

@@ -59,9 +59,7 @@ Result<MultiplexGraph> LoadDataset(const std::string& path_or_name,
     if (LooksLikeTextGraph(path_or_name)) {
       return LoadGraph(path_or_name);
     }
-    EdgeListOptions edge_list = options.edge_list;
-    edge_list.parallel = options.parallel_import;
-    return ImportEdgeList(path_or_name, edge_list);
+    return ImportEdgeList(path_or_name, options.edge_list);
   }
 
   const DatasetRegistry& registry = DatasetRegistry::Global();

@@ -23,9 +23,6 @@ struct LoadDatasetOptions {
   /// load a bit-identical graph; the owned buffer also survives a later
   /// in-place rewrite of the file by another process, a mapping does not.
   bool prefer_mmap = false;
-  /// Parse edge-list imports in newline-aligned chunks on the thread pool
-  /// (bit-identical to the serial parse); overrides edge_list.parallel.
-  bool parallel_import = true;
   EdgeListOptions edge_list;
 };
 

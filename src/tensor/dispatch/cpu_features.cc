@@ -1,12 +1,6 @@
 #include "tensor/dispatch/cpu_features.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <mutex>
-#include <sstream>
-
-#include "common/logging.h"
-#include "common/string_util.h"
 
 namespace umgad {
 namespace dispatch {
@@ -38,28 +32,7 @@ unsigned Detect() {
 #endif
 }
 
-/// Disabled mask, seeded once from UMGAD_CPU_DISABLE. ~0u = not yet seeded.
-std::atomic<unsigned> g_disabled{~0u};
-std::once_flag g_disabled_once;
-
-unsigned DisabledMask() {
-  std::call_once(g_disabled_once, [] {
-    unsigned expect = ~0u;
-    unsigned seed = 0;
-    if (const char* env = std::getenv("UMGAD_CPU_DISABLE")) {
-      Result<unsigned> parsed = ParseCpuFeatureList(env);
-      if (parsed.ok()) {
-        seed = *parsed;
-      } else {
-        UMGAD_LOG(Warning) << "UMGAD_CPU_DISABLE ignored: "
-                           << parsed.status().ToString();
-      }
-    }
-    // A test may have set the mask before the first env read; keep it.
-    g_disabled.compare_exchange_strong(expect, seed);
-  });
-  return g_disabled.load(std::memory_order_acquire);
-}
+std::atomic<unsigned> g_disabled{0};
 
 }  // namespace
 
@@ -69,32 +42,7 @@ unsigned DetectedCpuFeatures() {
 }
 
 unsigned EffectiveCpuFeatures() {
-  return DetectedCpuFeatures() & ~DisabledMask();
-}
-
-Result<unsigned> ParseCpuFeatureList(const std::string& list) {
-  unsigned mask = 0;
-  std::stringstream in(list);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const size_t b = item.find_first_not_of(" \t");
-    if (b == std::string::npos) continue;
-    const size_t e = item.find_last_not_of(" \t");
-    const std::string name = item.substr(b, e - b + 1);
-    bool found = false;
-    for (const FeatureName& f : kFeatureNames) {
-      if (name == f.name) {
-        mask |= f.bit;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument(
-          StrFormat("unknown CPU feature \"%s\"", name.c_str()));
-    }
-  }
-  return mask;
+  return DetectedCpuFeatures() & ~g_disabled.load();
 }
 
 std::string CpuFeatureListString(unsigned mask) {
@@ -107,14 +55,9 @@ std::string CpuFeatureListString(unsigned mask) {
   return out.empty() ? "-" : out;
 }
 
-namespace internal {
-void SetDisabledCpuFeatures(unsigned mask) {
-  // Force the env seed first so a later DisabledMask() cannot overwrite the
-  // test's value through the once-flag race.
-  DisabledMask();
-  g_disabled.store(mask, std::memory_order_release);
+void SetDisabledCpuFeaturesForTest(unsigned mask) {
+  g_disabled.store(mask);
 }
-}  // namespace internal
 
 }  // namespace dispatch
 }  // namespace umgad

@@ -3,15 +3,12 @@
 
 #include <string>
 
-#include "common/result.h"
-
 namespace umgad {
 namespace dispatch {
 
-/// SIMD capability bits a kernel variant can require (see registry.h).
-/// Detection uses the compiler's cpuid intrinsics on x86-64; every bit is
-/// 0 on other architectures, so only feature-free variants are eligible
-/// there and selection degrades gracefully.
+/// SIMD capability bits of the host CPU. Detection uses the compiler's
+/// cpuid intrinsics on x86-64; every bit is 0 on other architectures, so
+/// the dense products run their baseline micro-kernels there.
 enum CpuFeature : unsigned {
   kFeatSse2 = 1u << 0,
   kFeatAvx = 1u << 1,
@@ -23,24 +20,17 @@ enum CpuFeature : unsigned {
 /// Feature bits of the host CPU (cpuid; cached after the first call).
 unsigned DetectedCpuFeatures();
 
-/// DetectedCpuFeatures() minus the disabled mask. The mask seeds from the
-/// UMGAD_CPU_DISABLE env var ("avx2,avx512f") on first use; tests override
-/// it through SetDisabledCpuFeaturesForTest (registry.h), which also
-/// invalidates the registry's cached selections.
+/// DetectedCpuFeatures() minus the bits a test masked off through
+/// SetDisabledCpuFeaturesForTest. The dense products read this on every
+/// call to pick their micro-kernel tier.
 unsigned EffectiveCpuFeatures();
-
-/// Parse a comma-separated feature list ("avx2,fma"). InvalidArgument on an
-/// unknown name; the empty string parses to 0.
-Result<unsigned> ParseCpuFeatureList(const std::string& list);
 
 /// Human-readable form of a feature mask ("sse2 avx avx2"); "-" when empty.
 std::string CpuFeatureListString(unsigned mask);
 
-namespace internal {
-/// Raw setter behind SetDisabledCpuFeaturesForTest; does not touch the
-/// registry cache. Not for direct use outside registry.cc/tests.
-void SetDisabledCpuFeatures(unsigned mask);
-}  // namespace internal
+/// Test hook: masks CPU features off, as if the CPU lacked them, so a test
+/// can run the baseline tier on an AVX2 host. Pass 0 to restore.
+void SetDisabledCpuFeaturesForTest(unsigned mask);
 
 }  // namespace dispatch
 }  // namespace umgad

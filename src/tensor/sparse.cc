@@ -8,7 +8,6 @@
 
 #include "common/thread_pool.h"
 #include "graph/io/io_limits.h"
-#include "tensor/dispatch/registry.h"
 
 namespace umgad {
 
@@ -239,12 +238,42 @@ bool SparseMatrix::Has(int i, int j) const {
   return std::binary_search(begin, end, j);
 }
 
-// The variant bodies live in dispatch/spmm_variants.cc; both partition by
-// output row with the serial per-row nonzero order, so any selection is
-// bit-identical for any thread count / schedule.
+// Row-partitioned: each output row is produced by exactly one task with the
+// serial per-row nonzero order, so results are invariant to the thread count
+// and to the schedule — flat row ranges, or block-affine when a partition
+// schedule is attached (each lane then walks whole blocks whose
+// neighbourhoods stay cache-resident).
 Tensor SparseMatrix::Multiply(const Tensor& x) const {
   UMGAD_CHECK_EQ(cols_, x.rows());
-  return dispatch::KernelRegistry::Global()->spmm()(*this, x);
+  const int d = x.cols();
+  Tensor y(rows_, d);
+  const std::shared_ptr<const RowBlocks> blocks = row_blocks();
+  ForEachRowBlocked(rows_, blocks.get(), kSpmmRowGrain, [&](int i) {
+    float* yrow = y.row(i);
+    for (int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+      const float v = values_[k];
+      const float* xrow = x.row(col_idx_[k]);
+      for (int j = 0; j < d; ++j) yrow[j] += v * xrow[j];
+    }
+  });
+  return y;
+}
+
+// The seed's serial CSR row sweep, kept as the oracle Multiply is pinned
+// against.
+Tensor SparseMatrix::MultiplyNaive(const Tensor& x) const {
+  UMGAD_CHECK_EQ(cols_, x.rows());
+  const int d = x.cols();
+  Tensor y(rows_, d);
+  for (int i = 0; i < rows_; ++i) {
+    float* yrow = y.row(i);
+    for (int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+      const float v = values_[k];
+      const float* xrow = x.row(col_idx_[k]);
+      for (int j = 0; j < d; ++j) yrow[j] += v * xrow[j];
+    }
+  }
+  return y;
 }
 
 // The seed's serial scatter loop: the CSR walk scatters into

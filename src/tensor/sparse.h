@@ -137,7 +137,16 @@ class SparseMatrix {
   bool Has(int i, int j) const;
 
   /// Dense Y = S * X. Shapes: (m,n) x (n,d) -> (m,d).
+  ///
+  /// Row-parallel (block-affine when row blocks are attached): each output
+  /// row is owned by one thread and accumulates its nonzeros in CSR order,
+  /// so results are bit-identical to MultiplyNaive for any UMGAD_THREADS.
+  /// This is the Spmm forward kernel.
   Tensor Multiply(const Tensor& x) const;
+
+  /// The seed's serial row sweep, kept as the cross-check oracle for tests
+  /// and benches.
+  Tensor MultiplyNaive(const Tensor& x) const;
 
   /// Dense Y = S^T * X. Shapes: (m,n)^T x (m,d) -> (n,d).
   ///

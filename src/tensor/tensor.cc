@@ -7,7 +7,7 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "tensor/dispatch/registry.h"
+#include "tensor/dispatch/matmul_impl.h"
 
 namespace umgad {
 
@@ -177,27 +177,26 @@ Tensor MatMulTransANaive(const Tensor& a, const Tensor& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense products dispatch through the kernel registry (src/tensor/dispatch/):
-// the blocked register-tiled core now lives in dispatch/matmul_variants.cc
-// (design notes in docs/PERFORMANCE.md, registry design in
-// docs/ARCHITECTURE.md §13). Every registered variant accumulates each C
-// element in ascending-k order by exactly one thread, so any selection is
-// bit-identical to MatMulNaive and invariant to UMGAD_THREADS.
+// Dense products run the blocked register-tiled core
+// (dispatch/blocked_matmul.cc; design notes in docs/PERFORMANCE.md) with the
+// micro-kernel tier cpuid picks (docs/ARCHITECTURE.md §13). Both tiers
+// accumulate each C element in ascending-k order by exactly one thread, so
+// the product is bit-identical to MatMulNaive on any host and invariant to
+// UMGAD_THREADS.
 // ---------------------------------------------------------------------------
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   UMGAD_CHECK_EQ(a.cols(), b.rows());
-  return dispatch::KernelRegistry::Global()->matmul()(a, b);
+  return dispatch::BlockedMatMul(a, b, dispatch::ActiveMicroKernels());
 }
 
 Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   UMGAD_CHECK_EQ(a.cols(), b.cols());
-  return dispatch::KernelRegistry::Global()->matmul_trans_b()(a, b);
+  return MatMul(a, Transpose(b));
 }
 
 // A^T B stays a direct transpose + plain product; it only runs on the
-// training tape (gradient accumulation), where the registry's matmul
-// selection already applies through MatMul.
+// training tape (gradient accumulation).
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   UMGAD_CHECK_EQ(a.rows(), b.rows());
   return MatMul(Transpose(a), b);

@@ -82,7 +82,7 @@ TEST_P(IoDifferentialTest, AllLoadersBitIdentical) {
     ExpectGraphsBitIdentical(tag + "mmap", mapped->graph(), reference);
 
     EdgeListOptions serial = import;
-    serial.parallel = false;
+    serial.import_chunks = 1;
     Result<MultiplexGraph> from_serial = ImportEdgeList(edges_path, serial);
     ASSERT_TRUE(from_serial.ok()) << tag << from_serial.status().message();
     ExpectGraphsBitIdentical(tag + "edge-list serial", *from_serial,

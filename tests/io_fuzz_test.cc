@@ -217,7 +217,7 @@ TEST_F(IoFuzzTest, EdgeListFuzzNeverCrashes) {
       out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
     }
     EdgeListOptions serial;
-    serial.parallel = false;
+    serial.import_chunks = 1;
     EdgeListOptions chunked;
     chunked.import_chunks = 4;
     Result<MultiplexGraph> s = ImportEdgeList(edges_path, serial);

@@ -1,13 +1,10 @@
-// Kernel-dispatch registry contract (src/tensor/dispatch/registry.h):
-// priority selection over CPU-feature-gated variants, per-op and global
-// overrides (SetOverride is the same code path the UMGAD_KERNEL env var
-// runs through at startup — the CI cli-smoke leg exercises the env var
-// itself across a process boundary), graceful fallback when an override
-// needs features the host lacks, and the central invariant that every
-// variant of one op is bit-identical to the naive reference for any
-// UMGAD_THREADS x arena combination. The feature mask is faked through
-// SetDisabledCpuFeaturesForTest, so the fallback paths run even on
-// machines that do have AVX2.
+// Kernel-selection contract (src/tensor/dispatch/): each product runs one
+// kernel, the dense ones with the micro-kernel tier cpuid picks, and every
+// tier is bit-identical to the serial oracles (MatMulNaive,
+// SparseMatrix::MultiplyNaive) for any UMGAD_THREADS x arena combination.
+// SetDisabledCpuFeaturesForTest masks AVX2 off, so the baseline tier runs
+// here even on machines that do have AVX2; KernelRegistry::Selections()
+// must report whichever tier runs.
 
 #include <string>
 #include <vector>
@@ -15,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/umgad.h"
+#include "graph/datasets.h"
 #include "oracle_harness.h"
 #include "tensor/dispatch/cpu_features.h"
+#include "tensor/dispatch/matmul_impl.h"
 #include "tensor/dispatch/registry.h"
 #include "tensor/init.h"
 #include "tensor/sparse.h"
@@ -29,7 +29,6 @@ using dispatch::KernelOp;
 using dispatch::KernelRegistry;
 using dispatch::KernelSelection;
 using ::umgad::testing::ExpectBitIdentical;
-using ::umgad::testing::OracleSweep;
 using ::umgad::testing::Tensors;
 
 Tensor RandomTensor(int r, int c, uint64_t seed) {
@@ -47,14 +46,42 @@ SparseMatrix RandomSparse(int n, int edges, uint64_t seed) {
   return SparseMatrix::FromEdges(n, e, /*symmetrize=*/true);
 }
 
-/// The registry is a process-wide singleton: every test restores the
-/// no-override, no-masked-features state on exit so suites compose.
+/// True when this build compiled the AVX2 tier and the CPU can run it.
+bool HostHasAvx2Tier() {
+  return dispatch::Avx2MicroKernels() != nullptr &&
+         (dispatch::DetectedCpuFeatures() & dispatch::kFeatAvx2) != 0;
+}
+
+/// The feature masks the sweeps run under: the host's own tier, then the
+/// baseline tier with AVX2 masked off (the same tier on hosts without it).
+struct Tier {
+  const char* label;
+  unsigned disabled;
+};
+constexpr Tier kTiers[] = {{"default tier", 0},
+                           {"avx2 masked", dispatch::kFeatAvx2}};
+
+/// (m, k, n) dense shapes straddling the 8-row / 64-column micro-kernel
+/// tiles and the 2^15 small-product shortcut: 15*32*64 falls below it,
+/// 16*32*64 sits exactly on it, the rest run the blocked core with row and
+/// column remainders.
+struct Shape {
+  int m, k, n;
+};
+constexpr Shape kShapes[] = {{1, 1, 1},    {15, 32, 64},  {16, 32, 64},
+                             {9, 63, 65},  {37, 29, 71},  {8, 64, 128},
+                             {67, 48, 129}};
+
+std::string ShapeLabel(const Tier& tier, const Shape& s) {
+  return std::string(tier.label) + " " + std::to_string(s.m) + "x" +
+         std::to_string(s.k) + "x" + std::to_string(s.n);
+}
+
+/// The feature mask is process-wide: every test restores it on exit so
+/// suites compose.
 class KernelRegistryTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    KernelRegistry::Global()->ClearOverrides();
-    dispatch::SetDisabledCpuFeaturesForTest(0);
-  }
+  void TearDown() override { dispatch::SetDisabledCpuFeaturesForTest(0); }
 };
 
 KernelSelection SelectionFor(KernelOp op) {
@@ -65,38 +92,24 @@ KernelSelection SelectionFor(KernelOp op) {
   return {};
 }
 
-bool HasVariant(const KernelSelection& sel, const std::string& name) {
-  for (const auto& v : sel.variants) {
-    if (v.name == name) return true;
-  }
-  return false;
-}
-
-// ------------------------- variant inventory ------------------------------
+// ------------------------- selection report -------------------------------
 
 TEST_F(KernelRegistryTest, EveryOpHasANaiveFloorAndADefaultWinner) {
-  const auto selections = KernelRegistry::Global()->Selections();
-  ASSERT_EQ(static_cast<int>(selections.size()), dispatch::kNumKernelOps);
-  for (const KernelSelection& sel : selections) {
-    const std::string op = dispatch::KernelOpName(sel.op);
-    EXPECT_TRUE(HasVariant(sel, "naive")) << op;
-    EXPECT_FALSE(sel.variant.empty()) << op;
-    EXPECT_FALSE(sel.overridden) << op;
-    EXPECT_FALSE(sel.fell_back) << op;
-    // Variants are reported priority-descending, and the active one is the
-    // best whose feature requirements the effective mask satisfies.
-    const unsigned have = dispatch::EffectiveCpuFeatures();
-    for (size_t i = 1; i < sel.variants.size(); ++i) {
-      EXPECT_GE(sel.variants[i - 1].priority, sel.variants[i].priority) << op;
-    }
-    for (const auto& v : sel.variants) {
-      if ((v.required_features & have) == v.required_features) {
-        EXPECT_EQ(sel.variant, v.name)
-            << op << ": best eligible variant is not the active one";
-        break;
-      }
-    }
-  }
+  // The default kernel is the blocked one, on the widest tier the host has.
+  const std::string dense = HostHasAvx2Tier() ? "blocked_avx2" : "blocked";
+  EXPECT_EQ(SelectionFor(KernelOp::kMatMul).variant, dense);
+  EXPECT_EQ(SelectionFor(KernelOp::kMatMulTransB).variant, dense);
+  EXPECT_EQ(SelectionFor(KernelOp::kSpmm).variant, "blocked");
+
+  // The floor: below the small-product shortcut the dense kernels run the
+  // naive loop itself, and an empty sparse operator yields zeros.
+  Tensor a = RandomTensor(5, 7, 1);
+  Tensor b = RandomTensor(7, 3, 2);
+  EXPECT_EQ(MaxAbsDiff(MatMul(a, b), MatMulNaive(a, b)), 0.0);
+  EXPECT_EQ(MaxAbsDiff(MatMulTransB(a, Transpose(b)), MatMulNaive(a, b)), 0.0);
+  SparseMatrix empty = SparseMatrix::FromEdges(7, {}, /*symmetrize=*/true);
+  EXPECT_EQ(MaxAbsDiff(empty.Multiply(RandomTensor(7, 3, 3)), Tensor(7, 3)),
+            0.0);
 }
 
 TEST_F(KernelRegistryTest, RegistryHoldsExactlyTheFloatForwardOps) {
@@ -109,160 +122,111 @@ TEST_F(KernelRegistryTest, RegistryHoldsExactlyTheFloatForwardOps) {
 }
 
 TEST_F(KernelRegistryTest, ResolveReturnsNonNullForEveryOp) {
-  KernelRegistry* reg = KernelRegistry::Global();
-  for (int i = 0; i < dispatch::kNumKernelOps; ++i) {
-    EXPECT_NE(reg->Resolve(static_cast<KernelOp>(i)), nullptr);
-  }
-}
-
-// ------------------------- overrides --------------------------------------
-
-TEST_F(KernelRegistryTest, BareNameOverridePinsEveryOpThatHasIt) {
-  KernelRegistry* reg = KernelRegistry::Global();
-  ASSERT_TRUE(reg->SetOverride("naive").ok());
-  for (const KernelSelection& sel : reg->Selections()) {
-    EXPECT_TRUE(sel.overridden) << dispatch::KernelOpName(sel.op);
-    EXPECT_EQ(sel.variant, "naive") << dispatch::KernelOpName(sel.op);
-    EXPECT_FALSE(sel.fell_back) << dispatch::KernelOpName(sel.op);
-  }
-  reg->ClearOverrides();
-  for (const KernelSelection& sel : reg->Selections()) {
-    EXPECT_FALSE(sel.overridden) << dispatch::KernelOpName(sel.op);
-  }
-}
-
-TEST_F(KernelRegistryTest, PerOpOverrideListPinsOnlyNamedOps) {
-  KernelRegistry* reg = KernelRegistry::Global();
-  ASSERT_TRUE(reg->SetOverride("matmul=naive,spmm=naive").ok());
-  for (const KernelSelection& sel : reg->Selections()) {
-    const bool pinned =
-        sel.op == KernelOp::kMatMul || sel.op == KernelOp::kSpmm;
-    EXPECT_EQ(sel.overridden, pinned) << dispatch::KernelOpName(sel.op);
-    if (pinned) {
-      EXPECT_EQ(sel.variant, "naive");
+  // Every op reports a named kernel under either tier, in KernelOp order.
+  for (const Tier& tier : kTiers) {
+    dispatch::SetDisabledCpuFeaturesForTest(tier.disabled);
+    const std::vector<KernelSelection> selections =
+        KernelRegistry::Global()->Selections();
+    ASSERT_EQ(static_cast<int>(selections.size()), dispatch::kNumKernelOps);
+    for (int i = 0; i < dispatch::kNumKernelOps; ++i) {
+      EXPECT_EQ(selections[i].op, static_cast<KernelOp>(i)) << tier.label;
+      EXPECT_NE(dispatch::KernelOpName(selections[i].op), nullptr);
+      EXPECT_FALSE(selections[i].variant.empty()) << tier.label;
     }
   }
 }
-
-TEST_F(KernelRegistryTest, InvalidOverrideRejectsWithoutStateChange) {
-  KernelRegistry* reg = KernelRegistry::Global();
-  // Unknown variant name (globally and per-op), unknown op name, and a
-  // list whose *last* entry is bad — the valid prefix must not stick.
-  for (const char* spec :
-       {"no_such_variant", "matmul=no_such_variant", "no_such_op=naive",
-        "matmul=naive,spmm=no_such_variant", "matmul"}) {
-    const Status s = reg->SetOverride(spec);
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << spec;
-    for (const KernelSelection& sel : reg->Selections()) {
-      EXPECT_FALSE(sel.overridden)
-          << spec << " leaked into " << dispatch::KernelOpName(sel.op);
-    }
-  }
-}
-
-// ------------------------- feature gating ---------------------------------
 
 TEST_F(KernelRegistryTest, DisablingAFeatureDemotesTheSelection) {
-  const KernelSelection before = SelectionFor(KernelOp::kMatMul);
-  if (!HasVariant(before, "blocked_avx2") ||
-      !(dispatch::EffectiveCpuFeatures() & dispatch::kFeatAvx2)) {
-    GTEST_SKIP() << "no feature-gated matmul tier on this build/host";
+  if (!HostHasAvx2Tier()) {
+    GTEST_SKIP() << "no AVX2 tier on this build/host";
   }
-  EXPECT_EQ(before.variant, "blocked_avx2");
+  EXPECT_EQ(SelectionFor(KernelOp::kMatMul).variant, "blocked_avx2");
 
   dispatch::SetDisabledCpuFeaturesForTest(dispatch::kFeatAvx2);
-  const KernelSelection masked = SelectionFor(KernelOp::kMatMul);
-  EXPECT_EQ(masked.variant, "blocked");
-  EXPECT_FALSE(masked.fell_back);  // priority selection, not a fallback
+  EXPECT_EQ(SelectionFor(KernelOp::kMatMul).variant, "blocked");
+  EXPECT_EQ(SelectionFor(KernelOp::kMatMulTransB).variant, "blocked");
+  EXPECT_EQ(SelectionFor(KernelOp::kSpmm).variant, "blocked");
 
   dispatch::SetDisabledCpuFeaturesForTest(0);
   EXPECT_EQ(SelectionFor(KernelOp::kMatMul).variant, "blocked_avx2");
-}
-
-TEST_F(KernelRegistryTest, UnusableOverrideFallsBackGracefully) {
-  KernelRegistry* reg = KernelRegistry::Global();
-  const KernelSelection sel = SelectionFor(KernelOp::kMatMul);
-  if (!HasVariant(sel, "blocked_avx2")) {
-    GTEST_SKIP() << "no feature-gated matmul tier on this build";
-  }
-  // Pinning a variant the (masked) CPU cannot run is accepted — think of a
-  // config file shared across heterogeneous hosts — and resolution warns
-  // and falls back to the best eligible variant instead of crashing.
-  dispatch::SetDisabledCpuFeaturesForTest(dispatch::kFeatAvx2);
-  ASSERT_TRUE(reg->SetOverride("matmul=blocked_avx2").ok());
-
-  Tensor a = RandomTensor(19, 23, 11);
-  Tensor b = RandomTensor(23, 17, 12);
-  const Tensor got = MatMul(a, b);  // must not execute AVX2 code
-  EXPECT_EQ(MaxAbsDiff(got, MatMulNaive(a, b)), 0.0);
-
-  // A fell-back pin reports fell_back, not overridden: the active variant
-  // is NOT the requested one (inspect --kernels shows "(fallback)").
-  const KernelSelection after = SelectionFor(KernelOp::kMatMul);
-  EXPECT_FALSE(after.overridden);
-  EXPECT_TRUE(after.fell_back);
-  EXPECT_EQ(after.variant, "blocked");
-
-  // Restoring the feature makes the pinned variant take effect for real.
-  dispatch::SetDisabledCpuFeaturesForTest(0);
-  const KernelSelection restored = SelectionFor(KernelOp::kMatMul);
-  EXPECT_EQ(restored.variant, "blocked_avx2");
-  EXPECT_FALSE(restored.fell_back);
+  EXPECT_EQ(SelectionFor(KernelOp::kMatMulTransB).variant, "blocked_avx2");
 }
 
 // ------------------------- bit-identity -----------------------------------
 
-// The registry's core promise: switching variants never changes a single
-// bit. Pin each eligible variant in turn and sweep the differential
-// harness against the naive reference.
+// The tiers' core promise: switching the micro-kernel ISA never changes a
+// single bit. Each tier sweeps the differential harness against the serial
+// oracle.
 
 TEST_F(KernelRegistryTest, EveryMatMulVariantIsBitIdenticalToNaive) {
-  // Shapes straddle the 8-row / 64-col micro-kernel tiles and exceed the
-  // small-product shortcut (37*29*71 multiplies > 2^15).
-  Tensor a = RandomTensor(37, 29, 21);
-  Tensor b = RandomTensor(29, 71, 22);
-  KernelRegistry* reg = KernelRegistry::Global();
-  const unsigned have = dispatch::EffectiveCpuFeatures();
-  for (const auto& v : SelectionFor(KernelOp::kMatMul).variants) {
-    if ((v.required_features & have) != v.required_features) continue;
-    ASSERT_TRUE(reg->SetOverride("matmul=" + v.name).ok());
-    ExpectBitIdentical("matmul variant " + v.name,
-                       [&] { return Tensors{MatMul(a, b)}; },
-                       [&] { return Tensors{MatMulNaive(a, b)}; });
+  for (const Tier& tier : kTiers) {
+    dispatch::SetDisabledCpuFeaturesForTest(tier.disabled);
+    for (const Shape& s : kShapes) {
+      Tensor a = RandomTensor(s.m, s.k, 21);
+      Tensor b = RandomTensor(s.k, s.n, 22);
+      ExpectBitIdentical("matmul " + ShapeLabel(tier, s),
+                         [&] { return Tensors{MatMul(a, b)}; },
+                         [&] { return Tensors{MatMulNaive(a, b)}; });
+    }
   }
 }
 
 TEST_F(KernelRegistryTest, EveryMatMulTransBVariantIsBitIdenticalToNaive) {
-  Tensor a = RandomTensor(33, 29, 31);
-  Tensor b = RandomTensor(70, 29, 32);  // row-major weights, b.cols == a.cols
-  KernelRegistry* reg = KernelRegistry::Global();
-  const unsigned have = dispatch::EffectiveCpuFeatures();
-  for (const auto& v : SelectionFor(KernelOp::kMatMulTransB).variants) {
-    if ((v.required_features & have) != v.required_features) continue;
-    ASSERT_TRUE(reg->SetOverride("matmul_transb=" + v.name).ok());
-    ExpectBitIdentical(
-        "matmul_transb variant " + v.name,
-        [&] { return Tensors{MatMulTransB(a, b)}; },
-        [&] { return Tensors{MatMulNaive(a, Transpose(b))}; });
+  for (const Tier& tier : kTiers) {
+    dispatch::SetDisabledCpuFeaturesForTest(tier.disabled);
+    for (const Shape& s : kShapes) {
+      Tensor a = RandomTensor(s.m, s.k, 31);
+      Tensor b = RandomTensor(s.n, s.k, 32);  // row-major weights
+      ExpectBitIdentical(
+          "matmul_transb " + ShapeLabel(tier, s),
+          [&] { return Tensors{MatMulTransB(a, b)}; },
+          [&] { return Tensors{MatMulNaive(a, Transpose(b))}; });
+    }
   }
 }
 
 TEST_F(KernelRegistryTest, EverySpmmVariantIsBitIdenticalToSerial) {
-  SparseMatrix s = RandomSparse(150, 900, 41);
-  Tensor x = RandomTensor(150, 37, 42);
-  KernelRegistry* reg = KernelRegistry::Global();
-
-  ASSERT_TRUE(reg->SetOverride("spmm=naive").ok());
-  const Tensor reference = s.Multiply(x);
-
-  const unsigned have = dispatch::EffectiveCpuFeatures();
-  for (const auto& v : SelectionFor(KernelOp::kSpmm).variants) {
-    if ((v.required_features & have) != v.required_features) continue;
-    ASSERT_TRUE(reg->SetOverride("spmm=" + v.name).ok());
-    ExpectBitIdentical("spmm variant " + v.name,
-                       [&] { return Tensors{s.Multiply(x)}; },
-                       [&] { return Tensors{reference}; });
+  // Node counts straddle the 64-row parallel grain; feature widths straddle
+  // the 64-column panel the dense products use.
+  struct SpmmShape {
+    int n, edges, d;
+  };
+  constexpr SpmmShape kSpmmShapes[] = {
+      {1, 0, 1}, {63, 200, 37}, {65, 300, 64}, {150, 900, 37}, {700, 4000, 65}};
+  for (const Tier& tier : kTiers) {
+    dispatch::SetDisabledCpuFeaturesForTest(tier.disabled);
+    for (const SpmmShape& s : kSpmmShapes) {
+      SparseMatrix sm = RandomSparse(s.n, s.edges, 41);
+      Tensor x = RandomTensor(s.n, s.d, 42);
+      ExpectBitIdentical(std::string("spmm ") + tier.label + " n=" +
+                             std::to_string(s.n) + " d=" + std::to_string(s.d),
+                         [&] { return Tensors{sm.Multiply(x)}; },
+                         [&] { return Tensors{sm.MultiplyNaive(x)}; });
+    }
   }
+}
+
+// End to end: a whole UMGAD Fit on the baseline tier scores every node
+// exactly as on the AVX2 tier, at whatever UMGAD_THREADS the run uses.
+TEST_F(KernelRegistryTest, UmgadFitIsBitIdenticalWithAvx2Masked) {
+  if (!HostHasAvx2Tier()) {
+    GTEST_SKIP() << "no AVX2 tier on this build/host";
+  }
+  const MultiplexGraph graph = MakeTiny(5);
+  UmgadConfig config;
+  config.epochs = 5;
+  config.seed = 5;
+  auto fit_scores = [&] {
+    UmgadModel model(config);
+    EXPECT_TRUE(model.Fit(graph).ok());
+    return model.scores();
+  };
+  const std::vector<double> avx2 = fit_scores();
+  dispatch::SetDisabledCpuFeaturesForTest(dispatch::kFeatAvx2);
+  ASSERT_EQ(SelectionFor(KernelOp::kMatMul).variant, "blocked");
+  const std::vector<double> baseline = fit_scores();
+  ASSERT_EQ(avx2.size(), static_cast<size_t>(graph.num_nodes()));
+  EXPECT_EQ(avx2, baseline);
 }
 
 }  // namespace

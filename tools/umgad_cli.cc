@@ -12,8 +12,7 @@
 // Common flags: --seed N, --scale S (registered generators only),
 // --inject (edge-list imports without labels get injected anomalies),
 // --mmap (map .umgb inputs read-only instead of copying them),
-// --header auto|always|never (edge-list header row handling),
-// --serial-import (disable the chunked parallel edge-list parser).
+// --header auto|always|never (edge-list header row handling).
 // gen:   --out PATH_OR_DIR, --format binary|text
 // run:   --detector NAME (repeatable), --baseline NAME, --epochs N,
 //        --threshold inflection|topk, --save-scores PATH (CSV)
@@ -31,11 +30,15 @@
 // UMGAD_DATASET_DIR resolution) all behave identically across subcommands.
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/detector.h"
@@ -83,9 +86,7 @@ struct CliArgs {
   bool metrics = false;
   bool mmap = false;
   std::string header = "auto";
-  bool serial_import = false;
-  std::string kernel;     // registry override spec (--kernel)
-  bool kernels = false;   // inspect --kernels
+  bool kernels = false;  // inspect --kernels
 };
 
 int Usage() {
@@ -99,8 +100,8 @@ int Usage() {
       "  convert <in> <out>           re-encode (format from <out> extension:\n"
       "                               .umgb = binary v3, else text v1)\n"
       "  inspect <path|name> [--seed N] [--scale S] [--time]\n"
-      "  inspect --kernels            registered kernel variants + CPU\n"
-      "                               features + active selection\n"
+      "  inspect --kernels            CPU features and the kernel each\n"
+      "                               product runs\n"
       "  run <path|name> [--detector NAME]... [--baseline NAME]\n"
       "                  [--seed N] [--scale S] [--epochs N]\n"
       "                  [--partitions P] [--partition-method dbh|hdrf]\n"
@@ -114,18 +115,12 @@ int Usage() {
       "                  [--shards S] [--queue-capacity N] [--metrics]\n"
       "                  [--seed N] [--scale S]\n"
       "\n"
-      "kernel flags (any command): --kernel NAME or --kernel op=name,...\n"
-      "pins registry kernel variants (ops: matmul, matmul_transb, spmm);\n"
-      "same syntax as the UMGAD_KERNEL env var. inspect --kernels shows\n"
-      "what is registered and selected.\n"
-      "\n"
       "load flags (any command that loads a graph): --mmap maps .umgb\n"
       "inputs read-only instead of reading them into memory (zero-copy;\n"
       "same parse, bit-identical graph), --header auto|always|never\n"
-      "controls edge-list header-row detection, --serial-import disables\n"
-      "chunked parallel parsing (the loaded graph is bit-identical either\n"
-      "way). Saves replace their target file atomically, so converting a\n"
-      ".umgb onto itself is safe even under --mmap.\n"
+      "controls edge-list header-row detection. Saves replace their target\n"
+      "file atomically, so converting a .umgb onto itself is safe even\n"
+      "under --mmap.\n"
       "\n"
       "serve applies a stream of edge updates (\"+ src dst rel\" inserts,\n"
       "\"- src dst rel\" removes; '#' comments) with incremental re-scoring\n"
@@ -144,6 +139,27 @@ int Usage() {
   return 2;
 }
 
+/// Parses all of `text` as a finite T no smaller than `lo`, the way
+/// ParseEdgeUpdateLine reads ids: std::from_chars, so a leading '+' or
+/// space, a trailing tail, a '-' on an unsigned value and a value outside
+/// T's range all fail. On failure prints "<flag> must be <want>" and returns
+/// false.
+template <typename T>
+bool ParseNumber(const char* flag, const char* text, T lo, const char* want,
+                 T* out) {
+  const char* const end = text + std::strlen(text);
+  T value{};
+  const std::from_chars_result parsed = std::from_chars(text, end, value);
+  bool ok = parsed.ec == std::errc() && parsed.ptr == end && value >= lo;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::cerr << flag << " must be " << want << ", got \"" << text << "\"\n";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   if (argc < 2) return false;
   args->command = argv[1];
@@ -158,14 +174,16 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     };
     if (arg == "--seed") {
       const char* v = next("--seed");
-      if (v == nullptr) return false;
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (v == nullptr ||
+          !ParseNumber<uint64_t>("--seed", v, 0, "a non-negative integer",
+                                 &args->seed)) {
+        return false;
+      }
     } else if (arg == "--scale") {
       const char* v = next("--scale");
-      if (v == nullptr) return false;
-      args->scale = std::atof(v);
-      if (args->scale <= 0.0) {
-        std::cerr << "--scale must be positive\n";
+      if (v == nullptr ||
+          !ParseNumber("--scale", v, std::numeric_limits<double>::min(),
+                       "a positive number", &args->scale)) {
         return false;
       }
     } else if (arg == "--out") {
@@ -186,14 +204,14 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->detectors.push_back(v);
     } else if (arg == "--epochs") {
       const char* v = next("--epochs");
-      if (v == nullptr) return false;
-      args->epochs = std::atoi(v);
+      if (v == nullptr ||
+          !ParseNumber("--epochs", v, 1, "an integer >= 1", &args->epochs)) {
+        return false;
+      }
     } else if (arg == "--partitions") {
       const char* v = next("--partitions");
-      if (v == nullptr) return false;
-      args->partitions = std::atoi(v);
-      if (args->partitions < 1) {
-        std::cerr << "--partitions must be >= 1\n";
+      if (v == nullptr || !ParseNumber("--partitions", v, 1, "an integer >= 1",
+                                       &args->partitions)) {
         return false;
       }
     } else if (arg == "--partition-method") {
@@ -237,32 +255,23 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->naive = true;
     } else if (arg == "--shards") {
       const char* v = next("--shards");
-      if (v == nullptr) return false;
-      args->shards = std::atoi(v);
-      if (args->shards < 1) {
-        std::cerr << "--shards must be >= 1\n";
+      if (v == nullptr ||
+          !ParseNumber("--shards", v, 1, "an integer >= 1", &args->shards)) {
         return false;
       }
     } else if (arg == "--queue-capacity") {
       const char* v = next("--queue-capacity");
-      if (v == nullptr) return false;
-      args->queue_capacity = std::atoi(v);
-      if (args->queue_capacity < 1) {
-        std::cerr << "--queue-capacity must be >= 1\n";
+      if (v == nullptr ||
+          !ParseNumber("--queue-capacity", v, 1, "an integer >= 1",
+                       &args->queue_capacity)) {
         return false;
       }
     } else if (arg == "--metrics") {
       args->metrics = true;
-    } else if (arg == "--kernel") {
-      const char* v = next("--kernel");
-      if (v == nullptr) return false;
-      args->kernel = v;
     } else if (arg == "--kernels") {
       args->kernels = true;
     } else if (arg == "--mmap") {
       args->mmap = true;
-    } else if (arg == "--serial-import") {
-      args->serial_import = true;
     } else if (arg == "--header") {
       const char* v = next("--header");
       if (v == nullptr) return false;
@@ -287,7 +296,6 @@ LoadDatasetOptions LoadOptionsFrom(const CliArgs& args) {
   load.seed = args.seed;
   load.scale = args.scale;
   load.prefer_mmap = args.mmap;
-  load.parallel_import = !args.serial_import;
   load.edge_list.inject_if_unlabeled = args.inject;
   load.edge_list.injection_seed = args.seed;
   load.edge_list.header = args.header == "always" ? HeaderMode::kAlways
@@ -389,33 +397,17 @@ int CmdConvert(const CliArgs& args) {
   return 0;
 }
 
-/// The `inspect --kernels` / `serve --metrics` kernel report: what the
-/// registry registered, what cpuid found, and which variant each op
-/// resolved to — the reproducibility header for cross-box perf reports.
+/// The `inspect --kernels` report: what cpuid found and which kernel each
+/// product runs — the reproducibility header for cross-box perf reports.
 void PrintKernelReport(std::ostream& os) {
-  os << "cpu features: detected ["
+  os << "cpu features: "
      << dispatch::CpuFeatureListString(dispatch::DetectedCpuFeatures())
-     << "], effective ["
-     << dispatch::CpuFeatureListString(dispatch::EffectiveCpuFeatures())
-     << "]\n\n";
+     << "\n\n";
   TablePrinter table;
-  table.SetHeader({"Op", "Active", "Registered variants"});
+  table.SetHeader({"Op", "Kernel"});
   for (const dispatch::KernelSelection& sel :
        dispatch::KernelRegistry::Global()->Selections()) {
-    std::string variants;
-    for (const dispatch::KernelVariant& v : sel.variants) {
-      if (!variants.empty()) variants += ", ";
-      variants += v.name + StrFormat("(p%d", v.priority);
-      if (v.required_features != 0) {
-        variants +=
-            "; " + dispatch::CpuFeatureListString(v.required_features);
-      }
-      variants += ")";
-    }
-    std::string active = sel.variant;
-    if (sel.overridden) active += " (override)";
-    if (sel.fell_back) active += " (fallback)";
-    table.AddRow({dispatch::KernelOpName(sel.op), active, variants});
+    table.AddRow({dispatch::KernelOpName(sel.op), sel.variant});
   }
   table.Print(os);
 }
@@ -429,7 +421,7 @@ std::string KernelSummaryLine() {
                       sel.variant.c_str());
   }
   line += " features=" +
-          dispatch::CpuFeatureListString(dispatch::EffectiveCpuFeatures());
+          dispatch::CpuFeatureListString(dispatch::DetectedCpuFeatures());
   return line;
 }
 
@@ -793,16 +785,6 @@ int Main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   CliArgs args;
   if (!ParseArgs(argc, argv, &args)) return Usage();
-  if (!args.kernel.empty()) {
-    // Unlike the UMGAD_KERNEL env var (warn-only), an explicit flag that
-    // does not resolve is an error.
-    const Status s =
-        dispatch::KernelRegistry::Global()->SetOverride(args.kernel);
-    if (!s.ok()) {
-      std::cerr << "--kernel: " << s.ToString() << "\n";
-      return 2;
-    }
-  }
   if (args.command == "list") return CmdList(args);
   if (args.command == "gen") return CmdGen(args);
   if (args.command == "convert") return CmdConvert(args);
