@@ -50,9 +50,9 @@ ag::VarPtr Gmae::Encode(const std::shared_ptr<const SparseMatrix>& adj,
 }
 
 ag::VarPtr Gmae::ReconstructAttributes(
-    std::shared_ptr<const SparseMatrix> adj, const Tensor& x,
+    std::shared_ptr<const SparseMatrix> adj, const ag::VarPtr& x,
     const std::vector<int>& masked) const {
-  ag::VarPtr input = ag::Constant(x);
+  ag::VarPtr input = x;
   if (!masked.empty()) {
     input = ag::MaskRows(input, masked, mask_token_);
   }
@@ -61,8 +61,8 @@ ag::VarPtr Gmae::ReconstructAttributes(
 }
 
 ag::VarPtr Gmae::Embed(std::shared_ptr<const SparseMatrix> adj,
-                       const Tensor& x) const {
-  return Encode(adj, ag::Constant(x));
+                       const ag::VarPtr& x) const {
+  return Encode(adj, x);
 }
 
 }  // namespace umgad

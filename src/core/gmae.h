@@ -30,13 +30,17 @@ class Gmae : public nn::Module {
 
   /// Token-mask the rows in `masked` (empty = no masking, the plain-GAE
   /// ablation / scoring pass), then encode and decode. Returns N x in_dim.
+  /// `x` is the N x in_dim attribute node, read but never written: a view
+  /// builds one ag::Constant per distinct input and hands it to every
+  /// relation and repeat that encodes it, so concurrent callers share it.
   ag::VarPtr ReconstructAttributes(std::shared_ptr<const SparseMatrix> adj,
-                                   const Tensor& x,
+                                   const ag::VarPtr& x,
                                    const std::vector<int>& masked) const;
 
-  /// Encoder output (N x hidden_dim) for structure reconstruction.
+  /// Encoder output (N x hidden_dim) for structure reconstruction. `x` is
+  /// shared as in ReconstructAttributes.
   ag::VarPtr Embed(std::shared_ptr<const SparseMatrix> adj,
-                   const Tensor& x) const;
+                   const ag::VarPtr& x) const;
 
   // Layer access for the serve-layer per-row forward engine, which unrolls
   // the encoder/decoder stack into per-row stages (src/serve/engine.h).

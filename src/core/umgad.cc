@@ -223,6 +223,9 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
                        ? 0.0
                        : epoch_time_acc / static_cast<double>(
                              loss_history_.size());
+  // Drop the last epoch's graph (also the one an early break left) so the
+  // scoring pass recycles its buffers instead of allocating on top of them.
+  ag::Tape::Global().Reset();
 
   // Scoring (Eq. 19) over the unperturbed graph. The Rng state is captured
   // first so a serialized model (core/model_io) and the online scorer draw

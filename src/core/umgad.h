@@ -62,9 +62,11 @@ class UmgadModel : public Detector {
 
   /// Allocator accounting from the last Fit: fresh tensor-buffer bytes the
   /// TensorPool had to heap-allocate during the first epoch vs. the sum
-  /// over all later epochs. With the arena on, warm shapes recycle and the
-  /// steady-state figure is zero (asserted in tests; recorded in
-  /// docs/PERFORMANCE.md).
+  /// over all later epochs. The first-epoch figure tracks the epoch's peak
+  /// live pool memory: every forward value, plus the op gradients Backward
+  /// holds at once (it releases each one after use). With the arena
+  /// on, warm shapes recycle and the steady-state figure is zero (asserted
+  /// in tests; recorded in docs/PERFORMANCE.md).
   int64_t first_epoch_fresh_bytes() const { return first_epoch_fresh_bytes_; }
   int64_t steady_state_fresh_bytes() const {
     return steady_state_fresh_bytes_;

@@ -171,14 +171,16 @@ ViewForward ReconstructionView::ForwardOriginal(
       repeats, std::vector<ag::VarPtr>(r_count));
   std::vector<std::vector<ag::VarPtr>> per_relation(
       repeats, std::vector<ag::VarPtr>(r_count));
+  // One attribute constant, read concurrently by every K x R branch.
+  const ag::VarPtr x_node = ag::Constant(x);
   ParallelFor(static_cast<int64_t>(repeats) * r_count, 1,
               [&](int64_t b, int64_t e) {
     for (int64_t t = b; t < e; ++t) {
       const int k = static_cast<int>(t / r_count);
       const int r = static_cast<int>(t % r_count);
       if (config_.use_attribute_recon) {
-        recons[k][r] = attr_gmae_[r]->ReconstructAttributes(norm_adjs[r], x,
-                                                            attr_masks[k]);
+        recons[k][r] = attr_gmae_[r]->ReconstructAttributes(
+            norm_adjs[r], x_node, attr_masks[k]);
       }
       if (config_.use_structure_recon) {
         StructDraw& draw = draws[k][r];
@@ -188,7 +190,7 @@ ViewForward ReconstructionView::ForwardOriginal(
           std::shared_ptr<const SparseMatrix> op =
               draw.perturbed ? NormShared(draw.remaining, blocks)
                              : norm_adjs[r];
-          ag::VarPtr z = struct_gmae_[r]->Embed(op, x);
+          ag::VarPtr z = struct_gmae_[r]->Embed(op, x_node);
           per_relation[k][r] =
               ag::MaskedEdgeSoftmaxCE(z, std::move(draw.cands), blocks);
         }
@@ -238,11 +240,15 @@ ViewForward ReconstructionView::ForwardAttrAugmented(
 
   const int repeats = config_.mask_repeats;
 
-  // Phase 1 — draw every repeat's swap (Eq. 10) sequentially.
+  // Phase 1 — draw every repeat's swap (Eq. 10) sequentially. Each
+  // repeat's augmented matrix moves into one constant its R relations share.
   std::vector<AttributeSwap> swaps;
+  std::vector<ag::VarPtr> x_nodes;
   swaps.reserve(repeats);
+  x_nodes.reserve(repeats);
   for (int k = 0; k < repeats; ++k) {
     swaps.push_back(MakeAttributeSwap(x, config_.attr_swap_ratio, rng));
+    x_nodes.push_back(ag::Constant(std::move(swaps.back().augmented)));
   }
 
   // Phase 2 — the K x R GMAE passes (Eq. 11) fan out across the pool.
@@ -255,7 +261,7 @@ ViewForward ReconstructionView::ForwardAttrAugmented(
       const int k = static_cast<int>(t / r_count);
       const int r = static_cast<int>(t % r_count);
       recons[k][r] = attr_gmae_[r]->ReconstructAttributes(
-          norm_adjs[r], swaps[k].augmented,
+          norm_adjs[r], x_nodes[k],
           config_.use_masking ? swaps[k].swapped_nodes : kNoMask);
     }
   });
@@ -334,6 +340,7 @@ ViewForward ReconstructionView::ForwardSubgraphAugmented(
       repeats, std::vector<ag::VarPtr>(r_count));
   std::vector<std::vector<ag::VarPtr>> per_relation_struct(
       repeats, std::vector<ag::VarPtr>(r_count));
+  const ag::VarPtr x_node = ag::Constant(x);
   static const std::vector<int> kNoMask;
   ParallelFor(static_cast<int64_t>(repeats) * r_count, 1,
               [&](int64_t b, int64_t e) {
@@ -344,14 +351,14 @@ ViewForward ReconstructionView::ForwardSubgraphAugmented(
           NormShared(masks[k][r].remaining, blocks);
       if (config_.use_attribute_recon) {
         recons[k][r] = attr_gmae_[r]->ReconstructAttributes(
-            op, x,
+            op, x_node,
             config_.use_masking ? masks[k][r].masked_nodes : kNoMask);
       }
       if (config_.use_structure_recon) {
         if (!draws[k][r].active) {
           per_relation_struct[k][r] = ag::Constant(Tensor(1, 1));
         } else {
-          ag::VarPtr z = attr_gmae_[r]->Embed(op, x);
+          ag::VarPtr z = attr_gmae_[r]->Embed(op, x_node);
           per_relation_struct[k][r] =
               ag::MaskedEdgeSoftmaxCE(z, std::move(draws[k][r].cands),
                                       blocks);
@@ -393,7 +400,7 @@ ViewScoring ReconstructionView::Score(
     const MultiplexGraph& graph,
     const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs) const {
   ViewScoring out;
-  const Tensor& x = graph.attributes();
+  const ag::VarPtr x = ag::Constant(graph.attributes());
   const int r_count = graph.num_relations();
 
   // The scoring pass is deterministic (no masking, no Rng), so both

@@ -336,6 +336,10 @@ void Backward(const VarPtr& root) {
         Node* u = v->inputs_[j];
         if (u->requires_grad_) --u->pending_consumers_;
       }
+      // An admitted node's consumers have all run, so nothing writes its
+      // gradient again: return the buffer to the pool. Leaves (no closure)
+      // and the root keep theirs; values stay, since callers read them.
+      if (v->has_backward() && v != root.get()) v->grad_ = Tensor();
     }
   }
 }

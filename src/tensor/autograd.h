@@ -87,7 +87,9 @@ class Node {
   Tensor& mutable_value() { return value_; }
 
   /// Gradient of the loss w.r.t. this node. Zero tensor until Backward()
-  /// reaches the node.
+  /// reaches the node. Backward() releases an op node's gradient once its
+  /// closure has run, so afterwards only leaves and the root hold one; on
+  /// an op node this returns a fresh zero tensor.
   Tensor& grad() {
     if (grad_.empty() && value_.size() > 0) {
       grad_ = Tensor(value_.rows(), value_.cols());
@@ -141,10 +143,10 @@ class Node {
 ///  - persistent: trainable leaves (Leaf / PersistentConstant). Survive
 ///    Reset(); freed only at process exit. Model parameters live here.
 ///  - transient: everything ops.cc builds during a step (op nodes and
-///    Constant leaves). Reset() destroys them, which returns their
-///    value/grad buffers to the TensorPool, and rewinds the slabs for
-///    reuse — steady-state steps allocate no new slabs and no new tensor
-///    buffers.
+///    Constant leaves). Backward() returns their op gradients to the
+///    TensorPool as it goes; Reset() destroys the nodes, which returns their
+///    values (and the root's gradient), and rewinds the slabs for reuse —
+///    steady-state steps allocate no new slabs and no new tensor buffers.
 ///
 /// With the arena disabled (SetArenaEnabled(false) / UMGAD_ARENA=0) nodes
 /// are individually heap-allocated and Reset() deletes them — the seed
@@ -244,7 +246,10 @@ VarPtr PersistentConstant(Tensor value);
 /// Reverse-mode sweep from a scalar (1x1) root. Accumulates into the grad()
 /// of every reachable node that requires a gradient. Safe to call on graphs
 /// that share subexpressions (each node's backward runs exactly once, after
-/// all its consumers). Independent tape segments run in parallel on the
+/// all its consumers). Each op node's gradient is released to the pool as
+/// soon as its closure has run, so only leaves and the root keep theirs;
+/// values are kept. Calling it twice on one graph doubles the leaves'
+/// gradients. Independent tape segments run in parallel on the
 /// global thread pool with a schedule that preserves the serial
 /// accumulation order exactly, so gradients are bit-identical for any
 /// UMGAD_THREADS (see the scheduler notes in autograd.cc).

@@ -295,6 +295,18 @@ TEST(AutogradTest, BackwardTwiceAccumulates) {
   }
 }
 
+// A second sweep over the same graph adds each op's contribution once; a
+// stale intermediate gradient would give the leaf 2 + 4 = 6.
+TEST(AutogradTest, BackwardTwiceThroughOpsAccumulatesOnce) {
+  VarPtr leaf = Leaf(Rand(2, 2, 45));
+  VarPtr loss = Sum(ScalarMul(leaf, 2.0f));
+  Backward(loss);
+  Backward(loss);
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(leaf->grad().data()[i], 4.0f);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Arena tape: reuse across steps, arena on/off equivalence, steady-state
 // allocation accounting, and thread-count invariance of the parallel
@@ -431,6 +443,57 @@ TEST(TapeTest, BackwardBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(MaxAbsDiff(w->grad(), gw1), 0.0);
   EXPECT_EQ(MaxAbsDiff(bias->grad(), gb1), 0.0);
   SetNumThreads(1);
+}
+
+TEST(TapeTest, BackwardReleasesOpGradients) {
+  const bool prev_arena = ArenaEnabled();
+  SetArenaEnabled(true);
+  // One lane keeps the pool's acquire/release sequence fixed.
+  SetNumThreads(1);
+  constexpr int kRows = 32;
+  constexpr int kCols = 8;
+  const int64_t buffer_bytes =
+      static_cast<int64_t>(kRows) * kCols * sizeof(float);
+
+  // A chain of same-shape ops: op k's gradient is last written when op k+1
+  // runs, so after op k runs its buffer can feed op k-1's gradient.
+  struct Run {
+    Tensor leaf_grad;
+    int64_t backward_fresh_bytes;
+  };
+  auto run = [&](int chain, bool trim) {
+    Tape::Global().Reset();
+    if (trim) TensorPool::Global().Trim();
+    VarPtr leaf = Leaf(Rand(kRows, kCols, 95));
+    std::vector<VarPtr> ops;
+    VarPtr h = leaf;
+    for (int k = 0; k < chain; ++k) {
+      h = k % 2 == 0 ? Tanh(h) : ScalarMul(h, 0.9f);
+      ops.push_back(h);
+    }
+    VarPtr root = Mean(h);
+    const int64_t fresh_before = TensorPool::Global().stats().fresh_bytes;
+    Backward(root);
+    Run out{leaf->grad(),
+            TensorPool::Global().stats().fresh_bytes - fresh_before};
+    for (const VarPtr& op : ops) EXPECT_FALSE(op->has_grad()) << op->op();
+    EXPECT_TRUE(leaf->has_grad());
+    EXPECT_TRUE(root->has_grad());
+    return out;
+  };
+
+  const Run fresh = run(16, /*trim=*/true);
+  // The same graph on recycled buffers: released gradients come back
+  // zeroed, so the leaf gradient is bit-equal to the fresh-tape run.
+  const Run recycled = run(16, /*trim=*/false);
+  EXPECT_EQ(MaxAbsDiff(recycled.leaf_grad, fresh.leaf_grad), 0.0);
+
+  // A few live gradient buffers, however long the chain (keeping them all
+  // costs one buffer per op).
+  EXPECT_LE(fresh.backward_fresh_bytes, 4 * buffer_bytes);
+  EXPECT_LE(run(64, /*trim=*/true).backward_fresh_bytes, 4 * buffer_bytes);
+  Tape::Global().Reset();
+  SetArenaEnabled(prev_arena);
 }
 
 TEST(TapeTest, PersistentConstantSurvivesReset) {

@@ -29,7 +29,7 @@ TEST_P(GmaeEncoders, ReconstructionShapes) {
   Rng rng(1);
   Gmae gmae(6, SmallConfig(GetParam()), &rng);
   auto adj = ChainGraph(10);
-  Tensor x = RandomNormal(10, 6, 0, 1, &rng);
+  ag::VarPtr x = ag::Constant(RandomNormal(10, 6, 0, 1, &rng));
   ag::VarPtr recon = gmae.ReconstructAttributes(adj, x, {1, 3, 5});
   EXPECT_EQ(recon->value().rows(), 10);
   EXPECT_EQ(recon->value().cols(), 6);
@@ -43,7 +43,7 @@ TEST_P(GmaeEncoders, MaskedInputChangesOutput) {
   Rng rng(2);
   Gmae gmae(4, SmallConfig(GetParam()), &rng);
   auto adj = ChainGraph(8);
-  Tensor x = RandomNormal(8, 4, 0, 1, &rng);
+  ag::VarPtr x = ag::Constant(RandomNormal(8, 4, 0, 1, &rng));
   Tensor unmasked = gmae.ReconstructAttributes(adj, x, {})->value();
   Tensor masked = gmae.ReconstructAttributes(adj, x, {0, 1, 2, 3})->value();
   EXPECT_GT(MaxAbsDiff(unmasked, masked), 1e-6);
@@ -55,7 +55,7 @@ TEST_P(GmaeEncoders, DeeperEncoderBuilds) {
   config.encoder_layers = 2;
   Gmae gmae(5, config, &rng);
   auto adj = ChainGraph(6);
-  Tensor x = RandomNormal(6, 5, 0, 1, &rng);
+  ag::VarPtr x = ag::Constant(RandomNormal(6, 5, 0, 1, &rng));
   EXPECT_TRUE(gmae.Embed(adj, x)->value().AllFinite());
 }
 
@@ -71,7 +71,7 @@ TEST(GmaeTest, MaskTokenIsTrainable) {
   Rng rng(4);
   Gmae gmae(4, SmallConfig(EncoderKind::kSgc), &rng);
   auto adj = ChainGraph(6);
-  Tensor x = RandomNormal(6, 4, 0, 1, &rng);
+  ag::VarPtr x = ag::Constant(RandomNormal(6, 4, 0, 1, &rng));
   ag::VarPtr recon = gmae.ReconstructAttributes(adj, x, {2});
   ag::Backward(ag::Mean(recon));
   // The [MASK] token is the first registered parameter and must receive a
