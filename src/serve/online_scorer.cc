@@ -241,8 +241,6 @@ struct OnlineScorer::Impl {
   int r_count = 0;
   std::vector<DynamicAdjacency> adj;
   std::vector<ViewPlan> plans;
-  bool budgeted = false;
-  std::vector<uint8_t> resident;
   // Owner mask (ServeOptions::owned_nodes): empty = every node owned.
   // Component maintenance (negatives, residuals, attribute distances) and
   // the moments are restricted to owned nodes; stage rows stay global (a
@@ -278,7 +276,6 @@ struct OnlineScorer::Impl {
   void BuildMoments(EngineState* st, bool parallel) const;
   std::vector<ViewColumns> Columns(const EngineState& st) const;
   void FullCompute(EngineState* st, bool parallel) const;
-  void EvictNonResident(EngineState* st) const;
   Status ApplyBatch(const std::vector<EdgeUpdate>& updates,
                     ServeStats* stats);
 };
@@ -673,21 +670,6 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
   BuildMoments(st, parallel);
 }
 
-void OnlineScorer::Impl::EvictNonResident(EngineState* st) const {
-  if (!budgeted) return;
-  for (ViewState& vs : st->views) {
-    for (auto* chains : {&vs.attr_chains, &vs.struct_chains}) {
-      for (ChainState& cs : *chains) {
-        for (StageState& ss : cs.stages) {
-          for (int i = 0; i < n; ++i) {
-            if (!resident[i]) ss.valid[i] = 0;
-          }
-        }
-      }
-    }
-  }
-}
-
 Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
                                       ServeStats* stats) {
   if (updates.empty()) return Status::OK();
@@ -937,7 +919,6 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
     }
   }
 
-  EvictNonResident(&state);
   if (stats != nullptr) {
     stats->updates_applied += static_cast<int64_t>(updates.size());
     stats->last_dirty_rows = invalidated;
@@ -1027,31 +1008,6 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
     }
   }
 
-  // Hot-node cache: the budget keeps the highest-(total-)degree nodes'
-  // rows resident between updates.
-  const int budget = options.cache_budget_nodes;
-  impl.budgeted = budget >= 0 && budget < impl.n;
-  if (impl.budgeted) {
-    std::vector<int64_t> total_degree(impl.n, 0);
-    for (int r = 0; r < impl.r_count; ++r) {
-      for (int i = 0; i < impl.n; ++i) {
-        total_degree[i] += impl.adj[r].degree(i);
-      }
-    }
-    std::vector<int> order(impl.n);
-    for (int i = 0; i < impl.n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](int l, int r) {
-      if (total_degree[l] != total_degree[r]) {
-        return total_degree[l] > total_degree[r];
-      }
-      return l < r;
-    });
-    impl.resident.assign(impl.n, 0);
-    for (int k = 0; k < budget; ++k) impl.resident[order[k]] = 1;
-  } else {
-    impl.resident.assign(impl.n, 1);
-  }
-
   impl.s_norm.assign(impl.r_count, NodeSet(impl.n));
   impl.endpoints.assign(impl.r_count, NodeSet(impl.n));
   impl.front = NodeSet(impl.n);
@@ -1059,7 +1015,6 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
   impl.moved = NodeSet(impl.n);
   impl.state = impl.MakeEmptyState();
   impl.FullCompute(&impl.state, /*parallel=*/true);
-  impl.EvictNonResident(&impl.state);
   return scorer;
 }
 

@@ -15,18 +15,10 @@
 namespace umgad {
 namespace serve {
 
-/// Tuning knobs for an OnlineScorer instance.
+/// Options for an OnlineScorer instance. Every node's per-stage rows
+/// (projections, propagations, attention outputs) stay resident between
+/// updates; an update recomputes only the rows its dirty front invalidated.
 struct ServeOptions {
-  /// Hot-node row-cache budget: how many nodes keep their per-stage
-  /// intermediate rows (projections, propagations, attention outputs)
-  /// resident between updates. The resident set is the `cache_budget_nodes`
-  /// highest-degree nodes at load time (ties broken by index); rows of
-  /// other nodes are recomputed on demand and dropped after each update
-  /// pass. Negative (the default) keeps every node resident. The budget
-  /// changes memory and latency only — never scores (asserted in
-  /// tests/serve_oracle_test.cc).
-  int cache_budget_nodes = -1;
-
   /// Owner mask for sharded serving (ShardRouter). Empty (the default)
   /// means "this scorer owns every node" — the flat, self-contained mode.
   /// When set (size num_nodes, non-zero = owned), the scorer becomes a
@@ -145,8 +137,8 @@ class OnlineScorer {
   /// Current anomaly scores (Eq. 19) for all nodes, built on demand by
   /// ScoreNode from the components and the moments (O(n); Query is the
   /// O(k) lookup). Bit-identical to RescoreFullNaive() after any update
-  /// sequence, for any UMGAD_THREADS / arena / cache-budget setting, and
-  /// to TrainedModel::Score over the current graph; on the training graph
+  /// sequence, for any UMGAD_THREADS / arena setting, and to
+  /// TrainedModel::Score over the current graph; on the training graph
   /// that is the fitted model's scores (tests/serve_oracle_test.cc). Empty
   /// in owner-masked component mode (the moments cover only owned nodes —
   /// see ServeOptions::owned_nodes).

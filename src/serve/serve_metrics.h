@@ -104,8 +104,7 @@ struct RouterStats {
   std::vector<ShardStatsSnapshot> shards;
 };
 
-/// Human-readable multi-line rendering (umgad_cli serve --metrics,
-/// bench_serve_stream).
+/// Human-readable multi-line rendering (umgad_cli serve --metrics).
 std::string FormatRouterStats(const RouterStats& stats);
 
 }  // namespace serve

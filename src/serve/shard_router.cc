@@ -5,11 +5,11 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 
 #include "common/timer.h"
-#include "graph/partition/partitioner.h"
 
 namespace umgad {
 namespace serve {
@@ -22,7 +22,6 @@ struct ShardRouter::Impl {
   int n = 0;
   float epsilon = 0.0f;
   RouterOptions options;
-  std::vector<int> shard_of;
   // Per shard: its owned node ids, ascending.
   std::vector<std::vector<int>> owned_lists;
 
@@ -224,17 +223,15 @@ ShardRouter::~ShardRouter() {
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     TrainedModel model, const MultiplexGraph& graph, RouterOptions options) {
-  if (options.num_shards < 1) {
-    return Status::InvalidArgument("ShardRouter needs num_shards >= 1");
+  if (options.num_shards < 1 || options.num_shards > graph.num_nodes()) {
+    return Status::InvalidArgument(
+        "ShardRouter needs 1 <= num_shards <= num_nodes (" +
+        std::to_string(graph.num_nodes()) + "), got " +
+        std::to_string(options.num_shards));
   }
   if (options.queue_capacity < 1 || options.max_burst < 1) {
     return Status::InvalidArgument(
         "ShardRouter needs queue_capacity >= 1 and max_burst >= 1");
-  }
-  if (!options.serve.owned_nodes.empty()) {
-    return Status::InvalidArgument(
-        "RouterOptions::serve.owned_nodes is derived per shard; leave it "
-        "empty");
   }
 
   std::unique_ptr<ShardRouter> router(new ShardRouter());
@@ -244,29 +241,18 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   impl.n = graph.num_nodes();
   impl.epsilon = model.config().epsilon;
 
-  // Whole-row vertex ownership from the streaming edge partitioner —
-  // exactly the schedule partitioned training uses, so shard balance
-  // follows the same replication/balance stats (PartitionStats).
-  if (options.num_shards == 1) {
-    impl.shard_of.assign(impl.n, 0);
-  } else {
-    PartitionOptions popt;
-    popt.num_blocks = options.num_shards;
-    popt.method = options.partition_method;
-    UMGAD_ASSIGN_OR_RETURN(VertexPartition partition,
-                           PartitionGraph(graph, popt));
-    impl.shard_of = partition.blocks->block_of;
-  }
+  // Round-robin ownership: every shard replicates the whole graph, so
+  // ownership needs balance, not locality.
   impl.owned_lists.assign(options.num_shards, {});
   for (int i = 0; i < impl.n; ++i) {
-    impl.owned_lists[impl.shard_of[i]].push_back(i);
+    impl.owned_lists[i % options.num_shards].push_back(i);
   }
 
   // Build the S owner-masked scorer replicas. Each runs its own initial
   // full pass (stage rows are global; components owner-only).
   impl.shards.resize(options.num_shards);
   for (int s = 0; s < options.num_shards; ++s) {
-    ServeOptions so = options.serve;
+    ServeOptions so;
     so.owned_nodes.assign(impl.n, 0);
     for (int i : impl.owned_lists[s]) so.owned_nodes[i] = 1;
     UMGAD_ASSIGN_OR_RETURN(std::unique_ptr<OnlineScorer> scorer,
@@ -465,15 +451,7 @@ RouterStats ShardRouter::Stats() const {
   return out;
 }
 
-int ShardRouter::num_shards() const {
-  return static_cast<int>(impl_->shards.size());
-}
-
 int ShardRouter::num_nodes() const { return impl_->n; }
-
-const std::vector<int>& ShardRouter::shard_of() const {
-  return impl_->shard_of;
-}
 
 }  // namespace serve
 }  // namespace umgad

@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "core/model_io.h"
 #include "graph/multiplex_graph.h"
-#include "graph/partition/partition_options.h"
 #include "serve/online_scorer.h"
 #include "serve/serve_metrics.h"
 
@@ -17,10 +16,10 @@ namespace serve {
 
 /// Knobs for a ShardRouter.
 struct RouterOptions {
-  /// Number of shards S. Each shard is an owner-masked OnlineScorer
-  /// replica drained by its own worker thread; node ownership comes from
-  /// the streaming graph partitioner (src/graph/partition/), so a shard's
-  /// expensive re-scoring work is its owned rows only.
+  /// Number of shards S, 1 <= S <= num_nodes. Each shard is an
+  /// owner-masked OnlineScorer replica of the whole graph drained by its
+  /// own worker thread. Shard s owns the nodes i with i % S == s, so the
+  /// shards split the per-node component work evenly.
   int num_shards = 1;
   /// Bounded per-shard update-queue capacity (in updates).
   int queue_capacity = 4096;
@@ -31,11 +30,6 @@ struct RouterOptions {
   /// update is dropped from *all* shards (counted as dropped) — dropping
   /// must be all-or-nothing or the shard replicas would diverge.
   bool drop_when_full = false;
-  /// Edge-partition heuristic behind the ownership derivation.
-  PartitionMethod partition_method = PartitionMethod::kDbh;
-  /// Per-shard scorer options (cache budget). owned_nodes is overwritten
-  /// with each shard's ownership mask.
-  ServeOptions serve;
 };
 
 /// One published score vector. Immutable once published; readers hold it
@@ -63,10 +57,11 @@ struct ScoreSnapshot {
 /// not serialize on one scorer, and reads must never tear).
 ///
 /// Architecture (ARCHITECTURE.md §12 has the diagram):
-///  - Ownership: the streaming edge partitioner derives whole-row vertex
-///    ownership; shard s maintains score components for its owned nodes
-///    only, but replicates the full adjacency (cross-shard edges reach
-///    every shard, so dirty-front propagation is exact everywhere).
+///  - Ownership: node i belongs to shard i % S. Shard s maintains score
+///    components for its owned nodes only, but replicates the full
+///    adjacency and every stage row (an edge reaches every shard, so
+///    dirty-front propagation is exact everywhere). Ownership therefore
+///    only balances the component work; it never changes a score.
 ///  - Writes: Submit() broadcasts each update to every shard's bounded
 ///    queue under a router order lock (all replicas consume the same
 ///    stream in the same order — the invariant that keeps them
@@ -118,10 +113,7 @@ class ShardRouter {
   /// Point-in-time metrics over all shards.
   RouterStats Stats() const;
 
-  int num_shards() const;
   int num_nodes() const;
-  /// Node -> owning shard.
-  const std::vector<int>& shard_of() const;
 
  private:
   ShardRouter();

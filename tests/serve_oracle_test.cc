@@ -2,13 +2,12 @@
 // of randomized edge inserts/removals, the incrementally maintained scores
 // must be bit-identical to RescoreFullNaive() — a from-scratch serial
 // recompute with the same kernels — for every UMGAD_THREADS x arena-mode
-// combination (the grid comes from tests/oracle_harness.h) and every
-// cache-budget setting. Also covers the one-score-path contract (the
-// fitted model's scores == TrainedModel::Score == scores() ==
-// RescoreFullNaive() at any num_score_negatives), batched bursts
-// (ApplyEdgeUpdates == one-at-a-time == full rescore, with prefix rollback
-// on error), ApplyEdgeUpdate's error paths, and the DynamicAdjacency
-// bit-compatibility contract.
+// combination (the grid comes from tests/oracle_harness.h). Also covers
+// the one-score-path contract (the fitted model's scores ==
+// TrainedModel::Score == scores() == RescoreFullNaive() at any
+// num_score_negatives), batched bursts (ApplyEdgeUpdates == one-at-a-time
+// == full rescore, with prefix rollback on error), ApplyEdgeUpdate's error
+// paths, and the DynamicAdjacency bit-compatibility contract.
 
 #include <string>
 #include <tuple>
@@ -31,7 +30,6 @@ namespace {
 using serve::DynamicAdjacency;
 using serve::EdgeUpdate;
 using serve::OnlineScorer;
-using serve::ServeOptions;
 using ::umgad::testing::OracleSweep;
 
 UmgadConfig ServeConfig() {
@@ -109,10 +107,8 @@ void ExpectSameBits(const std::vector<double>& got,
 /// (initial scores plus the scores after each update), asserting
 /// incremental == full-naive at every step.
 std::vector<std::vector<double>> RunSequence(
-    const std::vector<EdgeUpdate>& updates, const ServeOptions& options,
-    const std::string& label) {
-  auto scorer = OnlineScorer::Create(Fixture().trained, Fixture().graph,
-                                     options);
+    const std::vector<EdgeUpdate>& updates, const std::string& label) {
+  auto scorer = OnlineScorer::Create(Fixture().trained, Fixture().graph);
   UMGAD_CHECK(scorer.ok());
   std::vector<std::vector<double>> trace;
   trace.push_back((*scorer)->scores());
@@ -142,7 +138,7 @@ TEST(ServeOracleTest, IncrementalMatchesFullRescoreAcrossThreadsAndArena) {
   SetNumThreads(1);
   SetArenaEnabled(true);
   const std::vector<std::vector<double>> reference =
-      RunSequence(updates, ServeOptions(), "reference");
+      RunSequence(updates, "reference");
 
   for (bool arena : sweep.arena_modes) {
     for (int threads : sweep.thread_counts) {
@@ -150,7 +146,7 @@ TEST(ServeOracleTest, IncrementalMatchesFullRescoreAcrossThreadsAndArena) {
       SetNumThreads(threads);
       const std::string label = "threads=" + std::to_string(threads) +
                                 " arena=" + (arena ? "1" : "0");
-      const auto trace = RunSequence(updates, ServeOptions(), label);
+      const auto trace = RunSequence(updates, label);
       ASSERT_EQ(trace.size(), reference.size());
       for (size_t k = 0; k < trace.size(); ++k) {
         ExpectSameBits(trace[k], reference[k],
@@ -160,30 +156,6 @@ TEST(ServeOracleTest, IncrementalMatchesFullRescoreAcrossThreadsAndArena) {
   }
   SetNumThreads(1);
   SetArenaEnabled(prev_arena);
-}
-
-TEST(ServeOracleTest, CacheBudgetNeverChangesScores) {
-  const std::vector<EdgeUpdate> updates =
-      MakeUpdateSequence(Fixture().graph, 8, /*seed=*/47);
-  const auto unlimited = RunSequence(updates, ServeOptions(), "unlimited");
-
-  const int n = Fixture().graph.num_nodes();
-  for (int budget : {0, n / 4}) {
-    ServeOptions options;
-    options.cache_budget_nodes = budget;
-    auto scorer =
-        OnlineScorer::Create(Fixture().trained, Fixture().graph, options);
-    ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
-    const std::string label = "budget=" + std::to_string(budget);
-    ExpectSameBits((*scorer)->scores(), unlimited[0], label + " init");
-    for (size_t k = 0; k < updates.size(); ++k) {
-      ASSERT_TRUE((*scorer)->ApplyEdgeUpdate(updates[k]).ok());
-      ExpectSameBits((*scorer)->scores(), unlimited[k + 1],
-                     label + " step " + std::to_string(k));
-    }
-    // A bounded cache must actually have been recomputing evicted rows.
-    EXPECT_GT((*scorer)->stats().cache_misses, 0) << label;
-  }
 }
 
 // ------------------------- score-path equivalences ------------------------

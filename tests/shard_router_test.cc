@@ -357,16 +357,17 @@ TEST(ShardRouterTest, StatsCoverEveryCounter) {
   EXPECT_GE(stats.cache_hit_rate, 0.0);
   EXPECT_LE(stats.cache_hit_rate, 1.0);
 
-  int owned_total = 0;
+  // Round-robin ownership: shard s owns ceil((n - s) / S) nodes.
+  const int n = (*router)->num_nodes();
   ASSERT_EQ(stats.shards.size(), 2u);
-  for (const auto& s : stats.shards) {
-    owned_total += s.owned_nodes;
-    EXPECT_GT(s.owned_nodes, 0) << "degenerate partition";
-    EXPECT_EQ(s.queue_depth, 0);
-    EXPECT_GT(s.queue_peak, 0);
-    EXPECT_EQ(s.update_latency.count, static_cast<int64_t>(updates.size()));
+  for (int s = 0; s < 2; ++s) {
+    const auto& shard = stats.shards[s];
+    EXPECT_EQ(shard.owned_nodes, (n - s + 1) / 2) << "shard " << s;
+    EXPECT_EQ(shard.queue_depth, 0);
+    EXPECT_GT(shard.queue_peak, 0);
+    EXPECT_EQ(shard.update_latency.count,
+              static_cast<int64_t>(updates.size()));
   }
-  EXPECT_EQ(owned_total, (*router)->num_nodes());
   // The human-readable rendering names the headline fields.
   const std::string text = FormatRouterStats(stats);
   EXPECT_NE(text.find("stream-consistent"), std::string::npos);
@@ -457,8 +458,9 @@ TEST(ShardRouterTest, CreateValidatesOptions) {
   options.max_burst = 0;
   EXPECT_FALSE(
       ShardRouter::Create(Fixture().trained, Fixture().graph, options).ok());
+  // A shard beyond n would own nothing yet still replicate the graph.
   options = RouterOptions();
-  options.serve.owned_nodes.assign(Fixture().graph.num_nodes(), 1);
+  options.num_shards = Fixture().graph.num_nodes() + 1;
   EXPECT_FALSE(
       ShardRouter::Create(Fixture().trained, Fixture().graph, options).ok());
 

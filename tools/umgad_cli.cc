@@ -127,10 +127,10 @@ int Usage() {
       "and emits \"node,score\" CSV. --naive re-scores from scratch with the\n"
       "serial oracle kernels; both paths agree after any stream, and on an\n"
       "unmutated graph they equal the scores `run` prints. --shards S\n"
-      "routes the stream through S concurrent scorer shards instead — the\n"
-      "drained CSV is byte-identical to the single-scorer path (the CI\n"
-      "cli-smoke job diffs them). --metrics prints serving counters and\n"
-      "latency percentiles to stderr.\n"
+      "(at most one per node) routes the stream through S concurrent\n"
+      "scorer shards instead — the drained CSV is byte-identical to the\n"
+      "single-scorer path (the CI serve-smoke job diffs them). --metrics\n"
+      "prints serving counters and latency percentiles to stderr.\n"
       "\n"
       "<path|name> is a registered dataset name (umgad_cli list), a graph\n"
       "file in either format, or a raw edge list (src dst [relation] per\n"
@@ -588,7 +588,7 @@ int64_t ReplayStream(const CliArgs& args,
 /// The --shards path: the same stream replayed through a ShardRouter.
 /// Once drained, the published snapshot is bit-identical to the flat
 /// scorer's, so the CSV byte-diffs clean against the single-scorer run
-/// (the CI cli-smoke job holds us to that).
+/// (the CI serve-smoke job holds us to that).
 int ServeSharded(const CliArgs& args, TrainedModel trained,
                  const MultiplexGraph& graph) {
   serve::RouterOptions options;
