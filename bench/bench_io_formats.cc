@@ -5,10 +5,11 @@
 // mmap load materialises >= 5x less memory than the copying binary load —
 // the copying reader pulls every file byte through the page cache and then
 // duplicates them into an owned buffer, while the mapped load faults only the
-// pages validation reads (header + CSR + labels) and leaves the value and
-// attribute sections on disk until first use. Wall clock is reported too,
-// but on a warm fast disk it is bounded by the CSR validation both loaders
-// share, so the byte meter is the metric the out-of-core design targets.
+// pages validation reads (header + CSR arrays and values + labels) and
+// leaves the attribute section on disk until first use. Wall clock is
+// reported too, but on a warm fast disk it is bounded by the CSR validation
+// both loaders share, so the byte meter is the metric the out-of-core
+// design targets.
 
 #include <cstdio>
 

@@ -27,10 +27,10 @@ class RelationFusion : public nn::Module {
   /// Current softmaxed weights (diagnostics; Table IV discussion).
   std::vector<double> Weights() const;
 
-  /// Raw fusion logits (1 x R). The serve engine re-applies
-  /// ag::SimplexWeightedSum's float softmax recipe to these so a fused row
-  /// recomputed per-node matches the batch kernel bit-for-bit (Weights()
-  /// above is the double-precision diagnostic, not that recipe).
+  /// Raw fusion logits (1 x R). The serve engine passes these to
+  /// ag::SimplexWeights, the weights ag::SimplexWeightedSum applies, so a
+  /// fused row recomputed per-node matches the batch kernel bit-for-bit
+  /// (Weights() above is the double-precision diagnostic, not that recipe).
   const Tensor& logits_value() const { return logits_->value(); }
 
  private:

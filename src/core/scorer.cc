@@ -34,6 +34,20 @@ uint64_t NodeStreamSeed(uint64_t stream_seed, int node) {
   return MixSeed(stream_seed, static_cast<uint64_t>(node));
 }
 
+ResidualTerms NodeResidualTerms(const Tensor& z, int i, const int* neighbors,
+                                int degree, const std::vector<int>& negatives) {
+  ResidualTerms terms;
+  terms.degree = degree;
+  for (int k = 0; k < degree; ++k) {
+    terms.edge_err += 1.0 - SigmoidD(z.RowDot(i, z, neighbors[k]));
+  }
+  if (!negatives.empty()) {
+    for (int u : negatives) terms.leak += SigmoidD(z.RowDot(i, z, u));
+    terms.leak /= static_cast<double>(negatives.size());
+  }
+  return terms;
+}
+
 std::vector<double> StructureResidual(const SparseMatrix& adj,
                                       const Tensor& z, int num_negatives,
                                       uint64_t stream_seed,
@@ -41,34 +55,17 @@ std::vector<double> StructureResidual(const SparseMatrix& adj,
   const int n = adj.rows();
   std::vector<double> residual(n, 0.0);
   const auto& rp = adj.row_ptr();
-  const auto& ci = adj.col_idx();
   ParallelFor(n, kParallelRowGrain, [&](int64_t b, int64_t e) {
     for (int i = static_cast<int>(b); i < e; ++i) {
-      // Degree-normalised residual: "how badly are my edges predicted" plus
-      // "how much do I leak probability onto non-edges". The unnormalised
-      // row L1 norm grows linearly with degree, which ranks hubs of dense
-      // noisy layers above true anomalies; normalising keeps the ranking on
-      // predictability rather than volume.
-      double edge_err = 0.0;
-      int degree = 0;
-      for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-        edge_err += 1.0 - SigmoidD(z.RowDot(i, z, ci[k]));
-        ++degree;
-      }
-      double leak = 0.0;
-      const std::vector<int> negs =
-          NodeNegatives(adj, i, degree, num_negatives, stream_seed);
-      if (!negs.empty()) {
-        for (int u : negs) leak += SigmoidD(z.RowDot(i, z, u));
-        leak /= static_cast<double>(negs.size());
-      }
-      if (degree_normalized) {
-        residual[i] = (degree > 0 ? edge_err / degree : 0.0) + leak;
-      } else {
-        // Raw row-norm estimate (the GAE papers' scorer).
-        residual[i] =
-            edge_err + leak * static_cast<double>(n - 1 - degree);
-      }
+      const int degree = static_cast<int>(rp[i + 1] - rp[i]);
+      const ResidualTerms terms = NodeResidualTerms(
+          z, i, adj.col_idx().data() + rp[i], degree,
+          NodeNegatives(adj, i, degree, num_negatives, stream_seed));
+      // Raw row-norm estimate (the GAE papers' scorer) when not normalised.
+      residual[i] = degree_normalized
+                        ? terms.Normalized()
+                        : terms.edge_err +
+                              terms.leak * static_cast<double>(n - 1 - degree);
     }
   });
   return residual;
@@ -98,17 +95,6 @@ std::vector<double> StructureResidualExact(const SparseMatrix& adj,
                   (non_edges > 0 ? leak / non_edges : 0.0);
   }
   return residual;
-}
-
-std::vector<double> MinMaxNormalize(const std::vector<double>& v) {
-  if (v.empty()) return {};
-  const auto [mn_it, mx_it] = std::minmax_element(v.begin(), v.end());
-  const double mn = *mn_it;
-  const double range = *mx_it - mn;
-  std::vector<double> out(v.size(), 0.0);
-  if (range <= 0.0) return out;
-  for (size_t i = 0; i < v.size(); ++i) out[i] = (v[i] - mn) / range;
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -435,51 +421,58 @@ std::vector<double> ScoreAllNodes(const std::vector<ViewColumns>& views,
   return out;
 }
 
+ViewMoments BuildColumns(const ViewComponents& view, int num_nodes,
+                         const std::vector<uint8_t>& owned, double* structure) {
+  ViewMoments total;
+  std::mutex mu;
+  ParallelFor(num_nodes, kNodeGrain, [&](int64_t b, int64_t e) {
+    std::vector<double> attr;
+    std::vector<double> structure_local;
+    for (int i = static_cast<int>(b); i < e; ++i) {
+      if (!owned.empty() && owned[i] == 0) continue;
+      if (view.attr_used) attr.push_back((*view.attr_val)[i]);
+      if (view.struct_used) {
+        structure[i] = RelationMean(*view.residual, i);
+        structure_local.push_back(structure[i]);
+      }
+    }
+    ViewMoments local;
+    local.attr.AddAll(attr.data(), static_cast<int64_t>(attr.size()));
+    local.structure.AddAll(structure_local.data(),
+                           static_cast<int64_t>(structure_local.size()));
+    std::lock_guard<std::mutex> lock(mu);
+    total.attr.Merge(local.attr);
+    total.structure.Merge(local.structure);
+  });
+  return total;
+}
+
+ViewColumns MakeColumns(const double* attr, const double* structure,
+                        const ViewMoments& moments) {
+  ViewColumns columns;
+  columns.attr = attr;
+  columns.structure = structure;
+  if (attr != nullptr) columns.attr_z = moments.attr.Scale();
+  if (structure != nullptr) columns.structure_z = moments.structure.Scale();
+  return columns;
+}
+
 std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
                                       int num_nodes, int num_relations,
                                       float epsilon) {
-  const size_t v_count = views.size();
-  std::vector<std::vector<double>> structure(v_count);
-  for (size_t v = 0; v < v_count; ++v) {
-    if (!views[v].struct_used) continue;
-    UMGAD_CHECK_EQ(static_cast<int>(views[v].residual->size()),
-                   num_relations);
-    structure[v].resize(num_nodes);
-  }
-  // One pass over node chunks: build the relation means and deposit both
-  // columns into per-chunk moments, merged exactly.
-  std::vector<ExactMoments> attr_m(v_count);
-  std::vector<ExactMoments> struct_m(v_count);
-  std::mutex mu;
-  ParallelFor(num_nodes, kNodeGrain, [&](int64_t b, int64_t e) {
-    std::vector<ExactMoments> attr_local(v_count);
-    std::vector<ExactMoments> struct_local(v_count);
-    for (size_t v = 0; v < v_count; ++v) {
-      const ViewComponents& vc = views[v];
-      if (vc.attr_used) attr_local[v].AddAll(vc.attr_val->data() + b, e - b);
-      if (vc.struct_used) {
-        for (int64_t i = b; i < e; ++i) {
-          structure[v][i] = RelationMean(*vc.residual, static_cast<int>(i));
-        }
-        struct_local[v].AddAll(structure[v].data() + b, e - b);
-      }
+  std::vector<std::vector<double>> structure(views.size());
+  std::vector<ViewColumns> columns(views.size());
+  for (size_t v = 0; v < views.size(); ++v) {
+    const ViewComponents& vc = views[v];
+    if (vc.struct_used) {
+      UMGAD_CHECK_EQ(static_cast<int>(vc.residual->size()), num_relations);
+      structure[v].resize(num_nodes);
     }
-    std::lock_guard<std::mutex> lock(mu);
-    for (size_t v = 0; v < v_count; ++v) {
-      attr_m[v].Merge(attr_local[v]);
-      struct_m[v].Merge(struct_local[v]);
-    }
-  });
-  std::vector<ViewColumns> columns(v_count);
-  for (size_t v = 0; v < v_count; ++v) {
-    if (views[v].attr_used) {
-      columns[v].attr = views[v].attr_val->data();
-      columns[v].attr_z = attr_m[v].Scale();
-    }
-    if (views[v].struct_used) {
-      columns[v].structure = structure[v].data();
-      columns[v].structure_z = struct_m[v].Scale();
-    }
+    const ViewMoments moments =
+        BuildColumns(vc, num_nodes, {}, structure[v].data());
+    columns[v] = MakeColumns(vc.attr_used ? vc.attr_val->data() : nullptr,
+                             vc.struct_used ? structure[v].data() : nullptr,
+                             moments);
   }
   return ScoreAllNodes(columns, epsilon, num_nodes);
 }

@@ -35,6 +35,20 @@ std::vector<int> NodeNegatives(const Adj& adj, int node, int degree,
   return SampleNonNeighbors(adj, node, count, &rng);
 }
 
+/// The terms of node i's structure residual (see StructureResidual) over
+/// its `degree` neighbours neighbors[] and its drawn `negatives`.
+struct ResidualTerms {
+  double edge_err = 0.0;  // sum over neighbours j of 1 - sig(z_i . z_j)
+  int degree = 0;
+  double leak = 0.0;      // mean over negatives u of sig(z_i . z_u), or 0
+  /// The degree-normalised residual UMGAD scores with.
+  double Normalized() const {
+    return (degree > 0 ? edge_err / degree : 0.0) + leak;
+  }
+};
+ResidualTerms NodeResidualTerms(const Tensor& z, int i, const int* neighbors,
+                                int degree, const std::vector<int>& negatives);
+
 /// Per-node structure residual of one relation (the ||zeta~ - zeta|| term of
 /// Eq. 19): how badly the inner-product decoder sigmoid(z_i . z_j)
 /// reconstructs row i of the adjacency.
@@ -153,6 +167,26 @@ struct ViewColumns {
   ZScore structure_z;
 };
 
+/// Exact moments of one view's two Eq. 19 columns (attribute distances,
+/// relation-averaged residuals) over a set of nodes.
+struct ViewMoments {
+  ExactMoments attr;
+  ExactMoments structure;
+};
+
+/// One view's Eq. 19 columns over the nodes i in [0, num_nodes) that
+/// `owned` marks (every node when `owned` is empty): writes
+/// structure[i] = RelationMean(*view.residual, i) for those nodes when the
+/// view has a structure branch, and returns both columns' exact moments
+/// over them, summed in chunks across the thread pool.
+ViewMoments BuildColumns(const ViewComponents& view, int num_nodes,
+                         const std::vector<uint8_t>& owned, double* structure);
+
+/// The ViewColumns of an attribute and a structure column (either null
+/// when the view lacks that branch) z-scored by `moments`.
+ViewColumns MakeColumns(const double* attr, const double* structure,
+                        const ViewMoments& moments);
+
 /// Eq. 19 for one node: per view, eps * z(attr) + (1 - eps) * z(structure)
 /// (or the one z-score a single-branch view has), averaged over the views
 /// with a branch. Checks that at least one view contributes. Every score
@@ -164,9 +198,8 @@ double ScoreNode(const std::vector<ViewColumns>& views, float epsilon, int i);
 std::vector<double> ScoreAllNodes(const std::vector<ViewColumns>& views,
                                   float epsilon, int num_nodes);
 
-/// Eq. 19 over raw components: each view's attribute distances and
-/// relation-averaged residuals are z-scored over all nodes (exact moments,
-/// summed in parallel chunks) and mixed by ScoreNode.
+/// Eq. 19 over raw components: each view's columns are built by
+/// BuildColumns over all nodes and mixed by ScoreNode.
 std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
                                       int num_nodes, int num_relations,
                                       float epsilon);
@@ -187,9 +220,6 @@ std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
 std::vector<double> ComputeAnomalyScores(
     const MultiplexGraph& graph, const std::vector<ViewScoring>& views,
     float epsilon, int num_negatives, Rng* rng);
-
-/// Min-max normalise to [0, 1]; constant vectors map to all-zeros.
-std::vector<double> MinMaxNormalize(const std::vector<double>& v);
 
 /// Z-score standardise with ExactMoments; constant vectors map to
 /// all-zeros.

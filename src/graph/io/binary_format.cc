@@ -157,11 +157,11 @@ Result<MultiplexGraph> ParseGraphImage(
         in.View(&col_idx, static_cast<int64_t>(nnz), "col_idx"));
     UMGAD_RETURN_IF_ERROR(
         in.View(&values, static_cast<int64_t>(nnz), "values"));
-    // The CSR validation scan reads exactly row_ptr and col_idx, which sit
-    // back to back; the values section after them is never read here.
+    // The CSR validation scan and the graph factory (finite weights,
+    // symmetry) read row_ptr, col_idx and values, which sit back to back.
     if (prefetch != nullptr) {
       prefetch(row_ptr.data(),
-               reinterpret_cast<const unsigned char*>(col_idx.end()) -
+               reinterpret_cast<const unsigned char*>(values.end()) -
                    reinterpret_cast<const unsigned char*>(row_ptr.data()));
     }
     UMGAD_ASSIGN_OR_RETURN(
@@ -202,12 +202,8 @@ Result<MultiplexGraph> ParseGraphImage(
         static_cast<long long>(in.Remaining())));
   }
 
-  // kTrustSymmetry: the writer only serialises graphs that passed the full
-  // factory checks, and every element-level CSR invariant was re-validated
-  // above (FromBorrowedCsr) — see LayerChecks.
   return MultiplexGraph::Create(name, std::move(x), std::move(layers),
-                                std::move(rel_names), std::move(labels),
-                                LayerChecks::kTrustSymmetry);
+                                std::move(rel_names), std::move(labels));
 }
 
 bool LooksLikeBinaryGraph(const std::string& path) {

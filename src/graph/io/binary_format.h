@@ -39,10 +39,12 @@ Result<MultiplexGraph> LoadGraphBinary(const std::string& path);
 /// whose CSR arrays and attribute matrix are views into the image, kept
 /// alive by `keepalive` (labels are copied). `bytes` must be 8-byte
 /// aligned. Every section is bounded by `size` before use, header counts
-/// are capped, the CSR invariants are checked (FromBorrowedCsr) and
-/// trailing bytes after the trailer are rejected — a corrupt image fails
-/// with a Status. `prefetch`, when set, is called on each byte range the
-/// parse is about to scan (the mmap loader issues readahead there).
+/// are capped, the CSR invariants are checked (FromBorrowedCsr), trailing
+/// bytes after the trailer are rejected, and the graph passes
+/// MultiplexGraph::Create's checks (finite weights, symmetric layers) —
+/// a corrupt image fails with a Status. The attribute section is not
+/// read. `prefetch`, when set, is called on each byte range the parse is
+/// about to scan (the mmap loader issues readahead there).
 Result<MultiplexGraph> ParseGraphImage(
     const std::string& path, const unsigned char* bytes, int64_t size,
     std::shared_ptr<const void> keepalive,

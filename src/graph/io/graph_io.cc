@@ -51,10 +51,15 @@ Result<MultiplexGraph> LoadDataset(const std::string& path_or_name,
                                    const LoadDatasetOptions& options) {
   if (FileExists(path_or_name)) {
     if (LooksLikeBinaryGraph(path_or_name)) {
-      if (options.prefer_mmap) {
-        return LoadGraphMapped(path_or_name);
+      Result<MultiplexGraph> graph = options.prefer_mmap
+                                         ? LoadGraphMapped(path_or_name)
+                                         : LoadGraphBinary(path_or_name);
+      // The .umgb loads leave the attribute section unread (see
+      // MultiplexGraph::Create); a caller that trains or scores reads it.
+      if (graph.ok()) {
+        UMGAD_RETURN_IF_ERROR(CheckFiniteAttributes(graph->attributes()));
       }
-      return LoadGraphBinary(path_or_name);
+      return graph;
     }
     if (LooksLikeTextGraph(path_or_name)) {
       return LoadGraph(path_or_name);

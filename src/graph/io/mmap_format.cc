@@ -99,8 +99,8 @@ Result<std::shared_ptr<const MappedFile>> MappedFile::Open(
   // forfeit the out-of-core win. RANDOM suppresses speculative readahead,
   // so only pages a reader explicitly touches (or prefetches — the graph
   // loader WILLNEEDs exactly the sections it validates, then restores
-  // NORMAL) ever fault in; the value and attribute sections — the bulk of
-  // a .umgb — stay on disk until first use.
+  // NORMAL) ever fault in; the attribute section — the bulk of a .umgb —
+  // stays on disk until first use.
 #if defined(POSIX_MADV_RANDOM)
   posix_madvise(map, static_cast<size_t>(size), POSIX_MADV_RANDOM);
 #endif

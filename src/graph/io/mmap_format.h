@@ -35,8 +35,8 @@ class MappedFile {
 
   /// Bytes of the mapping currently resident in physical memory (a mincore
   /// page walk). This is the out-of-core meter: right after Load it counts
-  /// only the pages the loader faulted (header + CSR arrays + labels, plus
-  /// kernel readahead) — the attribute and value sections stay on disk
+  /// only the pages the loader faulted (header + CSR arrays and values +
+  /// labels, plus kernel readahead) — the attribute section stays on disk
   /// until first use. Returns size() on platforms without mincore.
   int64_t ResidentBytes() const;
 

@@ -1,13 +1,30 @@
 #include "graph/multiplex_graph.h"
 
+#include <atomic>
+#include <cmath>
+
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace umgad {
 
+Status CheckFiniteAttributes(const Tensor& attributes) {
+  const float* x = attributes.data();
+  for (int64_t k = 0; k < attributes.size(); ++k) {
+    if (!std::isfinite(x[k])) {
+      const int cols = attributes.cols();
+      return Status::InvalidArgument(StrFormat(
+          "attribute (%lld, %lld) is not finite (%g)",
+          static_cast<long long>(k / cols), static_cast<long long>(k % cols),
+          static_cast<double>(x[k])));
+    }
+  }
+  return Status::OK();
+}
+
 Result<MultiplexGraph> MultiplexGraph::Create(
     std::string name, Tensor attributes, std::vector<SparseMatrix> layers,
-    std::vector<std::string> relation_names, std::vector<int> labels,
-    LayerChecks checks) {
+    std::vector<std::string> relation_names, std::vector<int> labels) {
   const int n = attributes.rows();
   if (layers.empty()) {
     return Status::InvalidArgument("graph needs at least one relation layer");
@@ -23,52 +40,44 @@ Result<MultiplexGraph> MultiplexGraph::Create(
           "layer %zu is %dx%d but the graph has %d nodes", r,
           layers[r].rows(), layers[r].cols(), n));
     }
-    if (checks != LayerChecks::kFull) continue;
-    // Symmetry check: every stored (i, j) needs a (j, i). O(nnz) cursor
-    // merge instead of a per-edge binary search: scanning edges in row-major
-    // order visits, for each fixed j, its partners i in ascending order —
-    // exactly row j's column list when the layer is symmetric. So walking a
-    // per-row cursor in lockstep matches the pattern against its transpose
-    // without building one; any divergence means asymmetry.
-    const auto& rp = layers[r].row_ptr();
-    const auto& ci = layers[r].col_idx();
-    std::vector<int64_t> cursor(rp.begin(), rp.end() - 1);
-    bool symmetric = true;
-    for (int i = 0; i < n && symmetric; ++i) {
-      for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-        const int j = ci[k];
-        if (cursor[j] >= rp[j + 1] || ci[cursor[j]] != i) {
-          symmetric = false;
-          break;
-        }
-        ++cursor[j];
-      }
-    }
-    if (symmetric) {
-      for (int j = 0; j < n; ++j) {
-        if (cursor[j] != rp[j + 1]) {
-          symmetric = false;
-          break;
-        }
-      }
-    }
-    if (!symmetric) {
-      // Slow re-diagnosis (error path only): report the first stored (i, j)
-      // with no (j, i), in the scan order the historical check used.
-      for (int i = 0; i < n; ++i) {
+    // Every stored (i, j) needs a finite weight and a stored mirror (j, i).
+    // The pattern is symmetric iff each upper entry (i < j) has its mirror,
+    // found by binary search in row j, and the two triangles hold as many
+    // entries. Rows fan out across the pool; only the error path rescans
+    // serially, to name the first bad entry in row-major order.
+    const SparseMatrix& layer = layers[r];
+    const auto& rp = layer.row_ptr();
+    const auto& ci = layer.col_idx();
+    const auto& values = layer.values();
+    std::atomic<bool> valid{true};
+    std::atomic<int64_t> upper_minus_lower{0};
+    ParallelFor(n, kParallelRowGrain, [&](int64_t b, int64_t e) {
+      int64_t balance = 0;
+      for (int i = static_cast<int>(b); i < e; ++i) {
         for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-          if (!layers[r].Has(ci[k], i)) {
-            return Status::InvalidArgument(StrFormat(
-                "layer %zu (%s) is not symmetric at (%d, %d)", r,
-                relation_names[r].c_str(), i, ci[k]));
+          const int j = ci[k];
+          balance += (j > i) - (j < i);
+          if (!std::isfinite(values[k]) || (j > i && !layer.Has(j, i))) {
+            valid.store(false, std::memory_order_relaxed);
           }
         }
       }
-      // Cursor mismatch with every (i, j) paired can't happen: the merge
-      // consumes each stored edge exactly once iff the pattern equals its
-      // transpose.
-      return Status::InvalidArgument(StrFormat(
-          "layer %zu (%s) is not symmetric", r, relation_names[r].c_str()));
+      upper_minus_lower.fetch_add(balance, std::memory_order_relaxed);
+    });
+    if (valid.load() && upper_minus_lower.load() == 0) continue;
+    for (int i = 0; i < n; ++i) {
+      for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
+        if (!std::isfinite(values[k])) {
+          return Status::InvalidArgument(StrFormat(
+              "layer %zu (%s) has a non-finite weight at (%d, %d)", r,
+              relation_names[r].c_str(), i, ci[k]));
+        }
+        if (!layer.Has(ci[k], i)) {
+          return Status::InvalidArgument(StrFormat(
+              "layer %zu (%s) is not symmetric at (%d, %d)", r,
+              relation_names[r].c_str(), i, ci[k]));
+        }
+      }
     }
   }
   if (!labels.empty() && labels.size() != static_cast<size_t>(n)) {
@@ -79,6 +88,9 @@ Result<MultiplexGraph> MultiplexGraph::Create(
     if (label != 0 && label != 1) {
       return Status::InvalidArgument("labels must be 0 (normal) or 1 (anomal)");
     }
+  }
+  if (!attributes.borrowed()) {
+    UMGAD_RETURN_IF_ERROR(CheckFiniteAttributes(attributes));
   }
 
   MultiplexGraph g;

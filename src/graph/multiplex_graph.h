@@ -17,34 +17,22 @@ namespace umgad {
 /// `labels` is the evaluation ground truth (1 = anomalous, 0 = normal); it
 /// is never consumed by detectors — only by metrics and by the Table V
 /// "ground-truth leakage" thresholding protocol.
-/// How much layer-content validation MultiplexGraph::Create performs beyond
-/// the shape, relation-name, and label checks (those always run).
-enum class LayerChecks {
-  /// Verify every layer is symmetric (an O(nnz) merge over each layer's
-  /// pattern). The default for graphs assembled in-process or parsed from
-  /// human-editable formats.
-  kFull,
-  /// Trust symmetry. For the .umgb parse: SaveGraphBinary only serialises
-  /// graphs that passed kFull, and ParseGraphImage re-validates every
-  /// element-level CSR invariant memory safety depends on (section bounds,
-  /// row_ptr monotonicity, column range/ordering) — so a hand-corrupted
-  /// file can at worst yield an asymmetric graph (wrong scores), never an
-  /// unsafe one. Skipping the re-check keeps the load cost proportional to
-  /// the bytes actually validated, which is what makes the mmap path fast.
-  kTrustSymmetry,
-};
-
 class MultiplexGraph {
  public:
   MultiplexGraph() = default;
 
-  /// Validating factory: checks layer shapes, symmetry of each layer (per
-  /// `checks`), and attribute/label dimensions.
+  /// Validating factory. Every graph, however it was built or loaded,
+  /// passes the same checks, and the first failure is an InvalidArgument
+  /// naming its position: layer shapes, relation names, finite edge
+  /// weights, symmetric layers (an O(nnz) merge over each pattern), labels
+  /// in {0, 1}, and finite attributes (CheckFiniteAttributes). A borrowed
+  /// attribute matrix is the section of a .umgb image that both .umgb
+  /// loads leave unread — the mapped load keeps it on disk until first
+  /// use — so its values are checked by LoadDataset instead.
   static Result<MultiplexGraph> Create(std::string name, Tensor attributes,
                                        std::vector<SparseMatrix> layers,
                                        std::vector<std::string> relation_names,
-                                       std::vector<int> labels = {},
-                                       LayerChecks checks = LayerChecks::kFull);
+                                       std::vector<int> labels = {});
 
   const std::string& name() const { return name_; }
   int num_nodes() const { return attributes_.rows(); }
@@ -97,6 +85,10 @@ class MultiplexGraph {
   std::vector<std::string> relation_names_;
   std::vector<int> labels_;
 };
+
+/// InvalidArgument naming the first non-finite attribute (row, column);
+/// OK when every entry is finite.
+Status CheckFiniteAttributes(const Tensor& attributes);
 
 }  // namespace umgad
 

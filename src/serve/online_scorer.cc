@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <mutex>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -11,12 +10,11 @@
 #include "core/views.h"
 #include "nn/gcn.h"
 #include "tensor/autograd.h"
+#include "tensor/ops.h"
 
 namespace umgad {
 namespace serve {
 namespace {
-
-double SigmoidD(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 /// The batch activations' float arithmetic (tensor/ops.cc UnaryOp lambdas),
 /// applied elementwise after a stage's accumulation.
@@ -67,7 +65,7 @@ struct ViewPlan {
   bool separate_struct = false; // kOriginal: struct embeddings use own chains
   std::vector<ChainPlan> attr_chains;    // per relation
   std::vector<ChainPlan> struct_chains;  // per relation (separate_struct)
-  std::vector<float> fusion_w;           // SimplexWeightedSum softmax weights
+  std::vector<float> fusion_w;           // ag::SimplexWeights of the fusion
 };
 
 void AppendSgcStages(ChainPlan* chain, const nn::SgcConv& layer) {
@@ -119,22 +117,19 @@ ChainPlan BuildChain(const Gmae& gmae, bool with_decoder) {
   return chain;
 }
 
-std::vector<float> SoftmaxWeights(const Tensor& logits) {
-  // The SimplexWeightedSum forward's float softmax (tensor/ops.cc).
-  const int r_count = logits.cols();
-  std::vector<float> w(r_count);
-  const float* l = logits.data();
-  float mx = l[0];
-  for (int r = 1; r < r_count; ++r) mx = std::max(mx, l[r]);
-  double denom = 0.0;
-  for (int r = 0; r < r_count; ++r) {
-    w[r] = std::exp(l[r] - mx);
-    denom += w[r];
+/// Visits the columns of row i of the normalised operator's pattern (the
+/// neighbours plus the self loop, ascending) — the GAT attention support.
+template <typename Fn>
+void ForEachAttendCol(const DynamicAdjacency& a, int i, Fn&& fn) {
+  bool self_done = false;
+  for (int col : a.neighbors(i)) {
+    if (!self_done && col > i) {
+      fn(i);
+      self_done = true;
+    }
+    fn(col);
   }
-  for (int r = 0; r < r_count; ++r) {
-    w[r] = static_cast<float>(w[r] / denom);
-  }
-  return w;
+  if (!self_done) fn(i);
 }
 
 struct StageState {
@@ -273,7 +268,8 @@ struct OnlineScorer::Impl {
                            ServeStats* stats) const;
   void ComputeAttrValNode(EngineState& st, int view, int i,
                           ServeStats* stats) const;
-  void BuildMoments(EngineState* st, bool parallel) const;
+  ViewComponents ComponentsOf(const EngineState& st, size_t v) const;
+  void BuildMoments(EngineState* st) const;
   std::vector<ViewColumns> Columns(const EngineState& st) const;
   void FullCompute(EngineState* st, bool parallel) const;
   Status ApplyBatch(const std::vector<EdgeUpdate>& updates,
@@ -324,18 +320,8 @@ void OnlineScorer::Impl::ComputeST(const ChainPlan& plan, ChainState& cs,
   StageState& ss = cs.stages[stage];
   // A GAT attend stage always follows its projection stage.
   const Tensor& h = cs.stages[stage - 1].cache;
-  const float* hr = h.row(i);
-  const float* asv = sp.a_src.data();
-  const float* adv = sp.a_dst.data();
-  const int d = h.cols();
-  double sacc = 0.0;
-  double tacc = 0.0;
-  for (int j = 0; j < d; ++j) {
-    sacc += static_cast<double>(asv[j]) * hr[j];
-    tacc += static_cast<double>(adv[j]) * hr[j];
-  }
-  ss.s[i] = sacc;
-  ss.t[i] = tacc;
+  ag::AttentionLogits(h.row(i), h.cols(), sp.a_src, sp.a_dst, &ss.s[i],
+                      &ss.t[i]);
   ss.st_valid[i] = 1;
 }
 
@@ -348,19 +334,9 @@ void OnlineScorer::Impl::ComputeStageRow(const ChainPlan& plan,
   float* out = ss.cache.row(i);
   const int d = sp.out_dim;
   switch (sp.kind) {
-    case StageKind::kProject: {
-      const float* arow = prev.row(i);
-      const int k = sp.weight.rows();
-      // MatMulNaive's row-i walk (i-k-j order, zero skip).
-      std::fill(out, out + d, 0.0f);
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const float* brow = sp.weight.row(p);
-        for (int j = 0; j < d; ++j) out[j] += av * brow[j];
-      }
+    case StageKind::kProject:
+      MatMulNaiveRow(prev.row(i), sp.weight, out);
       break;
-    }
     case StageKind::kSpmm: {
       // SparseMatrix::Multiply's row-i walk over the normalised operator.
       std::fill(out, out + d, 0.0f);
@@ -371,40 +347,14 @@ void OnlineScorer::Impl::ComputeStageRow(const ChainPlan& plan,
       break;
     }
     case StageKind::kGatAttend: {
-      // EdgeSoftmaxForwardNaive's row-i walk: pattern of the normalised
-      // operator (neighbours + self loop, ascending; values unused).
       thread_local std::vector<int> cols;
-      thread_local std::vector<float> al;
+      thread_local std::vector<float> alpha;
       cols.clear();
-      al.clear();
-      double mx = -1e300;
-      auto visit = [&](int col) {
-        const double zraw = ss.s[i] + ss.t[col];
-        const double e = zraw > 0.0 ? zraw : sp.slope * zraw;
-        al.push_back(static_cast<float>(e));
-        cols.push_back(col);
-        mx = std::max(mx, e);
-      };
-      bool self_done = false;
-      for (int col : adj[rel].neighbors(i)) {
-        if (!self_done && col > i) {
-          visit(i);
-          self_done = true;
-        }
-        visit(col);
-      }
-      if (!self_done) visit(i);
-      double denom = 0.0;
-      for (size_t k = 0; k < al.size(); ++k) {
-        al[k] = static_cast<float>(std::exp(al[k] - mx));
-        denom += al[k];
-      }
-      std::fill(out, out + d, 0.0f);
-      for (size_t k = 0; k < al.size(); ++k) {
-        al[k] = static_cast<float>(al[k] / denom);
-        const float* hj = prev.row(cols[k]);
-        for (int j = 0; j < d; ++j) out[j] += al[k] * hj[j];
-      }
+      ForEachAttendCol(adj[rel], i, [&](int col) { cols.push_back(col); });
+      alpha.resize(cols.size());
+      ag::EdgeSoftmaxRow(ss.s[i], ss.t.data(), cols.data(),
+                         static_cast<int64_t>(cols.size()), sp.slope, prev,
+                         alpha.data(), nullptr, out);
       if (sp.act != nn::Activation::kNone) {
         for (int j = 0; j < d; ++j) out[j] = ApplyActivation(out[j], sp.act);
       }
@@ -451,22 +401,12 @@ void OnlineScorer::Impl::EnsureRow(const ChainPlan& plan, ChainState& cs,
         EnsureRow(plan, cs, stage - 1, rel, col, stats);
       });
       break;
-    case StageKind::kGatAttend: {
-      auto need = [&](int col) {
+    case StageKind::kGatAttend:
+      ForEachAttendCol(adj[rel], i, [&](int col) {
         EnsureRow(plan, cs, stage - 1, rel, col, stats);
         EnsureST(plan, cs, stage, rel, col, stats);
-      };
-      bool self_done = false;
-      for (int col : adj[rel].neighbors(i)) {
-        if (!self_done && col > i) {
-          need(i);
-          self_done = true;
-        }
-        need(col);
-      }
-      if (!self_done) need(i);
+      });
       break;
-    }
   }
   ComputeStageRow(plan, cs, stage, rel, i);
 }
@@ -496,26 +436,15 @@ void OnlineScorer::Impl::ComputeResidualNode(EngineState& st, int view,
     chain = &vs.attr_chains[rel];
     stage = plan->embed_stage;
   }
-  EnsureRow(*plan, *chain, stage, rel, i, stats);
-  const Tensor& z = chain->stages[stage].cache;
-  // StructureResidual's degree-normalised form, per node.
-  double edge_err = 0.0;
-  int degree = 0;
-  for (int col : adj[rel].neighbors(i)) {
-    EnsureRow(*plan, *chain, stage, rel, col, stats);
-    edge_err += 1.0 - SigmoidD(z.RowDot(i, z, col));
-    ++degree;
-  }
-  double leak = 0.0;
+  const std::vector<int>& neighbors = adj[rel].neighbors(i);
   const std::vector<int>& negs = vs.negatives[rel][i];
-  if (!negs.empty()) {
-    for (int u : negs) {
-      EnsureRow(*plan, *chain, stage, rel, u, stats);
-      leak += SigmoidD(z.RowDot(i, z, u));
-    }
-    leak /= static_cast<double>(negs.size());
-  }
-  vs.residual[rel][i] = (degree > 0 ? edge_err / degree : 0.0) + leak;
+  EnsureRow(*plan, *chain, stage, rel, i, stats);
+  for (int col : neighbors) EnsureRow(*plan, *chain, stage, rel, col, stats);
+  for (int u : negs) EnsureRow(*plan, *chain, stage, rel, u, stats);
+  vs.residual[rel][i] =
+      NodeResidualTerms(chain->stages[stage].cache, i, neighbors.data(),
+                        static_cast<int>(neighbors.size()), negs)
+          .Normalized();
 }
 
 void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view, int i,
@@ -524,7 +453,7 @@ void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view, int i,
   ViewState& vs = st.views[view];
   const int f = x.cols();
   // SimplexWeightedSum's accumulation (zero, then += w_r * row_r ascending)
-  // followed by RowL2Distance against the raw attributes.
+  // followed by one row of RowL2Distance against the raw attributes.
   thread_local std::vector<float> fused;
   fused.assign(f, 0.0f);
   for (int r = 0; r < r_count; ++r) {
@@ -536,53 +465,26 @@ void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view, int i,
     const float* row = cs.stages[last].cache.row(i);
     for (int j = 0; j < f; ++j) fused[j] += w * row[j];
   }
-  const float* xi = x.row(i);
-  double acc = 0.0;
-  for (int j = 0; j < f; ++j) {
-    const double diff = static_cast<double>(fused[j]) - xi[j];
-    acc += diff * diff;
-  }
-  vs.attr_val[i] =
-      static_cast<double>(static_cast<float>(std::sqrt(acc)));
+  vs.attr_val[i] = RowL2DistanceOf(fused.data(), x.row(i), f);
 }
 
-void OnlineScorer::Impl::BuildMoments(EngineState* st, bool parallel) const {
+ViewComponents OnlineScorer::Impl::ComponentsOf(const EngineState& st,
+                                                size_t v) const {
+  ViewComponents vc;
+  vc.attr_used = plans[v].attr_used;
+  vc.struct_used = plans[v].struct_used;
+  if (vc.attr_used) vc.attr_val = &st.views[v].attr_val;
+  if (vc.struct_used) vc.residual = &st.views[v].residual;
+  return vc;
+}
+
+void OnlineScorer::Impl::BuildMoments(EngineState* st) const {
   // From scratch over the owned nodes: the relation means and both
-  // columns' moments. The moments are exact, so per-chunk sums merged in
-  // any order equal the serial sweep (RescoreFullNaive) bit for bit.
-  const size_t v_count = plans.size();
-  for (ViewState& vs : st->views) vs.moments = ViewMoments();
-  std::mutex mu;
-  auto deposit = [&](int64_t b, int64_t e) {
-    std::vector<ViewMoments> local(v_count);
-    std::vector<double> attr;
-    std::vector<double> structure;
-    for (size_t v = 0; v < v_count; ++v) {
-      ViewState& vs = st->views[v];
-      attr.clear();
-      structure.clear();
-      for (int i = static_cast<int>(b); i < e; ++i) {
-        if (!Owned(i)) continue;
-        if (plans[v].attr_used) attr.push_back(vs.attr_val[i]);
-        if (plans[v].struct_used) {
-          vs.structure[i] = RelationMean(vs.residual, i);
-          structure.push_back(vs.structure[i]);
-        }
-      }
-      local[v].attr.AddAll(attr.data(), static_cast<int64_t>(attr.size()));
-      local[v].structure.AddAll(structure.data(),
-                                static_cast<int64_t>(structure.size()));
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    for (size_t v = 0; v < v_count; ++v) {
-      st->views[v].moments.attr.Merge(local[v].attr);
-      st->views[v].moments.structure.Merge(local[v].structure);
-    }
-  };
-  if (parallel) {
-    ParallelFor(n, 4096, deposit);
-  } else {
-    deposit(0, n);
+  // columns' moments.
+  for (size_t v = 0; v < plans.size(); ++v) {
+    ViewState& vs = st->views[v];
+    vs.moments = BuildColumns(ComponentsOf(*st, v), n, owned,
+                              vs.structure.data());
   }
 }
 
@@ -591,14 +493,10 @@ std::vector<ViewColumns> OnlineScorer::Impl::Columns(
   std::vector<ViewColumns> columns(plans.size());
   for (size_t v = 0; v < plans.size(); ++v) {
     const ViewState& vs = st.views[v];
-    if (plans[v].attr_used) {
-      columns[v].attr = vs.attr_val.data();
-      columns[v].attr_z = vs.moments.attr.Scale();
-    }
-    if (plans[v].struct_used) {
-      columns[v].structure = vs.structure.data();
-      columns[v].structure_z = vs.moments.structure.Scale();
-    }
+    columns[v] =
+        MakeColumns(plans[v].attr_used ? vs.attr_val.data() : nullptr,
+                    plans[v].struct_used ? vs.structure.data() : nullptr,
+                    vs.moments);
   }
   return columns;
 }
@@ -607,6 +505,7 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
   // Stage-by-stage: every row of a stage only reads fully-valid previous
   // stages, so rows fan out across the pool race-free; with parallel ==
   // false the identical kernels run in one serial sweep (RescoreFullNaive).
+  // The moments are exact, so their chunked sum equals a serial one.
   auto for_rows = [&](auto&& fn) {
     if (parallel) {
       ParallelFor(n, 8, [&](int64_t b, int64_t e) {
@@ -667,7 +566,7 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
       });
     }
   }
-  BuildMoments(st, parallel);
+  BuildMoments(st);
 }
 
 Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
@@ -1002,7 +901,7 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
         }
       }
       if (vp.attr_used) {
-        vp.fusion_w = SoftmaxWeights(view->fusion_a().logits_value());
+        vp.fusion_w = ag::SimplexWeights(view->fusion_a().logits_value());
       }
       impl.plans.push_back(std::move(vp));
     }
@@ -1084,12 +983,7 @@ std::vector<ViewComponents> OnlineScorer::Components() const {
   std::vector<ViewComponents> out;
   out.reserve(impl_->plans.size());
   for (size_t v = 0; v < impl_->plans.size(); ++v) {
-    ViewComponents vc;
-    vc.attr_used = impl_->plans[v].attr_used;
-    vc.struct_used = impl_->plans[v].struct_used;
-    if (vc.attr_used) vc.attr_val = &impl_->state.views[v].attr_val;
-    if (vc.struct_used) vc.residual = &impl_->state.views[v].residual;
-    out.push_back(vc);
+    out.push_back(impl_->ComponentsOf(impl_->state, v));
   }
   return out;
 }

@@ -69,19 +69,13 @@ struct ServeStats {
   int64_t last_rescored_nodes = 0;
 };
 
-/// The Eq. 19 component types and the full-vector combine live in
-/// core/scorer.h; serve keeps their names. ViewComponents handed out by an
-/// OnlineScorer borrow its state and are invalidated by the next Apply*
+/// The Eq. 19 component and moment types and the full-vector combine live
+/// in core/scorer.h; serve keeps their names. ViewComponents handed out by
+/// an OnlineScorer borrow its state and are invalidated by the next Apply*
 /// call.
 using umgad::CombineComponents;
 using umgad::ViewComponents;
-
-/// Exact moments of one view's two Eq. 19 columns (attribute distances,
-/// relation-averaged residuals) over the nodes a scorer owns.
-struct ViewMoments {
-  ExactMoments attr;
-  ExactMoments structure;
-};
+using umgad::ViewMoments;
 
 /// Online anomaly-scoring service over a trained-model artifact (Sec. IV-E
 /// applied at serving time): load a TrainedModel (.umgm) plus the graph,
@@ -89,10 +83,13 @@ struct ViewMoments {
 /// re-scoring only the O(neighbourhood) nodes each update can affect.
 ///
 /// The engine unrolls every active view's GMAE encoder/decoder stack into
-/// per-row stages whose arithmetic replicates the batch kernels
-/// bit-for-bit (MatMulNaive rows, SparseMatrix::Multiply rows, the
-/// edge-softmax GAT row walk, SimplexWeightedSum fusion). An edge update
-/// invalidates exactly the rows whose inputs changed — degree
+/// per-row stages. A stage row calls the per-row piece its batch kernel is
+/// built from (MatMulNaiveRow; ag::AttentionLogits and ag::EdgeSoftmaxRow)
+/// or walks SparseMatrix::Multiply's row order over the live operator. A
+/// node's score components come from NodeResidualTerms, ag::SimplexWeights
+/// and RowL2DistanceOf, and the Eq. 19 columns from BuildColumns and
+/// MakeColumns. An edge update invalidates exactly the rows whose inputs
+/// changed — degree
 /// renormalisation touches the closed neighbourhood of the endpoints, and
 /// each propagation stage widens the dirty front by one hop — and lazy
 /// row-level recomputation restores them.

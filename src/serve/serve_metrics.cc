@@ -98,7 +98,7 @@ HistogramSnapshot SnapshotHistogram(const LatencyHistogram& h) {
 std::string FormatRouterStats(const RouterStats& stats) {
   std::string out = StrFormat(
       "router: shards=%d epoch=%llu %s\n"
-      "  updates: enqueued=%lld applied=%lld rejected=%lld dropped=%lld "
+      "  updates: enqueued=%lld applied=%lld rejected=%lld "
       "backpressure_waits=%lld queue_depth=%lld\n"
       "  update latency: p50=%.1fus p99=%.1fus mean=%.1fus max=%.1fus "
       "(n=%lld)\n"
@@ -110,7 +110,6 @@ std::string FormatRouterStats(const RouterStats& stats) {
       static_cast<long long>(stats.total_enqueued),
       static_cast<long long>(stats.total_applied),
       static_cast<long long>(stats.total_rejected),
-      static_cast<long long>(stats.total_dropped),
       static_cast<long long>(stats.total_backpressure_waits),
       static_cast<long long>(stats.queue_depth), stats.update_latency.p50_us,
       stats.update_latency.p99_us, stats.update_latency.mean_us,
@@ -122,11 +121,11 @@ std::string FormatRouterStats(const RouterStats& stats) {
       stats.cache_hit_rate);
   for (const ShardStatsSnapshot& s : stats.shards) {
     out += StrFormat(
-        "  shard %d: owned=%d applied=%lld rejected=%lld dropped=%lld "
+        "  shard %d: owned=%d applied=%lld rejected=%lld "
         "depth=%lld peak=%lld hit_rate=%.4f update_p50=%.1fus "
         "update_p99=%.1fus\n",
         s.shard, s.owned_nodes, static_cast<long long>(s.applied),
-        static_cast<long long>(s.rejected), static_cast<long long>(s.dropped),
+        static_cast<long long>(s.rejected),
         static_cast<long long>(s.queue_depth),
         static_cast<long long>(s.queue_peak), s.cache_hit_rate,
         s.update_latency.p50_us, s.update_latency.p99_us);

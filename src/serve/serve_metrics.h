@@ -61,13 +61,11 @@ struct ShardStatsSnapshot {
   int shard = 0;
   int owned_nodes = 0;
   /// Updates accepted into this shard's queue / applied by its worker /
-  /// rejected as invalid (bad endpoint, duplicate insert, absent removal) /
-  /// dropped because the queue was full (drop_when_full mode only).
+  /// rejected as invalid (bad endpoint, duplicate insert, absent removal).
   int64_t enqueued = 0;
   int64_t applied = 0;
   int64_t rejected = 0;
-  int64_t dropped = 0;
-  /// Submit() calls that had to block on a full queue (backpressure mode).
+  /// Submit() calls that had to block on a full queue.
   int64_t backpressure_waits = 0;
   int64_t queue_depth = 0;
   int64_t queue_peak = 0;
@@ -94,6 +92,8 @@ struct RouterStats {
   int64_t total_enqueued = 0;
   int64_t total_applied = 0;
   int64_t total_rejected = 0;
+  /// Always 0: the router never sheds an update. Kept because perfbench
+  /// still reads it.
   int64_t total_dropped = 0;
   int64_t total_backpressure_waits = 0;
   int64_t queue_depth = 0;

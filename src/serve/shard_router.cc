@@ -58,7 +58,6 @@ struct ShardRouter::Impl {
   /// every replica consumes one global update order (shard replicas that
   /// saw different orders could diverge permanently).
   std::mutex submit_mu;
-  std::atomic<int64_t> dropped_updates{0};
 
   /// The component board: every shard's owned slices of each view's two
   /// Eq. 19 columns, each shard's exact moments of them, and each shard's
@@ -113,14 +112,10 @@ void ShardRouter::Impl::PublishLocked(LatencyHistogram* hist) {
       merged.attr.Merge(shard[v].attr);
       merged.structure.Merge(shard[v].structure);
     }
-    if (board[v].attr_used) {
-      columns[v].attr = board[v].attr_val.data();
-      columns[v].attr_z = merged.attr.Scale();
-    }
-    if (board[v].struct_used) {
-      columns[v].structure = board[v].structure.data();
-      columns[v].structure_z = merged.structure.Scale();
-    }
+    const BoardView& bv = board[v];
+    columns[v] =
+        MakeColumns(bv.attr_used ? bv.attr_val.data() : nullptr,
+                    bv.struct_used ? bv.structure.data() : nullptr, merged);
   }
   auto snap = std::make_shared<ScoreSnapshot>();
   snap->epoch = ++epoch;
@@ -311,23 +306,6 @@ int64_t ShardRouter::Submit(const std::vector<EdgeUpdate>& updates) {
   std::lock_guard<std::mutex> submit_lock(impl.submit_mu);
   int64_t accepted = 0;
   for (const EdgeUpdate& update : updates) {
-    if (impl.options.drop_when_full) {
-      // All-or-nothing shedding: only Submit pushes (we hold submit_mu)
-      // and workers only free space, so a "space everywhere" check stays
-      // true through the pushes below.
-      bool full = false;
-      for (auto& sh : impl.shards) {
-        std::lock_guard<std::mutex> lock(sh->mu);
-        if (static_cast<int>(sh->queue.size()) >=
-            impl.options.queue_capacity) {
-          full = true;
-        }
-      }
-      if (full) {
-        impl.dropped_updates.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-    }
     for (auto& sh : impl.shards) {
       std::unique_lock<std::mutex> lock(sh->mu);
       if (static_cast<int>(sh->queue.size()) >= impl.options.queue_capacity) {
@@ -371,7 +349,6 @@ RouterStats ShardRouter::Stats() const {
   const std::shared_ptr<const ScoreSnapshot> snap = Snapshot();
   out.epoch = snap->epoch;
   out.stream_consistent = snap->stream_consistent;
-  out.total_dropped = impl.dropped_updates.load(std::memory_order_relaxed);
 
   int64_t update_buckets[LatencyHistogram::kBuckets] = {};
   int64_t publish_buckets[LatencyHistogram::kBuckets] = {};
@@ -389,7 +366,6 @@ RouterStats ShardRouter::Stats() const {
     ss.enqueued = sh.enqueued.load(std::memory_order_relaxed);
     ss.applied = sh.applied.load(std::memory_order_relaxed);
     ss.rejected = sh.rejected.load(std::memory_order_relaxed);
-    ss.dropped = out.total_dropped;  // shedding is all-or-nothing
     ss.backpressure_waits =
         sh.backpressure_waits.load(std::memory_order_relaxed);
     {

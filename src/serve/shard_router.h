@@ -25,11 +25,6 @@ struct RouterOptions {
   int queue_capacity = 4096;
   /// Max updates a worker coalesces into one ApplyEdgeUpdates pass.
   int max_burst = 64;
-  /// Queue-full policy: false (default) = Submit blocks until space in
-  /// every shard's queue (counted as backpressure_waits); true = the
-  /// update is dropped from *all* shards (counted as dropped) — dropping
-  /// must be all-or-nothing or the shard replicas would diverge.
-  bool drop_when_full = false;
 };
 
 /// One published score vector. Immutable once published; readers hold it
@@ -100,10 +95,12 @@ class ShardRouter {
   /// id; never blocks on in-flight updates.
   Result<std::vector<double>> Query(const std::vector<int>& nodes) const;
 
-  /// Enqueue the updates to every shard, in order. Returns the number
-  /// accepted (== updates.size() unless drop_when_full shed some).
-  /// Invalid updates are accepted here and rejected (counted, skipped) at
-  /// apply time — rejection must happen in stream order on every shard.
+  /// Enqueue the updates to every shard, in order, blocking while a
+  /// shard's queue is full (counted as backpressure_waits). Returns the
+  /// number enqueued: updates.size(), or fewer only when the router is
+  /// being destroyed. Invalid updates are accepted here and rejected
+  /// (counted, skipped) at apply time — rejection must happen in stream
+  /// order on every shard.
   int64_t Submit(const std::vector<EdgeUpdate>& updates);
 
   /// Block until every update submitted before this call has been applied

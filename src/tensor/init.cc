@@ -9,11 +9,6 @@ Tensor XavierUniform(int rows, int cols, Rng* rng) {
   return RandomUniform(rows, cols, -a, a, rng);
 }
 
-Tensor HeNormal(int rows, int cols, Rng* rng) {
-  const double stddev = std::sqrt(2.0 / rows);
-  return RandomNormal(rows, cols, 0.0, stddev, rng);
-}
-
 Tensor RandomNormal(int rows, int cols, double mean, double stddev, Rng* rng) {
   Tensor t(rows, cols);
   float* d = t.data();

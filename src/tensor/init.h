@@ -10,9 +10,6 @@ namespace umgad {
 /// The default initialiser for linear/GNN weights.
 Tensor XavierUniform(int rows, int cols, Rng* rng);
 
-/// He (Kaiming) normal: N(0, sqrt(2 / fan_in)); used ahead of ReLU stacks.
-Tensor HeNormal(int rows, int cols, Rng* rng);
-
 /// N(mean, stddev) entries; used for fusion logits and [MASK] tokens
 /// ("initially randomized using a normal distribution", Sec. IV-A).
 Tensor RandomNormal(int rows, int cols, double mean, double stddev, Rng* rng);

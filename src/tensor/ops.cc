@@ -426,6 +426,24 @@ VarPtr MaskRows(const VarPtr& a, std::vector<int> masked_idx,
       });
 }
 
+std::vector<float> SimplexWeights(const Tensor& logits) {
+  // Stable softmax in float, normalised by a double denominator.
+  const int r_count = logits.cols();
+  std::vector<float> w(r_count);
+  const float* l = logits.data();
+  float mx = l[0];
+  for (int r = 1; r < r_count; ++r) mx = std::max(mx, l[r]);
+  double denom = 0.0;
+  for (int r = 0; r < r_count; ++r) {
+    w[r] = std::exp(l[r] - mx);
+    denom += w[r];
+  }
+  for (int r = 0; r < r_count; ++r) {
+    w[r] = static_cast<float>(w[r] / denom);
+  }
+  return w;
+}
+
 VarPtr SimplexWeightedSum(const std::vector<VarPtr>& xs,
                           const VarPtr& logits) {
   const int r_count = static_cast<int>(xs.size());
@@ -433,22 +451,7 @@ VarPtr SimplexWeightedSum(const std::vector<VarPtr>& xs,
   UMGAD_CHECK_EQ(logits->value().rows(), 1);
   UMGAD_CHECK_EQ(logits->value().cols(), r_count);
 
-  // softmax over logits (stable).
-  std::vector<float> w(r_count);
-  {
-    const float* l = logits->value().data();
-    float mx = l[0];
-    for (int r = 1; r < r_count; ++r) mx = std::max(mx, l[r]);
-    double denom = 0.0;
-    for (int r = 0; r < r_count; ++r) {
-      w[r] = std::exp(l[r] - mx);
-      denom += w[r];
-    }
-    for (int r = 0; r < r_count; ++r) {
-      w[r] = static_cast<float>(w[r] / denom);
-    }
-  }
-
+  std::vector<float> w = SimplexWeights(logits->value());
   Tensor out(xs[0]->value().rows(), xs[0]->value().cols());
   for (int r = 0; r < r_count; ++r) {
     UMGAD_CHECK(xs[r]->value().SameShape(out));
@@ -1191,59 +1194,65 @@ void EdgeSoftmaxForward(const SparseMatrix& adj, float slope, const Tensor& h,
   });
 }
 
+void AttentionLogits(const float* h_row, int d, const Tensor& a_src,
+                     const Tensor& a_dst, double* s, double* t) {
+  const float* asv = a_src.data();
+  const float* adv = a_dst.data();
+  double ss = 0.0;
+  double tt = 0.0;
+  for (int j = 0; j < d; ++j) {
+    ss += static_cast<double>(asv[j]) * h_row[j];
+    tt += static_cast<double>(adv[j]) * h_row[j];
+  }
+  *s = ss;
+  *t = tt;
+}
+
+void EdgeSoftmaxRow(double s_i, const double* t, const int* cols,
+                    int64_t count, float slope, const Tensor& h, float* alpha,
+                    char* pos, float* out) {
+  const int d = h.cols();
+  double mx = -1e300;
+  for (int64_t k = 0; k < count; ++k) {
+    const double zraw = s_i + t[cols[k]];
+    if (pos != nullptr) pos[k] = zraw > 0.0 ? 1 : 0;
+    const double e = zraw > 0.0 ? zraw : slope * zraw;
+    alpha[k] = static_cast<float>(e);
+    mx = std::max(mx, e);
+  }
+  double denom = 0.0;
+  for (int64_t k = 0; k < count; ++k) {
+    alpha[k] = static_cast<float>(std::exp(alpha[k] - mx));
+    denom += alpha[k];
+  }
+  std::fill(out, out + d, 0.0f);
+  for (int64_t k = 0; k < count; ++k) {
+    alpha[k] = static_cast<float>(alpha[k] / denom);
+    const float* hj = h.row(cols[k]);
+    for (int j = 0; j < d; ++j) out[j] += alpha[k] * hj[j];
+  }
+}
+
 void EdgeSoftmaxForwardNaive(const SparseMatrix& adj, float slope,
                              const Tensor& h, const Tensor& a_src,
                              const Tensor& a_dst, Tensor* out,
                              std::vector<float>* alpha,
                              std::vector<char>* pos) {
   const int n = h.rows();
-  const int d = h.cols();
   std::vector<double> s(n, 0.0);
   std::vector<double> t(n, 0.0);
-  const float* asv = a_src.data();
-  const float* adv = a_dst.data();
   for (int i = 0; i < n; ++i) {
-    const float* hr = h.row(i);
-    double ss = 0.0;
-    double tt = 0.0;
-    for (int j = 0; j < d; ++j) {
-      ss += static_cast<double>(asv[j]) * hr[j];
-      tt += static_cast<double>(adv[j]) * hr[j];
-    }
-    s[i] = ss;
-    t[i] = tt;
+    AttentionLogits(h.row(i), h.cols(), a_src, a_dst, &s[i], &t[i]);
   }
-
   const auto& row_ptr = adj.row_ptr();
-  const auto& cols = adj.col_idx();
   alpha->assign(adj.nnz(), 0.0f);
   pos->assign(adj.nnz(), 0);
-  *out = Tensor(n, d);
-  std::vector<float>& al = *alpha;
-  std::vector<char>& sg = *pos;
+  *out = Tensor(n, h.cols());
   for (int i = 0; i < n; ++i) {
     const int64_t begin = row_ptr[i];
-    const int64_t end = row_ptr[i + 1];
-    if (begin == end) continue;
-    double mx = -1e300;
-    for (int64_t k = begin; k < end; ++k) {
-      const double zraw = s[i] + t[cols[k]];
-      sg[k] = zraw > 0.0 ? 1 : 0;
-      const double e = zraw > 0.0 ? zraw : slope * zraw;
-      al[k] = static_cast<float>(e);
-      mx = std::max(mx, e);
-    }
-    double denom = 0.0;
-    for (int64_t k = begin; k < end; ++k) {
-      al[k] = static_cast<float>(std::exp(al[k] - mx));
-      denom += al[k];
-    }
-    float* orow = out->row(i);
-    for (int64_t k = begin; k < end; ++k) {
-      al[k] = static_cast<float>(al[k] / denom);
-      const float* hj = h.row(cols[k]);
-      for (int j = 0; j < d; ++j) orow[j] += al[k] * hj[j];
-    }
+    EdgeSoftmaxRow(s[i], t.data(), adj.col_idx().data() + begin,
+                   row_ptr[i + 1] - begin, slope, h, alpha->data() + begin,
+                   pos->data() + begin, out->row(i));
   }
 }
 

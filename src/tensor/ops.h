@@ -62,6 +62,10 @@ VarPtr MaskRows(const VarPtr& a, std::vector<int> masked_idx,
 VarPtr SimplexWeightedSum(const std::vector<VarPtr>& xs,
                           const VarPtr& logits);
 
+/// The simplex weights softmax(logits) of a 1 x R logits row, exactly as
+/// SimplexWeightedSum applies them.
+std::vector<float> SimplexWeights(const Tensor& logits);
+
 // ---------------------------------------------------------------------------
 // Reductions
 // ---------------------------------------------------------------------------
@@ -204,6 +208,19 @@ void EdgeSoftmaxForwardNaive(const SparseMatrix& adj, float slope,
                              const Tensor& a_dst, Tensor* out,
                              std::vector<float>* alpha,
                              std::vector<char>* pos);
+
+/// The per-row pieces EdgeSoftmaxForwardNaive is built from.
+/// AttentionLogits: *s = <a_src, h_row>, *t = <a_dst, h_row> over d
+/// entries, accumulated in double.
+void AttentionLogits(const float* h_row, int d, const Tensor& a_src,
+                     const Tensor& a_dst, double* s, double* t);
+/// One output row over the `count` columns cols[] (ascending, self loop
+/// included): alpha[k] = softmax_k(LeakyReLU(s_i + t[cols[k]])), and
+/// out[0, h.cols()) = sum_k alpha[k] h.row(cols[k]), overwriting out. A
+/// non-null `pos` receives each pre-activation's sign.
+void EdgeSoftmaxRow(double s_i, const double* t, const int* cols,
+                    int64_t count, float slope, const Tensor& h, float* alpha,
+                    char* pos, float* out);
 
 /// Edge-softmax backward. The parallel kernel runs in three row-partitioned
 /// phases — per-edge softmax gradients by source row, the dh/dt scatter by

@@ -32,11 +32,6 @@ Tensor Tensor::Identity(int n) {
   return t;
 }
 
-Tensor Tensor::RowVector(std::vector<float> values) {
-  int n = static_cast<int>(values.size());
-  return Tensor(1, n, values);
-}
-
 void Tensor::Fill(float value) {
   std::fill(data_.data(), data_.data() + data_.size(), value);
 }
@@ -121,21 +116,21 @@ std::string Tensor::ShapeString() const {
 Tensor MatMulNaive(const Tensor& a, const Tensor& b) {
   UMGAD_CHECK_EQ(a.cols(), b.rows());
   const int m = a.rows();
-  const int k = a.cols();
-  const int n = b.cols();
-  Tensor c(m, n);
-  // i-k-j loop order: streams over B's rows, cache-friendly for row-major.
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b.row(p);
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  Tensor c(m, b.cols());
+  for (int i = 0; i < m; ++i) MatMulNaiveRow(a.row(i), b, c.row(i));
   return c;
+}
+
+void MatMulNaiveRow(const float* a_row, const Tensor& b, float* out) {
+  const int n = b.cols();
+  // i-k-j loop order: streams over B's rows, cache-friendly for row-major.
+  std::fill(out, out + n, 0.0f);
+  for (int p = 0; p < b.rows(); ++p) {
+    const float av = a_row[p];
+    if (av == 0.0f) continue;
+    const float* brow = b.row(p);
+    for (int j = 0; j < n; ++j) out[j] += av * brow[j];
+  }
 }
 
 Tensor MatMulTransBNaive(const Tensor& a, const Tensor& b) {
@@ -304,34 +299,19 @@ Tensor RowL2Distance(const Tensor& a, const Tensor& b) {
   Tensor out(a.rows(), 1);
   ParallelFor(a.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
     for (int i = static_cast<int>(r0); i < r1; ++i) {
-      const float* ra = a.row(i);
-      const float* rb = b.row(i);
-      double acc = 0.0;
-      for (int j = 0; j < a.cols(); ++j) {
-        double d = static_cast<double>(ra[j]) - rb[j];
-        acc += d * d;
-      }
-      out.at(i, 0) = static_cast<float>(std::sqrt(acc));
+      out.at(i, 0) = RowL2DistanceOf(a.row(i), b.row(i), a.cols());
     }
   });
   return out;
 }
 
-Tensor RowL1Distance(const Tensor& a, const Tensor& b) {
-  UMGAD_CHECK(a.SameShape(b));
-  Tensor out(a.rows(), 1);
-  ParallelFor(a.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
-    for (int i = static_cast<int>(r0); i < r1; ++i) {
-      const float* ra = a.row(i);
-      const float* rb = b.row(i);
-      double acc = 0.0;
-      for (int j = 0; j < a.cols(); ++j) {
-        acc += std::abs(static_cast<double>(ra[j]) - rb[j]);
-      }
-      out.at(i, 0) = static_cast<float>(acc);
-    }
-  });
-  return out;
+float RowL2DistanceOf(const float* a, const float* b, int d) {
+  double acc = 0.0;
+  for (int j = 0; j < d; ++j) {
+    const double diff = static_cast<double>(a[j]) - b[j];
+    acc += diff * diff;
+  }
+  return static_cast<float>(std::sqrt(acc));
 }
 
 double MaxAbsDiff(const Tensor& a, const Tensor& b) {

@@ -122,8 +122,6 @@ class Tensor {
   static Tensor Zeros(int rows, int cols) { return Tensor(rows, cols); }
   static Tensor Full(int rows, int cols, float value);
   static Tensor Identity(int n);
-  /// 1xN row vector from values.
-  static Tensor RowVector(std::vector<float> values);
 
   /// Read-only view over external row-major storage (a loaded `.umgb`
   /// image's attribute section); `owner` keeps the backing memory alive. All
@@ -233,6 +231,9 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 /// in ascending-k order (the same per-element order as the blocked kernel);
 /// MatMulTransBNaive accumulates each dot product in double.
 Tensor MatMulNaive(const Tensor& a, const Tensor& b);
+/// Row i of MatMulNaive: out[0, b.cols()) = a_row * b (a_row has b.rows()
+/// entries), overwriting out.
+void MatMulNaiveRow(const float* a_row, const Tensor& b, float* out);
 Tensor MatMulTransBNaive(const Tensor& a, const Tensor& b);
 Tensor MatMulTransANaive(const Tensor& a, const Tensor& b);
 Tensor Transpose(const Tensor& a);
@@ -252,9 +253,9 @@ Tensor RowCosine(const Tensor& a, const Tensor& b, float eps = 1e-12f);
 
 /// Per-row Euclidean distance ||a_i - b_i||_2, as Nx1 tensor.
 Tensor RowL2Distance(const Tensor& a, const Tensor& b);
-
-/// Per-row L1 distance ||a_i - b_i||_1, as Nx1 tensor.
-Tensor RowL1Distance(const Tensor& a, const Tensor& b);
+/// One row of RowL2Distance: ||a - b||_2 of two length-d rows, accumulated
+/// in double and rounded to float.
+float RowL2DistanceOf(const float* a, const float* b, int d);
 
 /// Max |a - b| over all entries (test helper).
 double MaxAbsDiff(const Tensor& a, const Tensor& b);

@@ -5,15 +5,19 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "graph/dataset_registry.h"
 #include "graph/datasets.h"
 #include "graph/io/binary_format.h"
 #include "graph/io/edge_list.h"
 #include "graph/io/graph_io.h"
+#include "graph/io/mmap_format.h"
 #include "graph/io/text_format.h"
 
 namespace umgad {
@@ -352,6 +356,93 @@ TEST(BinaryFormatTest, RejectsCorruptCsr) {
   std::remove(path.c_str());
 }
 
+/// Byte offset of `layer`'s col_idx array in a saved .umgb image: it
+/// directly follows the layer's row_ptr array, found by its exact bytes.
+size_t ColIdxOffset(const std::string& bytes, const SparseMatrix& layer) {
+  const std::string row_ptr(
+      reinterpret_cast<const char*>(layer.row_ptr().data()),
+      layer.row_ptr().size() * sizeof(int64_t));
+  const size_t at = bytes.find(row_ptr);
+  UMGAD_CHECK(at != std::string::npos);
+  return at + row_ptr.size();
+}
+
+template <typename T>
+void Poke(std::string* bytes, size_t offset, T value) {
+  std::memcpy(&(*bytes)[offset], &value, sizeof(T));
+}
+
+/// Both .umgb loads (copying and mapped) reject `path` with an
+/// InvalidArgument whose message contains `want`.
+void ExpectBothLoadsReject(const std::string& path, const std::string& want) {
+  for (bool mapped : {false, true}) {
+    Result<MultiplexGraph> g =
+        mapped ? LoadGraphMapped(path) : LoadGraphBinary(path);
+    ASSERT_FALSE(g.ok()) << (mapped ? "mapped" : "copying") << " load";
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(g.status().message().find(want), std::string::npos)
+        << g.status().message();
+  }
+}
+
+TEST(BinaryFormatTest, BothLoadsRejectAnAsymmetricLayer) {
+  MultiplexGraph g = MakeTiny(6);
+  const SparseMatrix& layer = g.layer(0);
+  const auto& rp = layer.row_ptr();
+  const auto& ci = layer.col_idx();
+  // Move the first stored column j of a row i to j + 1 where the row stays
+  // sorted and in range: (i, j + 1) then lacks its mirror, and so does
+  // (j, i).
+  int row = -1;
+  int64_t pos = -1;
+  for (int i = 0; i < g.num_nodes() && row < 0; ++i) {
+    for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
+      const int j = ci[k];
+      if (j != i && j + 1 != i && j + 1 < g.num_nodes() &&
+          (k + 1 == rp[i + 1] || ci[k + 1] > j + 1)) {
+        row = i;
+        pos = k;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(row, 0);
+  const int col = ci[pos];
+  const std::string path = TempPath("asymmetric.umgb");
+  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
+  std::string bytes = ReadFile(path);
+  Poke<int>(&bytes, ColIdxOffset(bytes, layer) + pos * sizeof(int), col + 1);
+  WriteFile(path, bytes);
+  // The first entry in row-major order whose mirror is missing.
+  const std::string at = col < row ? StrFormat("(%d, %d)", col, row)
+                                   : StrFormat("(%d, %d)", row, col + 1);
+  ExpectBothLoadsReject(path, "layer 0 (" + g.relation_name(0) +
+                                  ") is not symmetric at " + at);
+  std::remove(path.c_str());
+}
+
+TEST(BinaryFormatTest, BothLoadsRejectANonFiniteWeight) {
+  MultiplexGraph g = MakeTiny(7);
+  const SparseMatrix& layer = g.layer(0);
+  const int64_t pos = layer.row_ptr()[5];  // row 5's first entry
+  ASSERT_LT(pos, layer.row_ptr()[6]);
+  const std::string at =
+      StrFormat("has a non-finite weight at (5, %d)", layer.col_idx()[pos]);
+  const std::string path = TempPath("nonfinite_weight.umgb");
+  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
+  const std::string bytes = ReadFile(path);
+  const size_t values =
+      ColIdxOffset(bytes, layer) + layer.nnz() * sizeof(int);
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    -std::numeric_limits<float>::infinity()}) {
+    std::string mutant = bytes;
+    Poke<float>(&mutant, values + pos * sizeof(float), bad);
+    WriteFile(path, mutant);
+    ExpectBothLoadsReject(path, "layer 0 (" + g.relation_name(0) + ") " + at);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(BinaryFormatTest, WriterEnforcesNameCap) {
   // A name the reader would reject must not be writable in the first
   // place (the library must never produce a file it cannot read back).
@@ -624,6 +715,38 @@ TEST(EdgeListTest, MalformedInputsAreRejected) {
 }
 
 // ------------------------- LoadDataset dispatch ---------------------------
+
+TEST(LoadDatasetTest, RejectsANonFiniteUmgbAttributeFromBothLoads) {
+  MultiplexGraph g = MakeTiny(8);
+  const Tensor& x = g.attributes();
+  const std::string path = TempPath("nonfinite_attr.umgb");
+  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
+  const std::string bytes = ReadFile(path);
+  const size_t attr =
+      bytes.find(std::string(reinterpret_cast<const char*>(x.data()),
+                             x.size() * sizeof(float)));
+  ASSERT_NE(attr, std::string::npos);
+  const int row = 3;
+  const int col = x.cols() - 1;
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    std::string mutant = bytes;
+    Poke<float>(&mutant, attr + (row * x.cols() + col) * sizeof(float), bad);
+    WriteFile(path, mutant);
+    for (bool mmap : {false, true}) {
+      LoadDatasetOptions options;
+      options.prefer_mmap = mmap;
+      Result<MultiplexGraph> loaded = LoadDataset(path, options);
+      ASSERT_FALSE(loaded.ok()) << (mmap ? "mapped" : "copying") << " load";
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find(
+                    StrFormat("attribute (%d, %d) is not finite", row, col)),
+                std::string::npos)
+          << loaded.status().message();
+    }
+  }
+  std::remove(path.c_str());
+}
 
 TEST(LoadDatasetTest, ResolvesRegisteredNamesAndFiles) {
   LoadDatasetOptions options;

@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -57,6 +59,31 @@ TEST(MultiplexGraphTest, RejectsAsymmetricLayer) {
   auto result = MultiplexGraph::Create(
       "bad", RandomNormal(3, 2, 0, 1, &rng), {asym}, {"r"});
   EXPECT_FALSE(result.ok());
+}
+
+TEST(MultiplexGraphTest, RejectsNonFiniteValuesNamingTheFirst) {
+  Rng rng(7);
+  SparseMatrix a = SparseMatrix::FromEdges(3, {Edge{0, 1}, Edge{1, 2}}, true);
+  Tensor x = RandomNormal(3, 2, 0, 1, &rng);
+  x.at(2, 1) = std::numeric_limits<float>::infinity();
+  x.at(2, 0) = std::numeric_limits<float>::quiet_NaN();
+  auto bad_attr = MultiplexGraph::Create("bad", x, {a}, {"r"});
+  ASSERT_FALSE(bad_attr.ok());
+  EXPECT_EQ(bad_attr.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_attr.status().message().find("attribute (2, 0)"),
+            std::string::npos)
+      << bad_attr.status().message();
+
+  SparseMatrix w = SparseMatrix::FromCoo(
+      3, 3, {0, 1, 1, 2}, {1, 0, 2, 1},
+      {1.0f, 1.0f, std::numeric_limits<float>::quiet_NaN(), 1.0f});
+  auto bad_weight = MultiplexGraph::Create(
+      "bad", RandomNormal(3, 2, 0, 1, &rng), {a, w}, {"r", "w"});
+  ASSERT_FALSE(bad_weight.ok());
+  EXPECT_NE(bad_weight.status().message().find(
+                "layer 1 (w) has a non-finite weight at (1, 2)"),
+            std::string::npos)
+      << bad_weight.status().message();
 }
 
 TEST(MultiplexGraphTest, RejectsBadLabels) {

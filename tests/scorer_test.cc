@@ -17,19 +17,6 @@
 namespace umgad {
 namespace {
 
-TEST(NormalizeTest, MinMaxMapsToUnitInterval) {
-  std::vector<double> v = {3.0, 1.0, 5.0};
-  std::vector<double> out = MinMaxNormalize(v);
-  EXPECT_DOUBLE_EQ(out[0], 0.5);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);
-  EXPECT_DOUBLE_EQ(out[2], 1.0);
-}
-
-TEST(NormalizeTest, MinMaxConstantIsZero) {
-  std::vector<double> out = MinMaxNormalize({2.0, 2.0, 2.0});
-  for (double x : out) EXPECT_DOUBLE_EQ(x, 0.0);
-}
-
 TEST(NormalizeTest, StandardizeMoments) {
   std::vector<double> v = {1.0, 2.0, 3.0, 4.0, 5.0};
   std::vector<double> z = Standardize(v);

@@ -267,43 +267,28 @@ TEST(ShardRouterTest, ToggleAcrossSubmitsConverges) {
   EXPECT_EQ((*router)->Stats().total_rejected, 0);
 }
 
-TEST(ShardRouterTest, DropModeShedsAllOrNothing) {
-  // drop_when_full: an update shed from one shard must be shed from all
-  // (replicas would diverge otherwise). Submit one update at a time and
-  // record which were accepted; the drained router must equal the flat
-  // oracle run over exactly the accepted subsequence.
+TEST(ShardRouterTest, FullQueuesBlockSubmitWithoutLosingUpdates) {
+  // A full queue makes Submit wait, never shed: with room for one update
+  // per shard, the whole sequence still reaches every replica in order.
   const std::vector<EdgeUpdate> updates =
       MakeUpdateSequence(Fixture().graph, 16, /*seed=*/71);
   RouterOptions options;
-  options.queue_capacity = 1;  // shed whenever a worker is mid-burst
+  options.queue_capacity = 1;
   options.max_burst = 1;
-  options.drop_when_full = true;
   auto router = MakeRouter(2, options);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
-
-  std::vector<EdgeUpdate> accepted;
-  for (const EdgeUpdate& u : updates) {
-    if ((*router)->Submit({u}) == 1) accepted.push_back(u);
-  }
+  EXPECT_EQ((*router)->Submit(updates), static_cast<int64_t>(updates.size()));
   (*router)->Flush();
 
   const RouterStats stats = (*router)->Stats();
-  EXPECT_EQ(stats.total_dropped,
-            static_cast<int64_t>(updates.size() - accepted.size()));
+  EXPECT_EQ(stats.total_dropped, 0);
   for (const auto& s : stats.shards) {
-    // Same stream on every replica: each shard enqueued every accepted
-    // update and nothing else.
-    EXPECT_EQ(s.enqueued, static_cast<int64_t>(accepted.size()))
+    EXPECT_EQ(s.enqueued, static_cast<int64_t>(updates.size()))
         << "shard " << s.shard;
+    EXPECT_LE(s.queue_peak, 1) << "shard " << s.shard;
   }
-
-  // The accepted subsequence may skip toggles, which can strand a
-  // removal whose insert was dropped — the flat oracle skips those the
-  // same way the workers do.
-  FlatRun flat = RunFlat(accepted);
-  auto snap = (*router)->Snapshot();
-  EXPECT_TRUE(snap->stream_consistent);
-  ExpectSameBits(snap->scores, flat.final_scores, "drop mode");
+  ExpectSameBits((*router)->Snapshot()->scores, RunFlat(updates).final_scores,
+                 "capacity 1");
 }
 
 // ------------------------- reads and metrics ------------------------------
