@@ -1,6 +1,7 @@
 #include "core/model_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -320,6 +321,16 @@ Result<TrainedModel> TrainedModel::Load(const std::string& path) {
     UMGAD_RETURN_IF_ERROR(r.Require<float>(count, "weight data"));
     Tensor tensor(rows, cols);
     UMGAD_RETURN_IF_ERROR(r.Read(tensor.data(), count, "weight data"));
+    // The same rule the graph loaders apply to attributes: a NaN or Inf
+    // weight would serve a NaN score for every node.
+    for (int64_t k = 0; k < count; ++k) {
+      if (!std::isfinite(tensor.data()[k])) {
+        return Status::InvalidArgument(StrFormat(
+            "corrupt model: weight %lld element %lld is not finite (%g)",
+            static_cast<long long>(t), static_cast<long long>(k),
+            static_cast<double>(tensor.data()[k])));
+      }
+    }
     out.weights_.push_back(std::move(tensor));
   }
 

@@ -120,6 +120,16 @@ Result<MultiplexGraph> LoadGraph(const std::string& path) {
         static_cast<long long>(relations)));
   }
 
+  // operator>> fails at the end of the file (a truncated section) or on a
+  // token that is not a number, e.g. the "nan" numpy writes for a missing
+  // value; the second case names the value's position.
+  auto read_error = [&in](const char* section, const std::string& bad_value) {
+    if (in.eof()) {
+      return Status::InvalidArgument(StrFormat("truncated %s", section));
+    }
+    return Status::InvalidArgument(bad_value);
+  };
+
   std::vector<SparseMatrix> layers;
   std::vector<std::string> rel_names;
   for (int r = 0; r < relations; ++r) {
@@ -158,7 +168,10 @@ Result<MultiplexGraph> LoadGraph(const std::string& path) {
     for (int64_t e = 0; e < edge_count; ++e) {
       Edge edge;
       if (!(in >> edge.src >> edge.dst)) {
-        return Status::InvalidArgument("truncated edge list");
+        return read_error(
+            "edge list",
+            StrFormat("edge %lld of relation '%s' is not a pair of node ids",
+                      static_cast<long long>(e), rel_name.c_str()));
       }
       if (edge.src < 0 || edge.src >= nodes || edge.dst < 0 ||
           edge.dst >= nodes) {
@@ -186,7 +199,9 @@ Result<MultiplexGraph> LoadGraph(const std::string& path) {
   for (int i = 0; i < x.rows(); ++i) {
     for (int j = 0; j < x.cols(); ++j) {
       if (!(in >> x.at(i, j))) {
-        return Status::InvalidArgument("truncated attribute matrix");
+        return read_error(
+            "attribute matrix",
+            StrFormat("attribute (%d, %d) is not a finite number", i, j));
       }
     }
   }

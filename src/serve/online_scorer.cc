@@ -34,12 +34,24 @@ float ApplyActivation(float x, nn::Activation act) {
   return x;
 }
 
+/// Runs fn(i) for every node i < n, chunked across the pool when `parallel`.
+template <typename Fn>
+void ForEachNode(int n, bool parallel, Fn&& fn) {
+  if (parallel) {
+    ParallelFor(n, 8, [&](int64_t b, int64_t e) {
+      for (int i = static_cast<int>(b); i < e; ++i) fn(i);
+    });
+  } else {
+    for (int i = 0; i < n; ++i) fn(i);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Stage pipeline: each GMAE encoder/decoder unrolls into a list of per-row
 // stages. A stage's row i is a pure function of the previous stage's rows
 // (its own row for kProject/kBiasAct, the normalised-operator row pattern
-// for kSpmm/kGatAttend), which is what the dirty-front propagation and the
-// row-level cache rely on.
+// for kSpmm/kGatAttend), so the rows an update dirties can be recomputed
+// stage by stage, in any order within a stage, to the full pass's bits.
 // ---------------------------------------------------------------------------
 
 enum class StageKind { kProject, kSpmm, kGatAttend, kBiasAct };
@@ -133,13 +145,10 @@ void ForEachAttendCol(const DynamicAdjacency& a, int i, Fn&& fn) {
 }
 
 struct StageState {
-  Tensor cache;                // n x out_dim
-  std::vector<uint8_t> valid;  // per row
+  Tensor cache;  // n x out_dim
   // kGatAttend only: the per-node attention logits <a_src, h_i>, <a_dst,
-  // h_i> over the previous stage's rows. Always resident (two doubles per
-  // node) — only invalidated when the underlying projection row changes.
+  // h_i> over the previous stage's rows, recomputed when that row changes.
   std::vector<double> s, t;
-  std::vector<uint8_t> st_valid;
 };
 
 struct ChainState {
@@ -159,6 +168,13 @@ struct ViewState {
 
 struct EngineState {
   std::vector<ViewState> views;
+};
+
+/// The dirty fronts one update sweep recomputed in a chain.
+struct ChainDirty {
+  std::vector<int> embed;  // rows of the embed stage
+  std::vector<int> final;  // rows of the last stage
+  int64_t rows = 0;        // rows over every stage
 };
 
 /// Dedup set for dirty-set accumulation. The marks live across updates and
@@ -244,11 +260,12 @@ struct OnlineScorer::Impl {
   bool component_only = false;
   EngineState state;
   // ApplyBatch's dirty sets, sized once: s_norm/endpoints per relation
-  // (see ApplyBatch), `front` for one propagation stage, `rescore` for one
-  // (view, relation)'s residuals, `moved` for one view's changed columns.
+  // (see ApplyBatch), `front` for one stage of an update sweep (only
+  // ApplyBatch's sweeps touch it), `rescore` for one (view, relation)'s
+  // residuals, `moved` for one view's changed columns.
   std::vector<NodeSet> s_norm;
   std::vector<NodeSet> endpoints;
-  NodeSet front;
+  mutable NodeSet front;
   NodeSet rescore;
   NodeSet moved;
 
@@ -259,15 +276,11 @@ struct OnlineScorer::Impl {
                  int i) const;
   void ComputeStageRow(const ChainPlan& plan, ChainState& cs, int stage,
                        int rel, int i) const;
-  void EnsureST(const ChainPlan& plan, ChainState& cs, int stage, int rel,
-                int i, ServeStats* stats) const;
-  void EnsureRow(const ChainPlan& plan, ChainState& cs, int stage, int rel,
-                 int i, ServeStats* stats) const;
+  void SweepChain(const ChainPlan& plan, ChainState& cs, int rel,
+                  bool parallel, ChainDirty* dirty) const;
   std::vector<int> DrawNegatives(int view, int rel, int node) const;
-  void ComputeResidualNode(EngineState& st, int view, int rel, int i,
-                           ServeStats* stats) const;
-  void ComputeAttrValNode(EngineState& st, int view, int i,
-                          ServeStats* stats) const;
+  void ComputeResidualNode(EngineState& st, int view, int rel, int i) const;
+  void ComputeAttrValNode(EngineState& st, int view, int i) const;
   ViewComponents ComponentsOf(const EngineState& st, size_t v) const;
   void BuildMoments(EngineState* st) const;
   std::vector<ViewColumns> Columns(const EngineState& st) const;
@@ -292,11 +305,9 @@ EngineState OnlineScorer::Impl::MakeEmptyState() const {
           const StagePlan& sp = chain_plans[c].stages[s];
           StageState& ss = cs.stages[s];
           ss.cache = Tensor(n, sp.out_dim);
-          ss.valid.assign(n, 0);
           if (sp.kind == StageKind::kGatAttend) {
             ss.s.assign(n, 0.0);
             ss.t.assign(n, 0.0);
-            ss.st_valid.assign(n, 0);
           }
         }
       }
@@ -322,7 +333,6 @@ void OnlineScorer::Impl::ComputeST(const ChainPlan& plan, ChainState& cs,
   const Tensor& h = cs.stages[stage - 1].cache;
   ag::AttentionLogits(h.row(i), h.cols(), sp.a_src, sp.a_dst, &ss.s[i],
                       &ss.t[i]);
-  ss.st_valid[i] = 1;
 }
 
 void OnlineScorer::Impl::ComputeStageRow(const ChainPlan& plan,
@@ -370,45 +380,61 @@ void OnlineScorer::Impl::ComputeStageRow(const ChainPlan& plan,
       break;
     }
   }
-  ss.valid[i] = 1;
 }
 
-void OnlineScorer::Impl::EnsureST(const ChainPlan& plan, ChainState& cs,
-                                  int stage, int rel, int i,
-                                  ServeStats* stats) const {
-  if (cs.stages[stage].st_valid[i]) return;
-  EnsureRow(plan, cs, stage - 1, rel, i, stats);
-  ComputeST(plan, cs, stage, i);
-}
-
-void OnlineScorer::Impl::EnsureRow(const ChainPlan& plan, ChainState& cs,
-                                   int stage, int rel, int i,
-                                   ServeStats* stats) const {
-  StageState& ss = cs.stages[stage];
-  if (ss.valid[i]) {
-    if (stats != nullptr) ++stats->cache_hits;
-    return;
+void OnlineScorer::Impl::SweepChain(const ChainPlan& plan, ChainState& cs,
+                                    int rel, bool parallel,
+                                    ChainDirty* dirty) const {
+  // The one code path that computes stage rows, a stage at a time so every
+  // row reads only finished rows of the previous stage. With dirty ==
+  // nullptr it computes every row (across the pool when `parallel`).
+  // Otherwise it recomputes, serially, the rows an update of relation `rel`
+  // dirtied (s_norm/endpoints, see ApplyBatch): each stage's front is grown
+  // in `front` from the previous stage's and recorded in *dirty.
+  const DynamicAdjacency& a = adj[rel];
+  auto for_rows = [&](const std::vector<int>& rows, auto&& fn) {
+    if (dirty == nullptr) {
+      ForEachNode(n, parallel, fn);
+    } else {
+      for (int i : rows) fn(i);
+    }
+  };
+  std::vector<int> cur;  // the previous stage's dirty rows
+  std::vector<int> next;
+  for (int s = 0; s < static_cast<int>(plan.stages.size()); ++s) {
+    const StageKind kind = plan.stages[s].kind;
+    if (dirty != nullptr) {
+      if (kind == StageKind::kProject || kind == StageKind::kBiasAct) {
+        next = cur;  // reads its own row
+      } else {
+        // A propagation row reads its operator row, so the front widens one
+        // hop around the previous stage's. A kSpmm row also changes when
+        // its normalised entries moved; a kGatAttend row when its
+        // attention support (the pattern) moved, i.e. at the endpoints.
+        front.Clear();
+        for (int i : kind == StageKind::kSpmm ? s_norm[rel].items()
+                                              : endpoints[rel].items()) {
+          front.Add(i);
+        }
+        for (int d : cur) {
+          front.Add(d);
+          for (int j : a.neighbors(d)) front.Add(j);
+        }
+        next = front.items();
+      }
+    }
+    if (kind == StageKind::kGatAttend) {
+      // A node's s/t follow its own projection row.
+      for_rows(cur, [&](int i) { ComputeST(plan, cs, s, i); });
+    }
+    for_rows(next, [&](int i) { ComputeStageRow(plan, cs, s, rel, i); });
+    if (dirty != nullptr) {
+      dirty->rows += static_cast<int64_t>(next.size());
+      if (s == plan.embed_stage) dirty->embed = next;
+      cur.swap(next);
+    }
   }
-  if (stats != nullptr) ++stats->cache_misses;
-  const StagePlan& sp = plan.stages[stage];
-  switch (sp.kind) {
-    case StageKind::kProject:
-    case StageKind::kBiasAct:
-      if (stage > 0) EnsureRow(plan, cs, stage - 1, rel, i, stats);
-      break;
-    case StageKind::kSpmm:
-      adj[rel].ForEachNormEntry(i, [&](int col, float) {
-        EnsureRow(plan, cs, stage - 1, rel, col, stats);
-      });
-      break;
-    case StageKind::kGatAttend:
-      ForEachAttendCol(adj[rel], i, [&](int col) {
-        EnsureRow(plan, cs, stage - 1, rel, col, stats);
-        EnsureST(plan, cs, stage, rel, col, stats);
-      });
-      break;
-  }
-  ComputeStageRow(plan, cs, stage, rel, i);
+  if (dirty != nullptr) dirty->final = std::move(cur);
 }
 
 std::vector<int> OnlineScorer::Impl::DrawNegatives(int view, int rel,
@@ -420,35 +446,25 @@ std::vector<int> OnlineScorer::Impl::DrawNegatives(int view, int rel,
 }
 
 void OnlineScorer::Impl::ComputeResidualNode(EngineState& st, int view,
-                                             int rel, int i,
-                                             ServeStats* stats) const {
+                                             int rel, int i) const {
   const ViewPlan& vp = plans[view];
   ViewState& vs = st.views[view];
-  const ChainPlan* plan;
-  ChainState* chain;
-  int stage;
-  if (vp.separate_struct) {
-    plan = &vp.struct_chains[rel];
-    chain = &vs.struct_chains[rel];
-    stage = static_cast<int>(plan->stages.size()) - 1;
-  } else {
-    plan = &vp.attr_chains[rel];
-    chain = &vs.attr_chains[rel];
-    stage = plan->embed_stage;
-  }
+  // The structure embedding: the embed stage of the view's own structure
+  // chain (kOriginal) or of the shared attribute chain.
+  const int embed = vp.separate_struct ? vp.struct_chains[rel].embed_stage
+                                       : vp.attr_chains[rel].embed_stage;
+  const ChainState& chain =
+      vp.separate_struct ? vs.struct_chains[rel] : vs.attr_chains[rel];
   const std::vector<int>& neighbors = adj[rel].neighbors(i);
-  const std::vector<int>& negs = vs.negatives[rel][i];
-  EnsureRow(*plan, *chain, stage, rel, i, stats);
-  for (int col : neighbors) EnsureRow(*plan, *chain, stage, rel, col, stats);
-  for (int u : negs) EnsureRow(*plan, *chain, stage, rel, u, stats);
   vs.residual[rel][i] =
-      NodeResidualTerms(chain->stages[stage].cache, i, neighbors.data(),
-                        static_cast<int>(neighbors.size()), negs)
+      NodeResidualTerms(chain.stages[embed].cache, i, neighbors.data(),
+                        static_cast<int>(neighbors.size()),
+                        vs.negatives[rel][i])
           .Normalized();
 }
 
-void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view, int i,
-                                            ServeStats* stats) const {
+void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view,
+                                            int i) const {
   const ViewPlan& vp = plans[view];
   ViewState& vs = st.views[view];
   const int f = x.cols();
@@ -457,12 +473,8 @@ void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view, int i,
   thread_local std::vector<float> fused;
   fused.assign(f, 0.0f);
   for (int r = 0; r < r_count; ++r) {
-    const ChainPlan& cp = vp.attr_chains[r];
-    ChainState& cs = vs.attr_chains[r];
-    const int last = static_cast<int>(cp.stages.size()) - 1;
-    EnsureRow(cp, cs, last, r, i, stats);
     const float w = vp.fusion_w[r];
-    const float* row = cs.stages[last].cache.row(i);
+    const float* row = vs.attr_chains[r].stages.back().cache.row(i);
     for (int j = 0; j < f; ++j) fused[j] += w * row[j];
   }
   vs.attr_val[i] = RowL2DistanceOf(fused.data(), x.row(i), f);
@@ -502,42 +514,20 @@ std::vector<ViewColumns> OnlineScorer::Impl::Columns(
 }
 
 void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
-  // Stage-by-stage: every row of a stage only reads fully-valid previous
-  // stages, so rows fan out across the pool race-free; with parallel ==
+  // Every stage row, then every owned node's components. With parallel ==
   // false the identical kernels run in one serial sweep (RescoreFullNaive).
   // The moments are exact, so their chunked sum equals a serial one.
-  auto for_rows = [&](auto&& fn) {
-    if (parallel) {
-      ParallelFor(n, 8, [&](int64_t b, int64_t e) {
-        for (int i = static_cast<int>(b); i < e; ++i) fn(i);
-      });
-    } else {
-      for (int i = 0; i < n; ++i) fn(i);
-    }
-  };
+  auto for_rows = [&](auto&& fn) { ForEachNode(n, parallel, fn); };
   for (size_t v = 0; v < plans.size(); ++v) {
     const ViewPlan& vp = plans[v];
     ViewState& vs = st->views[v];
-    auto run_chains = [&](const std::vector<ChainPlan>& chain_plans,
-                          std::vector<ChainState>& chain_states) {
-      for (size_t r = 0; r < chain_plans.size(); ++r) {
-        const ChainPlan& cp = chain_plans[r];
-        ChainState& cs = chain_states[r];
-        for (size_t s = 0; s < cp.stages.size(); ++s) {
-          if (cp.stages[s].kind == StageKind::kGatAttend) {
-            for_rows([&](int i) {
-              ComputeST(cp, cs, static_cast<int>(s), i);
-            });
-          }
-          for_rows([&](int i) {
-            ComputeStageRow(cp, cs, static_cast<int>(s),
-                            static_cast<int>(r), i);
-          });
-        }
-      }
-    };
-    run_chains(vp.attr_chains, vs.attr_chains);
-    run_chains(vp.struct_chains, vs.struct_chains);
+    for (int r = 0; r < static_cast<int>(vp.attr_chains.size()); ++r) {
+      SweepChain(vp.attr_chains[r], vs.attr_chains[r], r, parallel, nullptr);
+    }
+    for (int r = 0; r < static_cast<int>(vp.struct_chains.size()); ++r) {
+      SweepChain(vp.struct_chains[r], vs.struct_chains[r], r, parallel,
+                 nullptr);
+    }
     // Per-node score components only exist for owned nodes: each node's
     // negative stream and component are independent of every other node's,
     // so the owned slice of a masked shard is bit-identical to the same
@@ -555,14 +545,14 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
         }
         for_rows([&](int i) {
           if (!Owned(i)) return;
-          ComputeResidualNode(*st, static_cast<int>(v), r, i, nullptr);
+          ComputeResidualNode(*st, static_cast<int>(v), r, i);
         });
       }
     }
     if (vp.attr_used) {
       for_rows([&](int i) {
         if (!Owned(i)) return;
-        ComputeAttrValNode(*st, static_cast<int>(v), i, nullptr);
+        ComputeAttrValNode(*st, static_cast<int>(v), i);
       });
     }
   }
@@ -653,87 +643,31 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
     return error;
   }
 
-  int64_t invalidated = 0;
+  // Phase B.1 — recompute the dirty stage rows of every updated relation's
+  // chains (all views). Every chain is swept before any component is
+  // re-scored, because ComputeAttrValNode fuses all relations' chains.
+  int64_t dirty_rows = 0;
   int64_t rescored = 0;
-
-  // Phase B.1 — propagate the dirty fronts through every stage of each
-  // updated relation's chains (all views) and invalidate those cache rows.
-  // All invalidation across every relation happens before any
-  // recomputation so EnsureRow never reads a stale-but-valid dependency
-  // (ComputeAttrValNode fuses across all relations' chains).
-  struct ChainDirty {
-    std::vector<int> embed;
-    std::vector<int> final;
-  };
-  auto propagate = [&](const ChainPlan& cp, ChainState& cs, int rel) {
-    const DynamicAdjacency& a = adj[rel];
-    const NodeSet& sn = s_norm[rel];
-    const std::vector<int>& ends = endpoints[rel].items();
-    ChainDirty out;
-    std::vector<int> cur;
-    for (size_t s = 0; s < cp.stages.size(); ++s) {
-      const StagePlan& sp = cp.stages[s];
-      StageState& ss = cs.stages[s];
-      std::vector<int> next;
-      switch (sp.kind) {
-        case StageKind::kProject:
-        case StageKind::kBiasAct:
-          next = cur;
-          break;
-        case StageKind::kSpmm: {
-          front.Clear();
-          for (int i : sn.items()) front.Add(i);
-          for (int d : cur) {
-            front.Add(d);
-            for (int j : a.neighbors(d)) front.Add(j);
-          }
-          next = front.items();
-          break;
-        }
-        case StageKind::kGatAttend: {
-          // Attention pattern changes only at the endpoints; values follow
-          // dirty projections one hop out. s/t of a node follow its own
-          // projection row.
-          for (int d : cur) ss.st_valid[d] = 0;
-          front.Clear();
-          for (int d : ends) front.Add(d);
-          for (int d : cur) {
-            front.Add(d);
-            for (int j : a.neighbors(d)) front.Add(j);
-          }
-          next = front.items();
-          break;
-        }
-      }
-      for (int i : next) {
-        if (ss.valid[i]) {
-          ss.valid[i] = 0;
-          ++invalidated;
-        }
-      }
-      if (static_cast<int>(s) == cp.embed_stage) out.embed = next;
-      cur = std::move(next);
-    }
-    out.final = std::move(cur);
-    return out;
-  };
-
   std::vector<std::vector<ChainDirty>> attr_dirty(
       plans.size(), std::vector<ChainDirty>(r_count));
   std::vector<std::vector<ChainDirty>> struct_dirty(
       plans.size(), std::vector<ChainDirty>(r_count));
   for (size_t w = 0; w < plans.size(); ++w) {
-    ViewPlan& vp = plans[w];
+    const ViewPlan& vp = plans[w];
     ViewState& vs = state.views[w];
     for (int rel = 0; rel < r_count; ++rel) {
       if (endpoints[rel].items().empty()) continue;
       if (!vp.attr_chains.empty()) {
-        attr_dirty[w][rel] =
-            propagate(vp.attr_chains[rel], vs.attr_chains[rel], rel);
+        ChainDirty& dirty = attr_dirty[w][rel];
+        SweepChain(vp.attr_chains[rel], vs.attr_chains[rel], rel,
+                   /*parallel=*/false, &dirty);
+        dirty_rows += dirty.rows;
       }
       if (vp.separate_struct) {
-        struct_dirty[w][rel] =
-            propagate(vp.struct_chains[rel], vs.struct_chains[rel], rel);
+        ChainDirty& dirty = struct_dirty[w][rel];
+        SweepChain(vp.struct_chains[rel], vs.struct_chains[rel], rel,
+                   /*parallel=*/false, &dirty);
+        dirty_rows += dirty.rows;
       }
     }
   }
@@ -790,7 +724,7 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
         }
         for (int i : rescore.items()) {
           if (!Owned(i)) continue;
-          ComputeResidualNode(state, static_cast<int>(w), rel, i, stats);
+          ComputeResidualNode(state, static_cast<int>(w), rel, i);
           moved.Add(i);
           ++rescored;
         }
@@ -811,18 +745,16 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
       for (int i : moved.items()) {
         if (!Owned(i)) continue;
         vs.moments.attr.Remove(vs.attr_val[i]);
-        ComputeAttrValNode(state, static_cast<int>(w), i, stats);
+        ComputeAttrValNode(state, static_cast<int>(w), i);
         vs.moments.attr.Add(vs.attr_val[i]);
         ++rescored;
       }
     }
   }
 
-  if (stats != nullptr) {
-    stats->updates_applied += static_cast<int64_t>(updates.size());
-    stats->last_dirty_rows = invalidated;
-    stats->last_rescored_nodes = rescored;
-  }
+  stats->updates_applied += static_cast<int64_t>(updates.size());
+  stats->last_dirty_rows = dirty_rows;
+  stats->last_rescored_nodes = rescored;
   return Status::OK();
 }
 

@@ -17,7 +17,7 @@ namespace serve {
 
 /// Options for an OnlineScorer instance. Every node's per-stage rows
 /// (projections, propagations, attention outputs) stay resident between
-/// updates; an update recomputes only the rows its dirty front invalidated.
+/// updates; an update recomputes only the rows in its dirty fronts.
 struct ServeOptions {
   /// Owner mask for sharded serving (ShardRouter). Empty (the default)
   /// means "this scorer owns every node" — the flat, self-contained mode.
@@ -55,12 +55,12 @@ struct EdgeUpdate {
 /// skipping blank and '#' comment lines is the stream reader's job.
 Result<EdgeUpdate> ParseEdgeUpdateLine(std::string_view line);
 
-/// Serving counters. Cache hits/misses count EnsureRow lookups during
-/// incremental update passes (the initial full pass is excluded);
-/// last_dirty_rows is the number of per-stage cache rows invalidated by
-/// the most recent update, last_rescored_nodes the number of per-node
-/// score components (attribute distances + structure residuals) it
-/// recomputed.
+/// Serving counters. last_dirty_rows is the number of per-stage rows the
+/// most recent update (or burst) recomputed, last_rescored_nodes the number
+/// of per-node score components (attribute distances + structure
+/// residuals) it recomputed. cache_hits and cache_misses are always 0:
+/// every stage row stays resident, so there is no row cache; they are kept
+/// because perfbench still reads them.
 struct ServeStats {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
@@ -88,11 +88,12 @@ using umgad::ViewMoments;
 /// or walks SparseMatrix::Multiply's row order over the live operator. A
 /// node's score components come from NodeResidualTerms, ag::SimplexWeights
 /// and RowL2DistanceOf, and the Eq. 19 columns from BuildColumns and
-/// MakeColumns. An edge update invalidates exactly the rows whose inputs
-/// changed — degree
-/// renormalisation touches the closed neighbourhood of the endpoints, and
-/// each propagation stage widens the dirty front by one hop — and lazy
-/// row-level recomputation restores them.
+/// MakeColumns. One stage sweep computes every stage row: over all rows
+/// (on the thread pool) when the scorer is built, and serially over an
+/// update's dirty fronts afterwards. The fronts hold exactly the rows whose
+/// inputs changed — degree renormalisation touches the closed
+/// neighbourhood of the endpoints, and each propagation stage widens the
+/// front by one hop — and are recomputed a stage at a time.
 ///
 /// Determinism: structure-residual negatives come from the per-(view,
 /// relation, node) streams of core/scorer.h (NodeNegatives), seeded from
@@ -169,8 +170,8 @@ class OnlineScorer {
   /// updates are validated and applied sequentially first (rolling back the
   /// applied prefix if one fails, so the state is untouched on error), then
   /// each relation's dirty fronts are unioned and every affected row is
-  /// invalidated and recomputed once for the whole burst. Bit-identical to
-  /// applying the updates one at a time through ApplyEdgeUpdate.
+  /// recomputed once for the whole burst. Bit-identical to applying the
+  /// updates one at a time through ApplyEdgeUpdate.
   Status ApplyEdgeUpdates(const std::vector<EdgeUpdate>& updates);
 
   /// Serial from-scratch batch recompute with the serving kernels and

@@ -23,6 +23,25 @@ double BucketMidpoint(int b) {
   return std::sqrt(lo * hi);
 }
 
+/// Nearest-rank percentile p in [0, 100] over a bucket array, clamped to
+/// `max_us` (a bucket midpoint can overshoot the true extreme). 0 with no
+/// samples.
+double Percentile(const int64_t* buckets, double p, double max_us) {
+  int64_t total = 0;
+  for (int b = 0; b < LatencyHistogram::kBuckets; ++b) total += buckets[b];
+  if (total == 0) return 0.0;
+  // The sample at 1-based rank ceil(p/100 * total).
+  const int64_t rank =
+      std::max<int64_t>(static_cast<int64_t>(std::ceil(p / 100.0 * total)), 1);
+  int b = 0;
+  int64_t seen = buckets[0];
+  while (seen < rank && b + 1 < LatencyHistogram::kBuckets) {
+    seen += buckets[++b];
+  }
+  const double mid = BucketMidpoint(b);
+  return max_us > 0.0 ? std::min(mid, max_us) : mid;
+}
+
 }  // namespace
 
 void LatencyHistogram::Record(double micros) {
@@ -37,62 +56,24 @@ void LatencyHistogram::Record(double micros) {
   }
 }
 
-int64_t LatencyHistogram::count() const {
-  return count_.load(std::memory_order_relaxed);
-}
-
-double LatencyHistogram::sum_us() const {
-  return sum_tenth_us_.load(std::memory_order_relaxed) / 10.0;
-}
-
-double LatencyHistogram::mean_us() const {
-  const int64_t c = count();
-  return c > 0 ? sum_us() / c : 0.0;
-}
-
-double LatencyHistogram::max_us() const {
-  return max_tenth_us_.load(std::memory_order_relaxed) / 10.0;
-}
-
-double LatencyHistogram::Percentile(double p) const {
-  int64_t buckets[kBuckets] = {};
-  AccumulateBuckets(buckets);
-  const double raw = PercentileFromBuckets(buckets, p);
-  const double mx = max_us();
-  return mx > 0.0 ? std::min(raw, mx) : raw;
-}
-
-void LatencyHistogram::AccumulateBuckets(int64_t* out) const {
-  for (int b = 0; b < kBuckets; ++b) {
-    out[b] += buckets_[b].load(std::memory_order_relaxed);
+HistogramSnapshot SnapshotHistograms(
+    const std::vector<const LatencyHistogram*>& histograms) {
+  int64_t buckets[LatencyHistogram::kBuckets] = {};
+  double sum_us = 0.0;
+  HistogramSnapshot out;
+  for (const LatencyHistogram* h : histograms) {
+    for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
+      buckets[b] += h->buckets_[b].load(std::memory_order_relaxed);
+    }
+    out.count += h->count_.load(std::memory_order_relaxed);
+    sum_us += h->sum_tenth_us_.load(std::memory_order_relaxed) / 10.0;
+    out.max_us = std::max(
+        out.max_us, h->max_tenth_us_.load(std::memory_order_relaxed) / 10.0);
   }
-}
-
-double LatencyHistogram::PercentileFromBuckets(const int64_t* buckets,
-                                               double p) {
-  int64_t total = 0;
-  for (int b = 0; b < kBuckets; ++b) total += buckets[b];
-  if (total == 0) return 0.0;
-  p = std::min(std::max(p, 0.0), 100.0);
-  // The sample at 1-based rank ceil(p/100 * total) (nearest-rank method).
-  int64_t rank = static_cast<int64_t>(std::ceil(p / 100.0 * total));
-  rank = std::max<int64_t>(rank, 1);
-  int64_t seen = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    seen += buckets[b];
-    if (seen >= rank) return BucketMidpoint(b);
-  }
-  return BucketMidpoint(kBuckets - 1);
-}
-
-HistogramSnapshot SnapshotHistogram(const LatencyHistogram& h) {
-  HistogramSnapshot s;
-  s.count = h.count();
-  s.p50_us = h.Percentile(50.0);
-  s.p99_us = h.Percentile(99.0);
-  s.mean_us = h.mean_us();
-  s.max_us = h.max_us();
-  return s;
+  out.mean_us = out.count > 0 ? sum_us / out.count : 0.0;
+  out.p50_us = Percentile(buckets, 50.0, out.max_us);
+  out.p99_us = Percentile(buckets, 99.0, out.max_us);
+  return out;
 }
 
 std::string FormatRouterStats(const RouterStats& stats) {
@@ -103,8 +84,7 @@ std::string FormatRouterStats(const RouterStats& stats) {
       "  update latency: p50=%.1fus p99=%.1fus mean=%.1fus max=%.1fus "
       "(n=%lld)\n"
       "  publish latency: p50=%.1fus p99=%.1fus mean=%.1fus max=%.1fus "
-      "(n=%lld)\n"
-      "  cache hit rate: %.4f\n",
+      "(n=%lld)\n",
       stats.num_shards, static_cast<unsigned long long>(stats.epoch),
       stats.stream_consistent ? "stream-consistent" : "converging",
       static_cast<long long>(stats.total_enqueued),
@@ -117,18 +97,16 @@ std::string FormatRouterStats(const RouterStats& stats) {
       static_cast<long long>(stats.update_latency.count),
       stats.publish_latency.p50_us, stats.publish_latency.p99_us,
       stats.publish_latency.mean_us, stats.publish_latency.max_us,
-      static_cast<long long>(stats.publish_latency.count),
-      stats.cache_hit_rate);
+      static_cast<long long>(stats.publish_latency.count));
   for (const ShardStatsSnapshot& s : stats.shards) {
     out += StrFormat(
         "  shard %d: owned=%d applied=%lld rejected=%lld "
-        "depth=%lld peak=%lld hit_rate=%.4f update_p50=%.1fus "
-        "update_p99=%.1fus\n",
+        "depth=%lld peak=%lld update_p50=%.1fus update_p99=%.1fus\n",
         s.shard, s.owned_nodes, static_cast<long long>(s.applied),
         static_cast<long long>(s.rejected),
         static_cast<long long>(s.queue_depth),
-        static_cast<long long>(s.queue_peak), s.cache_hit_rate,
-        s.update_latency.p50_us, s.update_latency.p99_us);
+        static_cast<long long>(s.queue_peak), s.update_latency.p50_us,
+        s.update_latency.p99_us);
   }
   return out;
 }

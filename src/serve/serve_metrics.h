@@ -9,43 +9,8 @@
 namespace umgad {
 namespace serve {
 
-/// Lock-free log₂-bucketed latency histogram. Record() is wait-free
-/// (relaxed atomic increments) and safe from any number of threads;
-/// Percentile()/Snapshot() read a racy-but-monotone view, which is exactly
-/// right for metrics (each bucket is only ever incremented). Resolution is
-/// one power of two: a percentile is reported as the geometric midpoint of
-/// its bucket, so p50/p99 carry at most ~41% relative error — plenty for
-/// SLO gating, and the price of never taking a lock on the serve path.
-class LatencyHistogram {
- public:
-  /// Bucket b holds samples in [2^b, 2^(b+1)) microseconds; bucket 0 also
-  /// absorbs sub-microsecond samples. 2^39 us ≈ 6.4 days caps the top.
-  static constexpr int kBuckets = 40;
-
-  void Record(double micros);
-
-  int64_t count() const;
-  double sum_us() const;
-  double mean_us() const;
-  double max_us() const;
-  /// p in [0, 100]. 0 with no samples.
-  double Percentile(double p) const;
-
-  /// Adds this histogram's buckets into `out` (size kBuckets) — the merge
-  /// primitive for cross-shard aggregate percentiles.
-  void AccumulateBuckets(int64_t* out) const;
-
-  /// Percentile over a merged bucket array (same midpoint convention).
-  static double PercentileFromBuckets(const int64_t* buckets, double p);
-
- private:
-  std::atomic<int64_t> buckets_[kBuckets] = {};
-  std::atomic<int64_t> count_{0};
-  std::atomic<int64_t> sum_tenth_us_{0};  // sum in 0.1us ticks
-  std::atomic<int64_t> max_tenth_us_{0};
-};
-
-/// Point-in-time copy of one histogram, embedded in stats snapshots.
+/// Point-in-time summary of one or more latency histograms, embedded in
+/// stats snapshots.
 struct HistogramSnapshot {
   int64_t count = 0;
   double p50_us = 0.0;
@@ -54,7 +19,38 @@ struct HistogramSnapshot {
   double max_us = 0.0;
 };
 
-HistogramSnapshot SnapshotHistogram(const LatencyHistogram& h);
+class LatencyHistogram;
+
+/// Summarises the merge of `histograms`: counts, sums and buckets add, the
+/// max is the largest. p50/p99 are nearest-rank over the merged buckets,
+/// reported as their bucket's geometric midpoint and clamped to the max.
+/// All zeros when no sample was recorded.
+HistogramSnapshot SnapshotHistograms(
+    const std::vector<const LatencyHistogram*>& histograms);
+
+/// Lock-free log₂-bucketed latency histogram. Record() is wait-free
+/// (relaxed atomic increments) and safe from any number of threads;
+/// SnapshotHistograms reads a racy-but-monotone view, which is exactly
+/// right for metrics (each bucket is only ever incremented). Resolution is
+/// one power of two, so p50/p99 carry at most ~41% relative error — plenty
+/// for SLO gating, and the price of never taking a lock on the serve path.
+class LatencyHistogram {
+ public:
+  /// Bucket b holds samples in [2^b, 2^(b+1)) microseconds; bucket 0 also
+  /// absorbs sub-microsecond samples. 2^39 us ≈ 6.4 days caps the top.
+  static constexpr int kBuckets = 40;
+
+  void Record(double micros);
+
+ private:
+  friend HistogramSnapshot SnapshotHistograms(
+      const std::vector<const LatencyHistogram*>& histograms);
+
+  std::atomic<int64_t> buckets_[kBuckets] = {};
+  std::atomic<int64_t> count_{0};
+  std::atomic<int64_t> sum_tenth_us_{0};  // sum in 0.1us ticks
+  std::atomic<int64_t> max_tenth_us_{0};
+};
 
 /// One shard's serving counters, as captured by ShardRouter::Stats().
 struct ShardStatsSnapshot {
@@ -69,11 +65,6 @@ struct ShardStatsSnapshot {
   int64_t backpressure_waits = 0;
   int64_t queue_depth = 0;
   int64_t queue_peak = 0;
-  /// Row-cache hit rate of the shard's incremental re-scoring
-  /// (OnlineScorer ServeStats), plus the raw counters.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  double cache_hit_rate = 0.0;
   /// Per-update apply latency (burst latency divided evenly over the
   /// burst's updates) and per-publish combine+swap latency.
   HistogramSnapshot update_latency;
@@ -97,6 +88,8 @@ struct RouterStats {
   int64_t total_dropped = 0;
   int64_t total_backpressure_waits = 0;
   int64_t queue_depth = 0;
+  /// Always 0: serving keeps every stage row, so there is no row cache to
+  /// hit or miss. Kept because perfbench still reads it.
   double cache_hit_rate = 0.0;
   /// Aggregate latency over all shards' merged buckets.
   HistogramSnapshot update_latency;

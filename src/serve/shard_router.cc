@@ -47,8 +47,6 @@ struct ShardRouter::Impl {
     std::atomic<int64_t> applied{0};
     std::atomic<int64_t> rejected{0};
     std::atomic<int64_t> backpressure_waits{0};
-    std::atomic<int64_t> cache_hits{0};
-    std::atomic<int64_t> cache_misses{0};
     LatencyHistogram update_hist;
     LatencyHistogram publish_hist;
   };
@@ -175,9 +173,6 @@ void ShardRouter::Impl::WorkerLoop(int s) {
         static_cast<int64_t>(burst.size()) - burst_rejected,
         std::memory_order_relaxed);
     sh.rejected.fetch_add(burst_rejected, std::memory_order_relaxed);
-    const ServeStats& st = sh.scorer->stats();
-    sh.cache_hits.store(st.cache_hits, std::memory_order_relaxed);
-    sh.cache_misses.store(st.cache_misses, std::memory_order_relaxed);
 
     {
       std::lock_guard<std::mutex> lock(board_mu);
@@ -350,14 +345,8 @@ RouterStats ShardRouter::Stats() const {
   out.epoch = snap->epoch;
   out.stream_consistent = snap->stream_consistent;
 
-  int64_t update_buckets[LatencyHistogram::kBuckets] = {};
-  int64_t publish_buckets[LatencyHistogram::kBuckets] = {};
-  double update_sum = 0.0;
-  int64_t update_count = 0;
-  double publish_sum = 0.0;
-  int64_t publish_count = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
+  std::vector<const LatencyHistogram*> update_hists;
+  std::vector<const LatencyHistogram*> publish_hists;
   for (size_t s = 0; s < impl.shards.size(); ++s) {
     Impl::Shard& sh = *impl.shards[s];
     ShardStatsSnapshot ss;
@@ -373,57 +362,20 @@ RouterStats ShardRouter::Stats() const {
       ss.queue_depth = static_cast<int64_t>(sh.queue.size());
       ss.queue_peak = sh.queue_peak;
     }
-    ss.cache_hits = sh.cache_hits.load(std::memory_order_relaxed);
-    ss.cache_misses = sh.cache_misses.load(std::memory_order_relaxed);
-    const int64_t lookups = ss.cache_hits + ss.cache_misses;
-    ss.cache_hit_rate =
-        lookups > 0 ? static_cast<double>(ss.cache_hits) / lookups : 0.0;
-    ss.update_latency = SnapshotHistogram(sh.update_hist);
-    ss.publish_latency = SnapshotHistogram(sh.publish_hist);
+    ss.update_latency = SnapshotHistograms({&sh.update_hist});
+    ss.publish_latency = SnapshotHistograms({&sh.publish_hist});
 
     out.total_enqueued += ss.enqueued;
     out.total_applied += ss.applied;
     out.total_rejected += ss.rejected;
     out.total_backpressure_waits += ss.backpressure_waits;
     out.queue_depth += ss.queue_depth;
-    hits += ss.cache_hits;
-    misses += ss.cache_misses;
-    sh.update_hist.AccumulateBuckets(update_buckets);
-    sh.publish_hist.AccumulateBuckets(publish_buckets);
-    update_sum += sh.update_hist.sum_us();
-    update_count += sh.update_hist.count();
-    publish_sum += sh.publish_hist.sum_us();
-    publish_count += sh.publish_hist.count();
-    out.update_latency.max_us =
-        std::max(out.update_latency.max_us, ss.update_latency.max_us);
-    out.publish_latency.max_us =
-        std::max(out.publish_latency.max_us, ss.publish_latency.max_us);
+    update_hists.push_back(&sh.update_hist);
+    publish_hists.push_back(&sh.publish_hist);
     out.shards.push_back(std::move(ss));
   }
-  out.cache_hit_rate =
-      hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0.0;
-  out.update_latency.count = update_count;
-  out.update_latency.mean_us =
-      update_count > 0 ? update_sum / update_count : 0.0;
-  out.update_latency.p50_us =
-      LatencyHistogram::PercentileFromBuckets(update_buckets, 50.0);
-  out.update_latency.p99_us =
-      LatencyHistogram::PercentileFromBuckets(update_buckets, 99.0);
-  out.publish_latency.count = publish_count;
-  out.publish_latency.mean_us =
-      publish_count > 0 ? publish_sum / publish_count : 0.0;
-  out.publish_latency.p50_us =
-      LatencyHistogram::PercentileFromBuckets(publish_buckets, 50.0);
-  out.publish_latency.p99_us =
-      LatencyHistogram::PercentileFromBuckets(publish_buckets, 99.0);
-  // Bucket midpoints can overshoot the true extremes; clamp like
-  // LatencyHistogram::Percentile does so p99 <= max always holds.
-  for (HistogramSnapshot* h : {&out.update_latency, &out.publish_latency}) {
-    if (h->max_us > 0.0) {
-      h->p50_us = std::min(h->p50_us, h->max_us);
-      h->p99_us = std::min(h->p99_us, h->max_us);
-    }
-  }
+  out.update_latency = SnapshotHistograms(update_hists);
+  out.publish_latency = SnapshotHistograms(publish_hists);
   return out;
 }
 

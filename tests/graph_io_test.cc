@@ -270,6 +270,44 @@ TEST(TextFormatTest, RejectsOutOfRangeEdgesAndTruncatedSections) {
   std::remove(short_attributes.c_str());
 }
 
+/// Loads a two-row text graph whose attribute or edge section holds `token`
+/// at one position, returning the load's status message.
+std::string TextLoadMessage(const std::string& name, const std::string& edge,
+                            const std::string& attributes) {
+  const std::string path = TempPath(name);
+  WriteFile(path, ValidTextHeader() + "relation r 2\n0 1\n" + edge +
+                      "\nattributes\n" + attributes);
+  auto result = LoadGraph(path);
+  std::remove(path.c_str());
+  EXPECT_FALSE(result.ok()) << name;
+  return result.status().message();
+}
+
+TEST(TextFormatTest, NamesANonNumericAttributeByPosition) {
+  // numpy writes a missing value as "nan"; the loader rejects it, and any
+  // other non-number, at its (row, col) instead of calling the matrix
+  // truncated.
+  for (const char* token : {"nan", "inf", "-inf", "abc"}) {
+    const std::string message = TextLoadMessage(
+        "bad_attr.txt", "2 3",
+        std::string("0 1\n2 3\n4 5\n6 ") + token + "\n");
+    EXPECT_NE(message.find("attribute (3, 1) is not a finite number"),
+              std::string::npos)
+        << token << ": " << message;
+  }
+}
+
+TEST(TextFormatTest, NamesANonNumericEdgeByPosition) {
+  for (const char* token : {"nan", "inf", "x"}) {
+    const std::string message =
+        TextLoadMessage("bad_edge.txt", std::string("2 ") + token,
+                        "0 1\n2 3\n4 5\n6 7\n");
+    EXPECT_NE(message.find("edge 1 of relation 'r' is not a pair of node ids"),
+              std::string::npos)
+        << token << ": " << message;
+  }
+}
+
 // ------------------------- binary error paths -----------------------------
 
 TEST(BinaryFormatTest, RejectsBadMagicAndVersion) {

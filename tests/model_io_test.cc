@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -395,6 +396,27 @@ TEST(ModelIoTest, HostileTensorShapeFailsWithoutOom) {
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("declares shape"),
             std::string::npos);
+}
+
+TEST(ModelIoTest, RejectsANonFiniteWeight) {
+  // Element 0 of weight tensor 1: tensor 0's shape and data come first.
+  const Layout layout(GetFitted().trained.fingerprint().num_relations);
+  const std::string bytes = SavedArtifactBytes("nan_weight");
+  const size_t second_tensor_data =
+      layout.first_tensor_shape + 8 +
+      sizeof(float) * GetFitted().trained.weights()[0].size() + 8;
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    -std::numeric_limits<float>::infinity()}) {
+    std::string patched = bytes;
+    PatchPod<float>(&patched, second_tensor_data, bad);
+    auto result = LoadBytes("nan_weight", patched);
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(
+        result.status().message().find("weight 1 element 0 is not finite"),
+        std::string::npos)
+        << result.status().message();
+  }
 }
 
 TEST(ModelIoTest, RejectsTrailerDamage) {

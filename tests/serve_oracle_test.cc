@@ -6,8 +6,10 @@
 // the one-score-path contract (the fitted model's scores ==
 // TrainedModel::Score == scores() == RescoreFullNaive() at any
 // num_score_negatives), batched bursts (ApplyEdgeUpdates == one-at-a-time
-// == full rescore, with prefix rollback on error), ApplyEdgeUpdate's error
-// paths, and the DynamicAdjacency bit-compatibility contract.
+// == full rescore, with prefix rollback on error), every engine plan shape
+// (SGC and 2-layer GAT encoders, attribute-only, structure-only, no
+// original view), ApplyEdgeUpdate's error paths, and the DynamicAdjacency
+// bit-compatibility contract.
 
 #include <string>
 #include <tuple>
@@ -23,6 +25,7 @@
 #include "oracle_harness.h"
 #include "serve/dynamic_adjacency.h"
 #include "serve/online_scorer.h"
+#include "serve/shard_router.h"
 
 namespace umgad {
 namespace {
@@ -362,6 +365,81 @@ TEST(ServeOracleTest, BatchedUpdatesRollBackOnError) {
   // The rolled-back edge is still absent, so the insert succeeds now.
   ASSERT_TRUE((*scorer)->ApplyEdgeUpdate(good).ok());
   EXPECT_EQ((*scorer)->stats().updates_applied, 1);
+}
+
+// ------------------------- engine plan shapes -----------------------------
+
+/// Trains Tiny under `config`, then holds the engine to its oracle on that
+/// plan shape: scores() == RescoreFullNaive() after every single update,
+/// a burst through ApplyEdgeUpdates == the same updates one at a time, and
+/// a two-shard router drained over the stream == the flat scorer.
+void ExpectPlanShapeMatchesOracle(const UmgadConfig& config,
+                                  const std::string& label) {
+  MultiplexGraph graph = MakeTiny(123);
+  UmgadModel model(config);
+  ASSERT_TRUE(model.Fit(graph).ok()) << label;
+  auto trained = TrainedModel::FromFitted(model, graph);
+  ASSERT_TRUE(trained.ok()) << label;
+  const std::vector<EdgeUpdate> updates =
+      MakeUpdateSequence(graph, 10, /*seed=*/71);
+
+  auto sequential = OnlineScorer::Create(*trained, graph);
+  ASSERT_TRUE(sequential.ok()) << label << ": "
+                               << sequential.status().ToString();
+  ExpectSameBits((*sequential)->scores(), model.scores(), label + " init");
+  for (size_t k = 0; k < updates.size(); ++k) {
+    ASSERT_TRUE((*sequential)->ApplyEdgeUpdate(updates[k]).ok())
+        << label << " update " << k;
+    ExpectSameBits((*sequential)->scores(), (*sequential)->RescoreFullNaive(),
+                   label + " update " + std::to_string(k));
+  }
+
+  auto burst = OnlineScorer::Create(*trained, graph);
+  ASSERT_TRUE(burst.ok()) << label;
+  ASSERT_TRUE((*burst)->ApplyEdgeUpdates(updates).ok()) << label;
+  ExpectSameBits((*burst)->scores(), (*sequential)->scores(),
+                 label + " burst vs sequential");
+
+  serve::RouterOptions options;
+  options.num_shards = 2;
+  auto router = serve::ShardRouter::Create(*trained, graph, options);
+  ASSERT_TRUE(router.ok()) << label << ": " << router.status().ToString();
+  (*router)->Submit(updates);
+  (*router)->Flush();
+  ExpectSameBits((*router)->Snapshot()->scores, (*sequential)->scores(),
+                 label + " two shards vs flat");
+}
+
+TEST(ServeOracleTest, SgcEncoderMatchesOracle) {
+  UmgadConfig config = ServeConfig();
+  config.encoder = EncoderKind::kSgc;
+  ExpectPlanShapeMatchesOracle(config, "sgc");
+}
+
+TEST(ServeOracleTest, TwoLayerGatEncoderMatchesOracle) {
+  UmgadConfig config = ServeConfig();
+  config.encoder_layers = 2;
+  ExpectPlanShapeMatchesOracle(config, "gat x2");
+}
+
+TEST(ServeOracleTest, AttributeOnlyMatchesOracle) {
+  UmgadConfig config = ServeConfig();
+  config.use_structure_recon = false;
+  ExpectPlanShapeMatchesOracle(config, "attribute only");
+}
+
+TEST(ServeOracleTest, StructureOnlyMatchesOracle) {
+  // No attribute chain is built on the original view; the other views'
+  // attribute chains still carry the structure embedding.
+  UmgadConfig config = ServeConfig();
+  config.use_attribute_recon = false;
+  ExpectPlanShapeMatchesOracle(config, "structure only");
+}
+
+TEST(ServeOracleTest, NoOriginalViewMatchesOracle) {
+  UmgadConfig config = ServeConfig();
+  config.use_original_view = false;
+  ExpectPlanShapeMatchesOracle(config, "no original view");
 }
 
 // ------------------------- error paths ------------------------------------

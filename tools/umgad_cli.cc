@@ -665,24 +665,14 @@ int CmdServe(const CliArgs& args) {
         });
     if (applied < 0) return 1;
     const double seconds = timer.ElapsedMillis() / 1000.0;
-    const serve::ServeStats& stats = (*scorer)->stats();
     std::cerr << "applied " << applied << " updates in "
               << FormatFloat(seconds * 1000.0, 2) << " ms ("
               << FormatFloat(seconds > 0 ? applied / seconds : 0.0, 0)
-              << " edges/s); cache " << stats.cache_hits << " hits / "
-              << stats.cache_misses << " misses\n";
+              << " edges/s)\n";
   }
   if (args.metrics) {
     const serve::ServeStats& stats = (*scorer)->stats();
-    const int64_t lookups = stats.cache_hits + stats.cache_misses;
     std::cerr << "scorer: updates=" << stats.updates_applied
-              << " cache_hits=" << stats.cache_hits
-              << " cache_misses=" << stats.cache_misses << " hit_rate="
-              << FormatFloat(lookups > 0 ? static_cast<double>(
-                                               stats.cache_hits) /
-                                               lookups
-                                         : 0.0,
-                             4)
               << " last_dirty_rows=" << stats.last_dirty_rows
               << " last_rescored_nodes=" << stats.last_rescored_nodes << "\n";
     std::cerr << KernelSummaryLine() << "\n";
