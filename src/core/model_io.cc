@@ -182,7 +182,7 @@ Result<TrainedModel> TrainedModel::FromFitted(const UmgadModel& model,
   out.config_ = model.config();
   out.fingerprint_ = FingerprintGraph(graph);
   out.rng_state_ = model.scoring_rng_state();
-  for (const ReconstructionView* view : model.ActiveViews()) {
+  for (const auto& view : model.ActiveViews()) {
     for (const ag::VarPtr& p : view->Parameters()) {
       out.weights_.push_back(p->value());
     }
@@ -355,7 +355,6 @@ TrainedModel::BuildViews() const {
   // every parameter is then overwritten with the stored tensors, so only
   // the registration structure (a pure function of the config) matters.
   Rng init_rng(config_.seed);
-  std::vector<std::unique_ptr<ReconstructionView>> views;
   const int f = fingerprint_.feature_dim;
   const int r_count = fingerprint_.num_relations;
   // A corrupt config or fingerprint must not drive the view constructors
@@ -375,20 +374,8 @@ TrainedModel::BuildViews() const {
         config_.hidden_dim, config_.encoder_layers, r_count, f,
         weights_.size()));
   }
-  if (config_.use_original_view) {
-    views.push_back(std::make_unique<ReconstructionView>(
-        ReconstructionView::Kind::kOriginal, f, r_count, config_, &init_rng));
-  }
-  if (config_.use_attr_augmented_view && config_.use_attribute_recon) {
-    views.push_back(std::make_unique<ReconstructionView>(
-        ReconstructionView::Kind::kAttrAugmented, f, r_count, config_,
-        &init_rng));
-  }
-  if (config_.use_subgraph_augmented_view) {
-    views.push_back(std::make_unique<ReconstructionView>(
-        ReconstructionView::Kind::kSubgraphAugmented, f, r_count, config_,
-        &init_rng));
-  }
+  std::vector<std::unique_ptr<ReconstructionView>> views =
+      BuildActiveViews(config_, f, r_count, &init_rng);
   if (views.empty()) {
     return Status::InvalidArgument("model config enables no views");
   }
@@ -450,16 +437,11 @@ Result<std::vector<double>> TrainedModel::Score(const MultiplexGraph& graph,
       norm_adjs.push_back(std::make_shared<const SparseMatrix>(
           graph.layer(r).NormalizedWithSelfLoops()));
     }
-    // Exactly the Fit scoring block: deterministic view passes, then the
-    // residual negatives drawn from streams seeded by the checkpointed Rng.
-    std::vector<ViewScoring> scorings;
-    for (const auto& view : *views) {
-      scorings.push_back(view->Score(graph, norm_adjs));
-    }
+    // Fit's scoring pass, its negative streams seeded by the checkpointed
+    // Rng.
     Rng rng;
     rng.set_state(rng_state_);
-    scores = ComputeAnomalyScores(graph, scorings, config_.epsilon,
-                                  config_.num_score_negatives, &rng);
+    scores = ScoreViews(*views, graph, norm_adjs, config_, &rng);
     ag::Tape::Global().Reset();
   }
   return scores;

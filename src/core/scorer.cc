@@ -510,4 +510,17 @@ std::vector<double> ComputeAnomalyScores(
   return CombineComponents(components, n, r_count, epsilon);
 }
 
+std::vector<double> ScoreViews(
+    const std::vector<std::unique_ptr<ReconstructionView>>& views,
+    const MultiplexGraph& graph,
+    const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs,
+    const UmgadConfig& config, Rng* rng) {
+  std::vector<ViewScoring> scorings;
+  for (const auto& view : views) {
+    scorings.push_back(view->Score(graph, norm_adjs));
+  }
+  return ComputeAnomalyScores(graph, scorings, config.epsilon,
+                              config.num_score_negatives, rng);
+}
+
 }  // namespace umgad

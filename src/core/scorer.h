@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -220,6 +221,15 @@ std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
 std::vector<double> ComputeAnomalyScores(
     const MultiplexGraph& graph, const std::vector<ViewScoring>& views,
     float epsilon, int num_negatives, Rng* rng);
+
+/// The scoring pass of UmgadModel::Fit and TrainedModel::Score: each
+/// view's deterministic Score, then ComputeAnomalyScores. `rng` is in the
+/// state captured for scoring (UmgadModel::scoring_rng_state()).
+std::vector<double> ScoreViews(
+    const std::vector<std::unique_ptr<ReconstructionView>>& views,
+    const MultiplexGraph& graph,
+    const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs,
+    const UmgadConfig& config, Rng* rng);
 
 /// Z-score standardise with ExactMoments; constant vectors map to
 /// all-zeros.

@@ -2,7 +2,8 @@
 
 #include <cmath>
 
-#include "common/logging.h"
+#include "common/check.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/scorer.h"
@@ -38,25 +39,7 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
   const int r_count = graph.num_relations();
   const int f = graph.feature_dim();
 
-  // Build views.
-  original_.reset();
-  attr_augmented_.reset();
-  subgraph_augmented_.reset();
-  if (config_.use_original_view) {
-    original_ = std::make_unique<ReconstructionView>(
-        ReconstructionView::Kind::kOriginal, f, r_count, config_, &rng);
-  }
-  if (config_.use_attr_augmented_view && config_.use_attribute_recon) {
-    // The attribute-level augmented view is attribute-only by construction;
-    // it is meaningless in the structure-only (Fig. 6 "Str") pipeline.
-    attr_augmented_ = std::make_unique<ReconstructionView>(
-        ReconstructionView::Kind::kAttrAugmented, f, r_count, config_, &rng);
-  }
-  if (config_.use_subgraph_augmented_view) {
-    subgraph_augmented_ = std::make_unique<ReconstructionView>(
-        ReconstructionView::Kind::kSubgraphAugmented, f, r_count, config_,
-        &rng);
-  }
+  views_ = BuildActiveViews(config_, f, r_count, &rng);
 
   // Full normalised operators, shared across epochs and views.
   std::vector<std::shared_ptr<const SparseMatrix>> norm_adjs;
@@ -99,9 +82,7 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
   });
 
   std::vector<ag::VarPtr> params;
-  for (ReconstructionView* view :
-       {original_.get(), attr_augmented_.get(), subgraph_augmented_.get()}) {
-    if (view == nullptr) continue;
+  for (const auto& view : views_) {
     std::vector<ag::VarPtr> p = view->Parameters();
     params.insert(params.end(), p.begin(), p.end());
   }
@@ -114,18 +95,15 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
   // backward and the Adam step stay sequential). Each view gets an Rng
   // forked *sequentially* from the epoch Rng, which keeps every draw — and
   // therefore the fitted model — identical for any UMGAD_THREADS value.
-  std::vector<ReconstructionView*> active_views;
-  for (ReconstructionView* view :
-       {original_.get(), attr_augmented_.get(), subgraph_augmented_.get()}) {
-    if (view != nullptr) active_views.push_back(view);
-  }
-  const int active_count = static_cast<int>(active_views.size());
+  const int active_count = static_cast<int>(views_.size());
 
+  scores_.clear();
   loss_history_.clear();
   first_epoch_fresh_bytes_ = 0;
   steady_state_fresh_bytes_ = 0;
   WallTimer epoch_timer;
   double epoch_time_acc = 0.0;
+  Status diverged;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     epoch_timer.Restart();
     // Rewind the tape: last epoch's graph nodes die, their tensors return
@@ -141,59 +119,44 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
     std::vector<ViewForward> forwards(active_count);
     ParallelFor(active_count, 1, [&](int64_t b, int64_t e) {
       for (int v = static_cast<int>(b); v < e; ++v) {
-        forwards[v] =
-            active_views[v]->Forward(graph, norm_adjs, &view_rngs[v]);
+        forwards[v] = views_[v]->Forward(graph, norm_adjs, &view_rngs[v]);
       }
     });
 
-    ViewForward orig;
-    ViewForward attr_aug;
-    ViewForward sub_aug;
+    // L = L_O + lambda * L_NA + mu * L_SA + theta * L_DCL (Eq. 18).
     std::vector<ag::VarPtr> terms;
-    int next = 0;
-    if (original_) {
-      orig = std::move(forwards[next++]);
-      if (orig.loss) terms.push_back(orig.loss);  // L_O, weight 1
-    }
-    if (attr_augmented_) {
-      attr_aug = std::move(forwards[next++]);
-      if (attr_aug.loss) {
-        terms.push_back(ag::ScalarMul(attr_aug.loss, config_.lambda));
-      }
-    }
-    if (subgraph_augmented_) {
-      sub_aug = std::move(forwards[next++]);
-      if (sub_aug.loss) {
-        terms.push_back(ag::ScalarMul(sub_aug.loss, config_.mu));
+    std::vector<ag::VarPtr> fused;  // fused reconstructions, in view order
+    for (int v = 0; v < active_count; ++v) {
+      const ViewForward& forward = forwards[v];
+      if (forward.fused_recon) fused.push_back(forward.fused_recon);
+      if (!forward.loss) continue;
+      const ReconstructionView::Kind kind = views_[v]->kind();
+      if (kind == ReconstructionView::Kind::kOriginal) {
+        terms.push_back(forward.loss);  // weight 1
+      } else {
+        terms.push_back(ag::ScalarMul(
+            forward.loss, kind == ReconstructionView::Kind::kAttrAugmented
+                              ? config_.lambda
+                              : config_.mu));
       }
     }
 
-    // Dual-view contrastive learning (Eq. 17): original vs each augmented
-    // view; with the original view ablated (w/o O) the two augmented views
-    // contrast against each other so the term stays defined.
-    if (config_.use_contrastive) {
-      ag::VarPtr anchor = orig.fused_recon;
-      std::vector<ag::VarPtr> others;
-      if (anchor) {
-        if (attr_aug.fused_recon) others.push_back(attr_aug.fused_recon);
-        if (sub_aug.fused_recon) others.push_back(sub_aug.fused_recon);
-      } else if (attr_aug.fused_recon && sub_aug.fused_recon) {
-        anchor = attr_aug.fused_recon;
-        others.push_back(sub_aug.fused_recon);
+    // Dual-view contrastive learning (Eq. 17): the original view against
+    // each augmented view; with the original view ablated (w/o O) the two
+    // augmented views contrast against each other so the term stays
+    // defined. Either way the first fused reconstruction is the anchor.
+    if (config_.use_contrastive && fused.size() > 1) {
+      std::vector<int> neg = nn::SampleContrastiveNegatives(n, &rng);
+      ag::VarPtr zo = ag::RowL2Normalize(fused[0]);
+      std::vector<ag::VarPtr> cl_terms;
+      for (size_t i = 1; i < fused.size(); ++i) {
+        cl_terms.push_back(ag::DualContrastiveLoss(
+            zo, ag::RowL2Normalize(fused[i]), neg,
+            norm_adjs[0]->row_blocks()));
       }
-      if (anchor && !others.empty()) {
-        std::vector<int> neg = nn::SampleContrastiveNegatives(n, &rng);
-        ag::VarPtr zo = ag::RowL2Normalize(anchor);
-        std::vector<ag::VarPtr> cl_terms;
-        for (const ag::VarPtr& other : others) {
-          cl_terms.push_back(ag::DualContrastiveLoss(
-              zo, ag::RowL2Normalize(other), neg,
-              norm_adjs[0]->row_blocks()));
-        }
-        terms.push_back(ag::ScalarMul(
-            cl_terms.size() == 1 ? cl_terms[0] : ag::AddN(cl_terms),
-            config_.theta));
-      }
+      terms.push_back(ag::ScalarMul(
+          cl_terms.size() == 1 ? cl_terms[0] : ag::AddN(cl_terms),
+          config_.theta));
     }
 
     if (terms.empty()) {
@@ -202,8 +165,9 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
     ag::VarPtr loss = terms.size() == 1 ? terms[0] : ag::AddN(terms);
     const double loss_value = loss->value().scalar();
     if (!std::isfinite(loss_value)) {
-      UMGAD_LOG(Warning) << "non-finite loss at epoch " << epoch
-                         << "; stopping early";
+      diverged = Status::OutOfRange(StrFormat(
+          "non-finite loss (%g) at epoch %d: training diverged", loss_value,
+          epoch));
       break;
     }
     loss_history_.push_back(loss_value);
@@ -223,9 +187,10 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
                        ? 0.0
                        : epoch_time_acc / static_cast<double>(
                              loss_history_.size());
-  // Drop the last epoch's graph (also the one an early break left) so the
-  // scoring pass recycles its buffers instead of allocating on top of them.
+  // Drop the last epoch's graph so the scoring pass recycles its buffers
+  // instead of allocating on top of them.
   ag::Tape::Global().Reset();
+  if (!diverged.ok()) return diverged;
 
   // Scoring (Eq. 19) over the unperturbed graph. The Rng state is captured
   // first so a serialized model (core/model_io) and the online scorer draw
@@ -233,28 +198,12 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
   // ComputeAnomalyScores seeds every per-node negative stream from one draw
   // made at precisely this point.
   scoring_rng_state_ = rng.state();
-  std::vector<ViewScoring> scorings;
-  for (ReconstructionView* view :
-       {original_.get(), attr_augmented_.get(), subgraph_augmented_.get()}) {
-    if (view == nullptr) continue;
-    scorings.push_back(view->Score(graph, norm_adjs));
-  }
-  scores_ = ComputeAnomalyScores(graph, scorings, config_.epsilon,
-                                 config_.num_score_negatives, &rng);
+  scores_ = ScoreViews(views_, graph, norm_adjs, config_, &rng);
   threshold_ = SelectThresholdInflection(scores_);
   // Drop the scoring-pass graph (every step-local VarPtr is out of scope).
   ag::Tape::Global().Reset();
   fit_seconds_ = total_timer.ElapsedSeconds();
   return Status::OK();
-}
-
-std::vector<const ReconstructionView*> UmgadModel::ActiveViews() const {
-  std::vector<const ReconstructionView*> views;
-  for (const ReconstructionView* view :
-       {original_.get(), attr_augmented_.get(), subgraph_augmented_.get()}) {
-    if (view != nullptr) views.push_back(view);
-  }
-  return views;
 }
 
 std::vector<int> UmgadModel::PredictUnsupervised() const {
@@ -263,8 +212,9 @@ std::vector<int> UmgadModel::PredictUnsupervised() const {
 }
 
 std::vector<double> UmgadModel::OriginalFusionWeights() const {
-  UMGAD_CHECK(original_ != nullptr);
-  return original_->FusionWeights();
+  UMGAD_CHECK(!views_.empty() &&
+              views_[0]->kind() == ReconstructionView::Kind::kOriginal);
+  return views_[0]->FusionWeights();
 }
 
 }  // namespace umgad

@@ -28,6 +28,8 @@ class UmgadModel : public Detector {
   explicit UmgadModel(UmgadConfig config = UmgadConfig());
   ~UmgadModel() override;
 
+  /// Trains, then scores. Returns OutOfRange, with scores() empty, when an
+  /// epoch's loss is not finite (training diverged).
   Status Fit(const MultiplexGraph& graph) override;
   const std::vector<double>& scores() const override { return scores_; }
   std::string name() const override { return "UMGAD"; }
@@ -51,7 +53,10 @@ class UmgadModel : public Detector {
   /// The fitted reconstruction views in scoring order (original,
   /// attr-augmented, subgraph-augmented; inactive views skipped). Valid
   /// after Fit. Used by core/model_io to serialize the trained weights.
-  std::vector<const ReconstructionView*> ActiveViews() const;
+  const std::vector<std::unique_ptr<ReconstructionView>>& ActiveViews()
+      const {
+    return views_;
+  }
 
   /// Rng state captured right before the post-training scoring pass
   /// (ComputeAnomalyScores draws the base of the structure-residual
@@ -74,9 +79,7 @@ class UmgadModel : public Detector {
 
  private:
   UmgadConfig config_;
-  std::unique_ptr<ReconstructionView> original_;
-  std::unique_ptr<ReconstructionView> attr_augmented_;
-  std::unique_ptr<ReconstructionView> subgraph_augmented_;
+  std::vector<std::unique_ptr<ReconstructionView>> views_;  // scoring order
   std::vector<double> scores_;
   std::vector<double> loss_history_;
   ThresholdResult threshold_;

@@ -49,17 +49,31 @@ ag::VarPtr SumLosses(const std::vector<ag::VarPtr>& losses) {
   return ag::AddN(losses);
 }
 
-/// One relation's pre-drawn structure-branch randomness. Every Forward*
-/// below is split into two phases so the fan-out stays deterministic:
-/// phase 1 walks the shared Rng *sequentially* (mask/negative sampling for
-/// all K repeats, in the serial loop's order), phase 2 does the heavy,
-/// RNG-free work (re-normalising the perturbed operator, GMAE encode, edge
-/// loss) in parallel across all K repeats x R relations.
+/// One relation's pre-drawn structure-branch randomness.
 struct StructDraw {
   bool active = false;      // false -> contribute a constant-zero loss
   bool perturbed = false;   // true -> normalise `remaining`, else full op
   SparseMatrix remaining;   // adjacency minus masked edges (when perturbed)
   std::vector<ag::EdgeCandidateSet> cands;
+};
+
+/// One (repeat, relation) branch's pre-drawn inputs. Forward is split into
+/// two phases so the fan-out stays deterministic: phase 1 (a Draw*
+/// function below, one per view kind) walks the shared Rng *sequentially*
+/// in the serial loop's order, phase 2 does the heavy, Rng-free work
+/// (re-normalising the perturbed operator, the GMAE passes, the edge loss)
+/// in parallel across all K repeats x R relations.
+struct BranchDraw {
+  std::vector<int> token_mask;  // rows the attribute pass masks (Eq. 1)
+  bool attr_perturbed = false;  // attribute pass reads the perturbed op
+  StructDraw structure;
+};
+
+/// One masking repeat's pre-drawn inputs.
+struct RepeatDraw {
+  ag::VarPtr x;                      // attribute input of all R branches
+  std::vector<int> loss_rows;        // rows the attribute loss compares
+  std::vector<BranchDraw> branches;  // one per relation
 };
 
 /// Existing (unmasked) edges used as positive targets in the plain-GAE
@@ -77,6 +91,117 @@ std::vector<Edge> SampleObservedEdges(const SparseMatrix& adj, double ratio,
   }
   const int target = std::max<int>(1, static_cast<int>(ratio * all.size()));
   return CapEdges(std::move(all), target, rng);
+}
+
+/// Original view (Sec. IV-A): per repeat, the attribute token mask, then
+/// per relation the edge mask (or, without masking, observed-edge targets)
+/// and the negative candidates.
+std::vector<RepeatDraw> DrawOriginal(const MultiplexGraph& graph,
+                                     const UmgadConfig& config, Rng* rng) {
+  const int n = graph.num_nodes();
+  const int r_count = graph.num_relations();
+  std::vector<RepeatDraw> draws(config.mask_repeats);
+  for (RepeatDraw& repeat : draws) {
+    repeat.branches.resize(r_count);
+    std::vector<int> attr_mask;
+    if (config.use_attribute_recon && config.use_masking) {
+      attr_mask = SampleMaskedNodes(n, config.mask_ratio, rng);
+    }
+    if (config.use_structure_recon) {
+      for (int r = 0; r < r_count; ++r) {
+        StructDraw& draw = repeat.branches[r].structure;
+        std::vector<Edge> targets;
+        if (config.use_masking) {
+          EdgeMask mask =
+              SampleEdgeMask(graph.layer(r), config.mask_ratio, rng);
+          targets = CapEdges(std::move(mask.masked), kMaxEdgeTargets, rng);
+          draw.perturbed = true;
+          draw.remaining = std::move(mask.remaining);
+        } else {
+          targets = SampleObservedEdges(graph.layer(r), config.mask_ratio,
+                                        rng);
+        }
+        if (targets.empty()) continue;
+        draw.active = true;
+        draw.cands = nn::BuildEdgeCandidates(targets, graph.layer(r),
+                                             config.num_negatives, rng);
+      }
+    }
+    for (BranchDraw& branch : repeat.branches) branch.token_mask = attr_mask;
+    repeat.loss_rows = config.use_masking ? std::move(attr_mask) : AllNodes(n);
+  }
+  // One attribute constant, read concurrently by every K x R branch.
+  const ag::VarPtr x = ag::Constant(graph.attributes());
+  for (RepeatDraw& repeat : draws) repeat.x = x;
+  return draws;
+}
+
+/// Attribute-level augmented view (Sec. IV-B.1): per repeat, the attribute
+/// swap (Eq. 10). The swapped matrix moves into one constant that the
+/// repeat's R relations share; the loss compares the swapped rows against
+/// the *original* attributes (Eq. 13).
+std::vector<RepeatDraw> DrawAttrAugmented(const MultiplexGraph& graph,
+                                          const UmgadConfig& config,
+                                          Rng* rng) {
+  std::vector<RepeatDraw> draws(config.mask_repeats);
+  for (RepeatDraw& repeat : draws) {
+    AttributeSwap swap =
+        MakeAttributeSwap(graph.attributes(), config.attr_swap_ratio, rng);
+    repeat.x = ag::Constant(std::move(swap.augmented));
+    repeat.branches.resize(graph.num_relations());
+    if (config.use_masking) {
+      for (BranchDraw& branch : repeat.branches) {
+        branch.token_mask = swap.swapped_nodes;
+      }
+    }
+    repeat.loss_rows = std::move(swap.swapped_nodes);
+  }
+  return draws;
+}
+
+/// Subgraph-level augmented view (Sec. IV-B.2): per repeat and relation,
+/// the RWR subgraph mask, the edge-target cap and the negative candidates.
+/// Both branches read the perturbed operator; the attribute loss covers
+/// the union of the repeat's masked nodes.
+std::vector<RepeatDraw> DrawSubgraphAugmented(const MultiplexGraph& graph,
+                                              const UmgadConfig& config,
+                                              Rng* rng) {
+  const int r_count = graph.num_relations();
+  std::vector<RepeatDraw> draws(config.mask_repeats);
+  for (RepeatDraw& repeat : draws) {
+    repeat.branches.resize(r_count);
+    std::unordered_set<int> masked_set;
+    for (int r = 0; r < r_count; ++r) {
+      BranchDraw& branch = repeat.branches[r];
+      SubgraphMask mask = MakeSubgraphMask(
+          graph.layer(r), config.num_subgraphs, config.subgraph_size,
+          config.rwr_restart, rng);
+      masked_set.insert(mask.masked_nodes.begin(), mask.masked_nodes.end());
+      if (config.use_masking) branch.token_mask = std::move(mask.masked_nodes);
+      branch.attr_perturbed = true;
+      branch.structure.perturbed = true;
+      branch.structure.remaining = std::move(mask.remaining);
+      if (!config.use_structure_recon) continue;
+      std::vector<Edge> targets =
+          CapEdges(std::move(mask.removed_edges), kMaxEdgeTargets, rng);
+      // Self loops can appear among incident edges; drop them (a node
+      // cannot be its own softmax candidate in Eq. 7).
+      targets.erase(std::remove_if(targets.begin(), targets.end(),
+                                   [](const Edge& e) {
+                                     return e.src == e.dst;
+                                   }),
+                    targets.end());
+      if (targets.empty()) continue;
+      branch.structure.active = true;
+      branch.structure.cands = nn::BuildEdgeCandidates(
+          targets, graph.layer(r), config.num_negatives, rng);
+    }
+    repeat.loss_rows.assign(masked_set.begin(), masked_set.end());
+    std::sort(repeat.loss_rows.begin(), repeat.loss_rows.end());
+  }
+  const ag::VarPtr x = ag::Constant(graph.attributes());
+  for (RepeatDraw& repeat : draws) repeat.x = x;
+  return draws;
 }
 
 }  // namespace
@@ -104,93 +229,78 @@ ReconstructionView::ReconstructionView(Kind kind, int in_dim,
   RegisterChild(fusion_b_.get());
 }
 
+std::vector<std::unique_ptr<ReconstructionView>> BuildActiveViews(
+    const UmgadConfig& config, int in_dim, int num_relations, Rng* rng) {
+  std::vector<std::unique_ptr<ReconstructionView>> views;
+  if (config.use_original_view) {
+    views.push_back(std::make_unique<ReconstructionView>(
+        ReconstructionView::Kind::kOriginal, in_dim, num_relations, config,
+        rng));
+  }
+  if (config.use_attr_augmented_view && config.use_attribute_recon) {
+    views.push_back(std::make_unique<ReconstructionView>(
+        ReconstructionView::Kind::kAttrAugmented, in_dim, num_relations,
+        config, rng));
+  }
+  if (config.use_subgraph_augmented_view) {
+    views.push_back(std::make_unique<ReconstructionView>(
+        ReconstructionView::Kind::kSubgraphAugmented, in_dim, num_relations,
+        config, rng));
+  }
+  return views;
+}
+
 ViewForward ReconstructionView::Forward(
     const MultiplexGraph& graph,
     const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs,
     Rng* rng) const {
-  switch (kind_) {
-    case Kind::kOriginal:
-      return ForwardOriginal(graph, norm_adjs, rng);
-    case Kind::kAttrAugmented:
-      return ForwardAttrAugmented(graph, norm_adjs, rng);
-    case Kind::kSubgraphAugmented:
-      return ForwardSubgraphAugmented(graph, norm_adjs, rng);
-  }
-  return {};
-}
-
-ViewForward ReconstructionView::ForwardOriginal(
-    const MultiplexGraph& graph,
-    const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs,
-    Rng* rng) const {
-  const Tensor& x = graph.attributes();
-  const int n = graph.num_nodes();
+  // Phase 1: the kind's draws, in the serial loop's Rng order.
+  std::vector<RepeatDraw> draws =
+      kind_ == Kind::kOriginal ? DrawOriginal(graph, config_, rng)
+      : kind_ == Kind::kAttrAugmented
+          ? DrawAttrAugmented(graph, config_, rng)
+          : DrawSubgraphAugmented(graph, config_, rng);
+  const bool attr = config_.use_attribute_recon;
+  const bool structure =
+      config_.use_structure_recon && kind_ != Kind::kAttrAugmented;
+  const int repeats = static_cast<int>(draws.size());
   const int r_count = graph.num_relations();
-  const int repeats = config_.mask_repeats;
-
-  // The K masking repeats are independent given their pre-drawn masks, so
-  // the whole pass is two-phase: phase 1 walks the Rng *sequentially* in
-  // the exact per-repeat order of the serial loop (attr mask first, then
-  // the structure draws per relation), phase 2 fans the K x R RNG-free
-  // branch constructions (Eq. 1-4 GMAE passes, Eq. 5-8 re-normalisation /
-  // embedding / edge loss) out across the pool. Identical draws + an
-  // identical graph make the result bit-identical to the serial loop.
-  std::vector<std::vector<int>> attr_masks(repeats);
-  std::vector<std::vector<StructDraw>> draws(repeats);
-  for (int k = 0; k < repeats; ++k) {
-    if (config_.use_attribute_recon && config_.use_masking) {
-      attr_masks[k] = SampleMaskedNodes(n, config_.mask_ratio, rng);
-    }
-    if (config_.use_structure_recon) {
-      draws[k].resize(r_count);
-      for (int r = 0; r < r_count; ++r) {
-        StructDraw& draw = draws[k][r];
-        std::vector<Edge> targets;
-        if (config_.use_masking) {
-          EdgeMask mask =
-              SampleEdgeMask(graph.layer(r), config_.mask_ratio, rng);
-          targets = CapEdges(std::move(mask.masked), kMaxEdgeTargets, rng);
-          draw.perturbed = true;
-          draw.remaining = std::move(mask.remaining);
-        } else {
-          targets = SampleObservedEdges(graph.layer(r), config_.mask_ratio,
-                                        rng);
-        }
-        if (targets.empty()) continue;
-        draw.active = true;
-        draw.cands = nn::BuildEdgeCandidates(targets, graph.layer(r),
-                                             config_.num_negatives, rng);
-      }
-    }
-  }
-
   // Partition schedule shared by all relations (null when unpartitioned).
   const std::shared_ptr<const RowBlocks> blocks =
       norm_adjs.empty() ? nullptr : norm_adjs[0]->row_blocks();
+
+  // Phase 2: the K x R Rng-free branch constructions (Eq. 1-4 GMAE passes,
+  // Eq. 5-8 re-normalisation / embedding / edge loss) fan out across the
+  // pool. Identical draws and an identical graph make the result
+  // bit-identical to a serial loop.
   std::vector<std::vector<ag::VarPtr>> recons(
       repeats, std::vector<ag::VarPtr>(r_count));
   std::vector<std::vector<ag::VarPtr>> per_relation(
       repeats, std::vector<ag::VarPtr>(r_count));
-  // One attribute constant, read concurrently by every K x R branch.
-  const ag::VarPtr x_node = ag::Constant(x);
   ParallelFor(static_cast<int64_t>(repeats) * r_count, 1,
               [&](int64_t b, int64_t e) {
     for (int64_t t = b; t < e; ++t) {
       const int k = static_cast<int>(t / r_count);
       const int r = static_cast<int>(t % r_count);
-      if (config_.use_attribute_recon) {
-        recons[k][r] = attr_gmae_[r]->ReconstructAttributes(
-            norm_adjs[r], x_node, attr_masks[k]);
+      BranchDraw& branch = draws[k].branches[r];
+      StructDraw& draw = branch.structure;
+      // The perturbed operator is normalised once, and only when read.
+      std::shared_ptr<const SparseMatrix> perturbed;
+      if (draw.perturbed &&
+          ((attr && branch.attr_perturbed) || (structure && draw.active))) {
+        perturbed = NormShared(draw.remaining, blocks);
       }
-      if (config_.use_structure_recon) {
-        StructDraw& draw = draws[k][r];
+      if (attr) {
+        recons[k][r] = attr_gmae_[r]->ReconstructAttributes(
+            branch.attr_perturbed ? perturbed : norm_adjs[r], draws[k].x,
+            branch.token_mask);
+      }
+      if (structure) {
         if (!draw.active) {
           per_relation[k][r] = ag::Constant(Tensor(1, 1));
         } else {
-          std::shared_ptr<const SparseMatrix> op =
-              draw.perturbed ? NormShared(draw.remaining, blocks)
-                             : norm_adjs[r];
-          ag::VarPtr z = struct_gmae_[r]->Embed(op, x_node);
+          ag::VarPtr z = StructureEncoder(r).Embed(
+              draw.perturbed ? perturbed : norm_adjs[r], draws[k].x);
           per_relation[k][r] =
               ag::MaskedEdgeSoftmaxCE(z, std::move(draw.cands), blocks);
         }
@@ -206,194 +316,27 @@ ViewForward ReconstructionView::ForwardOriginal(
   std::vector<ag::VarPtr> struct_losses;
   ag::VarPtr last_fused;
   for (int k = 0; k < repeats; ++k) {
-    if (config_.use_attribute_recon) {
+    if (attr) {
       ag::VarPtr fused = fusion_a_->FuseTensors(recons[k]);
-      const std::vector<int>& loss_idx =
-          config_.use_masking ? attr_masks[k] : AllNodes(n);
-      attr_losses.push_back(
-          ag::ScaledCosineLoss(fused, x, loss_idx, config_.eta, blocks));
+      // The target is the original attribute matrix in every view.
+      if (!draws[k].loss_rows.empty()) {
+        attr_losses.push_back(ag::ScaledCosineLoss(
+            fused, graph.attributes(), draws[k].loss_rows, config_.eta,
+            blocks));
+      }
       last_fused = fused;
     }
-    if (config_.use_structure_recon) {
+    if (structure) {
       struct_losses.push_back(fusion_b_->FuseLosses(per_relation[k]));
     }
   }
 
-  ViewForward out;
-  out.fused_recon = last_fused;
   ag::VarPtr la = SumLosses(attr_losses);
   ag::VarPtr ls = SumLosses(struct_losses);
-  if (la && ls) {
-    out.loss = nn::ConvexCombine(la, ls, config_.alpha);  // Eq. 9
-  } else {
-    out.loss = la ? la : ls;
-  }
-  return out;
-}
-
-ViewForward ReconstructionView::ForwardAttrAugmented(
-    const MultiplexGraph& graph,
-    const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs,
-    Rng* rng) const {
-  const Tensor& x = graph.attributes();
-  const int r_count = graph.num_relations();
-
-  const int repeats = config_.mask_repeats;
-
-  // Phase 1 — draw every repeat's swap (Eq. 10) sequentially. Each
-  // repeat's augmented matrix moves into one constant its R relations share.
-  std::vector<AttributeSwap> swaps;
-  std::vector<ag::VarPtr> x_nodes;
-  swaps.reserve(repeats);
-  x_nodes.reserve(repeats);
-  for (int k = 0; k < repeats; ++k) {
-    swaps.push_back(MakeAttributeSwap(x, config_.attr_swap_ratio, rng));
-    x_nodes.push_back(ag::Constant(std::move(swaps.back().augmented)));
-  }
-
-  // Phase 2 — the K x R GMAE passes (Eq. 11) fan out across the pool.
-  std::vector<std::vector<ag::VarPtr>> recons(
-      repeats, std::vector<ag::VarPtr>(r_count));
-  static const std::vector<int> kNoMask;
-  ParallelFor(static_cast<int64_t>(repeats) * r_count, 1,
-              [&](int64_t b, int64_t e) {
-    for (int64_t t = b; t < e; ++t) {
-      const int k = static_cast<int>(t / r_count);
-      const int r = static_cast<int>(t % r_count);
-      recons[k][r] = attr_gmae_[r]->ReconstructAttributes(
-          norm_adjs[r], x_nodes[k],
-          config_.use_masking ? swaps[k].swapped_nodes : kNoMask);
-    }
-  });
-
-  std::vector<ag::VarPtr> losses;
-  ag::VarPtr last_fused;
-  const std::shared_ptr<const RowBlocks> blocks =
-      norm_adjs.empty() ? nullptr : norm_adjs[0]->row_blocks();
-  for (int k = 0; k < repeats; ++k) {
-    ag::VarPtr fused = fusion_a_->FuseTensors(recons[k]);
-    // Eq. 13: the target is the *original* attribute matrix.
-    losses.push_back(ag::ScaledCosineLoss(fused, x, swaps[k].swapped_nodes,
-                                          config_.eta, blocks));
-    last_fused = fused;
-  }
-
-  ViewForward out;
-  out.loss = SumLosses(losses);
-  out.fused_recon = last_fused;
-  return out;
-}
-
-ViewForward ReconstructionView::ForwardSubgraphAugmented(
-    const MultiplexGraph& graph,
-    const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs,
-    Rng* rng) const {
-  const Tensor& x = graph.attributes();
-  const int r_count = graph.num_relations();
-  // Partition schedule shared by all relations (null when unpartitioned);
-  // this view builds only perturbed operators, so the schedule is the sole
-  // thing it takes from the full ones.
-  const std::shared_ptr<const RowBlocks> blocks =
-      norm_adjs.empty() ? nullptr : norm_adjs[0]->row_blocks();
-
-  const int repeats = config_.mask_repeats;
-
-  // Phase 1 — all Rng draws for all K repeats, in the serial order (per
-  // repeat, per relation: RWR subgraph mask, edge-target cap, negative
-  // candidates).
-  std::vector<std::vector<SubgraphMask>> masks(repeats);
-  std::vector<std::vector<StructDraw>> draws(repeats);
-  std::vector<std::vector<int>> union_masked(repeats);
-  for (int k = 0; k < repeats; ++k) {
-    masks[k].resize(r_count);
-    draws[k].resize(r_count);
-    std::unordered_set<int> masked_set;
-    for (int r = 0; r < r_count; ++r) {
-      masks[k][r] = MakeSubgraphMask(
-          graph.layer(r), config_.num_subgraphs, config_.subgraph_size,
-          config_.rwr_restart, rng);
-      masked_set.insert(masks[k][r].masked_nodes.begin(),
-                        masks[k][r].masked_nodes.end());
-      if (!config_.use_structure_recon) continue;
-      std::vector<Edge> targets = CapEdges(
-          std::move(masks[k][r].removed_edges), kMaxEdgeTargets, rng);
-      // Self loops can appear among incident edges; drop them (a node
-      // cannot be its own softmax candidate in Eq. 7).
-      targets.erase(std::remove_if(targets.begin(), targets.end(),
-                                   [](const Edge& e) {
-                                     return e.src == e.dst;
-                                   }),
-                    targets.end());
-      if (targets.empty()) continue;
-      draws[k][r].active = true;
-      draws[k][r].cands = nn::BuildEdgeCandidates(
-          targets, graph.layer(r), config_.num_negatives, rng);
-    }
-    union_masked[k].assign(masked_set.begin(), masked_set.end());
-    std::sort(union_masked[k].begin(), union_masked[k].end());
-  }
-
-  // Phase 2 — fan the K x R branches out: normalise the perturbed operator
-  // once per (repeat, relation), then attribute reconstruction and/or the
-  // structure loss.
-  std::vector<std::vector<ag::VarPtr>> recons(
-      repeats, std::vector<ag::VarPtr>(r_count));
-  std::vector<std::vector<ag::VarPtr>> per_relation_struct(
-      repeats, std::vector<ag::VarPtr>(r_count));
-  const ag::VarPtr x_node = ag::Constant(x);
-  static const std::vector<int> kNoMask;
-  ParallelFor(static_cast<int64_t>(repeats) * r_count, 1,
-              [&](int64_t b, int64_t e) {
-    for (int64_t t = b; t < e; ++t) {
-      const int k = static_cast<int>(t / r_count);
-      const int r = static_cast<int>(t % r_count);
-      std::shared_ptr<const SparseMatrix> op =
-          NormShared(masks[k][r].remaining, blocks);
-      if (config_.use_attribute_recon) {
-        recons[k][r] = attr_gmae_[r]->ReconstructAttributes(
-            op, x_node,
-            config_.use_masking ? masks[k][r].masked_nodes : kNoMask);
-      }
-      if (config_.use_structure_recon) {
-        if (!draws[k][r].active) {
-          per_relation_struct[k][r] = ag::Constant(Tensor(1, 1));
-        } else {
-          ag::VarPtr z = attr_gmae_[r]->Embed(op, x_node);
-          per_relation_struct[k][r] =
-              ag::MaskedEdgeSoftmaxCE(z, std::move(draws[k][r].cands),
-                                      blocks);
-        }
-      }
-    }
-  });
-
-  std::vector<ag::VarPtr> attr_losses;
-  std::vector<ag::VarPtr> struct_losses;
-  ag::VarPtr last_fused;
-  for (int k = 0; k < repeats; ++k) {
-    if (config_.use_attribute_recon && r_count > 0) {
-      ag::VarPtr fused = fusion_a_->FuseTensors(recons[k]);
-      if (!union_masked[k].empty()) {
-        attr_losses.push_back(ag::ScaledCosineLoss(
-            fused, x, union_masked[k], config_.eta, blocks));
-      }
-      last_fused = fused;
-    }
-    if (config_.use_structure_recon && r_count > 0) {
-      struct_losses.push_back(fusion_b_->FuseLosses(per_relation_struct[k]));
-    }
-  }
-
-  ViewForward out;
-  out.fused_recon = last_fused;
-  ag::VarPtr lsa = SumLosses(attr_losses);
-  ag::VarPtr lss = SumLosses(struct_losses);
-  if (lsa && lss) {
-    out.loss = nn::ConvexCombine(lsa, lss, config_.beta);  // Eq. 16
-  } else {
-    out.loss = lsa ? lsa : lss;
-  }
-  return out;
+  // Eq. 9 (original view) / Eq. 16 (subgraph-level augmented view).
+  const float weight = kind_ == Kind::kOriginal ? config_.alpha : config_.beta;
+  return {la && ls ? nn::ConvexCombine(la, ls, weight) : (la ? la : ls),
+          last_fused};
 }
 
 ViewScoring ReconstructionView::Score(
@@ -418,9 +361,7 @@ ViewScoring ReconstructionView::Score(
     out.embeddings.resize(r_count);
     ParallelFor(r_count, 1, [&](int64_t b, int64_t e) {
       for (int r = static_cast<int>(b); r < e; ++r) {
-        const Gmae& encoder =
-            struct_gmae_.empty() ? *attr_gmae_[r] : *struct_gmae_[r];
-        out.embeddings[r] = encoder.Embed(norm_adjs[r], x)->value();
+        out.embeddings[r] = StructureEncoder(r).Embed(norm_adjs[r], x)->value();
       }
     });
   }

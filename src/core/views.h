@@ -25,15 +25,20 @@ struct ViewScoring {
 };
 
 /// One reconstruction view of UMGAD. A single class covers the three views
-/// of Fig. 1 — they share the GMAE-per-relation + learnable-fusion skeleton
-/// and differ in how inputs are perturbed:
+/// of Fig. 1: one skeleton (a GMAE per relation, a learnable fusion, masked
+/// reconstruction losses) whose kinds differ only in the random draws that
+/// perturb the inputs:
 ///  - kOriginal (Sec. IV-A): token-mask attributes / mask edges on the
 ///    original graph; separate attribute and structure GMAEs (W_enc1 vs
-///    W_enc2).
+///    W_enc2); balance alpha (Eq. 9).
 ///  - kAttrAugmented (Sec. IV-B.1): swap node attributes, mask exactly the
-///    swapped set, reconstruct against the *original* attributes.
+///    swapped set, reconstruct against the *original* attributes
+///    (attribute branch only).
 ///  - kSubgraphAugmented (Sec. IV-B.2): RWR-sample subgraphs, mask their
-///    nodes and incident edges, reconstruct both attributes and structure.
+///    nodes and incident edges, reconstruct both attributes and structure;
+///    balance beta (Eq. 16).
+/// Forward makes the kind's draws sequentially, then runs the one K x R
+/// fan-out and loss assembly every kind shares.
 class ReconstructionView : public nn::Module {
  public:
   enum class Kind { kOriginal, kAttrAugmented, kSubgraphAugmented };
@@ -70,18 +75,11 @@ class ReconstructionView : public nn::Module {
   const RelationFusion& fusion_a() const { return *fusion_a_; }
 
  private:
-  ViewForward ForwardOriginal(
-      const MultiplexGraph& graph,
-      const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs,
-      Rng* rng) const;
-  ViewForward ForwardAttrAugmented(
-      const MultiplexGraph& graph,
-      const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs,
-      Rng* rng) const;
-  ViewForward ForwardSubgraphAugmented(
-      const MultiplexGraph& graph,
-      const std::vector<std::shared_ptr<const SparseMatrix>>& norm_adjs,
-      Rng* rng) const;
+  /// The structure branch's encoder: W_enc2 in the original view, the
+  /// attribute encoder in the others.
+  const Gmae& StructureEncoder(int r) const {
+    return struct_gmae_.empty() ? *attr_gmae_[r] : *struct_gmae_[r];
+  }
 
   Kind kind_;
   UmgadConfig config_;
@@ -90,6 +88,13 @@ class ReconstructionView : public nn::Module {
   std::unique_ptr<RelationFusion> fusion_a_;        // Eq. 3 (attributes)
   std::unique_ptr<RelationFusion> fusion_b_;        // Eq. 8 (structure)
 };
+
+/// The views `config` enables, built in training and scoring order
+/// (original, attr-augmented, subgraph-augmented), each drawing its initial
+/// weights from `rng` in that order. The attribute-level augmented view is
+/// attribute-only, so the structure-only pipeline (Fig. 6 "Str") skips it.
+std::vector<std::unique_ptr<ReconstructionView>> BuildActiveViews(
+    const UmgadConfig& config, int in_dim, int num_relations, Rng* rng);
 
 /// All node indices [0, n) — the loss subset for the no-masking ablation.
 std::vector<int> AllNodes(int n);

@@ -12,6 +12,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "golden_scores_common.h"
@@ -19,13 +21,30 @@
 
 namespace {
 
+void PrintValues(const std::vector<double>& values, const char* indent) {
+  for (double v : values) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    std::printf("%s0x%016" PRIx64 "ull,  // %.17g\n", indent, bits, v);
+  }
+}
+
 void PrintArray(const char* name, const std::vector<double>& scores) {
   std::printf("inline constexpr uint64_t %s[%d] = {\n", name,
               umgad::testing::kGoldenScoreCount);
-  for (double s : scores) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &s, sizeof(bits));
-    std::printf("    0x%016" PRIx64 "ull,  // %.17g\n", bits, s);
+  PrintValues(scores, "    ");
+  std::printf("};\n");
+}
+
+/// One row per ablation, in kGoldenAblations order.
+void PrintAblationRows(const char* name, int width,
+                       const std::vector<std::vector<double>>& rows) {
+  std::printf("inline constexpr uint64_t %s[%d][%d] = {\n", name,
+              umgad::testing::kGoldenAblationCount, width);
+  for (int a = 0; a < umgad::testing::kGoldenAblationCount; ++a) {
+    std::printf("    {  // %s\n", umgad::testing::kGoldenAblations[a].name);
+    PrintValues(rows[a], "        ");
+    std::printf("    },\n");
   }
   std::printf("};\n");
 }
@@ -41,7 +60,8 @@ int main() {
       "\n"
       "// Generated by tests/golden_scores_gen.cc — do not edit by hand.\n"
       "// Raw IEEE-754 bit patterns of the first %d anomaly scores of the\n"
-      "// golden UMGAD and AnomMAN runs (tests/golden_scores_common.h).\n"
+      "// golden UMGAD and AnomMAN runs, and the per-epoch loss history and\n"
+      "// first scores of each UMGAD ablation (tests/golden_scores_common.h).\n"
       "\n"
       "#include <cstdint>\n"
       "\n"
@@ -53,6 +73,22 @@ int main() {
   std::printf("\n");
   PrintArray("kGoldenAnomManScoreBits",
              umgad::testing::GoldenAnomManScores());
+  std::vector<std::vector<double>> losses;
+  std::vector<std::vector<double>> scores;
+  for (const umgad::testing::GoldenAblation& ablation :
+       umgad::testing::kGoldenAblations) {
+    umgad::testing::GoldenRun run = umgad::testing::GoldenAblationRun(ablation);
+    UMGAD_CHECK(static_cast<int>(run.loss_history.size()) ==
+                umgad::testing::kGoldenEpochs);
+    losses.push_back(std::move(run.loss_history));
+    scores.push_back(std::move(run.scores));
+  }
+  std::printf("\n");
+  PrintAblationRows("kGoldenAblationLossBits", umgad::testing::kGoldenEpochs,
+                    losses);
+  std::printf("\n");
+  PrintAblationRows("kGoldenAblationScoreBits",
+                    umgad::testing::kGoldenScoreCount, scores);
   std::printf(
       "\n"
       "}  // namespace testing\n"

@@ -7,6 +7,10 @@
 // old binary. On an intentional pipeline change, regenerate with
 // tests/golden_scores_gen.cc (instructions in golden_scores_common.h).
 //
+// The loss history and first scores of the ten Table IV ablations of that
+// UMGAD run are pinned the same way; between them they cover every view
+// kind and every reconstruction-branch mix.
+//
 // Strictness: exact bit-equality in every build configuration. The build
 // targets the baseline ISA and every dispatched kernel tier is
 // contraction-free, so Release and Debug builds compute the same bits.
@@ -14,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -28,20 +33,22 @@ namespace umgad {
 namespace testing {
 namespace {
 
-void ExpectScoresMatchFixture(const std::vector<double>& scores,
-                              const uint64_t (&golden)[kGoldenScoreCount],
-                              const char* label, int threads, bool arena) {
-  ASSERT_EQ(static_cast<int>(scores.size()), kGoldenScoreCount);
-  for (int i = 0; i < kGoldenScoreCount; ++i) {
+template <size_t N>
+void ExpectBitsMatchFixture(const std::vector<double>& values,
+                            const uint64_t (&golden)[N],
+                            const std::string& label, int threads,
+                            bool arena) {
+  ASSERT_EQ(values.size(), N) << label;
+  for (size_t i = 0; i < N; ++i) {
     uint64_t bits = 0;
-    std::memcpy(&bits, &scores[i], sizeof(bits));
+    std::memcpy(&bits, &values[i], sizeof(bits));
     double expected = 0.0;
     std::memcpy(&expected, &golden[i], sizeof(expected));
     EXPECT_EQ(bits, golden[i])
-        << label << " node " << i << " threads=" << threads
-        << " arena=" << (arena ? 1 : 0) << ": got " << scores[i]
+        << label << " " << i << " threads=" << threads
+        << " arena=" << (arena ? 1 : 0) << ": got " << values[i]
         << ", fixture " << expected << " (|diff| "
-        << std::abs(scores[i] - expected) << ")";
+        << std::abs(values[i] - expected) << ")";
   }
 }
 
@@ -51,8 +58,8 @@ TEST(GoldenScoresTest, UmgadBitEqualAcrossThreadsAndArena) {
     for (int threads : {1, 4}) {
       SetArenaEnabled(arena);
       SetNumThreads(threads);
-      ExpectScoresMatchFixture(GoldenUmgadScores(), kGoldenUmgadScoreBits,
-                               "UMGAD", threads, arena);
+      ExpectBitsMatchFixture(GoldenUmgadScores(), kGoldenUmgadScoreBits,
+                             "UMGAD node", threads, arena);
     }
   }
   SetNumThreads(1);
@@ -90,8 +97,32 @@ TEST(GoldenScoresTest, ServedArtifactReproducesUmgadScores) {
       ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
       std::vector<double> scores = (*scorer)->scores();
       scores.resize(kGoldenScoreCount);
-      ExpectScoresMatchFixture(scores, kGoldenUmgadScoreBits, "UMGAD-serve",
-                               threads, arena);
+      ExpectBitsMatchFixture(scores, kGoldenUmgadScoreBits,
+                             "UMGAD-serve node", threads, arena);
+    }
+  }
+  SetNumThreads(1);
+  SetArenaEnabled(prev_arena);
+}
+
+TEST(GoldenScoresTest, AblationsBitEqualAcrossThreadsAndArena) {
+  // The ten Table IV configs between them take every view kind alone and
+  // together, each reconstruction branch alone, no masking and the SGC
+  // encoder: the loss history pins each one's training pass, the scores
+  // its scoring pass. Four threads fan each view's K x R GMAE passes out.
+  const bool prev_arena = ArenaEnabled();
+  for (bool arena : {true, false}) {
+    for (int threads : {1, 4}) {
+      SetArenaEnabled(arena);
+      SetNumThreads(threads);
+      for (int a = 0; a < kGoldenAblationCount; ++a) {
+        const std::string name = kGoldenAblations[a].name;
+        const GoldenRun run = GoldenAblationRun(kGoldenAblations[a]);
+        ExpectBitsMatchFixture(run.loss_history, kGoldenAblationLossBits[a],
+                               name + " epoch", threads, arena);
+        ExpectBitsMatchFixture(run.scores, kGoldenAblationScoreBits[a],
+                               name + " node", threads, arena);
+      }
     }
   }
   SetNumThreads(1);
@@ -104,8 +135,8 @@ TEST(GoldenScoresTest, AnomManBitEqualAcrossThreadsAndArena) {
     for (int threads : {1, 4}) {
       SetArenaEnabled(arena);
       SetNumThreads(threads);
-      ExpectScoresMatchFixture(GoldenAnomManScores(), kGoldenAnomManScoreBits,
-                               "AnomMAN", threads, arena);
+      ExpectBitsMatchFixture(GoldenAnomManScores(), kGoldenAnomManScoreBits,
+                             "AnomMAN node", threads, arena);
     }
   }
   SetNumThreads(1);

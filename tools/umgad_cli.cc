@@ -130,7 +130,9 @@ int Usage() {
       "(at most one per node) routes the stream through S concurrent\n"
       "scorer shards instead — the drained CSV is byte-identical to the\n"
       "single-scorer path (the CI serve-smoke job diffs them). --metrics\n"
-      "prints serving counters and latency percentiles to stderr.\n"
+      "prints serving counters and latency percentiles to stderr; without\n"
+      "--shards it also prints the rows and nodes re-computed over the\n"
+      "whole stream.\n"
       "\n"
       "<path|name> is a registered dataset name (umgad_cli list), a graph\n"
       "file in either format, or a raw edge list (src dst [relation] per\n"
@@ -657,11 +659,20 @@ int CmdServe(const CliArgs& args) {
   auto scorer = serve::OnlineScorer::Create(*std::move(trained), *graph);
   if (!scorer.ok()) return FailWith(scorer.status());
 
+  // The flat path applies one update at a time, so summing the last
+  // update's work counts after each one gives the replay's total work.
+  int64_t total_dirty_rows = 0;
+  int64_t total_rescored_nodes = 0;
   if (!args.stream.empty()) {
     WallTimer timer;
     const int64_t applied =
         ReplayStream(args, [&](const serve::EdgeUpdate& update) {
-          return (*scorer)->ApplyEdgeUpdate(update);
+          const Status status = (*scorer)->ApplyEdgeUpdate(update);
+          if (status.ok()) {
+            total_dirty_rows += (*scorer)->stats().last_dirty_rows;
+            total_rescored_nodes += (*scorer)->stats().last_rescored_nodes;
+          }
+          return status;
         });
     if (applied < 0) return 1;
     const double seconds = timer.ElapsedMillis() / 1000.0;
@@ -675,6 +686,8 @@ int CmdServe(const CliArgs& args) {
     std::cerr << "scorer: updates=" << stats.updates_applied
               << " last_dirty_rows=" << stats.last_dirty_rows
               << " last_rescored_nodes=" << stats.last_rescored_nodes << "\n";
+    std::cerr << "scorer totals: dirty_rows=" << total_dirty_rows
+              << " rescored_nodes=" << total_rescored_nodes << "\n";
     std::cerr << KernelSummaryLine() << "\n";
   }
 
