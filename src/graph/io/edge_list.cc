@@ -262,7 +262,7 @@ Result<Tensor> ParseFeatureFile(const std::string& path,
     enum Kind { kNone, kWidth, kValue };
     Kind kind = kNone;
     int row = 0;
-    size_t field_count = 0;
+    size_t field = 0;  // kWidth: the row's field count; kValue: the column
     std::string value;
   };
   Tensor attributes(num_nodes, static_cast<int>(dim));
@@ -286,7 +286,7 @@ Result<Tensor> ParseFeatureFile(const std::string& path,
             for (size_t j = 0; j < dim; ++j) {
               if (!ParseFloat(fields[j],
                               &attributes.at(i, static_cast<int>(j)))) {
-                errors[c] = FeatError{FeatError::kValue, i, 0, fields[j]};
+                errors[c] = FeatError{FeatError::kValue, i, j, fields[j]};
                 bad = true;
                 break;
               }
@@ -302,12 +302,12 @@ Result<Tensor> ParseFeatureFile(const std::string& path,
     if (err.kind == FeatError::kWidth) {
       return Status::InvalidArgument(
           StrFormat("%s: row %d has %zu values, expected %zu", path.c_str(),
-                    err.row, err.field_count, dim));
+                    err.row, err.field, dim));
     }
     if (err.kind == FeatError::kValue) {
-      return Status::InvalidArgument(StrFormat("%s: row %d: bad value '%s'",
-                                               path.c_str(), err.row,
-                                               err.value.c_str()));
+      return Status::InvalidArgument(StrFormat(
+          "%s: attribute (%d, %zu) is not a finite number: '%s'",
+          path.c_str(), err.row, err.field, err.value.c_str()));
     }
   }
   return attributes;

@@ -262,12 +262,15 @@ struct OnlineScorer::Impl {
   // ApplyBatch's dirty sets, sized once: s_norm/endpoints per relation
   // (see ApplyBatch), `front` for one stage of an update sweep (only
   // ApplyBatch's sweeps touch it), `rescore` for one (view, relation)'s
-  // residuals, `moved` for one view's changed columns.
+  // residuals, `moved` for one view's changed columns, and `changed` for
+  // the owned nodes any view re-scored since TakeChangedNodes (sized only
+  // when component_only; the flat scorer records nothing).
   std::vector<NodeSet> s_norm;
   std::vector<NodeSet> endpoints;
   mutable NodeSet front;
   NodeSet rescore;
   NodeSet moved;
+  NodeSet changed;
 
   bool Owned(int i) const { return owned.empty() || owned[i] != 0; }
 
@@ -733,6 +736,7 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
         vs.moments.structure.Remove(vs.structure[i]);
         vs.structure[i] = RelationMean(vs.residual, i);
         vs.moments.structure.Add(vs.structure[i]);
+        if (component_only) changed.Add(i);
       }
     }
     if (vp.attr_used) {
@@ -747,6 +751,7 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
         vs.moments.attr.Remove(vs.attr_val[i]);
         ComputeAttrValNode(state, static_cast<int>(w), i);
         vs.moments.attr.Add(vs.attr_val[i]);
+        if (component_only) changed.Add(i);
         ++rescored;
       }
     }
@@ -844,6 +849,7 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
   impl.front = NodeSet(impl.n);
   impl.rescore = NodeSet(impl.n);
   impl.moved = NodeSet(impl.n);
+  if (impl.component_only) impl.changed = NodeSet(impl.n);
   impl.state = impl.MakeEmptyState();
   impl.FullCompute(&impl.state, /*parallel=*/true);
   return scorer;
@@ -928,6 +934,12 @@ std::vector<ViewMoments> OnlineScorer::Moments() const {
 }
 
 bool OnlineScorer::component_only() const { return impl_->component_only; }
+
+std::vector<int> OnlineScorer::TakeChangedNodes() {
+  std::vector<int> out = impl_->changed.items();
+  impl_->changed.Clear();
+  return out;
+}
 
 int OnlineScorer::num_nodes() const { return impl_->n; }
 int OnlineScorer::num_relations() const { return impl_->r_count; }

@@ -108,8 +108,10 @@ using umgad::ViewMoments;
 ///
 /// Thread-safety contract: an OnlineScorer is **not** internally
 /// synchronised. ApplyEdgeUpdate(s) mutates the adjacency replicas, the
-/// row caches, the components and their moments in place, so
-///   - at most one thread may be inside Apply* at a time, and
+/// row caches, the components and their moments in place (and
+/// TakeChangedNodes the change record), so
+///   - at most one thread may be inside Apply* or TakeChangedNodes at a
+///     time, and
 ///   - no thread may call scores(), Query(), Components(), Moments(),
 ///     RescoreFullNaive(), SnapshotGraph(), or stats() while another is
 ///     inside Apply* — a concurrent read observes torn intermediate state
@@ -159,6 +161,16 @@ class OnlineScorer {
   /// True when ServeOptions::owned_nodes restricted this scorer to a
   /// component provider.
   bool component_only() const;
+
+  /// Owner-masked mode: the owned nodes whose attribute distance or
+  /// structure residuals (in any view) an Apply* call recomputed since the
+  /// previous TakeChangedNodes, each once, in first-recompute order; clears
+  /// the record. A burst that fails and rolls back recomputes nothing, so
+  /// only the updates that were applied count. Every owned node whose
+  /// component can differ from the last report is listed, which is what
+  /// lets ShardRouter copy just these entries. Always empty in flat mode,
+  /// which records nothing.
+  std::vector<int> TakeChangedNodes();
 
   /// Apply one undirected edge insert/removal and re-score the affected
   /// nodes. Rejects out-of-range endpoints/relation, self loops, inserting

@@ -66,7 +66,9 @@ struct ShardStatsSnapshot {
   int64_t queue_depth = 0;
   int64_t queue_peak = 0;
   /// Per-update apply latency (burst latency divided evenly over the
-  /// burst's updates) and per-publish combine+swap latency.
+  /// burst's updates) and per-publish combine+swap latency. Only a gather
+  /// that advances the stream position publishes, so publish_latency
+  /// counts the publishes this shard made, which can be zero.
   HistogramSnapshot update_latency;
   HistogramSnapshot publish_latency;
 };

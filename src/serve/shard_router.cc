@@ -58,10 +58,11 @@ struct ShardRouter::Impl {
   std::mutex submit_mu;
 
   /// The component board: every shard's owned slices of each view's two
-  /// Eq. 19 columns, each shard's exact moments of them, and each shard's
-  /// stream position at its last gather. Guarded by board_mu; the publish
-  /// path (gather + moment merge + per-node mix + snapshot swap) runs
-  /// entirely under it.
+  /// Eq. 19 columns, each shard's exact moments of them, each shard's
+  /// stream position at its last gather, and the minimum position of the
+  /// last published snapshot. Guarded by board_mu; the publish path
+  /// (gather + moment merge + per-node mix + snapshot swap) runs entirely
+  /// under it.
   struct BoardView {
     bool attr_used = false;
     bool struct_used = false;
@@ -72,28 +73,32 @@ struct ShardRouter::Impl {
   std::vector<BoardView> board;
   std::vector<std::vector<ViewMoments>> board_moments;  // [shard][view]
   std::vector<int64_t> board_pos;
+  int64_t published_min = 0;
   uint64_t epoch = 0;
 
   /// Readers go through std::atomic_load on this pointer only.
   std::shared_ptr<const ScoreSnapshot> snapshot;
 
-  void CopyOwnedComponentsLocked(int s);
+  void CopyComponentsLocked(int s, const std::vector<int>& nodes);
   void PublishLocked(LatencyHistogram* hist);
   void WorkerLoop(int s);
 };
 
-void ShardRouter::Impl::CopyOwnedComponentsLocked(int s) {
+/// Copies shard s's components of `nodes` (all owned by s) and its moments
+/// onto the board: every owned node at Create, afterwards only the nodes
+/// the shard's scorer reports as re-scored since its last gather.
+void ShardRouter::Impl::CopyComponentsLocked(int s,
+                                             const std::vector<int>& nodes) {
   const OnlineScorer& scorer = *shards[s]->scorer;
   const std::vector<ViewComponents> comps = scorer.Components();
-  const std::vector<int>& owned = owned_lists[s];
   for (size_t v = 0; v < board.size(); ++v) {
     BoardView& bv = board[v];
     if (bv.attr_used) {
       const std::vector<double>& src = *comps[v].attr_val;
-      for (int i : owned) bv.attr_val[i] = src[i];
+      for (int i : nodes) bv.attr_val[i] = src[i];
     }
     if (bv.struct_used) {
-      for (int i : owned) bv.structure[i] = RelationMean(*comps[v].residual, i);
+      for (int i : nodes) bv.structure[i] = RelationMean(*comps[v].residual, i);
     }
   }
   board_moments[s] = scorer.Moments();
@@ -124,6 +129,7 @@ void ShardRouter::Impl::PublishLocked(LatencyHistogram* hist) {
     snap->max_applied = std::max(snap->max_applied, p);
   }
   snap->stream_consistent = snap->min_applied == snap->max_applied;
+  published_min = snap->min_applied;
   snap->scores = ScoreAllNodes(columns, epsilon, n);
   std::atomic_store(&snapshot,
                     std::shared_ptr<const ScoreSnapshot>(std::move(snap)));
@@ -174,11 +180,19 @@ void ShardRouter::Impl::WorkerLoop(int s) {
         std::memory_order_relaxed);
     sh.rejected.fetch_add(burst_rejected, std::memory_order_relaxed);
 
+    const std::vector<int> changed = sh.scorer->TakeChangedNodes();
     {
       std::lock_guard<std::mutex> lock(board_mu);
-      CopyOwnedComponentsLocked(s);
+      CopyComponentsLocked(s, changed);
       board_pos[s] = pos;
-      PublishLocked(&sh.publish_hist);
+      // Only a gather that raises the board's minimum position publishes;
+      // any other snapshot would show readers no new stream position. The
+      // last shard to reach a position always raises the minimum, so the
+      // gather that ends a Flush() publishes the stream-consistent one.
+      if (*std::min_element(board_pos.begin(), board_pos.end()) >
+          published_min) {
+        PublishLocked(&sh.publish_hist);
+      }
     }
 
     {
@@ -268,7 +282,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   {
     std::lock_guard<std::mutex> lock(impl.board_mu);
     for (int s = 0; s < options.num_shards; ++s) {
-      impl.CopyOwnedComponentsLocked(s);
+      impl.CopyComponentsLocked(s, impl.owned_lists[s]);
     }
     impl.PublishLocked(nullptr);
   }

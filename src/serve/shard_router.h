@@ -31,7 +31,9 @@ struct RouterOptions {
 /// via shared_ptr, so a snapshot stays valid for as long as any reader
 /// keeps it — publishes never invalidate an in-flight read.
 struct ScoreSnapshot {
-  /// Publish counter (strictly increasing; 1 = the initial full pass).
+  /// Publish counter (strictly increasing; 1 = the initial full pass). A
+  /// publish happens only when a gather raises min_applied, so the epoch
+  /// counts advances of the stream position, not bursts.
   uint64_t epoch = 0;
   /// Min/max over shards of the stream position (updates dequeued,
   /// rejected included) the publishing gather observed.
@@ -64,17 +66,21 @@ struct ScoreSnapshot {
 ///    ApplyEdgeUpdates; an invalid update inside a burst falls back to
 ///    deterministic one-at-a-time apply-or-skip, so the final state is
 ///    independent of how the stream was chopped into bursts.
-///  - Reads: after a burst, the worker copies its owned slices of each
-///    view's two Eq. 19 columns and its exact moments of them onto a
-///    shared board. Publishing merges the S shards' moments exactly (they
+///  - Reads: after a burst, the worker copies the two Eq. 19 column
+///    entries of every owned node its scorer re-scored
+///    (OnlineScorer::TakeChangedNodes) and its exact moments onto a shared
+///    board. If that gather raises the board's minimum stream position,
+///    the worker publishes: it merges the S shards' moments exactly (they
 ///    cover disjoint owned sets, so the merge equals the flat scorer's
 ///    moments), runs the per-node ScoreNode mix — no re-summing of n
 ///    components — and publishes the result as an immutable ScoreSnapshot
-///    behind one atomic pointer swap with a monotone epoch.
-///    Query()/Snapshot() only ever touch that pointer: readers never
-///    block on update application, never observe a torn vector, and a
-///    drained router is bit-identical to the flat single-scorer oracle
-///    (tests/shard_router_test.cc, tests/serve_concurrency_test.cc).
+///    behind one atomic pointer swap with a monotone epoch. A gather that
+///    leaves the minimum where it was publishes nothing, so a shard's
+///    publish count (Stats()) can be zero. Query()/Snapshot() only ever
+///    touch that pointer: readers never block on update application,
+///    never observe a torn vector, and a drained router is bit-identical
+///    to the flat single-scorer oracle (tests/shard_router_test.cc,
+///    tests/serve_concurrency_test.cc).
 ///
 /// Thread-safety: Submit/Flush/Query/Snapshot/Stats are safe from any
 /// number of threads. The destructor drains already-queued updates, then

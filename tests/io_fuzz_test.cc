@@ -7,6 +7,10 @@
 // an attempted huge allocation. The copying and mmap .umgb readers
 // validate the same invariants, so the two must also *agree*: same
 // ok-ness on every mutant, bit-identical graphs whenever both accept.
+// Value mutations — NaN, +-Inf and subnormal values in the attribute,
+// edge-weight and .umgm weight sections of every format, and a moved
+// column index that breaks symmetry — must fail with a Status naming the
+// position, except subnormals, which are finite and must load.
 
 #include <cerrno>
 #include <climits>
@@ -15,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,8 +32,10 @@
 #include "graph/datasets.h"
 #include "graph/io/binary_format.h"
 #include "graph/io/edge_list.h"
+#include "graph/io/graph_io.h"
 #include "graph/io/line_chunks.h"
 #include "graph/io/mmap_format.h"
+#include "graph/io/text_format.h"
 #include "graph/multiplex_graph.h"
 #include "oracle_harness.h"
 #include "serve/online_scorer.h"
@@ -239,6 +246,235 @@ TEST_F(IoFuzzTest, EdgeListFuzzNeverCrashes) {
   std::remove(edges_path.c_str());
 }
 
+// ------------------------- non-finite and subnormal values ---------------
+
+const float kNonFinite[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+const float kSubnormal[] = {std::numeric_limits<float>::denorm_min(),
+                            -1e-40f};
+
+template <typename T>
+T PodAt(const std::string& bytes, size_t at) {
+  T value;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+template <typename T>
+void PatchPod(std::string* bytes, size_t at, T value) {
+  std::memcpy(&(*bytes)[at], &value, sizeof(value));
+}
+
+bool SameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/// Byte offsets of relation 0's col_idx and values arrays and of the
+/// attribute section in a v3 .umgb image, walked from the header by the
+/// layout in docs/FORMATS.md (every bulk array starts at the next 8-byte
+/// file offset).
+struct ImageSections {
+  size_t col_idx = 0;
+  size_t values = 0;
+  size_t attributes = 0;
+};
+
+ImageSections LocateSections(const std::string& image) {
+  auto align8 = [](size_t at) { return (at + 7) / 8 * 8; };
+  size_t at = NodeCountOffset(image);
+  const uint64_t nodes = PodAt<uint64_t>(image, at);
+  const uint64_t relations = PodAt<uint64_t>(image, at + 16);
+  at += 24;
+  ImageSections out;
+  for (uint64_t r = 0; r < relations; ++r) {
+    at += 4 + PodAt<uint32_t>(image, at);  // relation name
+    const uint64_t nnz = PodAt<uint64_t>(image, at);
+    const size_t col_idx = align8(at + 8) + 8 * (nodes + 1);
+    const size_t values = col_idx + 4 * nnz;
+    if (r == 0) {
+      out.col_idx = col_idx;
+      out.values = values;
+    }
+    at = values + 4 * nnz;
+  }
+  out.attributes = align8(at);
+  return out;
+}
+
+/// Both .umgb loads of the on-disk image fail, each with a message that
+/// contains `want`.
+void ExpectBothLoadsFail(const std::string& path, const std::string& want,
+                         const std::string& what) {
+  Result<MultiplexGraph> copy = LoadGraphBinary(path);
+  Result<MappedGraph> mapped = MappedGraph::Load(path);
+  ASSERT_FALSE(copy.ok()) << what << ": the copying load accepted it";
+  ASSERT_FALSE(mapped.ok()) << what << ": the mapped load accepted it";
+  EXPECT_NE(copy.status().message().find(want), std::string::npos)
+      << what << ": " << copy.status().message();
+  EXPECT_NE(mapped.status().message().find(want), std::string::npos)
+      << what << ": " << mapped.status().message();
+}
+
+TEST_F(IoFuzzTest, SectionWalkFindsTheArrays) {
+  // The value tests below patch the offsets LocateSections computes; it
+  // must land on the arrays it names.
+  const MultiplexGraph g = FuzzGraph();
+  const ImageSections at = LocateSections(image_);
+  const SparseMatrix& layer = g.layer(0);
+  for (int64_t k = 0; k < layer.nnz(); ++k) {
+    EXPECT_EQ(PodAt<int32_t>(image_, at.col_idx + 4 * k), layer.col_idx()[k]);
+    EXPECT_TRUE(
+        SameBits(PodAt<float>(image_, at.values + 4 * k), layer.values()[k]));
+  }
+  for (int64_t k = 0; k < g.attributes().size(); ++k) {
+    EXPECT_TRUE(SameBits(PodAt<float>(image_, at.attributes + 4 * k),
+                         g.attributes().data()[k]));
+  }
+}
+
+TEST_F(IoFuzzTest, NonFiniteWeightsFailBothLoadsAtTheirEntry) {
+  const MultiplexGraph g = FuzzGraph();
+  const SparseMatrix& layer = g.layer(0);
+  const size_t values_at = LocateSections(image_).values;
+  // The first and last stored entries of relation 0: (0, 1) and (5, 0).
+  const int64_t last = layer.nnz() - 1;
+  ASSERT_EQ(layer.col_idx()[0], 1);
+  ASSERT_EQ(layer.col_idx()[last], 0);
+  for (const int64_t k : {int64_t{0}, last}) {
+    const std::string entry = k == 0 ? "(0, 1)" : "(5, 0)";
+    for (const float bad : kNonFinite) {
+      std::string mutant = image_;
+      PatchPod(&mutant, values_at + 4 * k, bad);
+      WriteImage(path_, mutant);
+      ExpectBothLoadsFail(path_, "layer 0 (r1) has a non-finite weight at " +
+                                     entry,
+                          "weight " + std::to_string(bad) + " at " + entry);
+    }
+    // Subnormal weights are finite: both loads keep them bit for bit.
+    for (const float tiny : kSubnormal) {
+      std::string mutant = image_;
+      PatchPod(&mutant, values_at + 4 * k, tiny);
+      WriteImage(path_, mutant);
+      ASSERT_TRUE(LoadBothAndCheckAgreement("subnormal weight at " + entry));
+      Result<MultiplexGraph> copy = LoadGraphBinary(path_);
+      EXPECT_TRUE(SameBits(copy->layer(0).values()[k], tiny)) << entry;
+    }
+  }
+}
+
+TEST_F(IoFuzzTest, MovedColumnIndexFailsBothLoadsAsAsymmetric) {
+  // Row 0 of relation 0 holds columns {1, 5}. Moving 5 to 4 keeps the row
+  // sorted and in range, so only the symmetry check can catch it: (0, 4)
+  // has no mirror (4, 0).
+  const MultiplexGraph g = FuzzGraph();
+  const SparseMatrix& layer = g.layer(0);
+  ASSERT_EQ(layer.row_ptr()[1], 2);
+  ASSERT_EQ(layer.col_idx()[1], 5);
+  std::string mutant = image_;
+  PatchPod<int32_t>(&mutant, LocateSections(image_).col_idx + 4, 4);
+  WriteImage(path_, mutant);
+  ExpectBothLoadsFail(path_, "layer 0 (r1) is not symmetric at (0, 4)",
+                      "column 5 moved to 4");
+}
+
+TEST_F(IoFuzzTest, NonFiniteAttributesFailLoadDatasetAtTheirCell) {
+  // Neither .umgb load reads the attribute section (the mapped load keeps
+  // it on disk); LoadDataset checks it after either load.
+  const int cols = FuzzGraph().feature_dim();
+  const size_t cell_at = LocateSections(image_).attributes + 4 * (4 * cols + 2);
+  for (const bool mmap : {false, true}) {
+    LoadDatasetOptions options;
+    options.prefer_mmap = mmap;
+    const std::string load = mmap ? "mapped" : "copying";
+    for (const float bad : kNonFinite) {
+      std::string mutant = image_;
+      PatchPod(&mutant, cell_at, bad);
+      WriteImage(path_, mutant);
+      Result<MultiplexGraph> loaded = LoadDataset(path_, options);
+      ASSERT_FALSE(loaded.ok()) << load << " load accepted " << bad;
+      EXPECT_NE(loaded.status().message().find("attribute (4, 2) is not finite"),
+                std::string::npos)
+          << load << ": " << loaded.status().message();
+    }
+    for (const float tiny : kSubnormal) {
+      std::string mutant = image_;
+      PatchPod(&mutant, cell_at, tiny);
+      WriteImage(path_, mutant);
+      Result<MultiplexGraph> loaded = LoadDataset(path_, options);
+      ASSERT_TRUE(loaded.ok()) << load << ": " << loaded.status().ToString();
+      EXPECT_TRUE(SameBits(loaded->attributes().at(4, 2), tiny)) << load;
+    }
+  }
+}
+
+/// `text` with field `col` of line `row` (counted from `block_start`;
+/// fields split on spaces and tabs) replaced by `token`.
+std::string ReplaceField(const std::string& text, size_t block_start, int row,
+                         int col, const std::string& token) {
+  size_t at = block_start;
+  for (int r = 0; r < row; ++r) at = text.find('\n', at) + 1;
+  for (int c = 0; c < col; ++c) at = text.find_first_of(" \t", at) + 1;
+  const size_t end = text.find_first_of(" \t\n", at);
+  return text.substr(0, at) + token + text.substr(end);
+}
+
+TEST(IoFuzzValueTest, TextAttributesNameTheCellAndKeepSubnormals) {
+  // The text format and the edge-list features file spell values in
+  // decimal: nan, inf and an overflowing literal must fail at their (row,
+  // col) through LoadDataset, and subnormal literals must load.
+  const MultiplexGraph g = FuzzGraph();
+  const std::string dir = ::testing::TempDir();
+  const std::string text_path = dir + "/umgad_fuzz_values.txt";
+  const std::string edges_path = dir + "/umgad_fuzz_values.tsv";
+  const std::string features_path = dir + "/umgad_fuzz_values_features.tsv";
+  ASSERT_TRUE(SaveGraph(g, text_path).ok());
+  ASSERT_TRUE(ExportEdgeList(g, edges_path, features_path).ok());
+  std::string text;
+  std::string features;
+  ASSERT_TRUE(ReadFileToString(text_path, &text).ok());
+  ASSERT_TRUE(ReadFileToString(features_path, &features).ok());
+  const size_t text_block = text.find("attributes\n") + 11;
+
+  LoadDatasetOptions edge_list;
+  edge_list.edge_list.features_path = features_path;
+  edge_list.edge_list.relation_names = {"r1", "r2"};
+  for (const char* bad : {"nan", "inf", "-inf", "1e39"}) {
+    WriteImage(text_path, ReplaceField(text, text_block, 4, 2, bad));
+    Result<MultiplexGraph> from_text = LoadDataset(text_path);
+    ASSERT_FALSE(from_text.ok()) << "text format accepted " << bad;
+    EXPECT_NE(from_text.status().message().find(
+                  "attribute (4, 2) is not a finite number"),
+              std::string::npos)
+        << bad << ": " << from_text.status().message();
+
+    WriteImage(features_path, ReplaceField(features, 0, 4, 2, bad));
+    Result<MultiplexGraph> from_edges = LoadDataset(edges_path, edge_list);
+    ASSERT_FALSE(from_edges.ok()) << "edge list accepted " << bad;
+    EXPECT_NE(from_edges.status().message().find(
+                  "attribute (4, 2) is not a finite number"),
+              std::string::npos)
+        << bad << ": " << from_edges.status().message();
+  }
+  for (const char* tiny : {"1.40129846e-45", "-1e-40"}) {
+    const float want = std::strtof(tiny, nullptr);
+    WriteImage(text_path, ReplaceField(text, text_block, 4, 2, tiny));
+    Result<MultiplexGraph> from_text = LoadDataset(text_path);
+    ASSERT_TRUE(from_text.ok()) << tiny << ": "
+                                << from_text.status().ToString();
+    EXPECT_TRUE(SameBits(from_text->attributes().at(4, 2), want)) << tiny;
+
+    WriteImage(features_path, ReplaceField(features, 0, 4, 2, tiny));
+    Result<MultiplexGraph> from_edges = LoadDataset(edges_path, edge_list);
+    ASSERT_TRUE(from_edges.ok()) << tiny << ": "
+                                 << from_edges.status().ToString();
+    EXPECT_TRUE(SameBits(from_edges->attributes().at(4, 2), want)) << tiny;
+  }
+  std::remove(text_path.c_str());
+  std::remove(edges_path.c_str());
+  std::remove(features_path.c_str());
+}
+
 // ------------------------- .umgm model artifacts --------------------------
 
 /// Byte offsets inside a v2 .umgm image (docs/FORMATS.md): 12-byte header,
@@ -373,6 +609,37 @@ TEST_F(IoFuzzModelTest, HostileCountsAreAStatusNotAnAllocation) {
   for (const uint32_t value : {0xFFFFFFFFu, 115u}) {
     EXPECT_FALSE(LoadAndUse(Patched(size_t{12}, value)))
         << "accepted config length " << value;
+  }
+}
+
+TEST_F(IoFuzzModelTest, NonFiniteWeightsNameTheElement) {
+  // The first and last elements of weight tensor 0, whose data follows its
+  // two i32 shape fields.
+  const size_t data_at = tensor_count_at_ + 16;
+  const int64_t count =
+      int64_t{PodAt<int32_t>(image_, tensor_count_at_ + 8)} *
+      PodAt<int32_t>(image_, tensor_count_at_ + 12);
+  ASSERT_GT(count, 1);
+  for (const int64_t k : {int64_t{0}, count - 1}) {
+    const std::string want =
+        "weight 0 element " + std::to_string(k) + " is not finite";
+    for (const float bad : kNonFinite) {
+      std::string mutant = image_;
+      PatchPod(&mutant, data_at + 4 * k, bad);
+      WriteImage(path_, mutant);
+      Result<TrainedModel> loaded = TrainedModel::Load(path_);
+      ASSERT_FALSE(loaded.ok()) << "accepted " << bad << " at element " << k;
+      EXPECT_NE(loaded.status().message().find(want), std::string::npos)
+          << loaded.status().message();
+    }
+    for (const float tiny : kSubnormal) {
+      std::string mutant = image_;
+      PatchPod(&mutant, data_at + 4 * k, tiny);
+      ASSERT_TRUE(LoadAndUse(mutant)) << "rejected " << tiny;
+      Result<TrainedModel> loaded = TrainedModel::Load(path_);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_TRUE(SameBits(loaded->weights()[0].data()[k], tiny)) << k;
+    }
   }
 }
 

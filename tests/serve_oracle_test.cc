@@ -8,9 +8,12 @@
 // num_score_negatives), batched bursts (ApplyEdgeUpdates == one-at-a-time
 // == full rescore, with prefix rollback on error), every engine plan shape
 // (SGC and 2-layer GAT encoders, attribute-only, structure-only, no
-// original view), ApplyEdgeUpdate's error paths, and the DynamicAdjacency
-// bit-compatibility contract.
+// original view), the owner-masked scorer's change report in each shape,
+// ApplyEdgeUpdate's error paths, and the DynamicAdjacency bit-compatibility
+// contract.
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/model_io.h"
+#include "core/scorer.h"
 #include "core/umgad.h"
 #include "graph/datasets.h"
 #include "oracle_harness.h"
@@ -410,36 +414,154 @@ void ExpectPlanShapeMatchesOracle(const UmgadConfig& config,
                  label + " two shards vs flat");
 }
 
-TEST(ServeOracleTest, SgcEncoderMatchesOracle) {
+/// The engine plan shapes: SGC and 2-layer GAT encoders, attribute-only,
+/// structure-only (no attribute chain is built on the original view; the
+/// other views' attribute chains still carry the structure embedding), and
+/// no original view.
+const char* const kPlanShapes[] = {"sgc", "gat x2", "attribute only",
+                                   "structure only", "no original view"};
+
+UmgadConfig PlanShapeConfig(const std::string& shape) {
   UmgadConfig config = ServeConfig();
-  config.encoder = EncoderKind::kSgc;
-  ExpectPlanShapeMatchesOracle(config, "sgc");
+  if (shape == "sgc") config.encoder = EncoderKind::kSgc;
+  if (shape == "gat x2") config.encoder_layers = 2;
+  if (shape == "attribute only") config.use_structure_recon = false;
+  if (shape == "structure only") config.use_attribute_recon = false;
+  if (shape == "no original view") config.use_original_view = false;
+  return config;
+}
+
+TEST(ServeOracleTest, SgcEncoderMatchesOracle) {
+  ExpectPlanShapeMatchesOracle(PlanShapeConfig("sgc"), "sgc");
 }
 
 TEST(ServeOracleTest, TwoLayerGatEncoderMatchesOracle) {
-  UmgadConfig config = ServeConfig();
-  config.encoder_layers = 2;
-  ExpectPlanShapeMatchesOracle(config, "gat x2");
+  ExpectPlanShapeMatchesOracle(PlanShapeConfig("gat x2"), "gat x2");
 }
 
 TEST(ServeOracleTest, AttributeOnlyMatchesOracle) {
-  UmgadConfig config = ServeConfig();
-  config.use_structure_recon = false;
-  ExpectPlanShapeMatchesOracle(config, "attribute only");
+  ExpectPlanShapeMatchesOracle(PlanShapeConfig("attribute only"),
+                               "attribute only");
 }
 
 TEST(ServeOracleTest, StructureOnlyMatchesOracle) {
-  // No attribute chain is built on the original view; the other views'
-  // attribute chains still carry the structure embedding.
-  UmgadConfig config = ServeConfig();
-  config.use_attribute_recon = false;
-  ExpectPlanShapeMatchesOracle(config, "structure only");
+  ExpectPlanShapeMatchesOracle(PlanShapeConfig("structure only"),
+                               "structure only");
 }
 
 TEST(ServeOracleTest, NoOriginalViewMatchesOracle) {
-  UmgadConfig config = ServeConfig();
-  config.use_original_view = false;
-  ExpectPlanShapeMatchesOracle(config, "no original view");
+  ExpectPlanShapeMatchesOracle(PlanShapeConfig("no original view"),
+                               "no original view");
+}
+
+// ------------------------- the masked scorer's change report --------------
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Bit patterns of every node's Eq. 19 inputs, one row per (view, branch):
+/// the attribute distance, then the relation-mean structure value (0 where
+/// the view lacks the branch).
+std::vector<std::vector<uint64_t>> ComponentBits(const OnlineScorer& scorer) {
+  const int n = scorer.num_nodes();
+  std::vector<std::vector<uint64_t>> rows;
+  for (const serve::ViewComponents& vc : scorer.Components()) {
+    std::vector<uint64_t> attr(n, 0);
+    std::vector<uint64_t> structure(n, 0);
+    for (int i = 0; i < n; ++i) {
+      if (vc.attr_used) attr[i] = Bits((*vc.attr_val)[i]);
+      if (vc.struct_used) structure[i] = Bits(RelationMean(*vc.residual, i));
+    }
+    rows.push_back(std::move(attr));
+    rows.push_back(std::move(structure));
+  }
+  return rows;
+}
+
+/// Takes the scorer's change report and holds it to the components: every
+/// owned node whose attribute or structure bits differ from `*before` is
+/// reported, and nothing unowned or twice. Advances `*before` and returns
+/// how many owned nodes changed.
+int ExpectReportCoversChanges(OnlineScorer& scorer,
+                              const std::vector<uint8_t>& owned,
+                              std::vector<std::vector<uint64_t>>* before,
+                              const std::string& label) {
+  const std::vector<int> report = scorer.TakeChangedNodes();
+  std::vector<uint8_t> reported(owned.size(), 0);
+  for (int i : report) {
+    EXPECT_TRUE(owned[i]) << label << ": reported unowned node " << i;
+    EXPECT_FALSE(reported[i]) << label << ": reported node " << i << " twice";
+    reported[i] = 1;
+  }
+  const std::vector<std::vector<uint64_t>> now = ComponentBits(scorer);
+  int changed = 0;
+  for (size_t i = 0; i < owned.size(); ++i) {
+    if (!owned[i]) continue;
+    bool moved = false;
+    for (size_t row = 0; row < now.size(); ++row) {
+      moved = moved || now[row][i] != (*before)[row][i];
+    }
+    if (!moved) continue;
+    ++changed;
+    EXPECT_TRUE(reported[i]) << label << ": node " << i
+                             << " changed but is not in the report";
+  }
+  *before = now;
+  EXPECT_TRUE(scorer.TakeChangedNodes().empty()) << label;
+  return changed;
+}
+
+TEST(ServeOracleTest, ChangeReportCoversEveryChangedComponent) {
+  // For each plan shape, a masked scorer's report after single updates, a
+  // burst, and a burst that rolls back followed by the router's
+  // one-at-a-time fallback names every owned node whose components moved.
+  for (const char* shape : kPlanShapes) {
+    MultiplexGraph graph = MakeTiny(123);
+    UmgadModel model(PlanShapeConfig(shape));
+    ASSERT_TRUE(model.Fit(graph).ok()) << shape;
+    auto trained = TrainedModel::FromFitted(model, graph);
+    ASSERT_TRUE(trained.ok()) << shape;
+    serve::ServeOptions masked;
+    masked.owned_nodes.assign(graph.num_nodes(), 0);
+    for (int i = 0; i < graph.num_nodes(); ++i) {
+      masked.owned_nodes[i] = i % 3 != 1;
+    }
+    auto scorer = OnlineScorer::Create(*trained, graph, masked);
+    ASSERT_TRUE(scorer.ok()) << shape << ": " << scorer.status().ToString();
+    OnlineScorer& s = **scorer;
+    EXPECT_TRUE(s.TakeChangedNodes().empty()) << shape << ": after Create";
+    std::vector<std::vector<uint64_t>> before = ComponentBits(s);
+
+    const std::vector<EdgeUpdate> updates =
+        MakeUpdateSequence(graph, 12, /*seed=*/71);
+    int changed = 0;
+    for (size_t k = 0; k < 6; ++k) {
+      ASSERT_TRUE(s.ApplyEdgeUpdate(updates[k]).ok()) << shape;
+      changed += ExpectReportCoversChanges(
+          s, masked.owned_nodes, &before,
+          std::string(shape) + " update " + std::to_string(k));
+    }
+    ASSERT_TRUE(
+        s.ApplyEdgeUpdates({updates.begin() + 6, updates.begin() + 10}).ok())
+        << shape;
+    changed += ExpectReportCoversChanges(s, masked.owned_nodes, &before,
+                                         std::string(shape) + " burst");
+
+    // Re-applying the last update fails, so the burst rolls back; the
+    // fallback then applies the two valid updates and skips the third.
+    const std::vector<EdgeUpdate> failing = {updates[10], updates[11],
+                                             updates[11]};
+    ASSERT_FALSE(s.ApplyEdgeUpdates(failing).ok()) << shape;
+    int rejected = 0;
+    for (const EdgeUpdate& u : failing) rejected += !s.ApplyEdgeUpdate(u).ok();
+    EXPECT_EQ(rejected, 1) << shape;
+    changed += ExpectReportCoversChanges(s, masked.owned_nodes, &before,
+                                         std::string(shape) + " fallback");
+    EXPECT_GT(changed, 0) << shape << ": no component moved";
+  }
 }
 
 // ------------------------- error paths ------------------------------------

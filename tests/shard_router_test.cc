@@ -3,13 +3,16 @@
 // must be bit-identical to a flat single-scorer OnlineScorer (and through
 // it to RescoreFullNaive) for every shards x UMGAD_THREADS x arena-mode
 // combination — including streams with invalid updates (rejected in
-// order, identically on every replica), insert/remove toggles split
-// across bursts, and drop-mode shedding. Also covers the owner-masked
-// component-provider mode of OnlineScorer directly, Query/Snapshot
-// semantics, Stats() counters, and Create's option validation.
+// order, identically on every replica) and insert/remove toggles split
+// across bursts. Also covers the owner-masked component-provider mode of
+// OnlineScorer directly, Query/Snapshot semantics, the publish rule (one
+// snapshot per advance of the stream position), Stats() counters, and
+// Create's option validation.
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -316,6 +319,48 @@ TEST(ShardRouterTest, QueryReadsTheLatestSnapshot) {
   EXPECT_GT((*router)->Snapshot()->epoch, before);
 }
 
+TEST(ShardRouterTest, LockstepRoundsPublishOnceEach) {
+  // One update per Submit + Flush round: only the gather that brings the
+  // last shard to the new position publishes, so the epoch advances by
+  // exactly one per round, and a concurrent reader only ever sees
+  // snapshots with every shard at the same position.
+  const int rounds = 8;
+  const std::vector<EdgeUpdate> updates =
+      MakeUpdateSequence(Fixture().graph, rounds, /*seed=*/43);
+  const FlatRun flat = RunFlat(updates);
+  for (int shards : {1, 2, 3}) {
+    const std::string label = "shards=" + std::to_string(shards);
+    auto router = MakeRouter(shards);
+    ASSERT_TRUE(router.ok()) << label << ": " << router.status().ToString();
+    const uint64_t epoch0 = (*router)->Snapshot()->epoch;
+
+    std::atomic<bool> stop{false};
+    std::atomic<int64_t> torn{0};
+    std::thread reader([&] {
+      while (!stop.load()) {
+        const std::shared_ptr<const ScoreSnapshot> snap =
+            (*router)->Snapshot();
+        if (!snap->stream_consistent) torn.fetch_add(1);
+        std::this_thread::yield();
+      }
+    });
+    for (const EdgeUpdate& u : updates) {
+      (*router)->Submit({u});
+      (*router)->Flush();
+    }
+    stop.store(true);
+    reader.join();
+
+    const std::shared_ptr<const ScoreSnapshot> drained = (*router)->Snapshot();
+    EXPECT_EQ(drained->epoch - epoch0, static_cast<uint64_t>(rounds))
+        << label;
+    EXPECT_EQ(torn.load(), 0) << label;
+    EXPECT_EQ(drained->min_applied, rounds) << label;
+    EXPECT_TRUE(drained->stream_consistent) << label;
+    ExpectSameBits(drained->scores, flat.final_scores, label);
+  }
+}
+
 TEST(ShardRouterTest, StatsCoverEveryCounter) {
   const std::vector<EdgeUpdate> updates =
       MakeUpdateSequence(Fixture().graph, 10, /*seed=*/97);
@@ -334,7 +379,9 @@ TEST(ShardRouterTest, StatsCoverEveryCounter) {
   EXPECT_EQ(stats.total_applied, static_cast<int64_t>(2 * updates.size()));
   EXPECT_EQ(stats.total_rejected, 0);
   EXPECT_EQ(stats.total_dropped, 0);
-  // One latency sample per update per shard; publish at least once each.
+  // One latency sample per update per shard. Only the gathers that
+  // advance the stream position publish, so a shard's own publish count
+  // can be zero; the drain ends on a publish, so the total cannot.
   EXPECT_EQ(stats.update_latency.count,
             static_cast<int64_t>(2 * updates.size()));
   EXPECT_GT(stats.publish_latency.count, 0);
