@@ -3,10 +3,10 @@
 
 // Shared setup of the golden-score regression fixture: one deterministic
 // graph + config, scored by UMGAD (GAT encoder — the edge-softmax backward
-// path) and the AnomMAN baseline, plus the ten Table IV ablations of that
-// UMGAD config. The generator (tests/golden_scores_gen.cc) serialises the
-// first kGoldenScoreCount scores of each (and each ablation's per-epoch
-// loss history) as raw double bit patterns into
+// path) and every baseline, plus the ten Table IV ablations of that UMGAD
+// config. The generator (tests/golden_scores_gen.cc) serialises the first
+// kGoldenScoreCount scores of each (and each ablation's per-epoch loss
+// history) as raw double bit patterns into
 // tests/golden_scores_fixture.h; golden_scores_test.cc asserts
 // bit-equality against them across thread counts and arena modes. Change
 // anything here and the fixture must be regenerated:
@@ -103,16 +103,31 @@ inline GoldenRun GoldenAblationRun(const GoldenAblation& ablation) {
   return run;
 }
 
-inline std::vector<double> GoldenAnomManScores() {
+inline std::vector<double> GoldenBaselineScores(const char* name) {
   MultiplexGraph graph = MakeTiny(kGoldenGraphSeed);
   Result<std::unique_ptr<Detector>> detector =
-      MakeDetector("AnomMAN", kGoldenDetectorSeed);
+      MakeDetector(name, kGoldenDetectorSeed);
   UMGAD_CHECK(detector.ok());
   UMGAD_CHECK((*detector)->Fit(graph).ok());
   std::vector<double> scores = (*detector)->scores();
   scores.resize(kGoldenScoreCount);
   return scores;
 }
+
+inline std::vector<double> GoldenAnomManScores() {
+  return GoldenBaselineScores("AnomMAN");
+}
+
+/// Every baseline but AnomMAN (pinned on its own above), in Table II row
+/// order.
+inline constexpr const char* kGoldenBaselines[] = {
+    "Radar",   "ComGA",    "RAND",    "TAM",        "CoLA",  "ANEMONE",
+    "Sub-CR",  "ARISE",    "SL-GAD",  "PREM",       "GCCAD", "GRADATE",
+    "VGOD",    "DOMINANT", "GCNAE",   "AnomalyDAE", "AdONE", "GAD-NR",
+    "ADA-GAD", "GADAM",    "DualGAD",
+};
+inline constexpr int kGoldenBaselineCount =
+    static_cast<int>(sizeof(kGoldenBaselines) / sizeof(kGoldenBaselines[0]));
 
 }  // namespace testing
 }  // namespace umgad

@@ -49,6 +49,19 @@ void PrintAblationRows(const char* name, int width,
   std::printf("};\n");
 }
 
+/// One row per baseline, in kGoldenBaselines order.
+void PrintBaselineRows(const char* name) {
+  std::printf("inline constexpr uint64_t %s[%d][%d] = {\n", name,
+              umgad::testing::kGoldenBaselineCount,
+              umgad::testing::kGoldenScoreCount);
+  for (const char* baseline : umgad::testing::kGoldenBaselines) {
+    std::printf("    {  // %s\n", baseline);
+    PrintValues(umgad::testing::GoldenBaselineScores(baseline), "        ");
+    std::printf("    },\n");
+  }
+  std::printf("};\n");
+}
+
 }  // namespace
 
 int main() {
@@ -60,8 +73,9 @@ int main() {
       "\n"
       "// Generated by tests/golden_scores_gen.cc — do not edit by hand.\n"
       "// Raw IEEE-754 bit patterns of the first %d anomaly scores of the\n"
-      "// golden UMGAD and AnomMAN runs, and the per-epoch loss history and\n"
-      "// first scores of each UMGAD ablation (tests/golden_scores_common.h).\n"
+      "// golden UMGAD run and of every baseline, and the per-epoch loss\n"
+      "// history and first scores of each UMGAD ablation\n"
+      "// (tests/golden_scores_common.h).\n"
       "\n"
       "#include <cstdint>\n"
       "\n"
@@ -89,6 +103,8 @@ int main() {
   std::printf("\n");
   PrintAblationRows("kGoldenAblationScoreBits",
                     umgad::testing::kGoldenScoreCount, scores);
+  std::printf("\n");
+  PrintBaselineRows("kGoldenBaselineScoreBits");
   std::printf(
       "\n"
       "}  // namespace testing\n"

@@ -9,7 +9,8 @@
 //
 // The loss history and first scores of the ten Table IV ablations of that
 // UMGAD run are pinned the same way; between them they cover every view
-// kind and every reconstruction-branch mix.
+// kind and every reconstruction-branch mix. So are the first scores of
+// the other 21 baselines.
 //
 // Strictness: exact bit-equality in every build configuration. The build
 // targets the baseline ISA and every dispatched kernel tier is
@@ -137,6 +138,26 @@ TEST(GoldenScoresTest, AnomManBitEqualAcrossThreadsAndArena) {
       SetNumThreads(threads);
       ExpectBitsMatchFixture(GoldenAnomManScores(), kGoldenAnomManScoreBits,
                              "AnomMAN node", threads, arena);
+    }
+  }
+  SetNumThreads(1);
+  SetArenaEnabled(prev_arena);
+}
+
+TEST(GoldenScoresTest, BaselinesBitEqualAcrossThreadsAndArena) {
+  // The other 21 baselines: between them they run every training loop,
+  // context sampler and scoring pass in src/baselines.
+  const bool prev_arena = ArenaEnabled();
+  for (bool arena : {true, false}) {
+    for (int threads : {1, 4}) {
+      SetArenaEnabled(arena);
+      SetNumThreads(threads);
+      for (int b = 0; b < kGoldenBaselineCount; ++b) {
+        ExpectBitsMatchFixture(GoldenBaselineScores(kGoldenBaselines[b]),
+                               kGoldenBaselineScoreBits[b],
+                               std::string(kGoldenBaselines[b]) + " node",
+                               threads, arena);
+      }
     }
   }
   SetNumThreads(1);
