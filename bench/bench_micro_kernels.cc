@@ -189,7 +189,7 @@ void BM_TapeTrainStep(benchmark::State& state) {
       RandomAdj(n, 8, 11).NormalizedWithSelfLoops());
   Rng rng(12);
   Tensor x = RandomNormal(n, f, 0, 1, &rng);
-  nn::GcnConv enc(f, 48, nn::Activation::kRelu, &rng);
+  nn::SgcConv enc(f, 48, 1, nn::Activation::kRelu, &rng);
   nn::SgcConv dec(48, f, 1, nn::Activation::kNone, &rng);
   std::vector<ag::VarPtr> params = enc.Parameters();
   for (auto& p : dec.Parameters()) params.push_back(p);

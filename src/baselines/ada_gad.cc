@@ -24,31 +24,11 @@ class AdaGad : public BaselineBase {
     const Tensor& x = graph.attributes();
 
     // --- Stage 1: preliminary scores from a short-trained GAE. ---
-    std::vector<double> prelim;
-    {
-      nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kRelu, &rng_);
-      nn::SgcConv dec(kBaselineHidden, view.f, 1, nn::Activation::kNone,
-                      &rng_);
-      std::vector<ag::VarPtr> params = enc.Parameters();
-      for (auto& p : dec.Parameters()) params.push_back(p);
-      nn::Adam opt(params, kBaselineLr);
-      ag::VarPtr recon;
-      const int stage1_epochs = kBaselineEpochs / 3;
-      for (int epoch = 0; epoch < stage1_epochs; ++epoch) {
-        ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-        opt.ZeroGrad();
-        recon = dec.Forward(view.norm,
-                            enc.Forward(view.norm, ag::Constant(x)));
-        ag::Backward(ag::MseLoss(recon, x));
-        opt.Step();
-        ++epochs_run_;
-      }
-      prelim = RowL2(recon->value(), x);
-    }
+    std::vector<double> prelim =
+        AutoencoderResidual(view.norm, x, kBaselineEpochs / 3);
 
     // --- Denoise: drop edges touching the top-5% suspicious nodes. ---
-    std::vector<int> order(view.n);
-    for (int i = 0; i < view.n; ++i) order[i] = i;
+    std::vector<int> order = AllNodes(view.n);
     std::sort(order.begin(), order.end(),
               [&](int a, int b) { return prelim[a] > prelim[b]; });
     const int suspicious_count = std::max(1, view.n / 20);
@@ -59,21 +39,14 @@ class AdaGad : public BaselineBase {
         denoised.remaining.NormalizedWithSelfLoops());
 
     // --- Stage 2: train on the denoised graph, score on the original. ---
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kRelu, &rng_);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kRelu, &rng_);
     nn::SgcConv dec(kBaselineHidden, view.f, 1, nn::Activation::kNone,
                     &rng_);
-    std::vector<ag::VarPtr> params = enc.Parameters();
-    for (auto& p : dec.Parameters()) params.push_back(p);
-    nn::Adam opt(params, kBaselineLr);
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(ParametersOf({&enc, &dec}), kBaselineEpochs, [&] {
       ag::VarPtr recon = dec.Forward(
           denoised_norm, enc.Forward(denoised_norm, ag::Constant(x)));
-      ag::Backward(ag::MseLoss(recon, x));
-      opt.Step();
-      ++epochs_run_;
-    }
+      return ag::MseLoss(recon, x);
+    });
     // Scoring pass over the *original* graph.
     ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
     ag::VarPtr recon = dec.Forward(view.norm, h);

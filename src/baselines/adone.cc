@@ -28,32 +28,22 @@ class Adone : public BaselineBase {
     nn::Linear attr_dec(bottleneck, view.f, &rng_);
     nn::Linear struct_enc(view.f, bottleneck, &rng_);
     nn::Linear struct_dec(bottleneck, view.f, &rng_);
-    std::vector<ag::VarPtr> params;
-    for (auto* m : std::initializer_list<nn::Module*>{
-             &attr_enc, &attr_dec, &struct_enc, &struct_dec}) {
-      for (auto& p : m->Parameters()) params.push_back(p);
-    }
-    nn::Adam opt(params, kBaselineLr);
 
     ag::VarPtr za;
     ag::VarPtr zs;
     ag::VarPtr attr_recon;
     ag::VarPtr struct_recon;
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
-      za = ag::Relu(attr_enc.Forward(ag::Constant(x)));
-      zs = ag::Relu(struct_enc.Forward(ag::Constant(structure_signal)));
-      attr_recon = attr_dec.Forward(za);
-      struct_recon = struct_dec.Forward(zs);
-      ag::VarPtr align = ag::MseLoss(za, zs->value());
-      ag::VarPtr loss = ag::AddN({ag::MseLoss(attr_recon, x),
-                                  ag::MseLoss(struct_recon, structure_signal),
-                                  ag::ScalarMul(align, 0.5f)});
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+    Train(ParametersOf({&attr_enc, &attr_dec, &struct_enc, &struct_dec}),
+          kBaselineEpochs, [&] {
+            za = ag::Relu(attr_enc.Forward(ag::Constant(x)));
+            zs = ag::Relu(struct_enc.Forward(ag::Constant(structure_signal)));
+            attr_recon = attr_dec.Forward(za);
+            struct_recon = struct_dec.Forward(zs);
+            ag::VarPtr align = ag::MseLoss(za, zs->value());
+            return ag::AddN({ag::MseLoss(attr_recon, x),
+                             ag::MseLoss(struct_recon, structure_signal),
+                             ag::ScalarMul(align, 0.5f)});
+          });
 
     std::vector<double> attr_err = RowL2(attr_recon->value(), x);
     std::vector<double> struct_err =

@@ -19,14 +19,11 @@ class Anemone : public BaselineBase {
     SingleView view(graph);
     const Tensor& x = graph.attributes();
 
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kNone, &rng_);
-    nn::Adam opt(enc.Parameters(), kBaselineLr);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
     constexpr int kBatch = 384;
     constexpr int kContextSize = 4;
 
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(enc.Parameters(), kBaselineEpochs, [&] {
       std::vector<int> batch = SampleBatch(view.n, kBatch, &rng_);
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
       ag::VarPtr hb = ag::GatherRows(h, batch);
@@ -34,46 +31,19 @@ class Anemone : public BaselineBase {
       ag::VarPtr patch_all = ag::Spmm(view.row_norm, h);
       ag::VarPtr patch = ag::GatherRows(patch_all, batch);
       // Context scale: RWR subgraph mean embedding.
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, batch, kContextSize, &rng_));
-      ag::VarPtr ctx = ag::Spmm(ctx_op, h);
+      ag::VarPtr ctx = ag::Spmm(
+          RwrContextOperator(view.adj, batch, kContextSize, &rng_), h);
       std::vector<int> perm = rng_.Permutation(static_cast<int>(batch.size()));
-      const std::vector<float> ones(batch.size(), 1.0f);
-      const std::vector<float> zeros(batch.size(), 0.0f);
-      ag::VarPtr loss = ag::AddN(
-          {ag::PairDotBceLoss(hb, patch, ones),
-           ag::PairDotBceLoss(hb, ag::GatherRows(patch, perm), zeros),
-           ag::PairDotBceLoss(hb, ctx, ones),
-           ag::PairDotBceLoss(hb, ag::GatherRows(ctx, perm), zeros)});
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+      std::vector<ag::VarPtr> terms = ContrastTerms(hb, patch, perm);
+      for (ag::VarPtr& t : ContrastTerms(hb, ctx, perm)) terms.push_back(t);
+      return ag::AddN(terms);
+    });
 
     Tensor h = enc.Forward(view.norm, ag::Constant(x))->value();
-    Tensor patch = view.row_norm->Multiply(h);
-    std::vector<double> patch_gap(view.n, 0.0);
-    {
-      std::vector<double> pos = RowDotSigmoid(h, patch);
-      std::vector<int> perm = rng_.Permutation(view.n);
-      std::vector<double> neg = RowDotSigmoid(h, GatherRows(patch, perm));
-      for (int i = 0; i < view.n; ++i) patch_gap[i] = neg[i] - pos[i];
-    }
-    std::vector<double> ctx_gap(view.n, 0.0);
-    std::vector<int> all(view.n);
-    for (int i = 0; i < view.n; ++i) all[i] = i;
-    constexpr int kRounds = 3;
-    for (int round = 0; round < kRounds; ++round) {
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, all, kContextSize, &rng_));
-      Tensor ctx = ctx_op->Multiply(h);
-      std::vector<double> pos = RowDotSigmoid(h, ctx);
-      std::vector<int> perm = rng_.Permutation(view.n);
-      std::vector<double> neg = RowDotSigmoid(h, GatherRows(ctx, perm));
-      for (int i = 0; i < view.n; ++i) {
-        ctx_gap[i] += (neg[i] - pos[i]) / kRounds;
-      }
-    }
+    std::vector<double> patch_gap =
+        DiscriminationGap(h, view.row_norm->Multiply(h), &rng_);
+    std::vector<double> ctx_gap =
+        RwrContextGap(view.adj, h, kContextSize, /*rounds=*/3, &rng_);
     scores_ = CombineStandardized({patch_gap, ctx_gap}, {0.4, 0.6});
     return Status::OK();
   }

@@ -24,52 +24,18 @@ class AnomalyDae : public BaselineBase {
     SingleView view(graph);
     const Tensor& x = graph.attributes();
 
-    nn::GcnConv struct_enc(view.f, kBaselineHidden, nn::Activation::kRelu,
+    nn::SgcConv struct_enc(view.f, kBaselineHidden, 1, nn::Activation::kRelu,
                            &rng_);
     nn::Linear attr_dec(kBaselineHidden, view.f, &rng_);
-
-    std::vector<ag::VarPtr> params = struct_enc.Parameters();
-    for (auto& p : attr_dec.Parameters()) params.push_back(p);
-    nn::Adam opt(params, kBaselineLr);
-
-    std::vector<Edge> edges;
-    const auto& rp = view.adj.row_ptr();
-    const auto& ci = view.adj.col_idx();
-    for (int i = 0; i < view.n; ++i) {
-      for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-        if (i < ci[k]) edges.push_back(Edge{i, ci[k]});
-      }
-    }
+    const std::vector<Edge> edges = UndirectedEdges(view.adj);
 
     ag::VarPtr h;
     ag::VarPtr recon;
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(ParametersOf({&struct_enc, &attr_dec}), kBaselineEpochs, [&] {
       h = struct_enc.Forward(view.norm, ag::Constant(x));
       recon = attr_dec.Forward(h);
-      const int batch = std::min<int>(1024, static_cast<int>(edges.size()));
-      std::vector<int> pick = rng_.SampleWithoutReplacement(
-          static_cast<int>(edges.size()), batch);
-      std::vector<int> src;
-      std::vector<int> dst;
-      std::vector<float> labels;
-      for (int e : pick) {
-        src.push_back(edges[e].src);
-        dst.push_back(edges[e].dst);
-        labels.push_back(1.0f);
-        src.push_back(static_cast<int>(rng_.UniformInt(view.n)));
-        dst.push_back(static_cast<int>(rng_.UniformInt(view.n)));
-        labels.push_back(0.0f);
-      }
-      ag::VarPtr loss = ag::Add(
-          ag::PairDotBceLoss(ag::GatherRows(h, src),
-                             ag::GatherRows(h, dst), labels),
-          ag::MseLoss(recon, x));
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+      return ag::Add(SampledEdgeBce(h, edges, &rng_), ag::MseLoss(recon, x));
+    });
 
     std::vector<double> struct_err =
         StructureResidual(view.adj, h->value(), 16, rng_.NextU64(), false);

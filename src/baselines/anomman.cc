@@ -25,18 +25,15 @@ class AnomMan : public BaselineBase {
     const int f = graph.feature_dim();
     const int r_count = graph.num_relations();
 
-    std::vector<std::shared_ptr<const SparseMatrix>> norms;
-    for (int r = 0; r < r_count; ++r) {
-      norms.push_back(std::make_shared<const SparseMatrix>(
-          graph.layer(r).NormalizedWithSelfLoops()));
-    }
+    const std::vector<std::shared_ptr<const SparseMatrix>> norms =
+        RelationOperators(graph);
 
-    std::vector<std::unique_ptr<nn::GcnConv>> encoders;
+    std::vector<std::unique_ptr<nn::SgcConv>> encoders;
     std::vector<std::unique_ptr<nn::SgcConv>> decoders;
     std::vector<ag::VarPtr> params;
     for (int r = 0; r < r_count; ++r) {
-      encoders.push_back(std::make_unique<nn::GcnConv>(
-          f, kBaselineHidden, nn::Activation::kRelu, &rng_));
+      encoders.push_back(std::make_unique<nn::SgcConv>(
+          f, kBaselineHidden, 1, nn::Activation::kRelu, &rng_));
       decoders.push_back(std::make_unique<nn::SgcConv>(
           kBaselineHidden, f, 1, nn::Activation::kNone, &rng_));
       for (auto& p : encoders.back()->Parameters()) params.push_back(p);
@@ -45,23 +42,18 @@ class AnomMan : public BaselineBase {
     ag::VarPtr attn_logits = ag::Leaf(RandomNormal(1, r_count, 0.0, 0.1,
                                                    &rng_));
     params.push_back(attn_logits);
-    nn::Adam opt(params, kBaselineLr);
 
     ag::VarPtr fused;
     std::vector<ag::VarPtr> embeddings(r_count);
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(std::move(params), kBaselineEpochs, [&] {
       std::vector<ag::VarPtr> recons;
       for (int r = 0; r < r_count; ++r) {
         embeddings[r] = encoders[r]->Forward(norms[r], ag::Constant(x));
         recons.push_back(decoders[r]->Forward(norms[r], embeddings[r]));
       }
       fused = ag::SimplexWeightedSum(recons, attn_logits);
-      ag::Backward(ag::MseLoss(fused, x));
-      opt.Step();
-      ++epochs_run_;
-    }
+      return ag::MseLoss(fused, x);
+    });
 
     std::vector<double> attr_err = RowL2(fused->value(), x);
     std::vector<double> struct_err(n, 0.0);

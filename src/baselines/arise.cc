@@ -22,8 +22,7 @@ class Arise : public BaselineBase {
     // Substructure statistic: average internal-density of RWR subgraphs
     // seeded at each node, collected over a few rounds.
     std::vector<double> density(view.n, 0.0);
-    std::vector<int> all(view.n);
-    for (int i = 0; i < view.n; ++i) all[i] = i;
+    const std::vector<int> all = AllNodes(view.n);
     constexpr int kDensityRounds = 3;
     constexpr int kSubSize = 6;
     for (int round = 0; round < kDensityRounds; ++round) {
@@ -53,39 +52,21 @@ class Arise : public BaselineBase {
     }
 
     // Node-subgraph contrast (shared skeleton with CoLA).
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kNone, &rng_);
-    nn::Adam opt(enc.Parameters(), kBaselineLr);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
     constexpr int kBatch = 384;
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(enc.Parameters(), kBaselineEpochs, [&] {
       std::vector<int> batch = SampleBatch(view.n, kBatch, &rng_);
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
       ag::VarPtr hb = ag::GatherRows(h, batch);
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, batch, 4, &rng_));
-      ag::VarPtr ctx = ag::Spmm(ctx_op, h);
+      ag::VarPtr ctx =
+          ag::Spmm(RwrContextOperator(view.adj, batch, 4, &rng_), h);
       std::vector<int> perm = rng_.Permutation(static_cast<int>(batch.size()));
-      ag::VarPtr loss = ag::Add(
-          ag::PairDotBceLoss(hb, ctx,
-                             std::vector<float>(batch.size(), 1.0f)),
-          ag::PairDotBceLoss(hb, ag::GatherRows(ctx, perm),
-                             std::vector<float>(batch.size(), 0.0f)));
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+      std::vector<ag::VarPtr> terms = ContrastTerms(hb, ctx, perm);
+      return ag::Add(terms[0], terms[1]);
+    });
     Tensor h = enc.Forward(view.norm, ag::Constant(x))->value();
-    std::vector<double> gap(view.n, 0.0);
-    for (int round = 0; round < 3; ++round) {
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, all, 4, &rng_));
-      Tensor ctx = ctx_op->Multiply(h);
-      std::vector<double> pos = RowDotSigmoid(h, ctx);
-      std::vector<int> perm = rng_.Permutation(view.n);
-      std::vector<double> neg = RowDotSigmoid(h, GatherRows(ctx, perm));
-      for (int i = 0; i < view.n; ++i) gap[i] += (neg[i] - pos[i]) / 3.0;
-    }
+    std::vector<double> gap =
+        RwrContextGap(view.adj, h, 4, /*rounds=*/3, &rng_);
 
     scores_ = CombineStandardized({gap, density_dev}, {0.6, 0.4});
     return Status::OK();

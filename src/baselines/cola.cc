@@ -20,57 +20,25 @@ class CoLa : public BaselineBase {
     SingleView view(graph);
     const Tensor& x = graph.attributes();
 
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kNone, &rng_);
-    nn::Adam opt(enc.Parameters(), kBaselineLr);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
     constexpr int kBatch = 384;
     constexpr int kContextSize = 4;
 
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(enc.Parameters(), kBaselineEpochs, [&] {
       std::vector<int> batch = SampleBatch(view.n, kBatch, &rng_);
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, batch, kContextSize, &rng_));
+      auto ctx_op = RwrContextOperator(view.adj, batch, kContextSize, &rng_);
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
       ag::VarPtr hb = ag::GatherRows(h, batch);
       ag::VarPtr ctx = ag::Spmm(ctx_op, h);
       std::vector<int> perm = rng_.Permutation(static_cast<int>(batch.size()));
-      ag::VarPtr neg_ctx = ag::GatherRows(ctx, perm);
-      ag::VarPtr loss = ag::Add(
-          ag::PairDotBceLoss(hb, ctx,
-                             std::vector<float>(batch.size(), 1.0f)),
-          ag::PairDotBceLoss(hb, neg_ctx,
-                             std::vector<float>(batch.size(), 0.0f)));
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+      std::vector<ag::VarPtr> terms = ContrastTerms(hb, ctx, perm);
+      return ag::Add(terms[0], terms[1]);
+    });
 
     // Scoring: multi-round discrimination gap over all nodes.
     Tensor h = enc.Forward(view.norm, ag::Constant(x))->value();
-    std::vector<int> all = AllNodesVec(view.n);
-    scores_.assign(view.n, 0.0);
-    constexpr int kRounds = 4;
-    for (int round = 0; round < kRounds; ++round) {
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, all, kContextSize, &rng_));
-      Tensor ctx = ctx_op->Multiply(h);
-      std::vector<int> perm = rng_.Permutation(view.n);
-      Tensor neg = GatherRows(ctx, perm);
-      std::vector<double> pos_p = RowDotSigmoid(h, ctx);
-      std::vector<double> neg_p = RowDotSigmoid(h, neg);
-      for (int i = 0; i < view.n; ++i) {
-        scores_[i] += (neg_p[i] - pos_p[i]) / kRounds;
-      }
-    }
+    scores_ = RwrContextGap(view.adj, h, kContextSize, /*rounds=*/4, &rng_);
     return Status::OK();
-  }
-
- private:
-  static std::vector<int> AllNodesVec(int n) {
-    std::vector<int> v(n);
-    for (int i = 0; i < n; ++i) v[i] = i;
-    return v;
   }
 };
 

@@ -1,7 +1,6 @@
 #include <unordered_map>
 
 #include "baselines/common.h"
-#include "nn/gcn.h"
 
 namespace umgad {
 namespace baselines {
@@ -12,10 +11,8 @@ namespace baselines {
 std::vector<int> LabelPropagationCommunities(const SparseMatrix& adj,
                                              int rounds, Rng* rng) {
   const int n = adj.rows();
-  std::vector<int> label(n);
-  for (int i = 0; i < n; ++i) label[i] = i;
-  std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
+  std::vector<int> label = AllNodes(n);
+  std::vector<int> order = AllNodes(n);
   for (int round = 0; round < rounds; ++round) {
     rng->Shuffle(&order);
     for (int i : order) {
@@ -69,24 +66,8 @@ class ComGa : public BaselineBase {
     }
 
     // GCN autoencoder on attributes.
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kRelu, &rng_);
-    nn::SgcConv dec(kBaselineHidden, view.f, 1, nn::Activation::kNone,
-                    &rng_);
-    std::vector<ag::VarPtr> params = enc.Parameters();
-    for (auto& p : dec.Parameters()) params.push_back(p);
-    nn::Adam opt(params, kBaselineLr);
-    ag::VarPtr recon;
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
-      recon = dec.Forward(view.norm, enc.Forward(view.norm,
-                                                 ag::Constant(x)));
-      ag::VarPtr loss = ag::MseLoss(recon, x);
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
-    std::vector<double> attr_err = RowL2(recon->value(), x);
+    std::vector<double> attr_err =
+        AutoencoderResidual(view.norm, x, kBaselineEpochs);
 
     scores_ = CombineStandardized({attr_err, cross_fraction}, {0.7, 0.3});
     return Status::OK();

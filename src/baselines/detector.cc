@@ -1,6 +1,8 @@
 #include "baselines/detector.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
 #include "baselines/common.h"
@@ -8,16 +10,81 @@
 #include "common/string_util.h"
 #include "core/scorer.h"
 #include "core/umgad.h"
+#include "nn/gcn.h"
+#include "nn/optimizer.h"
 
 namespace umgad {
 
 namespace baselines {
+
+void BaselineBase::Train(std::vector<ag::VarPtr> params, int epochs,
+                         const std::function<ag::VarPtr()>& loss) {
+  nn::Adam opt(std::move(params), kBaselineLr);
+  WallTimer timer;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    ag::Tape::Global().Reset();
+    opt.ZeroGrad();
+    ag::Backward(loss());
+    opt.Step();
+    ++epochs_run_;
+  }
+  train_seconds_ += timer.ElapsedSeconds();
+}
+
+std::vector<double> BaselineBase::AutoencoderResidual(
+    std::shared_ptr<const SparseMatrix> op, const Tensor& x, int epochs) {
+  nn::SgcConv enc(x.cols(), kBaselineHidden, 1, nn::Activation::kRelu, &rng_);
+  nn::SgcConv dec(kBaselineHidden, x.cols(), 1, nn::Activation::kNone,
+                  &rng_);
+  ag::VarPtr recon;
+  Train(ParametersOf({&enc, &dec}), epochs, [&] {
+    recon = dec.Forward(op, enc.Forward(op, ag::Constant(x)));
+    return ag::MseLoss(recon, x);
+  });
+  return RowL2(recon->value(), x);
+}
+
+std::vector<ag::VarPtr> ParametersOf(
+    std::initializer_list<const nn::Module*> modules) {
+  std::vector<ag::VarPtr> params;
+  for (const nn::Module* m : modules) {
+    for (const ag::VarPtr& p : m->Parameters()) params.push_back(p);
+  }
+  return params;
+}
 
 SingleView::SingleView(const MultiplexGraph& graph)
     : n(graph.num_nodes()), f(graph.feature_dim()) {
   adj = FlattenToSingleView(graph);
   norm = std::make_shared<const SparseMatrix>(adj.NormalizedWithSelfLoops());
   row_norm = std::make_shared<const SparseMatrix>(adj.RowNormalized());
+}
+
+std::vector<std::shared_ptr<const SparseMatrix>> RelationOperators(
+    const MultiplexGraph& graph) {
+  std::vector<std::shared_ptr<const SparseMatrix>> ops;
+  for (int r = 0; r < graph.num_relations(); ++r) {
+    ops.push_back(std::make_shared<const SparseMatrix>(
+        graph.layer(r).NormalizedWithSelfLoops()));
+  }
+  return ops;
+}
+
+double RowPairCosine(const Tensor& t, int i, int j) {
+  const double denom = t.RowNorm(i) * t.RowNorm(j);
+  return denom > 1e-12 ? t.RowDot(i, t, j) / denom : 0.0;
+}
+
+std::vector<Edge> LowestAffinityEdges(const std::vector<Edge>& edges,
+                                      const std::vector<double>& affinity,
+                                      double fraction) {
+  std::vector<int> order(edges.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int a, int b) { return affinity[a] < affinity[b]; });
+  std::vector<Edge> lowest(static_cast<int>(edges.size() * fraction));
+  for (size_t k = 0; k < lowest.size(); ++k) lowest[k] = edges[order[k]];
+  return lowest;
 }
 
 Tensor NeighborMean(const SingleView& view, const Tensor& x) {
@@ -98,6 +165,66 @@ std::vector<std::vector<int>> RwrContexts(const SparseMatrix& adj,
     contexts.push_back(std::move(sub));
   }
   return contexts;
+}
+
+std::shared_ptr<const SparseMatrix> RwrContextOperator(
+    const SparseMatrix& adj, const std::vector<int>& seeds, int size,
+    Rng* rng) {
+  return BuildContextOperator(adj.rows(), RwrContexts(adj, seeds, size, rng));
+}
+
+std::vector<ag::VarPtr> ContrastTerms(const ag::VarPtr& anchor,
+                                      const ag::VarPtr& ctx,
+                                      const std::vector<int>& perm) {
+  std::vector<ag::VarPtr> terms;
+  terms.push_back(ag::PairDotBceLoss(
+      anchor, ctx, std::vector<float>(perm.size(), 1.0f)));
+  terms.push_back(ag::PairDotBceLoss(anchor, ag::GatherRows(ctx, perm),
+                                     std::vector<float>(perm.size(), 0.0f)));
+  return terms;
+}
+
+std::vector<double> DiscriminationGap(const Tensor& h, const Tensor& ctx,
+                                      Rng* rng) {
+  std::vector<double> gap = RowDotSigmoid(h, ctx);
+  std::vector<double> neg =
+      RowDotSigmoid(h, GatherRows(ctx, rng->Permutation(h.rows())));
+  for (size_t i = 0; i < gap.size(); ++i) gap[i] = neg[i] - gap[i];
+  return gap;
+}
+
+std::vector<double> RwrContextGap(const SparseMatrix& adj, const Tensor& h,
+                                  int size, int rounds, Rng* rng) {
+  const std::vector<int> all = AllNodes(adj.rows());
+  std::vector<double> gap(adj.rows(), 0.0);
+  for (int round = 0; round < rounds; ++round) {
+    Tensor ctx = RwrContextOperator(adj, all, size, rng)->Multiply(h);
+    std::vector<double> g = DiscriminationGap(h, ctx, rng);
+    for (size_t i = 0; i < gap.size(); ++i) gap[i] += g[i] / rounds;
+  }
+  return gap;
+}
+
+ag::VarPtr SampledEdgeBce(const ag::VarPtr& h, const std::vector<Edge>& edges,
+                          Rng* rng) {
+  constexpr int kEdgeBatch = 1024;
+  const int n = h->value().rows();
+  const int batch = std::min<int>(kEdgeBatch, static_cast<int>(edges.size()));
+  std::vector<int> pick =
+      rng->SampleWithoutReplacement(static_cast<int>(edges.size()), batch);
+  std::vector<int> src;
+  std::vector<int> dst;
+  std::vector<float> labels;
+  for (int e : pick) {
+    src.push_back(edges[e].src);
+    dst.push_back(edges[e].dst);
+    labels.push_back(1.0f);
+    src.push_back(static_cast<int>(rng->UniformInt(n)));
+    dst.push_back(static_cast<int>(rng->UniformInt(n)));
+    labels.push_back(0.0f);
+  }
+  return ag::PairDotBceLoss(ag::GatherRows(h, src), ag::GatherRows(h, dst),
+                            labels);
 }
 
 // Factory functions implemented by the per-method translation units.

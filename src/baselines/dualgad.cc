@@ -40,28 +40,22 @@ class DualGad : public BaselineBase {
     for (int i = 0; i < n; ++i) members[cluster[i]].push_back(i);
     auto centroid_op = BuildContextOperator(n, members);
 
-    std::vector<std::shared_ptr<const SparseMatrix>> norms;
-    for (int r = 0; r < r_count; ++r) {
-      norms.push_back(std::make_shared<const SparseMatrix>(
-          graph.layer(r).NormalizedWithSelfLoops()));
-    }
+    const std::vector<std::shared_ptr<const SparseMatrix>> norms =
+        RelationOperators(graph);
 
-    std::vector<std::unique_ptr<nn::GcnConv>> encoders;
+    std::vector<std::unique_ptr<nn::SgcConv>> encoders;
     std::vector<std::unique_ptr<nn::SgcConv>> decoders;
     std::vector<ag::VarPtr> params;
     for (int r = 0; r < r_count; ++r) {
-      encoders.push_back(std::make_unique<nn::GcnConv>(
-          view.f, kBaselineHidden, nn::Activation::kRelu, &rng_));
+      encoders.push_back(std::make_unique<nn::SgcConv>(
+          view.f, kBaselineHidden, 1, nn::Activation::kRelu, &rng_));
       decoders.push_back(std::make_unique<nn::SgcConv>(
           kBaselineHidden, view.f, 1, nn::Activation::kNone, &rng_));
       for (auto& p : encoders.back()->Parameters()) params.push_back(p);
       for (auto& p : decoders.back()->Parameters()) params.push_back(p);
     }
-    nn::Adam opt(params, kBaselineLr);
 
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(std::move(params), kBaselineEpochs, [&] {
       std::vector<ag::VarPtr> terms;
       for (int r = 0; r < r_count; ++r) {
         // Generative: reconstruct attributes of RWR-masked subgraphs.
@@ -94,10 +88,8 @@ class DualGad : public BaselineBase {
                                        std::vector<float>(n, 0.0f))),
             0.5f));
       }
-      ag::Backward(ag::AddN(terms));
-      opt.Step();
-      ++epochs_run_;
-    }
+      return ag::AddN(terms);
+    });
 
     // Scores: per-relation attribute residual + cluster disagreement,
     // uniformly fused.

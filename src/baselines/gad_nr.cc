@@ -30,34 +30,24 @@ class GadNr : public BaselineBase {
     }
     Tensor nbr_mean = NeighborMean(view, x);
 
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kRelu, &rng_);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kRelu, &rng_);
     nn::Linear self_dec(kBaselineHidden, view.f, &rng_);
     nn::Linear degree_dec(kBaselineHidden, 1, &rng_);
     nn::Linear nbr_dec(kBaselineHidden, view.f, &rng_);
-    std::vector<ag::VarPtr> params = enc.Parameters();
-    for (auto* m : std::initializer_list<nn::Module*>{&self_dec, &degree_dec,
-                                                      &nbr_dec}) {
-      for (auto& p : m->Parameters()) params.push_back(p);
-    }
-    nn::Adam opt(params, kBaselineLr);
 
     ag::VarPtr self_recon;
     ag::VarPtr degree_recon;
     ag::VarPtr nbr_recon;
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
-      ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
-      self_recon = self_dec.Forward(h);
-      degree_recon = degree_dec.Forward(h);
-      nbr_recon = nbr_dec.Forward(h);
-      ag::VarPtr loss = ag::AddN({ag::MseLoss(self_recon, x),
-                                  ag::MseLoss(degree_recon, log_degree),
-                                  ag::MseLoss(nbr_recon, nbr_mean)});
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+    Train(ParametersOf({&enc, &self_dec, &degree_dec, &nbr_dec}),
+          kBaselineEpochs, [&] {
+            ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
+            self_recon = self_dec.Forward(h);
+            degree_recon = degree_dec.Forward(h);
+            nbr_recon = nbr_dec.Forward(h);
+            return ag::AddN({ag::MseLoss(self_recon, x),
+                             ag::MseLoss(degree_recon, log_degree),
+                             ag::MseLoss(nbr_recon, nbr_mean)});
+          });
 
     std::vector<double> self_err = RowL2(self_recon->value(), x);
     std::vector<double> degree_err = RowL2(degree_recon->value(), log_degree);

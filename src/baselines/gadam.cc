@@ -39,32 +39,26 @@ class Gadam : public BaselineBase {
 
     // Global branch: train a GCN so gated embeddings agree with the global
     // context; anomalies end up with low agreement.
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kNone, &rng_);
-    nn::Adam opt(enc.Parameters(), kBaselineLr);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
     Tensor avg(1, view.n);
     avg.Fill(1.0f / static_cast<float>(view.n));
     Tensor zeros_n(view.n, kBaselineHidden);
     std::vector<int> shuffle = rng_.Permutation(view.n);
     Tensor x_corrupt = GatherRows(gated, shuffle);
 
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(enc.Parameters(), kBaselineEpochs, [&] {
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(gated));
       ag::VarPtr h_bad = enc.Forward(view.norm, ag::Constant(x_corrupt));
       ag::VarPtr ctx_rows = ag::AddRowBroadcast(
           ag::Constant(zeros_n),
           // Per-epoch: tape constants do not survive the epoch Reset().
           ag::MatMul(ag::Constant(avg), h));
-      ag::VarPtr loss = ag::Add(
+      return ag::Add(
           ag::PairDotBceLoss(h, ctx_rows,
                              std::vector<float>(view.n, 1.0f)),
           ag::PairDotBceLoss(h_bad, ctx_rows,
                              std::vector<float>(view.n, 0.0f)));
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+    });
 
     Tensor h = enc.Forward(view.norm, ag::Constant(gated))->value();
     Tensor ctx_rows(view.n, kBaselineHidden);

@@ -22,16 +22,13 @@ class Gccad : public BaselineBase {
     std::vector<int> perm = rng_.Permutation(view.n);
     Tensor x_corrupt = GatherRows(x, perm);
 
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kNone, &rng_);
-    nn::Adam opt(enc.Parameters(), kBaselineLr);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
     // 1 x n averaging operator: global readout c = mean_i h_i.
     Tensor avg(1, view.n);
     avg.Fill(1.0f / static_cast<float>(view.n));
     Tensor zeros_n(view.n, kBaselineHidden);
 
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(enc.Parameters(), kBaselineEpochs, [&] {
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
       ag::VarPtr h_bad = enc.Forward(view.norm, ag::Constant(x_corrupt));
       // Per-epoch: tape constants do not survive the epoch Reset().
@@ -40,15 +37,12 @@ class Gccad : public BaselineBase {
       // Broadcast the context to every row so PairDotBceLoss applies.
       ag::VarPtr context_rows =
           ag::AddRowBroadcast(ag::Constant(zeros_n), context);
-      ag::VarPtr loss = ag::Add(
+      return ag::Add(
           ag::PairDotBceLoss(h, context_rows,
                              std::vector<float>(view.n, 1.0f)),
           ag::PairDotBceLoss(h_bad, context_rows,
                              std::vector<float>(view.n, 0.0f)));
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+    });
 
     Tensor h = enc.Forward(view.norm, ag::Constant(x))->value();
     Tensor context(1, kBaselineHidden);

@@ -1,5 +1,4 @@
 #include "baselines/common.h"
-#include "nn/gcn.h"
 
 namespace umgad {
 namespace baselines {
@@ -16,25 +15,8 @@ class Gcnae : public BaselineBase {
  protected:
   Status FitImpl(const MultiplexGraph& graph) override {
     SingleView view(graph);
-    const Tensor& x = graph.attributes();
-
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kRelu, &rng_);
-    nn::SgcConv dec(kBaselineHidden, view.f, 1, nn::Activation::kNone,
-                    &rng_);
-    std::vector<ag::VarPtr> params = enc.Parameters();
-    for (auto& p : dec.Parameters()) params.push_back(p);
-    nn::Adam opt(params, kBaselineLr);
-    ag::VarPtr recon;
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
-      recon = dec.Forward(view.norm,
-                          enc.Forward(view.norm, ag::Constant(x)));
-      ag::Backward(ag::MseLoss(recon, x));
-      opt.Step();
-      ++epochs_run_;
-    }
-    scores_ = RowL2(recon->value(), x);
+    scores_ = AutoencoderResidual(view.norm, graph.attributes(),
+                                  kBaselineEpochs);
     return Status::OK();
   }
 };

@@ -24,57 +24,43 @@ class Gradate : public BaselineBase {
     auto norm2 = std::make_shared<const SparseMatrix>(
         dropped.remaining.NormalizedWithSelfLoops());
 
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kNone, &rng_);
-    nn::Adam opt(enc.Parameters(), kBaselineLr);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
     constexpr int kBatch = 384;
     constexpr int kContextSize = 4;
 
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(enc.Parameters(), kBaselineEpochs, [&] {
       std::vector<int> batch = SampleBatch(view.n, kBatch, &rng_);
       ag::VarPtr h1 = enc.Forward(view.norm, ag::Constant(x));
       ag::VarPtr h2 = enc.Forward(norm2, ag::Constant(x));
       ag::VarPtr hb1 = ag::GatherRows(h1, batch);
-      auto ctx_sets = RwrContexts(view.adj, batch, kContextSize, &rng_);
-      auto ctx_op = BuildContextOperator(view.n, ctx_sets);
+      auto ctx_op = RwrContextOperator(view.adj, batch, kContextSize, &rng_);
       ag::VarPtr ctx1 = ag::Spmm(ctx_op, h1);
       ag::VarPtr ctx2 = ag::Spmm(ctx_op, h2);
       std::vector<int> perm = rng_.Permutation(static_cast<int>(batch.size()));
-      const std::vector<float> ones(batch.size(), 1.0f);
-      const std::vector<float> zeros(batch.size(), 0.0f);
-      ag::VarPtr loss = ag::AddN({
-          // Node-subgraph contrast, both views.
-          ag::PairDotBceLoss(hb1, ctx1, ones),
-          ag::PairDotBceLoss(hb1, ag::GatherRows(ctx1, perm), zeros),
-          ag::PairDotBceLoss(ag::GatherRows(h2, batch), ctx2, ones),
-          // Subgraph-subgraph contrast across views.
-          ag::PairDotBceLoss(ctx1, ctx2, ones),
-          ag::PairDotBceLoss(ctx1, ag::GatherRows(ctx2, perm), zeros),
-      });
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+      // Node-subgraph contrast in both views, then subgraph-subgraph
+      // contrast across views.
+      std::vector<ag::VarPtr> terms = ContrastTerms(hb1, ctx1, perm);
+      terms.push_back(ag::PairDotBceLoss(
+          ag::GatherRows(h2, batch), ctx2,
+          std::vector<float>(batch.size(), 1.0f)));
+      for (ag::VarPtr& t : ContrastTerms(ctx1, ctx2, perm)) terms.push_back(t);
+      return ag::AddN(terms);
+    });
 
     Tensor h1 = enc.Forward(view.norm, ag::Constant(x))->value();
     Tensor h2 = enc.Forward(norm2, ag::Constant(x))->value();
-    std::vector<int> all(view.n);
-    for (int i = 0; i < view.n; ++i) all[i] = i;
+    const std::vector<int> all = AllNodes(view.n);
     std::vector<double> gap(view.n, 0.0);
     std::vector<double> cross(view.n, 0.0);
     constexpr int kRounds = 3;
     for (int round = 0; round < kRounds; ++round) {
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, all, kContextSize, &rng_));
+      auto ctx_op = RwrContextOperator(view.adj, all, kContextSize, &rng_);
       Tensor ctx1 = ctx_op->Multiply(h1);
       Tensor ctx2 = ctx_op->Multiply(h2);
-      std::vector<double> pos = RowDotSigmoid(h1, ctx1);
-      std::vector<int> perm = rng_.Permutation(view.n);
-      std::vector<double> neg = RowDotSigmoid(h1, GatherRows(ctx1, perm));
+      std::vector<double> round_gap = DiscriminationGap(h1, ctx1, &rng_);
       std::vector<double> disagreement = RowL2(ctx1, ctx2);
       for (int i = 0; i < view.n; ++i) {
-        gap[i] += (neg[i] - pos[i]) / kRounds;
+        gap[i] += round_gap[i] / kRounds;
         cross[i] += disagreement[i] / kRounds;
       }
     }

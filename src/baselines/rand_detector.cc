@@ -1,5 +1,4 @@
 #include "baselines/common.h"
-#include "nn/gcn.h"
 
 namespace umgad {
 namespace baselines {
@@ -22,27 +21,12 @@ class RandDetector : public BaselineBase {
 
     // Neighbourhood selection: score each undirected edge by endpoint
     // cosine affinity, prune the bottom 30%.
-    std::vector<Edge> edges;
+    const std::vector<Edge> edges = UndirectedEdges(view.adj);
     std::vector<double> affinity;
-    const auto& rp = view.adj.row_ptr();
-    const auto& ci = view.adj.col_idx();
-    for (int i = 0; i < view.n; ++i) {
-      for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-        if (i < ci[k]) {
-          edges.push_back(Edge{i, ci[k]});
-          const double denom = x.RowNorm(i) * x.RowNorm(ci[k]);
-          affinity.push_back(
-              denom > 1e-12 ? x.RowDot(i, x, ci[k]) / denom : 0.0);
-        }
-      }
+    for (const Edge& e : edges) {
+      affinity.push_back(RowPairCosine(x, e.src, e.dst));
     }
-    std::vector<int> order(edges.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-    std::sort(order.begin(), order.end(),
-              [&](int a, int b) { return affinity[a] < affinity[b]; });
-    const int prune = static_cast<int>(edges.size() * 0.3);
-    std::vector<Edge> pruned(prune);
-    for (int k = 0; k < prune; ++k) pruned[k] = edges[order[k]];
+    const std::vector<Edge> pruned = LowestAffinityEdges(edges, affinity, 0.3);
     // Per-node fraction of pruned (unreliable) incident edges: RAND's
     // reliability signal.
     std::vector<double> unreliable(view.n, 0.0);
@@ -59,23 +43,8 @@ class RandDetector : public BaselineBase {
     auto reliable_norm = std::make_shared<const SparseMatrix>(
         reliable.NormalizedWithSelfLoops());
 
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kRelu, &rng_);
-    nn::SgcConv dec(kBaselineHidden, view.f, 1, nn::Activation::kNone,
-                    &rng_);
-    std::vector<ag::VarPtr> params = enc.Parameters();
-    for (auto& p : dec.Parameters()) params.push_back(p);
-    nn::Adam opt(params, kBaselineLr);
-    ag::VarPtr recon;
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
-      recon = dec.Forward(reliable_norm,
-                          enc.Forward(reliable_norm, ag::Constant(x)));
-      ag::Backward(ag::MseLoss(recon, x));
-      opt.Step();
-      ++epochs_run_;
-    }
-    std::vector<double> attr_err = RowL2(recon->value(), x);
+    std::vector<double> attr_err =
+        AutoencoderResidual(reliable_norm, x, kBaselineEpochs);
 
     scores_ = CombineStandardized({attr_err, unreliable}, {0.7, 0.3});
     return Status::OK();

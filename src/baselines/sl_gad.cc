@@ -20,58 +20,43 @@ class SlGad : public BaselineBase {
     SingleView view(graph);
     const Tensor& x = graph.attributes();
 
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kNone, &rng_);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
     nn::Linear gen(kBaselineHidden, view.f, &rng_);  // context -> attrs
-    std::vector<ag::VarPtr> params = enc.Parameters();
-    for (auto& p : gen.Parameters()) params.push_back(p);
-    nn::Adam opt(params, kBaselineLr);
     constexpr int kBatch = 384;
     constexpr int kContextSize = 4;
 
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(ParametersOf({&enc, &gen}), kBaselineEpochs, [&] {
       std::vector<int> batch = SampleBatch(view.n, kBatch, &rng_);
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
       ag::VarPtr hb = ag::GatherRows(h, batch);
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, batch, kContextSize, &rng_));
-      ag::VarPtr ctx = ag::Spmm(ctx_op, h);
+      ag::VarPtr ctx = ag::Spmm(
+          RwrContextOperator(view.adj, batch, kContextSize, &rng_), h);
       // Generative: predict the (target) node attributes from context.
       ag::VarPtr predicted = gen.Forward(ctx);
       Tensor target = GatherRows(x, batch);
       ag::VarPtr gen_loss = ag::MseLoss(predicted, target);
       // Contrastive: standard discrimination.
       std::vector<int> perm = rng_.Permutation(static_cast<int>(batch.size()));
-      ag::VarPtr cl_loss = ag::Add(
-          ag::PairDotBceLoss(hb, ctx,
-                             std::vector<float>(batch.size(), 1.0f)),
-          ag::PairDotBceLoss(hb, ag::GatherRows(ctx, perm),
-                             std::vector<float>(batch.size(), 0.0f)));
-      ag::Backward(ag::Add(ag::ScalarMul(gen_loss, 2.0f), cl_loss));
-      opt.Step();
-      ++epochs_run_;
-    }
+      std::vector<ag::VarPtr> cl_terms = ContrastTerms(hb, ctx, perm);
+      ag::VarPtr cl_loss = ag::Add(cl_terms[0], cl_terms[1]);
+      return ag::Add(ag::ScalarMul(gen_loss, 2.0f), cl_loss);
+    });
 
     // Score = alpha * generative residual + beta * contrastive gap.
     Tensor h = enc.Forward(view.norm, ag::Constant(x))->value();
-    std::vector<int> all(view.n);
-    for (int i = 0; i < view.n; ++i) all[i] = i;
+    const std::vector<int> all = AllNodes(view.n);
     std::vector<double> gen_err(view.n, 0.0);
     std::vector<double> gap(view.n, 0.0);
     constexpr int kRounds = 3;
     for (int round = 0; round < kRounds; ++round) {
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, all, kContextSize, &rng_));
-      Tensor ctx = ctx_op->Multiply(h);
+      Tensor ctx = RwrContextOperator(view.adj, all, kContextSize, &rng_)
+                       ->Multiply(h);
       Tensor predicted = gen.Forward(ag::Constant(ctx))->value();
       std::vector<double> err = RowL2(predicted, x);
-      std::vector<double> pos = RowDotSigmoid(h, ctx);
-      std::vector<int> perm = rng_.Permutation(view.n);
-      std::vector<double> neg = RowDotSigmoid(h, GatherRows(ctx, perm));
+      std::vector<double> round_gap = DiscriminationGap(h, ctx, &rng_);
       for (int i = 0; i < view.n; ++i) {
         gen_err[i] += err[i] / kRounds;
-        gap[i] += (neg[i] - pos[i]) / kRounds;
+        gap[i] += round_gap[i] / kRounds;
       }
     }
     scores_ = CombineStandardized({gen_err, gap}, {0.5, 0.5});

@@ -19,68 +19,37 @@ class SubCr : public BaselineBase {
     SingleView view(graph);
     const Tensor& x = graph.attributes();
 
-    nn::GcnConv enc(view.f, kBaselineHidden, nn::Activation::kNone, &rng_);
+    nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
     nn::SgcConv dec(kBaselineHidden, view.f, 1, nn::Activation::kNone,
                     &rng_);
-    std::vector<ag::VarPtr> params = enc.Parameters();
-    for (auto& p : dec.Parameters()) params.push_back(p);
-    nn::Adam opt(params, kBaselineLr);
     constexpr int kBatch = 384;
     constexpr int kContextSize = 4;
 
     ag::VarPtr recon;
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(ParametersOf({&enc, &dec}), kBaselineEpochs, [&] {
       std::vector<int> batch = SampleBatch(view.n, kBatch, &rng_);
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
       ag::VarPtr hb = ag::GatherRows(h, batch);
       // Local view: RWR context.
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, batch, kContextSize, &rng_));
-      ag::VarPtr local = ag::Spmm(ctx_op, h);
+      ag::VarPtr local = ag::Spmm(
+          RwrContextOperator(view.adj, batch, kContextSize, &rng_), h);
       // Global view: two-step diffusion context.
       ag::VarPtr global_all = ag::Spmm(view.norm, ag::Spmm(view.norm, h));
       ag::VarPtr global = ag::GatherRows(global_all, batch);
       std::vector<int> perm = rng_.Permutation(static_cast<int>(batch.size()));
-      const std::vector<float> ones(batch.size(), 1.0f);
-      const std::vector<float> zeros(batch.size(), 0.0f);
       recon = dec.Forward(view.norm, h);
-      ag::VarPtr loss = ag::AddN(
-          {ag::PairDotBceLoss(hb, local, ones),
-           ag::PairDotBceLoss(hb, ag::GatherRows(local, perm), zeros),
-           ag::PairDotBceLoss(hb, global, ones),
-           ag::PairDotBceLoss(hb, ag::GatherRows(global, perm), zeros),
-           ag::ScalarMul(ag::MseLoss(recon, x), 2.0f)});
-      ag::Backward(loss);
-      opt.Step();
-      ++epochs_run_;
-    }
+      std::vector<ag::VarPtr> terms = ContrastTerms(hb, local, perm);
+      for (ag::VarPtr& t : ContrastTerms(hb, global, perm)) terms.push_back(t);
+      terms.push_back(ag::ScalarMul(ag::MseLoss(recon, x), 2.0f));
+      return ag::AddN(terms);
+    });
 
     Tensor h = enc.Forward(view.norm, ag::Constant(x))->value();
     std::vector<double> attr_err = RowL2(recon->value(), x);
-    Tensor global = view.norm->Multiply(view.norm->Multiply(h));
-    std::vector<double> global_gap(view.n);
-    {
-      std::vector<double> pos = RowDotSigmoid(h, global);
-      std::vector<int> perm = rng_.Permutation(view.n);
-      std::vector<double> neg = RowDotSigmoid(h, GatherRows(global, perm));
-      for (int i = 0; i < view.n; ++i) global_gap[i] = neg[i] - pos[i];
-    }
-    std::vector<double> local_gap(view.n, 0.0);
-    std::vector<int> all(view.n);
-    for (int i = 0; i < view.n; ++i) all[i] = i;
-    for (int round = 0; round < 3; ++round) {
-      auto ctx_op = BuildContextOperator(
-          view.n, RwrContexts(view.adj, all, kContextSize, &rng_));
-      Tensor local = ctx_op->Multiply(h);
-      std::vector<double> pos = RowDotSigmoid(h, local);
-      std::vector<int> perm = rng_.Permutation(view.n);
-      std::vector<double> neg = RowDotSigmoid(h, GatherRows(local, perm));
-      for (int i = 0; i < view.n; ++i) {
-        local_gap[i] += (neg[i] - pos[i]) / 3.0;
-      }
-    }
+    std::vector<double> global_gap = DiscriminationGap(
+        h, view.norm->Multiply(view.norm->Multiply(h)), &rng_);
+    std::vector<double> local_gap =
+        RwrContextGap(view.adj, h, kContextSize, /*rounds=*/3, &rng_);
     scores_ = CombineStandardized({local_gap, global_gap, attr_err},
                                   {0.35, 0.35, 0.3});
     return Status::OK();

@@ -29,41 +29,27 @@ class Tam : public BaselineBase {
       Tensor h = norm->Multiply(graph.attributes());
 
       // Local affinity: mean cosine similarity to current neighbours.
-      std::vector<Edge> edges;
-      std::vector<double> edge_affinity;
       const auto& rp = current.row_ptr();
       const auto& ci = current.col_idx();
-      std::fill(affinity.begin(), affinity.end(), 0.0);
       for (int i = 0; i < view.n; ++i) {
         double acc = 0.0;
         for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-          const int j = ci[k];
-          const double denom = h.RowNorm(i) * h.RowNorm(j);
-          const double cos =
-              denom > 1e-12 ? h.RowDot(i, h, j) / denom : 0.0;
-          acc += cos;
-          if (i < j) {
-            edges.push_back(Edge{i, j});
-            edge_affinity.push_back(cos);
-          }
+          acc += RowPairCosine(h, i, ci[k]);
         }
         const int degree = current.RowNnz(i);
         affinity[i] = degree > 0 ? acc / degree : -1.0;
       }
-      if (round + 1 == kRounds || edges.empty()) break;
+      if (round + 1 == kRounds) break;
+      const std::vector<Edge> edges = UndirectedEdges(current);
+      if (edges.empty()) break;
 
       // Truncate the least-affine edges.
-      std::vector<int> order(edges.size());
-      for (size_t i = 0; i < order.size(); ++i) {
-        order[i] = static_cast<int>(i);
+      std::vector<double> edge_affinity;
+      for (const Edge& e : edges) {
+        edge_affinity.push_back(RowPairCosine(h, e.src, e.dst));
       }
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        return edge_affinity[a] < edge_affinity[b];
-      });
-      const int cut = static_cast<int>(edges.size() * kTruncateFrac);
-      std::vector<Edge> removed(cut);
-      for (int k = 0; k < cut; ++k) removed[k] = edges[order[k]];
-      current = RemoveEdges(current, removed);
+      current = RemoveEdges(
+          current, LowestAffinityEdges(edges, edge_affinity, kTruncateFrac));
     }
 
     scores_.assign(view.n, 0.0);

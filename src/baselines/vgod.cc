@@ -45,18 +45,11 @@ class Vgod : public BaselineBase {
     const int bottleneck = std::max(2, view.f / 4);
     nn::Linear enc(view.f, bottleneck, &rng_);
     nn::Linear dec(bottleneck, view.f, &rng_);
-    std::vector<ag::VarPtr> params = enc.Parameters();
-    for (auto& p : dec.Parameters()) params.push_back(p);
-    nn::Adam opt(params, kBaselineLr);
     ag::VarPtr recon;
-    for (int epoch = 0; epoch < kBaselineEpochs; ++epoch) {
-      ag::Tape::Global().Reset();  // reuse last epoch's slabs + buffers
-      opt.ZeroGrad();
+    Train(ParametersOf({&enc, &dec}), kBaselineEpochs, [&] {
       recon = dec.Forward(ag::Relu(enc.Forward(ag::Constant(x))));
-      ag::Backward(ag::MseLoss(recon, x));
-      opt.Step();
-      ++epochs_run_;
-    }
+      return ag::MseLoss(recon, x);
+    });
     std::vector<double> attr_err = RowL2(recon->value(), x);
 
     scores_ = CombineStandardized({variance, deviation, attr_err},

@@ -81,14 +81,7 @@ struct RepeatDraw {
 /// observed graph rather than masked-out edges.
 std::vector<Edge> SampleObservedEdges(const SparseMatrix& adj, double ratio,
                                       Rng* rng) {
-  std::vector<Edge> all;
-  const auto& rp = adj.row_ptr();
-  const auto& ci = adj.col_idx();
-  for (int i = 0; i < adj.rows(); ++i) {
-    for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-      if (i < ci[k]) all.push_back(Edge{i, ci[k]});
-    }
-  }
+  std::vector<Edge> all = UndirectedEdges(adj);
   const int target = std::max<int>(1, static_cast<int>(ratio * all.size()));
   return CapEdges(std::move(all), target, rng);
 }

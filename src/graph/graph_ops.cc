@@ -16,10 +16,6 @@ SparseMatrix FlattenToSingleView(const MultiplexGraph& graph) {
                                  /*symmetrize=*/false);
 }
 
-namespace {
-
-/// Undirected edge list (src < dst) of a symmetric adjacency, self loops
-/// excluded.
 std::vector<Edge> UndirectedEdges(const SparseMatrix& adj) {
   std::vector<Edge> out;
   out.reserve(adj.nnz() / 2);
@@ -32,8 +28,6 @@ std::vector<Edge> UndirectedEdges(const SparseMatrix& adj) {
   }
   return out;
 }
-
-}  // namespace
 
 EdgeMask SampleEdgeMask(const SparseMatrix& adj, double ratio, Rng* rng) {
   UMGAD_CHECK(ratio >= 0.0 && ratio <= 1.0);

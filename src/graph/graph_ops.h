@@ -14,6 +14,10 @@ namespace umgad {
 /// were applied to the multiplex datasets in the paper's evaluation.
 SparseMatrix FlattenToSingleView(const MultiplexGraph& graph);
 
+/// Undirected edge list (src < dst, in row-major order) of a symmetric
+/// adjacency, self loops excluded.
+std::vector<Edge> UndirectedEdges(const SparseMatrix& adj);
+
 /// Result of sampling an undirected edge mask from a layer (Eq. 5):
 /// `remaining` is the layer with the masked edges removed (both directions),
 /// `masked` holds one (src < dst) record per masked undirected edge.

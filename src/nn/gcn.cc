@@ -21,20 +21,6 @@ ag::VarPtr Activate(const ag::VarPtr& x, Activation act) {
   return x;
 }
 
-GcnConv::GcnConv(int in_dim, int out_dim, Activation act, Rng* rng)
-    : act_(act) {
-  weight_ = RegisterParameter(XavierUniform(in_dim, out_dim, rng));
-  bias_ = RegisterParameter(Tensor(1, out_dim));
-}
-
-ag::VarPtr GcnConv::Forward(std::shared_ptr<const SparseMatrix> norm_adj,
-                            const ag::VarPtr& x) const {
-  ag::VarPtr h = ag::MatMul(x, weight_);
-  h = ag::Spmm(std::move(norm_adj), h);
-  h = ag::AddRowBroadcast(h, bias_);
-  return Activate(h, act_);
-}
-
 SgcConv::SgcConv(int in_dim, int out_dim, int hops, Activation act, Rng* rng)
     : hops_(hops), act_(act) {
   UMGAD_CHECK_GE(hops, 0);

@@ -15,26 +15,13 @@ enum class Activation { kNone, kRelu, kLeakyRelu, kElu, kTanh };
 /// Apply an activation from the enum (identity for kNone).
 ag::VarPtr Activate(const ag::VarPtr& x, Activation act);
 
-/// One GCN convolution: y = act(Â (x W) + b), where Â is the symmetric
-/// normalised adjacency with self loops (passed per Forward call so one set
-/// of weights can run over many perturbed/masked adjacencies, as the GMAE
-/// masking repeats require).
-class GcnConv : public Module {
- public:
-  GcnConv(int in_dim, int out_dim, Activation act, Rng* rng);
-
-  ag::VarPtr Forward(std::shared_ptr<const SparseMatrix> norm_adj,
-                     const ag::VarPtr& x) const;
-
- private:
-  Activation act_;
-  ag::VarPtr weight_;
-  ag::VarPtr bias_;
-};
-
 /// Simplified GCN (SGC): L propagation steps with a single linear map,
-/// y = act(Â^L x W). The paper's decoder (and the "simplified GCN" half of
-/// its encoder choices).
+/// y = act(Â^L (x W) + b), where Â is the symmetric normalised adjacency
+/// with self loops (passed per Forward call so one set of weights can run
+/// over many perturbed/masked adjacencies, as the GMAE masking repeats
+/// require). The paper's decoder (and the "simplified GCN" half of its
+/// encoder choices); with one hop it is a plain GCN layer, the baselines'
+/// encoder.
 class SgcConv : public Module {
  public:
   SgcConv(int in_dim, int out_dim, int hops, Activation act, Rng* rng);

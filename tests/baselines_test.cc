@@ -112,5 +112,21 @@ TEST(DetectorTest, TrainedDetectorsReportEpochTime) {
   EXPECT_EQ((*free)->epoch_seconds(), 0.0);
 }
 
+TEST(DetectorTest, EpochTimeExcludesSetupAndScoring) {
+  // epoch_seconds() is the mean time of a training epoch. CoLA's Fit also
+  // builds the flattened view's operators before training and runs a
+  // four-round RWR discrimination pass over every node after it (about 4%
+  // of its Fit on Tiny), so its 60 epochs take clearly less than the whole
+  // Fit. The 0.1% margin is far above rounding, so a Fit-over-epochs mean
+  // fails it, and far below that share, so a scheduler stall inside
+  // training does not.
+  MultiplexGraph g = MakeTiny(15);
+  auto cola = MakeDetector("CoLA", 3);
+  ASSERT_TRUE((*cola)->Fit(g).ok());
+  const double train_seconds = (*cola)->epoch_seconds() * 60;
+  EXPECT_GT(train_seconds, 0.0);
+  EXPECT_LT(train_seconds, (1.0 - 1e-3) * (*cola)->fit_seconds());
+}
+
 }  // namespace
 }  // namespace umgad

@@ -42,7 +42,7 @@ TEST(LinearTest, NoBiasVariant) {
 
 TEST(ModuleTest, ParametersIncludeChildren) {
   Rng rng(3);
-  nn::GcnConv conv(6, 4, nn::Activation::kRelu, &rng);
+  nn::SgcConv conv(6, 4, /*hops=*/1, nn::Activation::kRelu, &rng);
   EXPECT_EQ(conv.Parameters().size(), 2u);  // W + b
   EXPECT_EQ(conv.ParameterCount(), 6 * 4 + 4);
 }
@@ -50,7 +50,7 @@ TEST(ModuleTest, ParametersIncludeChildren) {
 TEST(GcnTest, ForwardShape) {
   Rng rng(4);
   auto adj = RingGraph(6);
-  nn::GcnConv conv(3, 5, nn::Activation::kNone, &rng);
+  nn::SgcConv conv(3, 5, /*hops=*/1, nn::Activation::kNone, &rng);
   Tensor x = RandomNormal(6, 3, 0, 1, &rng);
   ag::VarPtr y = conv.Forward(adj, ag::Constant(x));
   EXPECT_EQ(y->value().rows(), 6);
@@ -61,7 +61,7 @@ TEST(GcnTest, ForwardShape) {
 TEST(GcnTest, ReluClampsNegative) {
   Rng rng(5);
   auto adj = RingGraph(4);
-  nn::GcnConv conv(2, 3, nn::Activation::kRelu, &rng);
+  nn::SgcConv conv(2, 3, /*hops=*/1, nn::Activation::kRelu, &rng);
   Tensor x = RandomNormal(4, 2, 0, 1, &rng);
   ag::VarPtr y = conv.Forward(adj, ag::Constant(x));
   EXPECT_GE(y->value().Min(), 0.0);
