@@ -176,6 +176,11 @@ std::vector<double> DiscriminationGap(const Tensor& h, const Tensor& ctx,
 std::vector<double> RwrContextGap(const SparseMatrix& adj, const Tensor& h,
                                   int size, int rounds, Rng* rng);
 
+/// Global-context loss of GCCAD and GADAM: BCE that pulls each row of `h`
+/// toward the mean row of `h` and each row of `h_bad` (the embedding of a
+/// row-shuffled input) away from it.
+ag::VarPtr GlobalContextBce(const ag::VarPtr& h, const ag::VarPtr& h_bad);
+
 /// Structure-decoder loss of the GAE baselines (DOMINANT, AnomalyDAE):
 /// inner-product BCE over up to 1024 edges sampled from `edges`, each
 /// followed by one uniformly random node pair as its negative.

@@ -205,6 +205,19 @@ std::vector<double> RwrContextGap(const SparseMatrix& adj, const Tensor& h,
   return gap;
 }
 
+ag::VarPtr GlobalContextBce(const ag::VarPtr& h, const ag::VarPtr& h_bad) {
+  const int n = h->value().rows();
+  Tensor avg(1, n);
+  avg.Fill(1.0f / static_cast<float>(n));
+  ag::VarPtr context = ag::MatMul(ag::Constant(std::move(avg)), h);  // 1 x d
+  // Broadcast the context to every row so PairDotBceLoss applies.
+  ag::VarPtr context_rows = ag::AddRowBroadcast(
+      ag::Constant(Tensor(n, h->value().cols())), context);
+  return ag::Add(
+      ag::PairDotBceLoss(h, context_rows, std::vector<float>(n, 1.0f)),
+      ag::PairDotBceLoss(h_bad, context_rows, std::vector<float>(n, 0.0f)));
+}
+
 ag::VarPtr SampledEdgeBce(const ag::VarPtr& h, const std::vector<Edge>& edges,
                           Rng* rng) {
   constexpr int kEdgeBatch = 1024;

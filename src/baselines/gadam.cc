@@ -40,24 +40,13 @@ class Gadam : public BaselineBase {
     // Global branch: train a GCN so gated embeddings agree with the global
     // context; anomalies end up with low agreement.
     nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
-    Tensor avg(1, view.n);
-    avg.Fill(1.0f / static_cast<float>(view.n));
-    Tensor zeros_n(view.n, kBaselineHidden);
     std::vector<int> shuffle = rng_.Permutation(view.n);
     Tensor x_corrupt = GatherRows(gated, shuffle);
 
     Train(enc.Parameters(), kBaselineEpochs, [&] {
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(gated));
       ag::VarPtr h_bad = enc.Forward(view.norm, ag::Constant(x_corrupt));
-      ag::VarPtr ctx_rows = ag::AddRowBroadcast(
-          ag::Constant(zeros_n),
-          // Per-epoch: tape constants do not survive the epoch Reset().
-          ag::MatMul(ag::Constant(avg), h));
-      return ag::Add(
-          ag::PairDotBceLoss(h, ctx_rows,
-                             std::vector<float>(view.n, 1.0f)),
-          ag::PairDotBceLoss(h_bad, ctx_rows,
-                             std::vector<float>(view.n, 0.0f)));
+      return GlobalContextBce(h, h_bad);
     });
 
     Tensor h = enc.Forward(view.norm, ag::Constant(gated))->value();

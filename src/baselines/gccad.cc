@@ -23,25 +23,10 @@ class Gccad : public BaselineBase {
     Tensor x_corrupt = GatherRows(x, perm);
 
     nn::SgcConv enc(view.f, kBaselineHidden, 1, nn::Activation::kNone, &rng_);
-    // 1 x n averaging operator: global readout c = mean_i h_i.
-    Tensor avg(1, view.n);
-    avg.Fill(1.0f / static_cast<float>(view.n));
-    Tensor zeros_n(view.n, kBaselineHidden);
-
     Train(enc.Parameters(), kBaselineEpochs, [&] {
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
       ag::VarPtr h_bad = enc.Forward(view.norm, ag::Constant(x_corrupt));
-      // Per-epoch: tape constants do not survive the epoch Reset().
-      ag::VarPtr avg_const = ag::Constant(avg);
-      ag::VarPtr context = ag::MatMul(avg_const, h);  // 1 x d
-      // Broadcast the context to every row so PairDotBceLoss applies.
-      ag::VarPtr context_rows =
-          ag::AddRowBroadcast(ag::Constant(zeros_n), context);
-      return ag::Add(
-          ag::PairDotBceLoss(h, context_rows,
-                             std::vector<float>(view.n, 1.0f)),
-          ag::PairDotBceLoss(h_bad, context_rows,
-                             std::vector<float>(view.n, 0.0f)));
+      return GlobalContextBce(h, h_bad);
     });
 
     Tensor h = enc.Forward(view.norm, ag::Constant(x))->value();
