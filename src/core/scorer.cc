@@ -34,17 +34,25 @@ uint64_t NodeStreamSeed(uint64_t stream_seed, int node) {
   return MixSeed(stream_seed, static_cast<uint64_t>(node));
 }
 
+double EdgeError(const Tensor& z, int i, const int* neighbors, int degree) {
+  double edge_err = 0.0;
+  for (int k = 0; k < degree; ++k) {
+    edge_err += 1.0 - SigmoidD(z.RowDot(i, z, neighbors[k]));
+  }
+  return edge_err;
+}
+
+double LeakTerm(const Tensor& z, int i, int u) {
+  return SigmoidD(z.RowDot(i, z, u));
+}
+
 ResidualTerms NodeResidualTerms(const Tensor& z, int i, const int* neighbors,
                                 int degree, const std::vector<int>& negatives) {
   ResidualTerms terms;
+  terms.edge_err = EdgeError(z, i, neighbors, degree);
   terms.degree = degree;
-  for (int k = 0; k < degree; ++k) {
-    terms.edge_err += 1.0 - SigmoidD(z.RowDot(i, z, neighbors[k]));
-  }
-  if (!negatives.empty()) {
-    for (int u : negatives) terms.leak += SigmoidD(z.RowDot(i, z, u));
-    terms.leak /= static_cast<double>(negatives.size());
-  }
+  terms.leak = MeanLeak(static_cast<int>(negatives.size()),
+                        [&](int k) { return LeakTerm(z, i, negatives[k]); });
   return terms;
 }
 
@@ -56,11 +64,12 @@ std::vector<double> StructureResidual(const SparseMatrix& adj,
   std::vector<double> residual(n, 0.0);
   const auto& rp = adj.row_ptr();
   ParallelFor(n, kParallelRowGrain, [&](int64_t b, int64_t e) {
+    std::vector<int> negatives;
     for (int i = static_cast<int>(b); i < e; ++i) {
       const int degree = static_cast<int>(rp[i + 1] - rp[i]);
+      NodeNegatives(adj, i, degree, num_negatives, stream_seed, &negatives);
       const ResidualTerms terms = NodeResidualTerms(
-          z, i, adj.col_idx().data() + rp[i], degree,
-          NodeNegatives(adj, i, degree, num_negatives, stream_seed));
+          z, i, adj.col_idx().data() + rp[i], degree, negatives);
       // Raw row-norm estimate (the GAE papers' scorer) when not normalised.
       residual[i] = degree_normalized
                         ? terms.Normalized()

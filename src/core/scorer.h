@@ -25,28 +25,51 @@ uint64_t NegativeStreamSeed(uint64_t base, int view, int rel);
 /// Seed of node `node`'s stream among those of `stream_seed`.
 uint64_t NodeStreamSeed(uint64_t stream_seed, int node);
 
-/// Node `node`'s negatives (row length `degree`): none when `count` <= 0
-/// or the node neighbours every other node. `Adj` is SparseMatrix (batch)
-/// or serve::DynamicAdjacency.
+/// Writes node `node`'s negatives (row length `degree`) to *out: none when
+/// `count` <= 0 or the node neighbours every other node, else exactly
+/// `count` (repeats possible). `Adj` is SparseMatrix (batch) or
+/// serve::DynamicAdjacency.
 template <typename Adj>
-std::vector<int> NodeNegatives(const Adj& adj, int node, int degree,
-                               int count, uint64_t stream_seed) {
-  if (count <= 0 || adj.rows() - 1 - degree <= 0) return {};
+void NodeNegatives(const Adj& adj, int node, int degree, int count,
+                   uint64_t stream_seed, std::vector<int>* out) {
+  out->clear();
+  if (count <= 0 || adj.rows() - 1 - degree <= 0) return;
   Rng rng(NodeStreamSeed(stream_seed, node));
-  return SampleNonNeighbors(adj, node, count, &rng);
+  SampleNonNeighbors(adj, node, count, &rng, out);
 }
 
-/// The terms of node i's structure residual (see StructureResidual) over
-/// its `degree` neighbours neighbors[] and its drawn `negatives`.
+/// The terms of node i's structure residual (see StructureResidual). Batch
+/// scoring, the serving engine and its oracle build every sampled residual
+/// from these three functions, each term and each sum in one fixed order,
+/// so a residual re-summed from cached terms equals a fresh one bit for
+/// bit.
+///
+/// edge_err: the edge terms 1 - sig(z_i . z_j) over the `degree`
+/// neighbours neighbors[], summed in neighbour order.
+double EdgeError(const Tensor& z, int i, const int* neighbors, int degree);
+/// One leak term: sig(z_i . z_u) for a negative u of node i.
+double LeakTerm(const Tensor& z, int i, int u);
+/// The leak: the mean of term(0), ..., term(count - 1), summed in that
+/// order, or 0 when count == 0.
+template <typename Term>
+double MeanLeak(int count, Term&& term) {
+  if (count == 0) return 0.0;
+  double sum = 0.0;
+  for (int k = 0; k < count; ++k) sum += term(k);
+  return sum / static_cast<double>(count);
+}
+
 struct ResidualTerms {
-  double edge_err = 0.0;  // sum over neighbours j of 1 - sig(z_i . z_j)
+  double edge_err = 0.0;  // EdgeError
   int degree = 0;
-  double leak = 0.0;      // mean over negatives u of sig(z_i . z_u), or 0
+  double leak = 0.0;      // MeanLeak of the negatives' LeakTerms
   /// The degree-normalised residual UMGAD scores with.
   double Normalized() const {
     return (degree > 0 ? edge_err / degree : 0.0) + leak;
   }
 };
+/// Node i's terms over its `degree` neighbours neighbors[] and its drawn
+/// `negatives`, all computed afresh.
 ResidualTerms NodeResidualTerms(const Tensor& z, int i, const int* neighbors,
                                 int degree, const std::vector<int>& negatives);
 

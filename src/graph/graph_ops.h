@@ -51,32 +51,32 @@ std::vector<int> KHopNeighborhood(const SparseMatrix& adj, int start,
 /// residual (Eq. 19). `Adj` is SparseMatrix or serve::DynamicAdjacency.
 /// When rejection runs out on a dense row, the rest cycles through the
 /// row's non-neighbours; a row with none gets arbitrary distinct nodes.
+/// The draw replaces *out's contents, so a caller can reuse one buffer.
 template <typename Adj>
-std::vector<int> SampleNonNeighbors(const Adj& adj, int src, int count,
-                                    Rng* rng) {
-  std::vector<int> out;
-  out.reserve(count);
+void SampleNonNeighbors(const Adj& adj, int src, int count, Rng* rng,
+                        std::vector<int>* out) {
+  out->clear();
+  out->reserve(count);
   const int n = adj.rows();
   int attempts = 0;
   const int max_attempts = count * 50 + 100;
-  while (static_cast<int>(out.size()) < count && attempts < max_attempts) {
+  while (static_cast<int>(out->size()) < count && attempts < max_attempts) {
     ++attempts;
     const int cand = static_cast<int>(rng->UniformInt(n));
     if (cand == src || adj.Has(src, cand)) continue;
-    out.push_back(cand);
+    out->push_back(cand);
   }
-  if (static_cast<int>(out.size()) == count) return out;
+  if (static_cast<int>(out->size()) == count) return;
   std::vector<int> pad;
   for (int v = 0; v < n; ++v) {
     if (v != src && !adj.Has(src, v)) pad.push_back(v);
   }
-  while (!pad.empty() && static_cast<int>(out.size()) < count) {
-    out.push_back(pad[out.size() % pad.size()]);
+  while (!pad.empty() && static_cast<int>(out->size()) < count) {
+    out->push_back(pad[out->size() % pad.size()]);
   }
-  for (int v = 0; v < n && static_cast<int>(out.size()) < count; ++v) {
-    if (v != src) out.push_back(v);
+  for (int v = 0; v < n && static_cast<int>(out->size()) < count; ++v) {
+    if (v != src) out->push_back(v);
   }
-  return out;
 }
 
 }  // namespace umgad

@@ -14,8 +14,8 @@ std::vector<ag::EdgeCandidateSet> BuildEdgeCandidates(
     ag::EdgeCandidateSet set;
     set.src = e.src;
     set.cands.push_back(e.dst);
-    std::vector<int> negatives =
-        SampleNonNeighbors(observed, e.src, num_negatives, rng);
+    std::vector<int> negatives;
+    SampleNonNeighbors(observed, e.src, num_negatives, rng, &negatives);
     set.cands.insert(set.cands.end(), negatives.begin(), negatives.end());
     sets.push_back(std::move(set));
   }

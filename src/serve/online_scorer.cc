@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -155,15 +156,47 @@ struct ChainState {
   std::vector<StageState> stages;
 };
 
+/// One (view, relation)'s structure-residual terms, kept so an update
+/// recomputes only the terms whose inputs changed. Owned node i has slab
+/// row slab_row[i] (see Impl): its count[row] negatives, in draw order, and
+/// their leak terms in slots [row * k, row * k + count[row]) of `neg` and
+/// `leak` (k = num_score_negatives), and edge_err[row], the EdgeError over
+/// its neighbours. Every cached term equals the one a fresh
+/// NodeResidualTerms would compute, so the residual re-summed from them
+/// does too.
+///
+/// The filled slots whose negative is u form a chain, head[u] -> next[s]
+/// -> ... -> -1, so an update finds the nodes that drew a moved embedding
+/// row without a per-node list.
+struct ResidualSlots {
+  std::vector<int> neg;
+  std::vector<double> leak;
+  std::vector<int> next;
+  std::vector<int> count;
+  std::vector<double> edge_err;
+  std::vector<int> head;  // per node u
+
+  void Link(int slot) {
+    next[slot] = head[neg[slot]];
+    head[neg[slot]] = slot;
+  }
+  void Unlink(int slot) {
+    int* at = &head[neg[slot]];
+    while (*at != slot) at = &next[*at];
+    *at = next[slot];
+  }
+};
+
 struct ViewState {
   std::vector<ChainState> attr_chains;
   std::vector<ChainState> struct_chains;
-  std::vector<double> attr_val;                          // per node
-  std::vector<std::vector<double>> residual;             // [rel][node]
+  std::vector<double> attr_val;               // per node
+  std::vector<std::vector<double>> residual;  // [rel][node]
   std::vector<double> structure;  // per node: RelationMean of residual
   ViewMoments moments;            // of attr_val and structure, owned nodes
-  std::vector<std::vector<std::vector<int>>> negatives;  // [rel][node]
-  std::vector<std::vector<std::vector<int>>> samplers;   // [rel][u] -> nodes
+  // [rel]; the live state only. RescoreFullNaive's scratch state has none
+  // and scores every residual afresh through NodeResidualTerms.
+  std::vector<ResidualSlots> slots;
 };
 
 struct EngineState {
@@ -192,6 +225,7 @@ class NodeSet {
     for (int i : items_) mark_[i] = 0;
     items_.clear();
   }
+  bool Has(int i) const { return mark_[i] != 0; }
   const std::vector<int>& items() const { return items_; }
 
  private:
@@ -258,31 +292,44 @@ struct OnlineScorer::Impl {
   // residual reads neighbour/negative embeddings anywhere).
   std::vector<uint8_t> owned;
   bool component_only = false;
+  // Owned node -> its row in every ResidualSlots slab (owned nodes in
+  // ascending order), -1 for the rest; and row -> node.
+  std::vector<int> slab_row;
+  std::vector<int> slab_node;
+  int slots_per_row = 0;  // num_score_negatives (0 when negative)
   EngineState state;
   // ApplyBatch's dirty sets, sized once: s_norm/endpoints per relation
   // (see ApplyBatch), `front` for one stage of an update sweep (only
-  // ApplyBatch's sweeps touch it), `rescore` for one (view, relation)'s
-  // residuals, `moved` for one view's changed columns, and `changed` for
-  // the owned nodes any view re-scored since TakeChangedNodes (sized only
-  // when component_only; the flat scorer records nothing).
+  // ApplyBatch's sweeps touch it), `embed_moved` for the embedding rows one
+  // (view, relation)'s sweep changed, `rescore` for that pair's residuals,
+  // `moved` for one view's changed columns, and `changed` for the owned
+  // nodes any view re-scored since TakeChangedNodes (sized only when
+  // component_only; the flat scorer records nothing).
   std::vector<NodeSet> s_norm;
   std::vector<NodeSet> endpoints;
   mutable NodeSet front;
+  NodeSet embed_moved;
   NodeSet rescore;
   NodeSet moved;
   NodeSet changed;
 
   bool Owned(int i) const { return owned.empty() || owned[i] != 0; }
 
-  EngineState MakeEmptyState() const;
+  EngineState MakeEmptyState(bool with_slots) const;
   void ComputeST(const ChainPlan& plan, ChainState& cs, int stage,
                  int i) const;
   void ComputeStageRow(const ChainPlan& plan, ChainState& cs, int stage,
                        int rel, int i) const;
   void SweepChain(const ChainPlan& plan, ChainState& cs, int rel,
                   bool parallel, ChainDirty* dirty) const;
-  std::vector<int> DrawNegatives(int view, int rel, int node) const;
-  void ComputeResidualNode(EngineState& st, int view, int rel, int i) const;
+  void DrawNegatives(int view, int rel, int node,
+                     std::vector<int>* out) const;
+  const Tensor& StructEmbedding(const EngineState& st, int view,
+                                int rel) const;
+  void DrawSlots(ResidualSlots& rs, int view, int rel, int i,
+                 bool relink) const;
+  int64_t UpdateResidualNode(ViewState& vs, const Tensor& z, int rel, int i,
+                             bool all_terms) const;
   void ComputeAttrValNode(EngineState& st, int view, int i) const;
   ViewComponents ComponentsOf(const EngineState& st, size_t v) const;
   void BuildMoments(EngineState* st) const;
@@ -292,7 +339,7 @@ struct OnlineScorer::Impl {
                     ServeStats* stats);
 };
 
-EngineState OnlineScorer::Impl::MakeEmptyState() const {
+EngineState OnlineScorer::Impl::MakeEmptyState(bool with_slots) const {
   EngineState st;
   st.views.resize(plans.size());
   for (size_t v = 0; v < plans.size(); ++v) {
@@ -321,8 +368,18 @@ EngineState OnlineScorer::Impl::MakeEmptyState() const {
     if (vp.struct_used) {
       vs.structure.assign(n, 0.0);
       vs.residual.assign(r_count, std::vector<double>(n, 0.0));
-      vs.negatives.assign(r_count, std::vector<std::vector<int>>(n));
-      vs.samplers.assign(r_count, std::vector<std::vector<int>>(n));
+      if (with_slots) {
+        const size_t rows = slab_node.size();
+        vs.slots.resize(r_count);
+        for (ResidualSlots& rs : vs.slots) {
+          rs.neg.assign(rows * slots_per_row, 0);
+          rs.leak.assign(rows * slots_per_row, 0.0);
+          rs.next.assign(rows * slots_per_row, -1);
+          rs.count.assign(rows, 0);
+          rs.edge_err.assign(rows, 0.0);
+          rs.head.assign(n, -1);
+        }
+      }
     }
   }
   return st;
@@ -440,30 +497,83 @@ void OnlineScorer::Impl::SweepChain(const ChainPlan& plan, ChainState& cs,
   if (dirty != nullptr) dirty->final = std::move(cur);
 }
 
-std::vector<int> OnlineScorer::Impl::DrawNegatives(int view, int rel,
-                                                   int node) const {
+void OnlineScorer::Impl::DrawNegatives(int view, int rel, int node,
+                                       std::vector<int>* out) const {
   // StructureResidual's draw for this node, against the current row.
-  return NodeNegatives(adj[rel], node, adj[rel].degree(node),
-                       config.num_score_negatives,
-                       NegativeStreamSeed(stream_base, view, rel));
+  NodeNegatives(adj[rel], node, adj[rel].degree(node),
+                config.num_score_negatives,
+                NegativeStreamSeed(stream_base, view, rel), out);
 }
 
-void OnlineScorer::Impl::ComputeResidualNode(EngineState& st, int view,
-                                             int rel, int i) const {
+const Tensor& OnlineScorer::Impl::StructEmbedding(const EngineState& st,
+                                                  int view, int rel) const {
+  // The embed stage of the view's own structure chain (kOriginal) or of
+  // the shared attribute chain.
   const ViewPlan& vp = plans[view];
-  ViewState& vs = st.views[view];
-  // The structure embedding: the embed stage of the view's own structure
-  // chain (kOriginal) or of the shared attribute chain.
-  const int embed = vp.separate_struct ? vp.struct_chains[rel].embed_stage
-                                       : vp.attr_chains[rel].embed_stage;
+  const ViewState& vs = st.views[view];
+  const ChainPlan& plan =
+      vp.separate_struct ? vp.struct_chains[rel] : vp.attr_chains[rel];
   const ChainState& chain =
       vp.separate_struct ? vs.struct_chains[rel] : vs.attr_chains[rel];
+  return chain.stages[plan.embed_stage].cache;
+}
+
+void OnlineScorer::Impl::DrawSlots(ResidualSlots& rs, int view, int rel,
+                                   int i, bool relink) const {
+  // Draws i's negatives into its slab row. With `relink` (serial callers
+  // only) each slot whose negative changed also moves to its new chain; a
+  // redraw after an update repeats the old draw unless a candidate hits
+  // the changed part of the row, so usually none moves.
+  thread_local std::vector<int> drawn;
+  DrawNegatives(view, rel, i, &drawn);
+  const int row = slab_row[i];
+  const int first = row * slots_per_row;
+  const int old_count = relink ? rs.count[row] : 0;
+  const int new_count = static_cast<int>(drawn.size());
+  for (int k = 0; k < std::max(old_count, new_count); ++k) {
+    const int slot = first + k;
+    if (k < old_count) {
+      if (k < new_count && rs.neg[slot] == drawn[k]) continue;
+      rs.Unlink(slot);
+    }
+    if (k < new_count) {
+      rs.neg[slot] = drawn[k];
+      if (relink) rs.Link(slot);
+    }
+  }
+  rs.count[row] = new_count;
+}
+
+int64_t OnlineScorer::Impl::UpdateResidualNode(ViewState& vs, const Tensor& z,
+                                               int rel, int i,
+                                               bool all_terms) const {
+  // Recomputes owned node i's cached terms — all of them when `all_terms`,
+  // else the edge terms when a neighbour's embedding row moved and each
+  // leak slot whose negative's row moved (embed_moved) — then re-sums its
+  // residual. Returns the number of terms recomputed.
+  ResidualSlots& rs = vs.slots[rel];
+  const int row = slab_row[i];
   const std::vector<int>& neighbors = adj[rel].neighbors(i);
-  vs.residual[rel][i] =
-      NodeResidualTerms(chain.stages[embed].cache, i, neighbors.data(),
-                        static_cast<int>(neighbors.size()),
-                        vs.negatives[rel][i])
-          .Normalized();
+  const int degree = static_cast<int>(neighbors.size());
+  const int* neg = rs.neg.data() + row * slots_per_row;
+  double* leak = rs.leak.data() + row * slots_per_row;
+  const int count = rs.count[row];
+  int64_t terms = 0;
+  if (all_terms || std::any_of(neighbors.begin(), neighbors.end(),
+                               [&](int j) { return embed_moved.Has(j); })) {
+    rs.edge_err[row] = EdgeError(z, i, neighbors.data(), degree);
+    terms += degree;
+  }
+  for (int k = 0; k < count; ++k) {
+    if (all_terms || embed_moved.Has(neg[k])) {
+      leak[k] = LeakTerm(z, i, neg[k]);
+      ++terms;
+    }
+  }
+  const ResidualTerms sum{rs.edge_err[row], degree,
+                          MeanLeak(count, [&](int k) { return leak[k]; })};
+  vs.residual[rel][i] = sum.Normalized();
+  return terms;
 }
 
 void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view,
@@ -537,19 +647,31 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
     // slice of an unmasked scorer.
     if (vp.struct_used) {
       for (int r = 0; r < r_count; ++r) {
-        for_rows([&](int i) {
-          vs.negatives[r][i] =
-              Owned(i) ? DrawNegatives(static_cast<int>(v), r, i)
-                       : std::vector<int>();
-        });
-        for (auto& list : vs.samplers[r]) list.clear();
-        for (int i = 0; i < n; ++i) {
-          for (int u : vs.negatives[r][i]) vs.samplers[r][u].push_back(i);
+        const Tensor& z = StructEmbedding(*st, static_cast<int>(v), r);
+        if (vs.slots.empty()) {
+          for_rows([&](int i) {
+            if (!Owned(i)) return;
+            thread_local std::vector<int> negatives;
+            DrawNegatives(static_cast<int>(v), r, i, &negatives);
+            const std::vector<int>& neighbors = adj[r].neighbors(i);
+            vs.residual[r][i] =
+                NodeResidualTerms(z, i, neighbors.data(),
+                                  static_cast<int>(neighbors.size()),
+                                  negatives)
+                    .Normalized();
+          });
+          continue;
         }
+        ResidualSlots& rs = vs.slots[r];
         for_rows([&](int i) {
           if (!Owned(i)) return;
-          ComputeResidualNode(*st, static_cast<int>(v), r, i);
+          DrawSlots(rs, static_cast<int>(v), r, i, /*relink=*/false);
+          UpdateResidualNode(vs, z, r, i, /*all_terms=*/true);
         });
+        for (int row = 0; row < static_cast<int>(slab_node.size()); ++row) {
+          const int first = row * slots_per_row;
+          for (int s = first; s < first + rs.count[row]; ++s) rs.Link(s);
+        }
       }
     }
     if (vp.attr_used) {
@@ -651,6 +773,7 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
   // re-scored, because ComputeAttrValNode fuses all relations' chains.
   int64_t dirty_rows = 0;
   int64_t rescored = 0;
+  int64_t residual_terms = 0;
   std::vector<std::vector<ChainDirty>> attr_dirty(
       plans.size(), std::vector<ChainDirty>(r_count));
   std::vector<std::vector<ChainDirty>> struct_dirty(
@@ -690,6 +813,7 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
         const std::vector<int>& embed_dirty =
             vp.separate_struct ? struct_dirty[w][rel].embed
                                : attr_dirty[w][rel].embed;
+        ResidualSlots& rs = vs.slots[rel];
         // The endpoints' own adjacency rows changed, so their negative
         // draws re-run against the new rows (clean nodes' draws are
         // unaffected — each stream only rejects against its own row, and
@@ -698,36 +822,31 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
         // endpoints carry no stream (their component lives on another
         // shard), so there is nothing to redraw.
         for (int node : ends) {
-          if (!Owned(node)) continue;
-          std::vector<std::vector<int>>& samplers = vs.samplers[rel];
-          for (int old : vs.negatives[rel][node]) {
-            std::vector<int>& list = samplers[old];
-            auto it = std::find(list.begin(), list.end(), node);
-            if (it != list.end()) {
-              *it = list.back();
-              list.pop_back();
-            }
-          }
-          vs.negatives[rel][node] =
-              DrawNegatives(static_cast<int>(w), rel, node);
-          for (int nu : vs.negatives[rel][node]) {
-            samplers[nu].push_back(node);
+          if (Owned(node)) {
+            DrawSlots(rs, static_cast<int>(w), rel, node, /*relink=*/true);
           }
         }
         // Residuals to recompute: the endpoints (adjacency row + negatives
-        // changed), nodes with a dirty embedding, their neighbours (the
-        // edge-error term reads neighbour embeddings), and nodes whose
-        // negative set contains a dirty-embedding node.
+        // changed) and nodes with a dirty embedding, all of whose terms
+        // change; their neighbours, whose edge terms read a dirty
+        // embedding; and nodes whose negatives include a dirty-embedding
+        // node, whose leak slots for it change.
+        embed_moved.Clear();
         rescore.Clear();
         for (int node : ends) rescore.Add(node);
         for (int d : embed_dirty) {
+          embed_moved.Add(d);
           rescore.Add(d);
           for (int j : a.neighbors(d)) rescore.Add(j);
-          for (int i : vs.samplers[rel][d]) rescore.Add(i);
+          for (int s = rs.head[d]; s >= 0; s = rs.next[s]) {
+            rescore.Add(slab_node[s / slots_per_row]);
+          }
         }
+        const Tensor& z = StructEmbedding(state, static_cast<int>(w), rel);
         for (int i : rescore.items()) {
           if (!Owned(i)) continue;
-          ComputeResidualNode(state, static_cast<int>(w), rel, i);
+          residual_terms += UpdateResidualNode(
+              vs, z, rel, i, endpoints[rel].Has(i) || embed_moved.Has(i));
           moved.Add(i);
           ++rescored;
         }
@@ -760,6 +879,7 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
   stats->updates_applied += static_cast<int64_t>(updates.size());
   stats->last_dirty_rows = dirty_rows;
   stats->last_rescored_nodes = rescored;
+  stats->last_residual_terms = residual_terms;
   return Status::OK();
 }
 
@@ -844,13 +964,26 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
     }
   }
 
+  impl.slab_row.assign(impl.n, -1);
+  for (int i = 0; i < impl.n; ++i) {
+    if (!impl.Owned(i)) continue;
+    impl.slab_row[i] = static_cast<int>(impl.slab_node.size());
+    impl.slab_node.push_back(i);
+  }
+  impl.slots_per_row = std::max(config.num_score_negatives, 0);
+  if (static_cast<int64_t>(impl.slab_node.size()) * impl.slots_per_row >
+      std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        "num_score_negatives x owned nodes exceeds the residual slab");
+  }
   impl.s_norm.assign(impl.r_count, NodeSet(impl.n));
   impl.endpoints.assign(impl.r_count, NodeSet(impl.n));
   impl.front = NodeSet(impl.n);
+  impl.embed_moved = NodeSet(impl.n);
   impl.rescore = NodeSet(impl.n);
   impl.moved = NodeSet(impl.n);
   if (impl.component_only) impl.changed = NodeSet(impl.n);
-  impl.state = impl.MakeEmptyState();
+  impl.state = impl.MakeEmptyState(/*with_slots=*/true);
   impl.FullCompute(&impl.state, /*parallel=*/true);
   return scorer;
 }
@@ -894,7 +1027,7 @@ Status OnlineScorer::ApplyEdgeUpdates(const std::vector<EdgeUpdate>& updates) {
 
 std::vector<double> OnlineScorer::RescoreFullNaive() const {
   if (impl_->component_only) return {};
-  EngineState scratch = impl_->MakeEmptyState();
+  EngineState scratch = impl_->MakeEmptyState(/*with_slots=*/false);
   impl_->FullCompute(&scratch, /*parallel=*/false);
   const std::vector<ViewColumns> columns = impl_->Columns(scratch);
   std::vector<double> out(impl_->n);

@@ -58,7 +58,9 @@ Result<EdgeUpdate> ParseEdgeUpdateLine(std::string_view line);
 /// Serving counters. last_dirty_rows is the number of per-stage rows the
 /// most recent update (or burst) recomputed, last_rescored_nodes the number
 /// of per-node score components (attribute distances + structure
-/// residuals) it recomputed. cache_hits and cache_misses are always 0:
+/// residuals) it recomputed, and last_residual_terms the number of
+/// structure-residual terms (edge terms and leak terms, one dot product
+/// each) it recomputed to do so. cache_hits and cache_misses are always 0:
 /// every stage row stays resident, so there is no row cache; they are kept
 /// because perfbench still reads them.
 struct ServeStats {
@@ -67,6 +69,7 @@ struct ServeStats {
   int64_t updates_applied = 0;
   int64_t last_dirty_rows = 0;
   int64_t last_rescored_nodes = 0;
+  int64_t last_residual_terms = 0;
 };
 
 /// The Eq. 19 component and moment types and the full-vector combine live
@@ -86,14 +89,23 @@ using umgad::ViewMoments;
 /// per-row stages. A stage row calls the per-row piece its batch kernel is
 /// built from (MatMulNaiveRow; ag::AttentionLogits and ag::EdgeSoftmaxRow)
 /// or walks SparseMatrix::Multiply's row order over the live operator. A
-/// node's score components come from NodeResidualTerms, ag::SimplexWeights
-/// and RowL2DistanceOf, and the Eq. 19 columns from BuildColumns and
+/// node's attribute distance comes from ag::SimplexWeights and
+/// RowL2DistanceOf, and the Eq. 19 columns from BuildColumns and
 /// MakeColumns. One stage sweep computes every stage row: over all rows
 /// (on the thread pool) when the scorer is built, and serially over an
 /// update's dirty fronts afterwards. The fronts hold exactly the rows whose
 /// inputs changed — degree renormalisation touches the closed
 /// neighbourhood of the endpoints, and each propagation stage widens the
 /// front by one hop — and are recomputed a stage at a time.
+///
+/// A structure residual is kept as its terms (core/scorer.h's EdgeError
+/// and LeakTerm) per (view, relation, owned node): the node's edge error
+/// and one slot per drawn negative holding its id and leak term. An update
+/// recomputes every term of a node whose adjacency row, negatives or
+/// embedding row changed, and otherwise only the edge error when a
+/// neighbour's embedding row changed and the leak slots whose negative's
+/// row changed; the residual is then re-summed in NodeResidualTerms' order
+/// (MeanLeak), so it equals a fresh one bit for bit.
 ///
 /// Determinism: structure-residual negatives come from the per-(view,
 /// relation, node) streams of core/scorer.h (NodeNegatives), seeded from

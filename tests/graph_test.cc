@@ -174,7 +174,8 @@ TEST(GraphOpsTest, SampleNonNeighborsExcludesNeighbors) {
   Rng rng(9);
   SparseMatrix adj = SparseMatrix::FromEdges(
       20, {Edge{0, 1}, Edge{0, 2}, Edge{0, 3}}, true);
-  std::vector<int> negs = SampleNonNeighbors(adj, 0, 10, &rng);
+  std::vector<int> negs;
+  SampleNonNeighbors(adj, 0, 10, &rng, &negs);
   EXPECT_EQ(negs.size(), 10u);
   for (int v : negs) {
     EXPECT_NE(v, 0);
@@ -189,7 +190,8 @@ TEST(GraphOpsTest, SampleNonNeighborsDenseRowFallback) {
   std::vector<Edge> edges;
   for (int i = 1; i < 6; ++i) edges.push_back(Edge{0, i});
   SparseMatrix adj = SparseMatrix::FromEdges(6, edges, true);
-  std::vector<int> negs = SampleNonNeighbors(adj, 0, 3, &rng);
+  std::vector<int> negs;
+  SampleNonNeighbors(adj, 0, 3, &rng, &negs);
   EXPECT_EQ(negs.size(), 3u);
 }
 
@@ -201,7 +203,8 @@ TEST(GraphOpsTest, SampleNonNeighborsFallbackStaysOffNeighbours) {
   std::vector<Edge> edges;
   for (int i = 1; i < 999; ++i) edges.push_back(Edge{0, i});
   SparseMatrix adj = SparseMatrix::FromEdges(1000, edges, true);
-  std::vector<int> negs = SampleNonNeighbors(adj, 0, 16, &rng);
+  std::vector<int> negs;
+  SampleNonNeighbors(adj, 0, 16, &rng, &negs);
   EXPECT_EQ(negs.size(), 16u);
   for (int v : negs) EXPECT_EQ(v, 999);
 }

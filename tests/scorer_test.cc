@@ -288,8 +288,8 @@ TEST(StructureResidualTest, LaneInvariantAndEqualToServingStreams) {
     for (int j : dyn.neighbors(i)) {
       edge_err += 1.0 - sigmoid(z.RowDot(i, z, j));
     }
-    const std::vector<int> negs =
-        NodeNegatives(dyn, i, dyn.degree(i), negatives, seed);
+    std::vector<int> negs;
+    NodeNegatives(dyn, i, dyn.degree(i), negatives, seed, &negs);
     ASSERT_EQ(negs.size(), static_cast<size_t>(negatives)) << "node " << i;
     double leak = 0.0;
     for (int u : negs) {

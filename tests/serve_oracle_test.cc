@@ -30,6 +30,7 @@
 #include "serve/dynamic_adjacency.h"
 #include "serve/online_scorer.h"
 #include "serve/shard_router.h"
+#include "tensor/init.h"
 
 namespace umgad {
 namespace {
@@ -369,6 +370,182 @@ TEST(ServeOracleTest, BatchedUpdatesRollBackOnError) {
   // The rolled-back edge is still absent, so the insert succeeds now.
   ASSERT_TRUE((*scorer)->ApplyEdgeUpdate(good).ok());
   EXPECT_EQ((*scorer)->stats().updates_applied, 1);
+}
+
+// ------------------------- residual slots ---------------------------------
+
+/// The structure-residual terms the engine must recompute for one update
+/// with endpoints u and v, on the one-layer GAT default (the update moves
+/// the endpoints' embedding rows and no others), computed from the graph
+/// after the update alone: an endpoint recomputes all its terms, another
+/// node its edge terms when it neighbours an endpoint and each leak term
+/// whose negative is an endpoint. Adds to *affected the terms of every
+/// residual that changes (the cost of recomputing them whole) and to
+/// *leak_hits the leak terms of non-endpoints.
+int64_t ExpectedResidualTerms(const OnlineScorer& scorer,
+                              const DynamicAdjacency& after, int rel, int u,
+                              int v, int64_t* affected, int64_t* leak_hits) {
+  Rng rng;
+  rng.set_state(scorer.model().scoring_rng_state());
+  const uint64_t base = NegativeStreamBase(&rng);
+  const int count = scorer.model().config().num_score_negatives;
+  const std::vector<serve::ViewComponents> views = scorer.Components();
+  int64_t terms = 0;
+  std::vector<int> negatives;
+  for (int w = 0; w < static_cast<int>(views.size()); ++w) {
+    if (!views[w].struct_used) continue;
+    const uint64_t seed = NegativeStreamSeed(base, w, rel);
+    for (int i = 0; i < after.rows(); ++i) {
+      const int degree = after.degree(i);
+      NodeNegatives(after, i, degree, count, seed, &negatives);
+      const int all = degree + static_cast<int>(negatives.size());
+      if (i == u || i == v) {
+        terms += all;
+        *affected += all;
+        continue;
+      }
+      const bool near = after.Has(i, u) || after.Has(i, v);
+      int hits = 0;
+      for (int neg : negatives) hits += neg == u || neg == v;
+      terms += (near ? degree : 0) + hits;
+      *leak_hits += hits;
+      if (near || hits > 0) *affected += all;
+    }
+  }
+  return terms;
+}
+
+TEST(ServeOracleTest, UpdateRecomputesOnlyTheTermsWhoseRowsMoved) {
+  // Bit-identity cannot see a regression to recomputing whole residuals —
+  // it is only slower — so this pins the work: an insert whose endpoints
+  // other nodes drew as negatives, and its removal, each recompute exactly
+  // the terms whose inputs moved.
+  const MultiplexGraph& graph = Fixture().graph;
+  auto scorer = OnlineScorer::Create(Fixture().trained, graph);
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+  EdgeUpdate update;
+  update.relation = 0;
+  update.src = 0;
+  DynamicAdjacency after(graph.layer(0));
+  int64_t want = 0;
+  int64_t affected = 0;
+  int64_t leak_hits = 0;
+  for (update.dst = 1; update.dst < graph.num_nodes(); ++update.dst) {
+    if (after.Has(update.src, update.dst)) continue;
+    after.AddEntry(update.src, update.dst, 1.0f);
+    after.AddEntry(update.dst, update.src, 1.0f);
+    affected = leak_hits = 0;
+    want = ExpectedResidualTerms(**scorer, after, 0, update.src, update.dst,
+                                 &affected, &leak_hits);
+    if (leak_hits > 0) break;
+    after.RemoveEntry(update.src, update.dst);
+    after.RemoveEntry(update.dst, update.src);
+  }
+  ASSERT_LT(update.dst, graph.num_nodes()) << "no endpoint was drawn";
+
+  ASSERT_TRUE((*scorer)->ApplyEdgeUpdate(update).ok());
+  EXPECT_EQ((*scorer)->stats().last_residual_terms, want) << "insert";
+  EXPECT_LT(want, affected);
+
+  after.RemoveEntry(update.src, update.dst);
+  after.RemoveEntry(update.dst, update.src);
+  affected = leak_hits = 0;
+  want = ExpectedResidualTerms(**scorer, after, 0, update.src, update.dst,
+                               &affected, &leak_hits);
+  update.add = false;
+  ASSERT_TRUE((*scorer)->ApplyEdgeUpdate(update).ok());
+  EXPECT_EQ((*scorer)->stats().last_residual_terms, want) << "removal";
+  EXPECT_GT(leak_hits, 0);
+  ExpectSameBits((*scorer)->scores(), (*scorer)->RescoreFullNaive(),
+                 "after the removal");
+}
+
+TEST(ServeOracleTest, SixteenNegativesOnDenseRowsMatchOracle) {
+  // The default sample count on a graph where it exceeds some rows'
+  // non-neighbours: node 0 neighbours every node in relation 0 (it draws
+  // no negatives), and nodes 1-3 have fewer than 16 non-neighbours (their
+  // draws fall back to cycling through them, with repeats). Updates
+  // empty and refill the hub's row, leave stale slots behind it, and move
+  // the dense rows; scores() == RescoreFullNaive() after each, and a
+  // two-shard router (half of every slab each) drains to the flat scores.
+  const int n = 40;
+  Rng rng(77);
+  std::vector<Edge> dense;
+  for (int j = 1; j < n; ++j) dense.push_back(Edge{0, j});
+  for (int hub = 1; hub <= 3; ++hub) {
+    for (int j = 8 + 2 * hub; j < n; ++j) dense.push_back(Edge{hub, j});
+  }
+  std::vector<Edge> sparse;
+  for (int k = 0; k < 3 * n; ++k) {
+    const int a = static_cast<int>(rng.UniformInt(n));
+    const int b = static_cast<int>(rng.UniformInt(n));
+    if (a != b) (k % 2 == 0 ? dense : sparse).push_back(Edge{a, b});
+  }
+  std::vector<SparseMatrix> layers;
+  layers.push_back(SparseMatrix::FromEdges(n, dense, true));
+  layers.push_back(SparseMatrix::FromEdges(n, sparse, true));
+  std::vector<int> labels(n, 0);
+  labels[5] = labels[17] = 1;
+  auto built =
+      MultiplexGraph::Create("dense-rows", RandomNormal(n, 6, 0, 1, &rng),
+                             std::move(layers), {"dense", "sparse"}, labels);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const MultiplexGraph& graph = *built;
+  const auto& rp = graph.layer(0).row_ptr();
+  ASSERT_EQ(rp[1] - rp[0], n - 1);
+  for (int hub = 1; hub <= 3; ++hub) {
+    const int64_t non_neighbors = n - 1 - (rp[hub + 1] - rp[hub]);
+    ASSERT_GT(non_neighbors, 0) << hub;
+    ASSERT_LT(non_neighbors, 16) << hub;
+  }
+
+  UmgadConfig config = ServeConfig();
+  config.num_score_negatives = 16;
+  UmgadModel model(config);
+  ASSERT_TRUE(model.Fit(graph).ok());
+  auto trained = TrainedModel::FromFitted(model, graph);
+  ASSERT_TRUE(trained.ok());
+  auto scorer = OnlineScorer::Create(*trained, graph);
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+  OnlineScorer& s = **scorer;
+  ExpectSameBits(s.scores(), model.scores(), "init");
+
+  std::vector<EdgeUpdate> applied;
+  auto apply = [&](const std::vector<EdgeUpdate>& burst,
+                   const std::string& label) {
+    ASSERT_TRUE(s.ApplyEdgeUpdates(burst).ok()) << label;
+    applied.insert(applied.end(), burst.begin(), burst.end());
+    ExpectSameBits(s.scores(), s.RescoreFullNaive(), label);
+  };
+  int first_absent = 4;
+  while (graph.layer(0).Has(1, first_absent)) ++first_absent;
+  ASSERT_LT(first_absent, 8 + 2);
+  apply({{0, 5, 0, false}}, "hub loses an edge");
+  apply({{0, 5, 0, true}}, "hub neighbours every node again");
+  apply({{1, 30, 0, false}, {1, first_absent, 0, true}, {0, 7, 0, false}},
+        "dense rows move");
+  apply({{0, 7, 0, true}, {2, 25, 0, false}, {3, 11, 1, true}},
+        "hub refilled in a burst");
+  apply(MakeUpdateSequence(s.SnapshotGraph(), 12, /*seed=*/83),
+        "mixed burst");
+
+  // A burst that removes a hub edge twice fails and rolls back to the
+  // scores above.
+  const std::vector<double> before = s.scores();
+  const EdgeUpdate hub_edge{0, 9, 0, false};
+  ASSERT_FALSE(s.ApplyEdgeUpdates({hub_edge, {1, 2, 0, true}, hub_edge}).ok());
+  ExpectSameBits(s.scores(), before, "rolled-back burst");
+  ExpectSameBits(s.scores(), s.RescoreFullNaive(),
+                 "rolled-back burst vs full rescore");
+
+  serve::RouterOptions options;
+  options.num_shards = 2;
+  auto router = serve::ShardRouter::Create(*trained, graph, options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  (*router)->Submit(applied);
+  (*router)->Flush();
+  ExpectSameBits((*router)->Snapshot()->scores, s.scores(),
+                 "two shards vs flat");
 }
 
 // ------------------------- engine plan shapes -----------------------------

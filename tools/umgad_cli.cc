@@ -131,8 +131,8 @@ int Usage() {
       "scorer shards instead — the drained CSV is byte-identical to the\n"
       "single-scorer path (the CI serve-smoke job diffs them). --metrics\n"
       "prints serving counters and latency percentiles to stderr; without\n"
-      "--shards it also prints the rows and nodes re-computed over the\n"
-      "whole stream.\n"
+      "--shards it also prints the rows, nodes and structure-residual\n"
+      "terms re-computed over the whole stream.\n"
       "\n"
       "<path|name> is a registered dataset name (umgad_cli list), a graph\n"
       "file in either format, or a raw edge list (src dst [relation] per\n"
@@ -663,6 +663,7 @@ int CmdServe(const CliArgs& args) {
   // update's work counts after each one gives the replay's total work.
   int64_t total_dirty_rows = 0;
   int64_t total_rescored_nodes = 0;
+  int64_t total_residual_terms = 0;
   if (!args.stream.empty()) {
     WallTimer timer;
     const int64_t applied =
@@ -671,6 +672,7 @@ int CmdServe(const CliArgs& args) {
           if (status.ok()) {
             total_dirty_rows += (*scorer)->stats().last_dirty_rows;
             total_rescored_nodes += (*scorer)->stats().last_rescored_nodes;
+            total_residual_terms += (*scorer)->stats().last_residual_terms;
           }
           return status;
         });
@@ -685,9 +687,11 @@ int CmdServe(const CliArgs& args) {
     const serve::ServeStats& stats = (*scorer)->stats();
     std::cerr << "scorer: updates=" << stats.updates_applied
               << " last_dirty_rows=" << stats.last_dirty_rows
-              << " last_rescored_nodes=" << stats.last_rescored_nodes << "\n";
+              << " last_rescored_nodes=" << stats.last_rescored_nodes
+              << " last_residual_terms=" << stats.last_residual_terms << "\n";
     std::cerr << "scorer totals: dirty_rows=" << total_dirty_rows
-              << " rescored_nodes=" << total_rescored_nodes << "\n";
+              << " rescored_nodes=" << total_rescored_nodes
+              << " residual_terms=" << total_residual_terms << "\n";
     std::cerr << KernelSummaryLine() << "\n";
   }
 
