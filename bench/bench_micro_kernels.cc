@@ -14,6 +14,8 @@
 #include "common/thread_pool.h"
 #include "core/threshold.h"
 #include "eval/metrics.h"
+#include "graph/datasets.h"
+#include "graph/graph_ops.h"
 #include "graph/random_walk.h"
 #include "nn/gcn.h"
 #include "nn/loss.h"
@@ -296,6 +298,24 @@ BENCHMARK(BM_EdgeSoftmaxBackward)
     ->Args({16000, 1})
     ->Args({16000, 4})
     ->UseRealTime();
+
+// One perturbed operator as a training epoch builds it K x R times per
+// view (core/views.cc): a 30% edge mask drawn from a relation, then the
+// GCN normalisation of what remains. The relation is Amazon's U-S-U layer
+// (1,194 nodes, 66,632 undirected edges), the densest layer of the
+// edge-bound fit-dense workload. Both steps write their CSR straight from
+// the parent's sorted rows.
+void BM_PerturbedOperator(benchmark::State& state) {
+  const MultiplexGraph graph = MakeAmazon(1);
+  const SparseMatrix& adj = graph.layer(1);
+  Rng rng(41);
+  for (auto _ : state) {
+    EdgeMask mask = SampleEdgeMask(adj, 0.3, &rng);
+    benchmark::DoNotOptimize(mask.remaining.NormalizedWithSelfLoops());
+  }
+  state.SetItemsProcessed(state.iterations() * adj.nnz());
+}
+BENCHMARK(BM_PerturbedOperator);
 
 // Per-loss forward+backward steps on the arena tape (Tape::Reset between
 // steps), with the allocator-traffic counter from BM_TapeTrainStep. Args

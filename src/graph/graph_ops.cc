@@ -45,34 +45,25 @@ EdgeMask SampleEdgeMask(const SparseMatrix& adj, double ratio, Rng* rng) {
 
 SparseMatrix RemoveEdges(const SparseMatrix& adj,
                          const std::vector<Edge>& edges) {
-  // Hash of undirected pairs to drop.
-  std::unordered_set<int64_t> drop;
-  drop.reserve(edges.size() * 2);
-  const int64_t n = adj.rows();
-  auto key = [n](int a, int b) { return static_cast<int64_t>(a) * n + b; };
-  for (const Edge& e : edges) {
-    drop.insert(key(e.src, e.dst));
-    drop.insert(key(e.dst, e.src));
-  }
-
-  std::vector<int> rows;
-  std::vector<int> cols;
-  std::vector<float> vals;
-  rows.reserve(adj.nnz());
-  cols.reserve(adj.nnz());
-  vals.reserve(adj.nnz());
+  // Mark the stored position of each direction by binary search in its
+  // sorted row; an absent pair marks nothing, a duplicate marks the same
+  // position again.
   const auto& rp = adj.row_ptr();
-  const auto& ci = adj.col_idx();
-  const auto& v = adj.values();
-  for (int i = 0; i < adj.rows(); ++i) {
-    for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-      if (drop.count(key(i, ci[k])) > 0) continue;
-      rows.push_back(i);
-      cols.push_back(ci[k]);
-      vals.push_back(v[k]);
-    }
+  const int* ci = adj.col_idx().data();
+  std::vector<char> drop(adj.nnz(), 0);
+  auto mark = [&](int i, int j) {
+    const int* begin = ci + rp[i];
+    const int* end = ci + rp[i + 1];
+    const int* it = std::lower_bound(begin, end, j);
+    if (it != end && *it == j) drop[it - ci] = 1;
+  };
+  for (const Edge& e : edges) {
+    UMGAD_CHECK(e.src >= 0 && e.src < adj.rows() && e.dst >= 0 &&
+                e.dst < adj.rows());
+    mark(e.src, e.dst);
+    mark(e.dst, e.src);
   }
-  return SparseMatrix::FromCoo(adj.rows(), adj.cols(), rows, cols, vals);
+  return adj.WithoutEntries(drop);
 }
 
 EdgeMask RemoveIncidentEdges(const SparseMatrix& adj,
@@ -84,26 +75,18 @@ EdgeMask RemoveIncidentEdges(const SparseMatrix& adj,
   }
 
   EdgeMask mask;
-  std::vector<int> rows;
-  std::vector<int> cols;
-  std::vector<float> vals;
+  std::vector<char> drop(adj.nnz(), 0);
   const auto& rp = adj.row_ptr();
   const auto& ci = adj.col_idx();
-  const auto& v = adj.values();
   for (int i = 0; i < adj.rows(); ++i) {
     for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
       const int j = ci[k];
-      if (in_set[i] || in_set[j]) {
-        if (i <= j) mask.masked.push_back(Edge{i, j});
-        continue;
-      }
-      rows.push_back(i);
-      cols.push_back(j);
-      vals.push_back(v[k]);
+      if (!in_set[i] && !in_set[j]) continue;
+      if (i <= j) mask.masked.push_back(Edge{i, j});
+      drop[k] = 1;
     }
   }
-  mask.remaining =
-      SparseMatrix::FromCoo(adj.rows(), adj.cols(), rows, cols, vals);
+  mask.remaining = adj.WithoutEntries(drop);
   return mask;
 }
 

@@ -28,16 +28,22 @@ struct EdgeMask {
 
 /// Uniformly mask `ratio` of the undirected edges of `adj` (self loops are
 /// never masked). Matches the paper's uniform random sampling without
-/// replacement.
+/// replacement. `remaining` is built by RemoveEdges.
 EdgeMask SampleEdgeMask(const SparseMatrix& adj, double ratio, Rng* rng);
 
 /// Remove the given undirected edges (and their reverses) from `adj`.
+/// Edges absent from `adj` are ignored, duplicates remove once, and (i, i)
+/// removes the self loop; both endpoints must be rows of `adj`. Each
+/// direction is found by binary search in its sorted row, and the result
+/// is filtered from the parent's CSR in order (SparseMatrix::
+/// WithoutEntries), so no entry is re-sorted and no value changes.
 SparseMatrix RemoveEdges(const SparseMatrix& adj,
                          const std::vector<Edge>& edges);
 
 /// Remove every edge incident to a node in `nodes` (subgraph masking for
-/// the subgraph-level augmented view). Returns the remaining adjacency and
-/// the list of removed undirected edges.
+/// the subgraph-level augmented view). Returns the remaining adjacency,
+/// filtered from the parent's CSR like RemoveEdges, and the removed
+/// undirected edges as one (i <= j) record per pair, in row-major order.
 EdgeMask RemoveIncidentEdges(const SparseMatrix& adj,
                              const std::vector<int>& nodes);
 

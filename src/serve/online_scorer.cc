@@ -208,6 +208,13 @@ struct ChainDirty {
   std::vector<int> embed;  // rows of the embed stage
   std::vector<int> final;  // rows of the last stage
   int64_t rows = 0;        // rows over every stage
+
+  /// Empties the fronts and keeps their buffers for the next update.
+  void Clear() {
+    embed.clear();
+    final.clear();
+    rows = 0;
+  }
 };
 
 /// Dedup set for dirty-set accumulation. The marks live across updates and
@@ -298,16 +305,23 @@ struct OnlineScorer::Impl {
   std::vector<int> slab_node;
   int slots_per_row = 0;  // num_score_negatives (0 when negative)
   EngineState state;
-  // ApplyBatch's dirty sets, sized once: s_norm/endpoints per relation
-  // (see ApplyBatch), `front` for one stage of an update sweep (only
-  // ApplyBatch's sweeps touch it), `embed_moved` for the embedding rows one
+  // ApplyBatch's dirty sets and fronts, sized once and cleared per call,
+  // so an update allocates nothing once their buffers have grown:
+  // s_norm/endpoints per relation (see ApplyBatch), the swept chains'
+  // fronts per [view][relation] (`attr_dirty`, `struct_dirty`), `front`,
+  // `sweep_cur` and `sweep_next` for the stages of one update sweep (only
+  // ApplyBatch's sweeps touch them), `embed_moved` for the embedding rows one
   // (view, relation)'s sweep changed, `rescore` for that pair's residuals,
   // `moved` for one view's changed columns, and `changed` for the owned
   // nodes any view re-scored since TakeChangedNodes (sized only when
   // component_only; the flat scorer records nothing).
   std::vector<NodeSet> s_norm;
   std::vector<NodeSet> endpoints;
+  std::vector<std::vector<ChainDirty>> attr_dirty;
+  std::vector<std::vector<ChainDirty>> struct_dirty;
   mutable NodeSet front;
+  mutable std::vector<int> sweep_cur;
+  mutable std::vector<int> sweep_next;
   NodeSet embed_moved;
   NodeSet rescore;
   NodeSet moved;
@@ -459,8 +473,12 @@ void OnlineScorer::Impl::SweepChain(const ChainPlan& plan, ChainState& cs,
       for (int i : rows) fn(i);
     }
   };
-  std::vector<int> cur;  // the previous stage's dirty rows
-  std::vector<int> next;
+  std::vector<int>& cur = sweep_cur;  // the previous stage's dirty rows
+  std::vector<int>& next = sweep_next;
+  if (dirty != nullptr) {
+    cur.clear();
+    next.clear();
+  }
   for (int s = 0; s < static_cast<int>(plan.stages.size()); ++s) {
     const StageKind kind = plan.stages[s].kind;
     if (dirty != nullptr) {
@@ -494,7 +512,7 @@ void OnlineScorer::Impl::SweepChain(const ChainPlan& plan, ChainState& cs,
       cur.swap(next);
     }
   }
-  if (dirty != nullptr) dirty->final = std::move(cur);
+  if (dirty != nullptr) dirty->final.swap(cur);
 }
 
 void OnlineScorer::Impl::DrawNegatives(int view, int rel, int node,
@@ -774,10 +792,12 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
   int64_t dirty_rows = 0;
   int64_t rescored = 0;
   int64_t residual_terms = 0;
-  std::vector<std::vector<ChainDirty>> attr_dirty(
-      plans.size(), std::vector<ChainDirty>(r_count));
-  std::vector<std::vector<ChainDirty>> struct_dirty(
-      plans.size(), std::vector<ChainDirty>(r_count));
+  for (size_t w = 0; w < plans.size(); ++w) {
+    for (int rel = 0; rel < r_count; ++rel) {
+      attr_dirty[w][rel].Clear();
+      struct_dirty[w][rel].Clear();
+    }
+  }
   for (size_t w = 0; w < plans.size(); ++w) {
     const ViewPlan& vp = plans[w];
     ViewState& vs = state.views[w];
@@ -978,6 +998,9 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
   }
   impl.s_norm.assign(impl.r_count, NodeSet(impl.n));
   impl.endpoints.assign(impl.r_count, NodeSet(impl.n));
+  impl.attr_dirty.assign(impl.plans.size(),
+                         std::vector<ChainDirty>(impl.r_count));
+  impl.struct_dirty = impl.attr_dirty;
   impl.front = NodeSet(impl.n);
   impl.embed_moved = NodeSet(impl.n);
   impl.rescore = NodeSet(impl.n);

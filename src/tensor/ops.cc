@@ -1282,17 +1282,44 @@ void EdgeSoftmaxBackward(const SparseMatrix& adj, float slope,
     const int64_t end = row_ptr[i + 1];
     if (begin == end) return;
     const float* grow = g.row(i);
-    // dalpha_k = <g_i, h_{j_k}>, then softmax backward.
-    double weighted = 0.0;
-    for (int64_t k = begin; k < end; ++k) {
+    // dalpha_k = <g_i, h_{j_k}>, four edges at a time so the four sums
+    // are independent addition chains instead of one long dependent one.
+    // Each sum still runs in ascending j over float x float products,
+    // which are exact in double, so the bits match the one-edge loop
+    // whether or not the compiler contracts the multiply-add.
+    int64_t k = begin;
+    for (; k + 4 <= end; k += 4) {
+      const float* h0 = hv.row(cols[k]);
+      const float* h1 = hv.row(cols[k + 1]);
+      const float* h2 = hv.row(cols[k + 2]);
+      const float* h3 = hv.row(cols[k + 3]);
+      double acc0 = 0.0;
+      double acc1 = 0.0;
+      double acc2 = 0.0;
+      double acc3 = 0.0;
+      for (int j = 0; j < d; ++j) {
+        const double gj = grow[j];
+        acc0 += gj * h0[j];
+        acc1 += gj * h1[j];
+        acc2 += gj * h2[j];
+        acc3 += gj * h3[j];
+      }
+      dz[k] = acc0;
+      dz[k + 1] = acc1;
+      dz[k + 2] = acc2;
+      dz[k + 3] = acc3;
+    }
+    for (; k < end; ++k) {
       const float* hj = hv.row(cols[k]);
       double acc = 0.0;
       for (int j = 0; j < d; ++j) {
         acc += static_cast<double>(grow[j]) * hj[j];
       }
       dz[k] = acc;
-      weighted += alpha[k] * acc;
     }
+    // Then the softmax backward, with `weighted` summed in ascending k.
+    double weighted = 0.0;
+    for (k = begin; k < end; ++k) weighted += alpha[k] * dz[k];
     double dsi = 0.0;
     for (int64_t k = begin; k < end; ++k) {
       const double de = alpha[k] * (dz[k] - weighted);

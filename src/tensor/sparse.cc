@@ -409,29 +409,76 @@ std::vector<double> SparseMatrix::RowSums() const {
 SparseMatrix SparseMatrix::NormalizedWithSelfLoops() const {
   UMGAD_CHECK_EQ(rows_, cols_);
   const int n = rows_;
-  // Degrees of (S + I).
-  std::vector<double> deg = RowSums();
-  for (int i = 0; i < n; ++i) deg[i] += 1.0;
-
-  std::vector<int> r;
-  std::vector<int> c;
-  std::vector<float> v;
-  r.reserve(nnz() + n);
-  c.reserve(nnz() + n);
-  v.reserve(nnz() + n);
-  auto inv_sqrt = [&](int i) { return 1.0 / std::sqrt(deg[i]); };
+  // 1 / sqrt of the degrees of (S + I).
+  std::vector<double> inv_sqrt = RowSums();
   for (int i = 0; i < n; ++i) {
+    inv_sqrt[i] = 1.0 / std::sqrt(inv_sqrt[i] + 1.0);
+  }
+
+  // Each row is already sorted, so the output is written in place: the
+  // self loop goes before the first column above i, or is added onto an
+  // existing (i, i) entry — the same float sum a COO duplicate merge makes.
+  SparseMatrix m;
+  m.rows_ = n;
+  m.cols_ = n;
+  m.row_ptr_store_.assign(n + 1, 0);
+  m.col_idx_store_.resize(nnz() + n);
+  m.values_store_.resize(nnz() + n);
+  int* out_col = m.col_idx_store_.data();
+  float* out_val = m.values_store_.data();
+  int64_t w = 0;
+  for (int i = 0; i < n; ++i) {
+    const float self = static_cast<float>(inv_sqrt[i] * inv_sqrt[i]);
+    bool placed = false;
     for (int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       const int j = col_idx_[k];
-      r.push_back(i);
-      c.push_back(j);
-      v.push_back(static_cast<float>(values_[k] * inv_sqrt(i) * inv_sqrt(j)));
+      float v = static_cast<float>(values_[k] * inv_sqrt[i] * inv_sqrt[j]);
+      if (!placed && j >= i) {
+        placed = true;
+        if (j == i) {
+          v += self;
+        } else {
+          out_col[w] = i;
+          out_val[w++] = self;
+        }
+      }
+      out_col[w] = j;
+      out_val[w++] = v;
     }
-    r.push_back(i);
-    c.push_back(i);
-    v.push_back(static_cast<float>(inv_sqrt(i) * inv_sqrt(i)));
+    if (!placed) {
+      out_col[w] = i;
+      out_val[w++] = self;
+    }
+    m.row_ptr_store_[i + 1] = w;
   }
-  return FromCoo(n, n, r, c, v);
+  m.col_idx_store_.resize(w);
+  m.values_store_.resize(w);
+  m.SyncSpans();
+  return m;
+}
+
+SparseMatrix SparseMatrix::WithoutEntries(const std::vector<char>& drop) const {
+  UMGAD_CHECK_EQ(static_cast<int64_t>(drop.size()), nnz());
+  SparseMatrix m;
+  m.rows_ = rows_;
+  m.cols_ = cols_;
+  m.row_ptr_store_.assign(rows_ + 1, 0);
+  const int64_t kept =
+      nnz() - std::count_if(drop.begin(), drop.end(),
+                            [](char flag) { return flag != 0; });
+  m.col_idx_store_.resize(kept);
+  m.values_store_.resize(kept);
+  int64_t w = 0;
+  for (int i = 0; i < rows_; ++i) {
+    for (int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+      if (drop[k]) continue;
+      m.col_idx_store_[w] = col_idx_[k];
+      m.values_store_[w++] = values_[k];
+    }
+    m.row_ptr_store_[i + 1] = w;
+  }
+  m.SyncSpans();
+  return m;
 }
 
 SparseMatrix SparseMatrix::RowNormalized() const {

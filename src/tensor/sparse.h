@@ -217,6 +217,12 @@ class SparseMatrix {
   /// The standard GCN propagation operator.
   SparseMatrix NormalizedWithSelfLoops() const;
 
+  /// This matrix without the stored entries whose `drop` flag (one per
+  /// stored entry, CSR order) is nonzero. The kept entries stay in their
+  /// sorted order, so the result is written straight from the rows without
+  /// a sort; graph perturbations (edge and subgraph masking) build on it.
+  SparseMatrix WithoutEntries(const std::vector<char>& drop) const;
+
   /// Row-stochastic normalisation D^{-1} S (used by RWR and some baselines).
   SparseMatrix RowNormalized() const;
 

@@ -1,4 +1,10 @@
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
@@ -159,6 +165,205 @@ TEST(GraphOpsTest, RemoveIncidentEdges) {
   EXPECT_FALSE(mask.remaining.Has(1, 2));
   EXPECT_TRUE(mask.remaining.Has(3, 4));
   EXPECT_EQ(mask.masked.size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// CSR builder oracle: RemoveEdges, RemoveIncidentEdges and
+// NormalizedWithSelfLoops write their CSR straight from the parent's sorted
+// rows. The reference below is the construction they replaced — COO
+// triplets through SparseMatrix::FromCoo — and every output must match it
+// in row_ptr, col_idx and value bits.
+// ---------------------------------------------------------------------------
+
+SparseMatrix RemoveEdgesViaCoo(const SparseMatrix& adj,
+                               const std::vector<Edge>& edges) {
+  std::unordered_set<int64_t> drop;
+  const int64_t n = adj.rows();
+  auto key = [n](int a, int b) { return static_cast<int64_t>(a) * n + b; };
+  for (const Edge& e : edges) {
+    drop.insert(key(e.src, e.dst));
+    drop.insert(key(e.dst, e.src));
+  }
+  std::vector<int> rows;
+  std::vector<int> cols;
+  std::vector<float> vals;
+  for (int i = 0; i < adj.rows(); ++i) {
+    for (int64_t k = adj.row_ptr()[i]; k < adj.row_ptr()[i + 1]; ++k) {
+      if (drop.count(key(i, adj.col_idx()[k])) > 0) continue;
+      rows.push_back(i);
+      cols.push_back(adj.col_idx()[k]);
+      vals.push_back(adj.values()[k]);
+    }
+  }
+  return SparseMatrix::FromCoo(adj.rows(), adj.cols(), rows, cols, vals);
+}
+
+EdgeMask RemoveIncidentEdgesViaCoo(const SparseMatrix& adj,
+                                   const std::vector<int>& nodes) {
+  std::vector<char> in_set(adj.rows(), 0);
+  for (int v : nodes) in_set[v] = 1;
+  EdgeMask mask;
+  std::vector<int> rows;
+  std::vector<int> cols;
+  std::vector<float> vals;
+  for (int i = 0; i < adj.rows(); ++i) {
+    for (int64_t k = adj.row_ptr()[i]; k < adj.row_ptr()[i + 1]; ++k) {
+      const int j = adj.col_idx()[k];
+      if (in_set[i] || in_set[j]) {
+        if (i <= j) mask.masked.push_back(Edge{i, j});
+        continue;
+      }
+      rows.push_back(i);
+      cols.push_back(j);
+      vals.push_back(adj.values()[k]);
+    }
+  }
+  mask.remaining =
+      SparseMatrix::FromCoo(adj.rows(), adj.cols(), rows, cols, vals);
+  return mask;
+}
+
+SparseMatrix NormalizedViaCoo(const SparseMatrix& adj) {
+  const int n = adj.rows();
+  std::vector<double> deg = adj.RowSums();
+  for (int i = 0; i < n; ++i) deg[i] += 1.0;
+  auto inv_sqrt = [&](int i) { return 1.0 / std::sqrt(deg[i]); };
+  std::vector<int> rows;
+  std::vector<int> cols;
+  std::vector<float> vals;
+  for (int i = 0; i < n; ++i) {
+    for (int64_t k = adj.row_ptr()[i]; k < adj.row_ptr()[i + 1]; ++k) {
+      const int j = adj.col_idx()[k];
+      rows.push_back(i);
+      cols.push_back(j);
+      vals.push_back(static_cast<float>(adj.values()[k] * inv_sqrt(i) *
+                                        inv_sqrt(j)));
+    }
+    rows.push_back(i);
+    cols.push_back(i);
+    vals.push_back(static_cast<float>(inv_sqrt(i) * inv_sqrt(i)));
+  }
+  return SparseMatrix::FromCoo(n, n, rows, cols, vals);
+}
+
+void ExpectSameCsr(const SparseMatrix& got, const SparseMatrix& want,
+                   const std::string& label) {
+  ASSERT_EQ(got.rows(), want.rows()) << label;
+  ASSERT_EQ(got.cols(), want.cols()) << label;
+  ASSERT_EQ(got.nnz(), want.nnz()) << label;
+  for (int i = 0; i <= got.rows(); ++i) {
+    ASSERT_EQ(got.row_ptr()[i], want.row_ptr()[i]) << label << " row " << i;
+  }
+  for (int64_t k = 0; k < got.nnz(); ++k) {
+    ASSERT_EQ(got.col_idx()[k], want.col_idx()[k]) << label << " entry " << k;
+    uint32_t a = 0;
+    uint32_t b = 0;
+    std::memcpy(&a, &got.values()[k], sizeof a);
+    std::memcpy(&b, &want.values()[k], sizeof b);
+    ASSERT_EQ(a, b) << label << " value bits of entry " << k;
+  }
+}
+
+/// A random weighted square matrix whose row i has exactly i % 10 stored
+/// entries (so every degree 0..9 occurs), about a third of them self
+/// loops where the row has any, and nodes i % 10 == 0 fully isolated (no
+/// row lists them). `symmetric` adds every entry's reverse, summing the
+/// weights of pairs drawn both ways.
+SparseMatrix RandomWeightedGraph(int n, uint64_t seed, bool symmetric) {
+  Rng rng(seed);
+  std::vector<int> rows;
+  std::vector<int> cols;
+  std::vector<float> vals;
+  for (int i = 0; i < n; ++i) {
+    const int degree = i % 10;
+    std::vector<int> picked;
+    if (degree > 0 && rng.UniformInt(3) == 0) picked.push_back(i);
+    while (static_cast<int>(picked.size()) < degree) {
+      const int j = static_cast<int>(rng.UniformInt(n));
+      if (j % 10 == 0) continue;
+      if (std::find(picked.begin(), picked.end(), j) != picked.end()) continue;
+      picked.push_back(j);
+    }
+    for (int j : picked) {
+      const float w = static_cast<float>(0.25 + rng.Uniform() * 2.0);
+      rows.push_back(i);
+      cols.push_back(j);
+      vals.push_back(w);
+      if (symmetric && j != i) {
+        rows.push_back(j);
+        cols.push_back(i);
+        vals.push_back(w);
+      }
+    }
+  }
+  return SparseMatrix::FromCoo(n, n, rows, cols, vals);
+}
+
+TEST(GraphOpsTest, FilteredOperatorsMatchCooConstruction) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    for (bool symmetric : {false, true}) {
+      const int n = 40 + static_cast<int>(seed) * 7;
+      const SparseMatrix adj = RandomWeightedGraph(n, seed, symmetric);
+      const std::string tag = "seed " + std::to_string(seed) +
+                              (symmetric ? " symmetric" : " directed");
+      Rng rng(seed * 1000 + 17);
+      int self_loops = 0;
+      for (int i = 0; i < n; ++i) self_loops += adj.Has(i, i) ? 1 : 0;
+      ASSERT_GT(self_loops, 0) << tag;
+
+      // Removal list: stored entries in both orientations, absent pairs,
+      // duplicates, and (i, i) for nodes with and without a self loop.
+      std::vector<Edge> removal;
+      const std::vector<Edge> stored = adj.ToEdges();
+      for (int k = 0; k < n / 2; ++k) {
+        const Edge e = stored[rng.UniformInt(stored.size())];
+        removal.push_back(rng.UniformInt(2) == 0 ? e : Edge{e.dst, e.src});
+        const int a = static_cast<int>(rng.UniformInt(n));
+        const int b = static_cast<int>(rng.UniformInt(n));
+        removal.push_back(Edge{a, b});
+        if (k % 3 == 0) {
+          removal.push_back(removal[rng.UniformInt(removal.size())]);
+        }
+        if (k % 4 == 0) removal.push_back(Edge{a, a});
+      }
+      ExpectSameCsr(RemoveEdges(adj, removal), RemoveEdgesViaCoo(adj, removal),
+                    tag + " RemoveEdges");
+      ExpectSameCsr(RemoveEdges(adj, {}), adj, tag + " RemoveEdges(none)");
+      ExpectSameCsr(RemoveEdges(adj, stored), RemoveEdgesViaCoo(adj, stored),
+                    tag + " RemoveEdges(all)");
+
+      // Incident removal: isolated nodes, duplicates, and an empty list.
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<int> nodes;
+        for (int k = 0; k < trial * n / 4; ++k) {
+          nodes.push_back(static_cast<int>(rng.UniformInt(n)));
+          if (k % 5 == 0) nodes.push_back(nodes.back());
+        }
+        const EdgeMask got = RemoveIncidentEdges(adj, nodes);
+        const EdgeMask want = RemoveIncidentEdgesViaCoo(adj, nodes);
+        const std::string label =
+            tag + " RemoveIncidentEdges trial " + std::to_string(trial);
+        ExpectSameCsr(got.remaining, want.remaining, label);
+        ASSERT_EQ(got.masked.size(), want.masked.size()) << label;
+        for (size_t k = 0; k < got.masked.size(); ++k) {
+          EXPECT_EQ(got.masked[k].src, want.masked[k].src) << label;
+          EXPECT_EQ(got.masked[k].dst, want.masked[k].dst) << label;
+        }
+        ExpectSameCsr(got.remaining.NormalizedWithSelfLoops(),
+                      NormalizedViaCoo(want.remaining),
+                      label + " normalized");
+      }
+
+      ExpectSameCsr(adj.NormalizedWithSelfLoops(), NormalizedViaCoo(adj),
+                    tag + " NormalizedWithSelfLoops");
+      const EdgeMask masked = SampleEdgeMask(adj, 0.3, &rng);
+      ExpectSameCsr(masked.remaining, RemoveEdgesViaCoo(adj, masked.masked),
+                    tag + " SampleEdgeMask");
+      ExpectSameCsr(masked.remaining.NormalizedWithSelfLoops(),
+                    NormalizedViaCoo(masked.remaining),
+                    tag + " SampleEdgeMask normalized");
+    }
+  }
 }
 
 TEST(GraphOpsTest, KHopNeighborhood) {

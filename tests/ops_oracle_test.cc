@@ -5,6 +5,7 @@
 // acceptance tests of the "no float may change" contract: every comparison
 // is MaxAbsDiff == 0, never a tolerance.
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -231,8 +232,33 @@ TEST(DualContrastiveOracleTest, SkewedNegativesShareOneRow) {
 struct GatShape {
   int n;
   int d;
+  /// Random pairs, or 0 for the degree ladder: row i holds i % 10
+  /// distinct columns and no self loop is added, so every degree 0..9
+  /// occurs and the backward's four-edge blocks, their tails and rows
+  /// shorter than a block all run.
   int edges;
 };
+
+SparseMatrix DegreeLadderAdj(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int> rows;
+  std::vector<int> cols;
+  for (int i = 0; i < n; ++i) {
+    std::vector<int> picked;
+    while (static_cast<int>(picked.size()) < i % 10) {
+      const int j = static_cast<int>(rng.UniformInt(n));
+      if (std::find(picked.begin(), picked.end(), j) == picked.end()) {
+        picked.push_back(j);
+      }
+    }
+    for (int j : picked) {
+      rows.push_back(i);
+      cols.push_back(j);
+    }
+  }
+  return SparseMatrix::FromCoo(n, n, rows, cols,
+                               std::vector<float>(rows.size(), 1.0f));
+}
 
 class GatAttentionOracle : public ::testing::TestWithParam<GatShape> {};
 
@@ -241,7 +267,9 @@ TEST_P(GatAttentionOracle, BitIdenticalToNaive) {
   const int n = shape.n;
   const int d = shape.d;
   auto adj = std::make_shared<const SparseMatrix>(
-      RandomAdj(n, shape.edges, 53).NormalizedWithSelfLoops());
+      shape.edges == 0
+          ? DegreeLadderAdj(n, 53)
+          : RandomAdj(n, shape.edges, 53).NormalizedWithSelfLoops());
   Tensor h = Rand(n, d, 59, 0.5);
   Tensor a_src = Rand(1, d, 61, 0.5);
   Tensor a_dst = Rand(1, d, 67, 0.5);
@@ -267,7 +295,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GatShape{5, 3, 8},       // tiny
                       GatShape{300, 32, 1200},  // crosses the row grain
                       GatShape{600, 24, 300},   // mostly isolated nodes
-                      GatShape{1000, 48, 4000}));
+                      GatShape{1000, 48, 4000},
+                      GatShape{300, 7, 0}));  // degrees 0-9, odd d
 
 TEST(GatAttentionOracleTest, ConstantFeaturesSkipDh) {
   // h as a Constant: io.dh == nullptr inside the backward kernels; only the
