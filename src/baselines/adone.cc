@@ -35,10 +35,11 @@ class Adone : public BaselineBase {
     ag::VarPtr struct_recon;
     Train(ParametersOf({&attr_enc, &attr_dec, &struct_enc, &struct_dec}),
           kBaselineEpochs, [&] {
-            za = ag::Relu(attr_enc.Forward(ag::Constant(x)));
-            zs = ag::Relu(struct_enc.Forward(ag::Constant(structure_signal)));
-            attr_recon = attr_dec.Forward(za);
-            struct_recon = struct_dec.Forward(zs);
+            za = ag::Retain(ag::Relu(attr_enc.Forward(ag::Constant(x))));
+            zs = ag::Retain(
+                ag::Relu(struct_enc.Forward(ag::Constant(structure_signal))));
+            attr_recon = ag::Retain(attr_dec.Forward(za));
+            struct_recon = ag::Retain(struct_dec.Forward(zs));
             ag::VarPtr align = ag::MseLoss(za, zs->value());
             return ag::AddN({ag::MseLoss(attr_recon, x),
                              ag::MseLoss(struct_recon, structure_signal),

@@ -32,8 +32,8 @@ class AnomalyDae : public BaselineBase {
     ag::VarPtr h;
     ag::VarPtr recon;
     Train(ParametersOf({&struct_enc, &attr_dec}), kBaselineEpochs, [&] {
-      h = struct_enc.Forward(view.norm, ag::Constant(x));
-      recon = attr_dec.Forward(h);
+      h = ag::Retain(struct_enc.Forward(view.norm, ag::Constant(x)));
+      recon = ag::Retain(attr_dec.Forward(h));
       return ag::Add(SampledEdgeBce(h, edges, &rng_), ag::MseLoss(recon, x));
     });
 

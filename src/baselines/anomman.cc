@@ -48,10 +48,11 @@ class AnomMan : public BaselineBase {
     Train(std::move(params), kBaselineEpochs, [&] {
       std::vector<ag::VarPtr> recons;
       for (int r = 0; r < r_count; ++r) {
-        embeddings[r] = encoders[r]->Forward(norms[r], ag::Constant(x));
+        embeddings[r] =
+            ag::Retain(encoders[r]->Forward(norms[r], ag::Constant(x)));
         recons.push_back(decoders[r]->Forward(norms[r], embeddings[r]));
       }
-      fused = ag::SimplexWeightedSum(recons, attn_logits);
+      fused = ag::Retain(ag::SimplexWeightedSum(recons, attn_logits));
       return ag::MseLoss(fused, x);
     });
 

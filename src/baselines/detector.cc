@@ -38,7 +38,7 @@ std::vector<double> BaselineBase::AutoencoderResidual(
                   &rng_);
   ag::VarPtr recon;
   Train(ParametersOf({&enc, &dec}), epochs, [&] {
-    recon = dec.Forward(op, enc.Forward(op, ag::Constant(x)));
+    recon = ag::Retain(dec.Forward(op, enc.Forward(op, ag::Constant(x))));
     return ag::MseLoss(recon, x);
   });
   return RowL2(recon->value(), x);

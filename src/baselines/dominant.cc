@@ -28,8 +28,8 @@ class Dominant : public BaselineBase {
     ag::VarPtr h;
     ag::VarPtr recon;
     Train(ParametersOf({&enc, &dec}), kBaselineEpochs, [&] {
-      h = enc.Forward(view.norm, ag::Constant(x));
-      recon = dec.Forward(view.norm, h);
+      h = ag::Retain(enc.Forward(view.norm, ag::Constant(x)));
+      recon = ag::Retain(dec.Forward(view.norm, h));
       ag::VarPtr struct_loss = SampledEdgeBce(h, edges, &rng_);
       return ag::Add(ag::ScalarMul(ag::MseLoss(recon, x), 0.8f),
                      ag::ScalarMul(struct_loss, 0.2f));

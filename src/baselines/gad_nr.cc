@@ -41,9 +41,9 @@ class GadNr : public BaselineBase {
     Train(ParametersOf({&enc, &self_dec, &degree_dec, &nbr_dec}),
           kBaselineEpochs, [&] {
             ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
-            self_recon = self_dec.Forward(h);
-            degree_recon = degree_dec.Forward(h);
-            nbr_recon = nbr_dec.Forward(h);
+            self_recon = ag::Retain(self_dec.Forward(h));
+            degree_recon = ag::Retain(degree_dec.Forward(h));
+            nbr_recon = ag::Retain(nbr_dec.Forward(h));
             return ag::AddN({ag::MseLoss(self_recon, x),
                              ag::MseLoss(degree_recon, log_degree),
                              ag::MseLoss(nbr_recon, nbr_mean)});

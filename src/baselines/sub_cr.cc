@@ -37,7 +37,7 @@ class SubCr : public BaselineBase {
       ag::VarPtr global_all = ag::Spmm(view.norm, ag::Spmm(view.norm, h));
       ag::VarPtr global = ag::GatherRows(global_all, batch);
       std::vector<int> perm = rng_.Permutation(static_cast<int>(batch.size()));
-      recon = dec.Forward(view.norm, h);
+      recon = ag::Retain(dec.Forward(view.norm, h));
       std::vector<ag::VarPtr> terms = ContrastTerms(hb, local, perm);
       for (ag::VarPtr& t : ContrastTerms(hb, global, perm)) terms.push_back(t);
       terms.push_back(ag::ScalarMul(ag::MseLoss(recon, x), 2.0f));

@@ -47,7 +47,7 @@ class Vgod : public BaselineBase {
     nn::Linear dec(bottleneck, view.f, &rng_);
     ag::VarPtr recon;
     Train(ParametersOf({&enc, &dec}), kBaselineEpochs, [&] {
-      recon = dec.Forward(ag::Relu(enc.Forward(ag::Constant(x))));
+      recon = ag::Retain(dec.Forward(ag::Relu(enc.Forward(ag::Constant(x)))));
       return ag::MseLoss(recon, x);
     });
     std::vector<double> attr_err = RowL2(recon->value(), x);

@@ -30,12 +30,19 @@ SgcConv::SgcConv(int in_dim, int out_dim, int hops, Activation act, Rng* rng)
 
 ag::VarPtr SgcConv::Forward(std::shared_ptr<const SparseMatrix> norm_adj,
                             const ag::VarPtr& x) const {
+  // The MatMul and Spmm outputs are read by nothing but the next op's
+  // forward: the Spmm and AddRowBroadcast closures read no input value, and
+  // the MatMul and Spmm closures no output value. So each is dropped as soon
+  // as the op after it is built; the node keeps its shape for grad().
   ag::VarPtr h = ag::MatMul(x, weight_);
   for (int l = 0; l < hops_; ++l) {
-    h = ag::Spmm(norm_adj, h);
+    ag::VarPtr next = ag::Spmm(norm_adj, h);
+    h->mutable_value() = Tensor();
+    h = next;
   }
-  h = ag::AddRowBroadcast(h, bias_);
-  return Activate(h, act_);
+  ag::VarPtr out = ag::AddRowBroadcast(h, bias_);
+  h->mutable_value() = Tensor();
+  return Activate(out, act_);
 }
 
 }  // namespace nn

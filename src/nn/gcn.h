@@ -26,6 +26,8 @@ class SgcConv : public Module {
  public:
   SgcConv(int in_dim, int out_dim, int hops, Activation act, Rng* rng);
 
+  /// Only the returned node keeps its value: the MatMul and Spmm values
+  /// before it are dropped while the forward is built.
   ag::VarPtr Forward(std::shared_ptr<const SparseMatrix> norm_adj,
                      const ag::VarPtr& x) const;
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/span.h"
 #include "common/thread_pool.h"
 #include "core/scorer.h"
 #include "core/views.h"
@@ -349,8 +350,7 @@ struct OnlineScorer::Impl {
   void BuildMoments(EngineState* st) const;
   std::vector<ViewColumns> Columns(const EngineState& st) const;
   void FullCompute(EngineState* st, bool parallel) const;
-  Status ApplyBatch(const std::vector<EdgeUpdate>& updates,
-                    ServeStats* stats);
+  Status ApplyBatch(ConstSpan<EdgeUpdate> updates, ServeStats* stats);
 };
 
 EngineState OnlineScorer::Impl::MakeEmptyState(bool with_slots) const {
@@ -702,7 +702,7 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
   BuildMoments(st);
 }
 
-Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
+Status OnlineScorer::Impl::ApplyBatch(ConstSpan<EdgeUpdate> updates,
                                       ServeStats* stats) {
   if (updates.empty()) return Status::OK();
 
@@ -1041,7 +1041,7 @@ Result<std::vector<double>> OnlineScorer::Query(
 }
 
 Status OnlineScorer::ApplyEdgeUpdate(const EdgeUpdate& update) {
-  return impl_->ApplyBatch({update}, &stats_);
+  return impl_->ApplyBatch(ConstSpan<EdgeUpdate>(&update, 1), &stats_);
 }
 
 Status OnlineScorer::ApplyEdgeUpdates(const std::vector<EdgeUpdate>& updates) {

@@ -215,6 +215,11 @@ VarPtr PersistentConstant(Tensor value) {
                                 "const", /*persistent=*/true);
 }
 
+VarPtr Retain(const VarPtr& v) {
+  v->retained_ = true;
+  return v;
+}
+
 // ---------------------------------------------------------------------------
 // Backward: batched, order-preserving parallel sweep
 //
@@ -337,9 +342,13 @@ void Backward(const VarPtr& root) {
         if (u->requires_grad_) --u->pending_consumers_;
       }
       // An admitted node's consumers have all run, so nothing writes its
-      // gradient again: return the buffer to the pool. Leaves (no closure)
-      // and the root keep theirs; values stay, since callers read them.
-      if (v->has_backward() && v != root.get()) v->grad_ = Tensor();
+      // gradient again, and only they and its own closure read its value:
+      // return both buffers to the pool. Leaves (no closure) and the root
+      // keep theirs, and a Retain()ed node its value.
+      if (v->has_backward() && v != root.get()) {
+        v->grad_ = Tensor();
+        if (!v->retained_) v->value_ = Tensor();
+      }
     }
   }
 }

@@ -75,25 +75,34 @@ class InputList {
 /// One vertex of the reverse-mode tape: a value, the (lazily allocated)
 /// gradient accumulator, and a closure that pushes this node's gradient into
 /// its inputs' accumulators. Constructed only by Tape.
+///
+/// An op node's value may be released before the node dies: by Backward()
+/// (see there) or by a layer that knows no closure reads it (nn::SgcConv).
+/// The node keeps its shape, so grad() works on a released node.
 class Node {
  public:
   Node(Tensor value, bool requires_grad, const char* op)
-      : value_(std::move(value)), requires_grad_(requires_grad), op_(op) {}
+      : value_(std::move(value)),
+        rows_(value_.rows()),
+        cols_(value_.cols()),
+        requires_grad_(requires_grad),
+        op_(op) {}
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
+  /// Empty once released (see the class comment).
   const Tensor& value() const { return value_; }
+  /// For in-place updates of the same shape (optimisers, weight loads) and
+  /// for dropping a value no closure reads (assign an empty Tensor).
   Tensor& mutable_value() { return value_; }
 
-  /// Gradient of the loss w.r.t. this node. Zero tensor until Backward()
-  /// reaches the node. Backward() releases an op node's gradient once its
-  /// closure has run, so afterwards only leaves and the root hold one; on
-  /// an op node this returns a fresh zero tensor.
+  /// Gradient of the loss w.r.t. this node, shaped like the node's value.
+  /// Zero tensor until Backward() reaches the node. Backward() releases an
+  /// op node's gradient once its closure has run, so afterwards only leaves
+  /// and the root hold one; on an op node this returns a fresh zero tensor.
   Tensor& grad() {
-    if (grad_.empty() && value_.size() > 0) {
-      grad_ = Tensor(value_.rows(), value_.cols());
-    }
+    if (grad_.empty() && rows_ > 0 && cols_ > 0) grad_ = Tensor(rows_, cols_);
     return grad_;
   }
   bool has_grad() const { return !grad_.empty(); }
@@ -121,10 +130,14 @@ class Node {
 
  private:
   friend void Backward(const VarPtr&);
+  friend VarPtr Retain(const VarPtr&);
 
   Tensor value_;
   Tensor grad_;
+  int rows_;
+  int cols_;
   bool requires_grad_;
+  bool retained_ = false;
   const char* op_;
   Node* const* inputs_ = nullptr;
   uint32_t num_inputs_ = 0;
@@ -143,10 +156,11 @@ class Node {
 ///  - persistent: trainable leaves (Leaf / PersistentConstant). Survive
 ///    Reset(); freed only at process exit. Model parameters live here.
 ///  - transient: everything ops.cc builds during a step (op nodes and
-///    Constant leaves). Backward() returns their op gradients to the
-///    TensorPool as it goes; Reset() destroys the nodes, which returns their
-///    values (and the root's gradient), and rewinds the slabs for reuse —
-///    steady-state steps allocate no new slabs and no new tensor buffers.
+///    Constant leaves). Backward() returns their op values and gradients to
+///    the TensorPool as it goes; Reset() destroys the nodes, which returns
+///    what is left (constants, the root, Retain()ed values), and rewinds the
+///    slabs for reuse — steady-state steps allocate no new slabs and no new
+///    tensor buffers.
 ///
 /// With the arena disabled (SetArenaEnabled(false) / UMGAD_ARENA=0) nodes
 /// are individually heap-allocated and Reset() deletes them — the seed
@@ -243,16 +257,26 @@ VarPtr Constant(Tensor value);
 /// long-lived modules (e.g. frozen fusion logits).
 VarPtr PersistentConstant(Tensor value);
 
+/// Keep `v`'s value past Backward(): for op values a caller reads after the
+/// sweep (e.g. a detector scoring from the last epoch's reconstruction).
+/// Lasts until Tape::Reset() destroys the node. Returns `v`.
+VarPtr Retain(const VarPtr& v);
+
 /// Reverse-mode sweep from a scalar (1x1) root. Accumulates into the grad()
 /// of every reachable node that requires a gradient. Safe to call on graphs
 /// that share subexpressions (each node's backward runs exactly once, after
-/// all its consumers). Each op node's gradient is released to the pool as
-/// soon as its closure has run, so only leaves and the root keep theirs;
-/// values are kept. Calling it twice on one graph doubles the leaves'
-/// gradients. Independent tape segments run in parallel on the
-/// global thread pool with a schedule that preserves the serial
-/// accumulation order exactly, so gradients are bit-identical for any
-/// UMGAD_THREADS (see the scheduler notes in autograd.cc).
+/// all its consumers). Each op node's value and gradient are released to
+/// the pool as soon as its closure has run: a closure reads only its own
+/// node and its direct inputs, and a node runs only after all its
+/// consumers, so nothing later in the sweep reads them. Afterwards the root
+/// and the leaves keep their values and gradients, constants and Retain()ed
+/// nodes their values; every other op value is empty. Calling it twice on
+/// one graph doubles the leaves' gradients, provided no closure of the
+/// second sweep reads a released value (Retain() such nodes first).
+/// Independent tape segments run in parallel on the global thread pool with
+/// a schedule that preserves the serial accumulation order exactly, so
+/// gradients are bit-identical for any UMGAD_THREADS (see the scheduler
+/// notes in autograd.cc).
 void Backward(const VarPtr& root);
 
 /// Convenience: zero the gradient accumulators of a parameter set.

@@ -566,7 +566,7 @@ VarPtr ScaledCosineLoss(const VarPtr& recon, const Tensor& target,
 
   return MakeNode(
       std::move(out), {recon}, "scaled_cosine_loss",
-      [idx = std::move(idx), target, eta, cos = std::move(cos),
+      [idx = std::move(idx), &target, eta, cos = std::move(cos),
        rnorm = std::move(rnorm), tnorm = std::move(tnorm),
        pool_blocks](Node* self) {
         const auto& in = self->inputs();

@@ -79,7 +79,10 @@ VarPtr Mean(const VarPtr& a);
 
 /// Scaled cosine reconstruction error over a row subset (Eq. 4 / Eq. 13):
 ///   L = (1/|idx|) * sum_{i in idx} (1 - cos(recon_i, target_i))^eta.
-/// `target` carries no gradient.
+/// `target` carries no gradient. It is not copied: the backward closure
+/// reads it by reference, so it must stay alive and unchanged until
+/// Backward() has run through the returned node or Tape::Reset() has
+/// destroyed it (the training target is the graph's attribute matrix).
 ///
 /// Forward and backward are row-partitioned over the pool (per-row terms in
 /// parallel, the scalar sum serial in index order), bit-identical to the

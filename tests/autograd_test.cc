@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -64,6 +65,12 @@ void CheckGradients(const std::vector<Tensor>& inputs, const BuildFn& build,
 Tensor Rand(int r, int c, uint64_t seed, double scale = 1.0) {
   Rng rng(seed);
   return RandomNormal(r, c, 0.0, scale, &rng);
+}
+
+/// Same shape and the same bits (MaxAbsDiff would equate -0 and +0).
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 std::shared_ptr<const SparseMatrix> SmallGraph(int n, uint64_t seed) {
@@ -494,6 +501,103 @@ TEST(TapeTest, BackwardReleasesOpGradients) {
   EXPECT_LE(run(64, /*trim=*/true).backward_fresh_bytes, 4 * buffer_bytes);
   Tape::Global().Reset();
   SetArenaEnabled(prev_arena);
+}
+
+TEST(TapeTest, BackwardReleasesDeadValues) {
+  // One graph through matmul, spmm, gat_attention, mask_rows, simplex
+  // fusion and every loss op. After Backward only the root, the leaves, the
+  // constants and the Retain()ed node hold values, and the leaf gradients
+  // are bit-equal to the same graph with every op value kept.
+  constexpr int n = 24;
+  constexpr int f = 6;
+  constexpr int d = 8;
+  auto adj = SmallGraph(n, 101);
+  const Tensor x_value = Rand(n, f, 102);
+  const Tensor target = Rand(n, f, 103);
+  const std::vector<int> rows = {0, 3, 5, 8, 13, 21};
+  std::vector<EdgeCandidateSet> sets;
+  for (int i = 0; i < n; i += 4) sets.push_back({i, {(i + 1) % n, i, 7}});
+  std::vector<int> neg(n);
+  for (int i = 0; i < n; ++i) neg[i] = (i + 5) % n;
+
+  struct Run {
+    std::vector<Tensor> grads;
+    std::vector<VarPtr> leaves, constants, ops;
+    VarPtr root, retained;
+  };
+  auto run = [&](bool retain_all) {
+    Tape::Global().Reset();
+    Run out;
+    auto leaf = [&](int r, int c, uint64_t seed) {
+      out.leaves.push_back(Leaf(Rand(r, c, seed, 0.5)));
+      return out.leaves.back();
+    };
+    auto op = [&](VarPtr v) {
+      out.ops.push_back(retain_all ? Retain(v) : v);
+      return v;
+    };
+    VarPtr w = leaf(f, d, 104);
+    VarPtr bias = leaf(1, d, 105);
+    VarPtr token = leaf(1, f, 106);
+    VarPtr a_src = leaf(1, d, 107);
+    VarPtr a_dst = leaf(1, d, 108);
+    VarPtr logits = leaf(1, 2, 109);
+    VarPtr w_out = leaf(d, f, 110);
+    VarPtr x = Constant(x_value);
+    out.constants.push_back(x);
+
+    VarPtr masked = op(MaskRows(x, {1, 4, 7}, token));
+    VarPtr h = op(AddRowBroadcast(op(MatMul(masked, w)), bias));
+    VarPtr att = op(GatAttention(op(Spmm(adj, h)), a_src, a_dst, adj, 0.2f));
+    VarPtr other = op(Tanh(op(Spmm(adj, op(MatMul(x, w))))));
+    VarPtr fused = op(SimplexWeightedSum({att, other}, logits));
+    VarPtr recon = op(MatMul(fused, w_out));
+    std::vector<VarPtr> terms = {
+        op(ScaledCosineLoss(recon, target, rows, 2.0f)),
+        op(MseLoss(recon, target, rows)),
+        op(MaskedEdgeSoftmaxCE(fused, sets)),
+        op(PairDotBceLoss(op(GatherRows(fused, {0, 2, 4})),
+                          op(GatherRows(fused, {1, 3, 9})), {1.0f, 0.0f, 1.0f})),
+        op(ScalarMul(op(DualContrastiveLoss(op(RowL2Normalize(att)),
+                                            op(RowL2Normalize(other)), neg)),
+                     0.5f))};
+    out.root = op(AddN(terms));
+    out.retained = retain_all ? nullptr : Retain(fused);
+    Backward(out.root);
+    for (const VarPtr& l : out.leaves) out.grads.push_back(l->grad());
+    return out;
+  };
+
+  for (bool arena : {true, false}) {
+    const bool prev_arena = ArenaEnabled();
+    SetArenaEnabled(arena);
+    const Run kept = run(/*retain_all=*/true);
+    for (const VarPtr& v : kept.ops) EXPECT_FALSE(v->value().empty());
+    const std::vector<Tensor> kept_grads = kept.grads;
+
+    const Run released = run(/*retain_all=*/false);
+    for (const VarPtr& v : released.ops) {
+      if (v == released.root || v == released.retained) {
+        EXPECT_FALSE(v->value().empty()) << v->op();
+      } else {
+        EXPECT_TRUE(v->value().empty()) << v->op();
+      }
+    }
+    EXPECT_EQ(released.root->value().size(), 1);
+    EXPECT_EQ(released.retained->value().rows(), n);
+    for (const VarPtr& v : released.leaves) EXPECT_FALSE(v->value().empty());
+    for (const VarPtr& v : released.constants) {
+      EXPECT_EQ(MaxAbsDiff(v->value(), x_value), 0.0);
+    }
+    ASSERT_EQ(released.grads.size(), kept_grads.size());
+    for (size_t i = 0; i < kept_grads.size(); ++i) {
+      EXPECT_GT(kept_grads[i].SquaredNorm(), 0.0) << "leaf " << i;
+      EXPECT_TRUE(BitEqual(released.grads[i], kept_grads[i]))
+          << "leaf " << i << " arena " << arena;
+    }
+    Tape::Global().Reset();
+    SetArenaEnabled(prev_arena);
+  }
 }
 
 TEST(TapeTest, PersistentConstantSurvivesReset) {

@@ -67,6 +67,41 @@ TEST(GcnTest, ReluClampsNegative) {
   EXPECT_GE(y->value().Min(), 0.0);
 }
 
+TEST(GcnTest, DroppedIntermediatesKeepGradientsBitEqual) {
+  // SgcConv::Forward drops its MatMul and Spmm values once the next op is
+  // built. Its gradients (and output) must match the same chain composed by
+  // hand, which keeps every intermediate until Backward.
+  Rng rng(9);
+  auto adj = RingGraph(30);
+  Tensor x = RandomNormal(30, 5, 0, 1, &rng);
+  Tensor probe = RandomNormal(30, 4, 0, 1, &rng);
+  for (int hops : {0, 1, 2}) {
+    nn::SgcConv conv(5, 4, hops, nn::Activation::kRelu, &rng);
+    const ag::VarPtr w = conv.Parameters()[0];
+    const ag::VarPtr b = conv.Parameters()[1];
+    auto run = [&](bool by_hand) {
+      return [&, by_hand]() -> umgad::testing::Tensors {
+        ag::VarPtr in = ag::Leaf(x);
+        ag::VarPtr out;
+        if (by_hand) {
+          ag::VarPtr h = ag::MatMul(in, w);
+          for (int l = 0; l < hops; ++l) h = ag::Spmm(adj, h);
+          out = ag::Relu(ag::AddRowBroadcast(h, b));
+        } else {
+          out = conv.Forward(adj, in);
+        }
+        w->ZeroGrad();
+        b->ZeroGrad();
+        ag::Retain(out);  // read after Backward
+        ag::Backward(ag::Sum(ag::Hadamard(out, ag::Constant(probe))));
+        return {out->value(), in->grad(), w->grad(), b->grad()};
+      };
+    };
+    umgad::testing::ExpectBitIdentical(
+        "sgc hops=" + std::to_string(hops), run(false), run(true));
+  }
+}
+
 TEST(SgcTest, ZeroHopsIsLinear) {
   Rng rng(6);
   auto adj = RingGraph(5);
@@ -306,6 +341,7 @@ TEST(GatTest, ForwardMatchesNaiveOracleBitIdentically) {
       ag::VarPtr out = naive ? conv.ForwardNaive(adj, ag::Constant(x))
                              : conv.Forward(adj, ag::Constant(x));
       for (const auto& p : conv.Parameters()) p->ZeroGrad();
+      ag::Retain(out);  // read after Backward
       ag::Backward(ag::Sum(ag::Hadamard(out, ag::Constant(probe))));
       umgad::testing::Tensors result{out->value()};
       for (const auto& p : conv.Parameters()) result.push_back(p->grad());

@@ -283,6 +283,7 @@ TEST_P(GatAttentionOracle, BitIdenticalToNaive) {
       ag::VarPtr ad = ag::Leaf(a_dst);
       ag::VarPtr out = naive ? ag::GatAttentionNaive(hv, as, ad, adj, 0.2f)
                              : ag::GatAttention(hv, as, ad, adj, 0.2f);
+      ag::Retain(out);  // read after Backward
       ag::Backward(ag::Sum(ag::Hadamard(out, ag::Constant(probe))));
       return Tensors{out->value(), hv->grad(), as->grad(), ad->grad()};
     };
@@ -317,6 +318,7 @@ TEST(GatAttentionOracleTest, ConstantFeaturesSkipDh) {
           naive
               ? ag::GatAttentionNaive(ag::Constant(h), as, ad, adj, 0.2f)
               : ag::GatAttention(ag::Constant(h), as, ad, adj, 0.2f);
+      ag::Retain(out);  // read after Backward
       ag::Backward(ag::Sum(ag::Hadamard(out, ag::Constant(probe))));
       return Tensors{out->value(), as->grad(), ad->grad()};
     };

@@ -60,6 +60,12 @@ inline void ExpectBitIdentical(const std::string& label,
   ag::Tape::Global().Reset();
   const Tensors reference = naive();
   ASSERT_FALSE(reference.empty()) << label << ": oracle produced no outputs";
+  // Two empty tensors would compare equal: an output read from a node whose
+  // value Backward released (no ag::Retain) must fail, not pass.
+  for (size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_FALSE(reference[i].empty())
+        << label << ": oracle output " << i << " is empty";
+  }
 
   for (bool arena : sweep.arena_modes) {
     for (int threads : sweep.thread_counts) {

@@ -304,6 +304,7 @@ TEST_P(PartitionedKernels, EdgeSoftmaxMatchesNaive) {
       ag::VarPtr ad = ag::Leaf(a_dst);
       ag::VarPtr out = naive ? ag::GatAttentionNaive(hv, as, ad, adj, 0.2f)
                              : ag::GatAttention(hv, as, ad, adj, 0.2f);
+      ag::Retain(out);  // read after Backward
       ag::Backward(ag::Sum(ag::Hadamard(out, ag::Constant(probe))));
       return Tensors{out->value(), hv->grad(), as->grad(), ad->grad()};
     };
