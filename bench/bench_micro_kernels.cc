@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/scorer.h"
 #include "core/threshold.h"
 #include "eval/metrics.h"
 #include "graph/datasets.h"
@@ -122,6 +123,54 @@ void BM_MatMul512(benchmark::State& state) {
   SetNumThreads(prev_threads);
 }
 BENCHMARK(BM_MatMul512)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// The fit-sparse epoch's dense products, at DG-Fin's 37,000 nodes: the
+// input projection X*W (37000x32 . 32x48) and the hidden projection H*W
+// (37000x48 . 48x32), whose 32- and 48-column outputs are narrower than
+// one 64-column tile of a panel-packing kernel. Args: {k, n, lanes}.
+void BM_MatMulNarrow(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const int prev_threads = NumThreads();
+  SetNumThreads(static_cast<int>(state.range(2)));
+  Rng rng(3);
+  Tensor a = RandomNormal(37000, k, 0, 1, &rng);
+  Tensor b = RandomNormal(k, n, 0, 1, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMul(a, b));
+  }
+  SetMatMulCounters(state, 37000, k, n);
+  SetNumThreads(prev_threads);
+}
+BENCHMARK(BM_MatMulNarrow)
+    ->Args({32, 48, 1})
+    ->Args({32, 48, 4})
+    ->Args({48, 32, 1})
+    ->Args({48, 32, 4})
+    ->UseRealTime();
+
+// The matching weight gradient X^T g (37000x32)^T . (37000x48): depth is
+// the node count, the output one 32x48 block. Args: {m, n, lanes}.
+void BM_MatMulTransANarrow(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const int prev_threads = NumThreads();
+  SetNumThreads(static_cast<int>(state.range(2)));
+  Rng rng(3);
+  Tensor a = RandomNormal(37000, m, 0, 1, &rng);
+  Tensor g = RandomNormal(37000, n, 0, 1, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransA(a, g));
+  }
+  SetMatMulCounters(state, m, 37000, n);
+  SetNumThreads(prev_threads);
+}
+BENCHMARK(BM_MatMulTransANarrow)
+    ->Args({32, 48, 1})
+    ->Args({32, 48, 4})
+    ->Args({48, 32, 1})
+    ->Args({48, 32, 4})
+    ->UseRealTime();
 
 void BM_GatAttention(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -316,6 +365,25 @@ void BM_PerturbedOperator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * adj.nnz());
 }
 BENCHMARK(BM_PerturbedOperator);
+
+// One relation's sampled structure residual (Eq. 19) on a DG-Fin-like
+// layer: 37,000 nodes of mean degree ~1 (many isolated), 48-wide
+// embeddings, 16 negatives per node — 17 short double dot products per
+// node on average. Arg: lanes.
+void BM_StructureResidual(benchmark::State& state) {
+  const int prev_threads = NumThreads();
+  SetNumThreads(static_cast<int>(state.range(0)));
+  const int n = 37000;
+  SparseMatrix adj = RandomAdj(n, 1, 43);
+  Rng rng(44);
+  Tensor z = RandomNormal(n, 48, 0, 0.3, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(StructureResidual(adj, z, 16, 45));
+  }
+  state.SetItemsProcessed(state.iterations() * (adj.nnz() + int64_t{n} * 16));
+  SetNumThreads(prev_threads);
+}
+BENCHMARK(BM_StructureResidual)->Arg(1)->Arg(4)->UseRealTime();
 
 // Per-loss forward+backward steps on the arena tape (Tape::Reset between
 // steps), with the allocator-traffic counter from BM_TapeTrainStep. Args

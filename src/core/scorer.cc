@@ -34,11 +34,31 @@ uint64_t NodeStreamSeed(uint64_t stream_seed, int node) {
   return MixSeed(stream_seed, static_cast<uint64_t>(node));
 }
 
+namespace {
+
+/// Calls fn(k, z_i . z_{u[k]}) for k = 0, ..., count - 1 in that order, the
+/// dots computed DotChains::kChains at a time (each bit-equal to RowDot).
+template <typename Fn>
+void ForEachRowDot(const Tensor& z, int i, const int* u, int count, Fn&& fn) {
+  constexpr int kGroup = DotChains::kChains;
+  double dots[kGroup];
+  DotChains chains(z.cols());
+  for (int k0 = 0; k0 < count; k0 += kGroup) {
+    const int group = std::min(kGroup, count - k0);
+    for (int c = 0; c < group; ++c) {
+      chains.Push(z.row(i), z.row(u[k0 + c]), &dots[c]);
+    }
+    chains.Flush();
+    for (int c = 0; c < group; ++c) fn(k0 + c, dots[c]);
+  }
+}
+
+}  // namespace
+
 double EdgeError(const Tensor& z, int i, const int* neighbors, int degree) {
   double edge_err = 0.0;
-  for (int k = 0; k < degree; ++k) {
-    edge_err += 1.0 - SigmoidD(z.RowDot(i, z, neighbors[k]));
-  }
+  ForEachRowDot(z, i, neighbors, degree,
+                [&](int, double dot) { edge_err += 1.0 - SigmoidD(dot); });
   return edge_err;
 }
 
@@ -46,13 +66,22 @@ double LeakTerm(const Tensor& z, int i, int u) {
   return SigmoidD(z.RowDot(i, z, u));
 }
 
+void LeakTerms(const Tensor& z, int i, const int* negatives, int count,
+               double* out) {
+  ForEachRowDot(z, i, negatives, count,
+                [&](int k, double dot) { out[k] = SigmoidD(dot); });
+}
+
 ResidualTerms NodeResidualTerms(const Tensor& z, int i, const int* neighbors,
                                 int degree, const std::vector<int>& negatives) {
   ResidualTerms terms;
   terms.edge_err = EdgeError(z, i, neighbors, degree);
   terms.degree = degree;
-  terms.leak = MeanLeak(static_cast<int>(negatives.size()),
-                        [&](int k) { return LeakTerm(z, i, negatives[k]); });
+  const int count = static_cast<int>(negatives.size());
+  thread_local std::vector<double> leak;
+  leak.resize(count);
+  LeakTerms(z, i, negatives.data(), count, leak.data());
+  terms.leak = MeanLeak(count, [&](int k) { return leak[k]; });
   return terms;
 }
 

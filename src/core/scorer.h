@@ -40,7 +40,7 @@ void NodeNegatives(const Adj& adj, int node, int degree, int count,
 
 /// The terms of node i's structure residual (see StructureResidual). Batch
 /// scoring, the serving engine and its oracle build every sampled residual
-/// from these three functions, each term and each sum in one fixed order,
+/// from these functions, each term and each sum in one fixed order,
 /// so a residual re-summed from cached terms equals a fresh one bit for
 /// bit.
 ///
@@ -49,6 +49,10 @@ void NodeNegatives(const Adj& adj, int node, int degree, int count,
 double EdgeError(const Tensor& z, int i, const int* neighbors, int degree);
 /// One leak term: sig(z_i . z_u) for a negative u of node i.
 double LeakTerm(const Tensor& z, int i, int u);
+/// out[k] = LeakTerm(z, i, negatives[k]) for k < count, bit for bit, with
+/// the dots run four at a time (DotChains).
+void LeakTerms(const Tensor& z, int i, const int* negatives, int count,
+               double* out);
 /// The leak: the mean of term(0), ..., term(count - 1), summed in that
 /// order, or 0 when count == 0.
 template <typename Term>

@@ -582,10 +582,15 @@ int64_t OnlineScorer::Impl::UpdateResidualNode(ViewState& vs, const Tensor& z,
     rs.edge_err[row] = EdgeError(z, i, neighbors.data(), degree);
     terms += degree;
   }
-  for (int k = 0; k < count; ++k) {
-    if (all_terms || embed_moved.Has(neg[k])) {
-      leak[k] = LeakTerm(z, i, neg[k]);
-      ++terms;
+  if (all_terms) {
+    LeakTerms(z, i, neg, count, leak);
+    terms += count;
+  } else {
+    for (int k = 0; k < count; ++k) {
+      if (embed_moved.Has(neg[k])) {
+        leak[k] = LeakTerm(z, i, neg[k]);
+        ++terms;
+      }
     }
   }
   const ResidualTerms sum{rs.edge_err[row], degree,

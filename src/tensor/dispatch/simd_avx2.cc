@@ -1,4 +1,4 @@
-// AVX2-tier micro-kernels, compiled with a function-level target attribute
+// AVX2-tier micro-kernel, compiled with a function-level target attribute
 // so the baseline build stays portable while capable hosts get 256-bit
 // vectors at runtime.
 //
@@ -19,8 +19,7 @@ namespace {
 #include "tensor/dispatch/matmul_micro.inc"
 #undef UMGAD_MICRO_TARGET_ATTR
 
-constexpr MicroKernels kAvx2MicroKernels = {"blocked_avx2", MicroKernel8,
-                                            MicroKernel1};
+constexpr MicroKernels kAvx2MicroKernels = {"blocked_avx2", MicroKernel};
 
 }  // namespace
 

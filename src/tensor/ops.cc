@@ -728,11 +728,13 @@ VarPtr MaskedEdgeSoftmaxCE(const VarPtr& z,
     UMGAD_CHECK(!set.cands.empty());
     const int nc = static_cast<int>(set.cands.size());
     std::vector<double> scores(nc);
-    double mx = -1e300;
+    DotChains chains(zv.cols());
     for (int c = 0; c < nc; ++c) {
-      scores[c] = zv.RowDot(set.src, zv, set.cands[c]);
-      mx = std::max(mx, scores[c]);
+      chains.Push(zv.row(set.src), zv.row(set.cands[c]), &scores[c]);
     }
+    chains.Flush();
+    double mx = -1e300;
+    for (int c = 0; c < nc; ++c) mx = std::max(mx, scores[c]);
     double denom = 0.0;
     for (int c = 0; c < nc; ++c) {
       scores[c] = std::exp(scores[c] - mx);
@@ -1141,21 +1143,20 @@ void EdgeSoftmaxForward(const SparseMatrix& adj, float slope, const Tensor& h,
   // per-row arithmetic is untouched, so the floats match the flat sweep.
   const std::shared_ptr<const RowBlocks> blocks = adj.row_blocks();
 
-  // Per-node projections s_i = <a_src, h_i>, t_i = <a_dst, h_i>.
+  // Per-node projections s_i = <a_src, h_i>, t_i = <a_dst, h_i>, two rows
+  // (four dots) per DotChains group.
   std::vector<double> s(n, 0.0);
   std::vector<double> t(n, 0.0);
   const float* asv = a_src.data();
   const float* adv = a_dst.data();
-  ForEachRowBlocked(n, blocks.get(), kRowGrain, [&](int i) {
-    const float* hr = h.row(i);
-    double ss = 0.0;
-    double tt = 0.0;
-    for (int j = 0; j < d; ++j) {
-      ss += static_cast<double>(asv[j]) * hr[j];
-      tt += static_cast<double>(adv[j]) * hr[j];
+  ForEachRowRun(n, blocks.get(), kRowGrain, [&](const RowRun& run) {
+    DotChains chains(d);
+    for (int64_t r = 0; r < run.count; ++r) {
+      const int i = run[r];
+      chains.Push(asv, h.row(i), &s[i]);
+      chains.Push(adv, h.row(i), &t[i]);
     }
-    s[i] = ss;
-    t[i] = tt;
+    chains.Flush();
   });
 
   const auto& row_ptr = adj.row_ptr();
@@ -1275,59 +1276,38 @@ void EdgeSoftmaxBackward(const SparseMatrix& adj, float slope,
   std::vector<double> dz(static_cast<size_t>(adj.nnz()), 0.0);
 
   // Phase 1 — per-edge pre-activation gradients, owned by the source row
-  // (node i owns its edge slice of dz, plus ds[i]). Arithmetic per edge is
-  // the serial loop's, including the ascending-k `weighted` and ds sums.
-  ForEachRowBlocked(n, blocks.get(), kRowGrain, [&](int i) {
-    const int64_t begin = row_ptr[i];
-    const int64_t end = row_ptr[i + 1];
-    if (begin == end) return;
-    const float* grow = g.row(i);
-    // dalpha_k = <g_i, h_{j_k}>, four edges at a time so the four sums
-    // are independent addition chains instead of one long dependent one.
-    // Each sum still runs in ascending j over float x float products,
-    // which are exact in double, so the bits match the one-edge loop
-    // whether or not the compiler contracts the multiply-add.
-    int64_t k = begin;
-    for (; k + 4 <= end; k += 4) {
-      const float* h0 = hv.row(cols[k]);
-      const float* h1 = hv.row(cols[k + 1]);
-      const float* h2 = hv.row(cols[k + 2]);
-      const float* h3 = hv.row(cols[k + 3]);
-      double acc0 = 0.0;
-      double acc1 = 0.0;
-      double acc2 = 0.0;
-      double acc3 = 0.0;
-      for (int j = 0; j < d; ++j) {
-        const double gj = grow[j];
-        acc0 += gj * h0[j];
-        acc1 += gj * h1[j];
-        acc2 += gj * h2[j];
-        acc3 += gj * h3[j];
+  // (node i owns its edge slice of dz, plus ds[i]). dalpha_k = <g_i, h_{j_k}>
+  // runs through DotChains over all of a task's edges in row order, so a
+  // group of four spans rows when rows are short (most rows of a sparse
+  // relation hold one to three edges); each dot is still the serial loop's
+  // ascending-j sum. Then the softmax backward per row, with `weighted` and
+  // ds summed in ascending k.
+  ForEachRowRun(n, blocks.get(), kRowGrain, [&](const RowRun& run) {
+    DotChains chains(d);
+    for (int64_t r = 0; r < run.count; ++r) {
+      const int i = run[r];
+      const float* grow = g.row(i);
+      for (int64_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+        chains.Push(grow, hv.row(cols[k]), &dz[k]);
       }
-      dz[k] = acc0;
-      dz[k + 1] = acc1;
-      dz[k + 2] = acc2;
-      dz[k + 3] = acc3;
     }
-    for (; k < end; ++k) {
-      const float* hj = hv.row(cols[k]);
-      double acc = 0.0;
-      for (int j = 0; j < d; ++j) {
-        acc += static_cast<double>(grow[j]) * hj[j];
+    chains.Flush();
+    for (int64_t r = 0; r < run.count; ++r) {
+      const int i = run[r];
+      const int64_t begin = row_ptr[i];
+      const int64_t end = row_ptr[i + 1];
+      if (begin == end) continue;
+      double weighted = 0.0;
+      for (int64_t k = begin; k < end; ++k) weighted += alpha[k] * dz[k];
+      double dsi = 0.0;
+      for (int64_t k = begin; k < end; ++k) {
+        const double de = alpha[k] * (dz[k] - weighted);
+        const double z = pos[k] ? de : slope * de;
+        dz[k] = z;
+        dsi += z;
       }
-      dz[k] = acc;
+      ds[i] = dsi;
     }
-    // Then the softmax backward, with `weighted` summed in ascending k.
-    double weighted = 0.0;
-    for (k = begin; k < end; ++k) weighted += alpha[k] * dz[k];
-    double dsi = 0.0;
-    for (int64_t k = begin; k < end; ++k) {
-      const double de = alpha[k] * (dz[k] - weighted);
-      const double z = pos[k] ? de : slope * de;
-      dz[k] = z;
-      dsi += z;
-    }
-    ds[i] = dsi;
   });
 
   // Phase 2 — the dt / dh scatter, partitioned by *destination* node via

@@ -24,7 +24,7 @@ struct Edge {
 /// src/graph/partition/, attached via SparseMatrix::AttachRowBlocks): every
 /// row belongs to exactly one of `num_blocks` blocks, and `order` lists all
 /// rows grouped by block, ascending within each block. Hot kernels iterate
-/// blocks on the pool instead of flat row ranges (ForEachRowBlocked), so a
+/// blocks on the pool instead of flat row ranges (ForEachRowRun), so a
 /// worker's working set stays block-local. This is purely an *iteration
 /// schedule*: each row is still produced by exactly one task with its
 /// per-row arithmetic in the unchanged serial order, which keeps blocked
@@ -39,29 +39,51 @@ struct RowBlocks {
   std::vector<int> block_of;
 };
 
-/// Runs fn(row) once for every row in [0, n): flat grain-sized row ranges
-/// when `blocks` is null or does not cover n (the classic oversubscribed
-/// schedule), block-affine otherwise (one task per block walking its owned
-/// rows, so a pool lane processes whole blocks). fn must only write
-/// row-exclusive state; per-row work is identical under both schedules, so
-/// results are bit-identical for any UMGAD_THREADS / block count.
+/// The rows one task of ForEachRowRun walks, in its order: rows
+/// [first, first + count) of a flat range, or order[first, first + count)
+/// of a block-affine schedule.
+struct RowRun {
+  const int* order = nullptr;  // null for a flat range
+  int64_t first = 0;
+  int64_t count = 0;
+
+  int operator[](int64_t k) const {
+    return order != nullptr ? order[first + k] : static_cast<int>(first + k);
+  }
+};
+
+/// Hands every task of the row schedule its whole run of rows: flat
+/// grain-sized row ranges when `blocks` is null or does not cover n (the
+/// classic oversubscribed schedule), block-affine otherwise (one task per
+/// span of blocks walking their owned rows, so a pool lane processes whole
+/// blocks). For kernels that carry work from one row to the next within a
+/// task; fn(run) must only write the run's row-exclusive state.
 template <typename Fn>
-void ForEachRowBlocked(int64_t n, const RowBlocks* blocks, int64_t grain,
-                       Fn&& fn) {
+void ForEachRowRun(int64_t n, const RowBlocks* blocks, int64_t grain,
+                   Fn&& fn) {
   if (blocks != nullptr && blocks->num_blocks > 0 &&
       static_cast<int64_t>(blocks->block_of.size()) == n) {
     const RowBlocks& b = *blocks;
     ParallelFor(b.num_blocks, 1, [&](int64_t p0, int64_t p1) {
-      for (int64_t p = p0; p < p1; ++p) {
-        for (int64_t k = b.block_ptr[p]; k < b.block_ptr[p + 1]; ++k) {
-          fn(b.order[k]);
-        }
-      }
+      fn(RowRun{b.order.data(), b.block_ptr[p0],
+                b.block_ptr[p1] - b.block_ptr[p0]});
     });
     return;
   }
   ParallelFor(n, grain, [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) fn(static_cast<int>(i));
+    fn(RowRun{nullptr, r0, r1 - r0});
+  });
+}
+
+/// Runs fn(row) once for every row in [0, n), on ForEachRowRun's schedule.
+/// fn must only write row-exclusive state; per-row work is identical under
+/// both schedules, so results are bit-identical for any UMGAD_THREADS /
+/// block count.
+template <typename Fn>
+void ForEachRowBlocked(int64_t n, const RowBlocks* blocks, int64_t grain,
+                       Fn&& fn) {
+  ForEachRowRun(n, blocks, grain, [&](const RowRun& run) {
+    for (int64_t k = 0; k < run.count; ++k) fn(run[k]);
   });
 }
 

@@ -109,6 +109,57 @@ double Tensor::RowDot(int i, const Tensor& other, int j) const {
   return acc;
 }
 
+namespace {
+
+/// kCount dots in two passes per block of indices: the exact double
+/// products into a scratch that holds the chains' products for one index
+/// side by side (a loop along each row, which vectorises), then the
+/// chains' sums side by side down the block, so each chain's additions
+/// stay in ascending index.
+template <int kCount>
+void RunDotChains(const float* const* a, const float* const* b, int d,
+                  double* const* out) {
+  constexpr int kBlock = 64;
+  double prod[kBlock][kCount];
+  double acc[kCount] = {};
+  for (int j0 = 0; j0 < d; j0 += kBlock) {
+    const int w = std::min(kBlock, d - j0);
+    for (int c = 0; c < kCount; ++c) {
+      const float* ac = a[c] + j0;
+      const float* bc = b[c] + j0;
+      for (int j = 0; j < w; ++j) {
+        prod[j][c] = static_cast<double>(ac[j]) * bc[j];
+      }
+    }
+    for (int j = 0; j < w; ++j) {
+      for (int c = 0; c < kCount; ++c) acc[c] += prod[j][c];
+    }
+  }
+  for (int c = 0; c < kCount; ++c) *out[c] = acc[c];
+}
+
+}  // namespace
+
+void DotChains::Flush() {
+  switch (count_) {
+    case 1:
+      RunDotChains<1>(a_, b_, d_, out_);
+      break;
+    case 2:
+      RunDotChains<2>(a_, b_, d_, out_);
+      break;
+    case 3:
+      RunDotChains<3>(a_, b_, d_, out_);
+      break;
+    case kChains:
+      RunDotChains<kChains>(a_, b_, d_, out_);
+      break;
+    default:
+      break;
+  }
+  count_ = 0;
+}
+
 std::string Tensor::ShapeString() const {
   return StrFormat("(%d, %d)", rows_, cols_);
 }
@@ -182,7 +233,8 @@ Tensor MatMulTransANaive(const Tensor& a, const Tensor& b) {
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   UMGAD_CHECK_EQ(a.cols(), b.rows());
-  return dispatch::BlockedMatMul(a, b, dispatch::ActiveMicroKernels());
+  return dispatch::BlockedMatMul({a.data(), a.cols(), 1, a.rows(), a.cols()},
+                                 b, dispatch::ActiveMicroKernels());
 }
 
 Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
@@ -190,11 +242,13 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   return MatMul(a, Transpose(b));
 }
 
-// A^T B stays a direct transpose + plain product; it only runs on the
-// training tape (gradient accumulation).
+// A^T B reads A^T in place: element (i, p) of A^T is a(p, i), so the
+// kernel walks A's columns as rows and its rows as depth. It only runs on
+// the training tape (weight gradients, where the depth is the node count).
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   UMGAD_CHECK_EQ(a.rows(), b.rows());
-  return MatMul(Transpose(a), b);
+  return dispatch::BlockedMatMul({a.data(), 1, a.cols(), a.cols(), a.rows()},
+                                 b, dispatch::ActiveMicroKernels());
 }
 
 Tensor Transpose(const Tensor& a) {

@@ -120,6 +120,18 @@ class Tensor {
   }
 
   static Tensor Zeros(int rows, int cols) { return Tensor(rows, cols); }
+  /// A rows x cols tensor with unspecified values, for a kernel that writes
+  /// every element before anything reads one (skips the zero fill).
+  static Tensor Uninitialized(int rows, int cols) {
+    UMGAD_CHECK_GE(rows, 0);
+    UMGAD_CHECK_GE(cols, 0);
+    Tensor t;
+    t.rows_ = rows;
+    t.cols_ = cols;
+    t.data_ = TensorBuffer(static_cast<size_t>(rows) * cols,
+                           TensorBuffer::Uninit{});
+    return t;
+  }
   static Tensor Full(int rows, int cols, float value);
   static Tensor Identity(int n);
 
@@ -221,8 +233,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// MatMul(A, Transpose(B)); accumulates in float like MatMul (the seed's
 /// double-accumulation variant survives as MatMulTransBNaive).
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
-/// C = A^T * B. Shapes: (k,m) x (k,n) -> (m,n). Implemented as
-/// MatMul(Transpose(A), B).
+/// C = A^T * B. Shapes: (k,m) x (k,n) -> (m,n). Runs MatMul's kernel with
+/// A^T read in place (no transposed copy), so it is bit-identical to
+/// MatMulTransANaive.
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 
 /// Reference kernels: the seed's single-threaded triple loops, kept as the
@@ -256,6 +269,35 @@ Tensor RowL2Distance(const Tensor& a, const Tensor& b);
 /// One row of RowL2Distance: ||a - b||_2 of two length-d rows, accumulated
 /// in double and rounded to float.
 float RowL2DistanceOf(const float* a, const float* b, int d);
+
+/// Dot products of d-float rows, run up to kChains at a time as independent
+/// addition chains. Each dot is the sum, in ascending index and in double,
+/// of the exact float x float products — Tensor::RowDot's sum — so every
+/// result is bit-identical to a RowDot of the same two rows; only the
+/// chains' latencies overlap. Push queues a dot and its result slot; a
+/// full group runs at once, Flush runs a partial one. Results are written
+/// only when their group runs, so read them after Flush.
+class DotChains {
+ public:
+  static constexpr int kChains = 4;
+
+  explicit DotChains(int d) : d_(d) {}
+
+  void Push(const float* a, const float* b, double* out) {
+    a_[count_] = a;
+    b_[count_] = b;
+    out_[count_] = out;
+    if (++count_ == kChains) Flush();
+  }
+  void Flush();
+
+ private:
+  int d_;
+  int count_ = 0;
+  const float* a_[kChains];
+  const float* b_[kChains];
+  double* out_[kChains];
+};
 
 /// Max |a - b| over all entries (test helper).
 double MaxAbsDiff(const Tensor& a, const Tensor& b);

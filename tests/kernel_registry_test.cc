@@ -61,9 +61,9 @@ struct Tier {
 constexpr Tier kTiers[] = {{"default tier", 0},
                            {"avx2 masked", dispatch::kFeatAvx2}};
 
-/// (m, k, n) dense shapes straddling the 8-row / 64-column micro-kernel
-/// tiles and the 2^15 small-product shortcut: 15*32*64 falls below it,
-/// 16*32*64 sits exactly on it, the rest run the blocked core with row and
+/// (m, k, n) dense shapes straddling the 8 x 8 register tiles, the scalar
+/// column tail and the 2^15 serial threshold: 15*32*64 falls below it,
+/// 16*32*64 sits exactly on it, the rest run on the pool with row and
 /// column remainders.
 struct Shape {
   int m, k, n;
@@ -71,6 +71,14 @@ struct Shape {
 constexpr Shape kShapes[] = {{1, 1, 1},    {15, 32, 64},  {16, 32, 64},
                              {9, 63, 65},  {37, 29, 71},  {8, 64, 128},
                              {67, 48, 129}};
+/// Tall-skinny shapes of a node-bound epoch: thousands of rows against
+/// 7-65 columns (the GMAE projections and their gradients), and a depth
+/// of 5003 for A^T B, whose output is a few row tiles and whose depth runs
+/// many slices.
+constexpr Shape kTallShapes[] = {{4099, 32, 48}, {4099, 48, 32},
+                                 {3001, 25, 7},  {2050, 64, 65},
+                                 {7, 5003, 48},  {32, 5003, 48},
+                                 {48, 5003, 33}};
 
 std::string ShapeLabel(const Tier& tier, const Shape& s) {
   return std::string(tier.label) + " " + std::to_string(s.m) + "x" +
@@ -167,6 +175,36 @@ TEST_F(KernelRegistryTest, EveryMatMulVariantIsBitIdenticalToNaive) {
       ExpectBitIdentical("matmul " + ShapeLabel(tier, s),
                          [&] { return Tensors{MatMul(a, b)}; },
                          [&] { return Tensors{MatMulNaive(a, b)}; });
+    }
+  }
+}
+
+TEST_F(KernelRegistryTest, TallSkinnyMatMulIsBitIdenticalOnEveryTier) {
+  for (const Tier& tier : kTiers) {
+    dispatch::SetDisabledCpuFeaturesForTest(tier.disabled);
+    for (const Shape& s : kTallShapes) {
+      Tensor a = RandomTensor(s.m, s.k, 23);
+      Tensor b = RandomTensor(s.k, s.n, 24);
+      ExpectBitIdentical("matmul " + ShapeLabel(tier, s),
+                         [&] { return Tensors{MatMul(a, b)}; },
+                         [&] { return Tensors{MatMulNaive(a, b)}; });
+    }
+  }
+}
+
+TEST_F(KernelRegistryTest, EveryMatMulTransAVariantIsBitIdenticalToNaive) {
+  // A^T B reads A^T in place through the kernel's strides: (m, k, n) is
+  // the product's shape, so A is stored k x m.
+  for (const Tier& tier : kTiers) {
+    dispatch::SetDisabledCpuFeaturesForTest(tier.disabled);
+    for (const auto* shapes : {&kShapes, &kTallShapes}) {
+      for (const Shape& s : *shapes) {
+        Tensor a = RandomTensor(s.k, s.m, 25);
+        Tensor b = RandomTensor(s.k, s.n, 26);
+        ExpectBitIdentical("matmul_transa " + ShapeLabel(tier, s),
+                           [&] { return Tensors{MatMulTransA(a, b)}; },
+                           [&] { return Tensors{MatMulTransANaive(a, b)}; });
+      }
     }
   }
 }

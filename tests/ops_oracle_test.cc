@@ -235,7 +235,10 @@ struct GatShape {
   /// Random pairs, or 0 for the degree ladder: row i holds i % 10
   /// distinct columns and no self loop is added, so every degree 0..9
   /// occurs and the backward's four-edge blocks, their tails and rows
-  /// shorter than a block all run.
+  /// shorter than a block all run. Negative: DG-Fin-like, n / 2 random
+  /// undirected pairs and no self loops, so the mean degree is ~1 and about
+  /// a third of the rows are isolated; the four-dot groups then span rows,
+  /// and most pool chunks end inside a group.
   int edges;
 };
 
@@ -267,9 +270,9 @@ TEST_P(GatAttentionOracle, BitIdenticalToNaive) {
   const int n = shape.n;
   const int d = shape.d;
   auto adj = std::make_shared<const SparseMatrix>(
-      shape.edges == 0
-          ? DegreeLadderAdj(n, 53)
-          : RandomAdj(n, shape.edges, 53).NormalizedWithSelfLoops());
+      shape.edges == 0  ? DegreeLadderAdj(n, 53)
+      : shape.edges < 0 ? RandomAdj(n, n / 2, 53)
+                        : RandomAdj(n, shape.edges, 53).NormalizedWithSelfLoops());
   Tensor h = Rand(n, d, 59, 0.5);
   Tensor a_src = Rand(1, d, 61, 0.5);
   Tensor a_dst = Rand(1, d, 67, 0.5);
@@ -297,7 +300,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GatShape{300, 32, 1200},  // crosses the row grain
                       GatShape{600, 24, 300},   // mostly isolated nodes
                       GatShape{1000, 48, 4000},
-                      GatShape{300, 7, 0}));  // degrees 0-9, odd d
+                      GatShape{300, 7, 0},     // degrees 0-9, odd d
+                      GatShape{3001, 48, -1},  // DG-Fin-like, mean degree ~1
+                      GatShape{1003, 5, -1})); // ... odd d, few chunks
 
 TEST(GatAttentionOracleTest, ConstantFeaturesSkipDh) {
   // h as a Constant: io.dh == nullptr inside the backward kernels; only the

@@ -303,6 +303,49 @@ TEST(StructureResidualTest, LaneInvariantAndEqualToServingStreams) {
   }
 }
 
+TEST(StructureResidualTest, ChainedTermsEqualOneRowDotAtATime) {
+  // EdgeError, LeakTerms and NodeResidualTerms run their dots four at a
+  // time (DotChains); each term must still equal the one-RowDot-at-a-time
+  // sum bit for bit, for every group remainder: degrees 0-9 and 0-17
+  // negatives, at an even and an odd width.
+  auto sigmoid = [](double x) { return 1.0 / (1.0 + std::exp(-x)); };
+  for (int d : {48, 7}) {
+    const int n = 40;
+    Rng rng(31 + d);
+    const Tensor z = RandomNormal(n, d, 0, 0.7, &rng);
+    for (int degree = 0; degree <= 9; ++degree) {
+      std::vector<int> neighbors(degree);
+      for (int& j : neighbors) j = static_cast<int>(rng.UniformInt(n));
+      double want_edge = 0.0;
+      for (int j : neighbors) want_edge += 1.0 - sigmoid(z.RowDot(3, z, j));
+      const double edge_err = EdgeError(z, 3, neighbors.data(), degree);
+      EXPECT_TRUE(SameBits(edge_err, want_edge))
+          << "d=" << d << " degree=" << degree;
+      for (int count = 0; count <= 17; ++count) {
+        std::vector<int> negatives(count);
+        for (int& u : negatives) u = static_cast<int>(rng.UniformInt(n));
+        std::vector<double> leak(count, -1.0);
+        LeakTerms(z, 3, negatives.data(), count, leak.data());
+        double want_leak = 0.0;
+        for (int k = 0; k < count; ++k) {
+          const double term = sigmoid(z.RowDot(3, z, negatives[k]));
+          ASSERT_TRUE(SameBits(leak[k], term))
+              << "d=" << d << " count=" << count << " k=" << k;
+          want_leak += term;
+        }
+        if (count > 0) want_leak /= count;
+        const ResidualTerms terms =
+            NodeResidualTerms(z, 3, neighbors.data(), degree, negatives);
+        EXPECT_EQ(terms.degree, degree);
+        EXPECT_TRUE(SameBits(terms.edge_err, want_edge))
+            << "d=" << d << " degree=" << degree << " count=" << count;
+        EXPECT_TRUE(SameBits(terms.leak, want_leak))
+            << "d=" << d << " degree=" << degree << " count=" << count;
+      }
+    }
+  }
+}
+
 TEST(StructureResidualTest, PerfectEmbeddingScoresLow) {
   // Embeddings engineered so that edges have large positive dots and
   // non-edges negative: two well-separated clusters.

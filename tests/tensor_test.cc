@@ -116,8 +116,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatMulProperty,
 // Cross-checks of the blocked/parallel kernels against the naive reference
 // loops — through the shared differential-oracle harness, so every shape
 // also sweeps UMGAD_THREADS x UMGAD_ARENA — on shapes that exercise every
-// edge of the tiling: non-square, odd-size, single row/column, panel-width
-// (64) boundaries, and micro-kernel row (8) boundaries. MatMul and
+// edge of the tiling: non-square, odd-size, single row/column, register-tile
+// (8 x 8) boundaries and column tails, tall-skinny operands, and depths long
+// enough to run many depth slices. MatMul and
 // MatMulTransA preserve the reference kernels' ascending-k float
 // accumulation, so they must agree bit-exactly; MatMulTransB replaces the
 // reference's double accumulation with float, so it gets a small tolerance
@@ -159,15 +160,40 @@ TEST_P(MatMulVsNaive, TransBMatchesNaiveWithinFloatAccumulation) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MatMulVsNaive,
     ::testing::Values(MatShapes{1, 1, 1},        // degenerate
-                      MatShapes{7, 13, 9},       // small odd (naive path)
-                      MatShapes{64, 64, 64},     // exact panel boundary
-                      MatShapes{65, 63, 65},     // just past/short of panels
+                      MatShapes{7, 13, 9},       // small odd (serial path)
+                      MatShapes{64, 64, 64},     // whole 8x8 tiles
+                      MatShapes{65, 63, 65},     // one row/column past them
                       MatShapes{129, 65, 200},   // odd rows, 8-row remainder
                       MatShapes{8, 300, 1},      // single output column
                       MatShapes{1, 300, 90},     // single output row
                       MatShapes{250, 3, 250},    // shallow k
-                      MatShapes{100, 257, 31},   // sub-panel n, odd k
-                      MatShapes{1000, 48, 32})); // GMAE projection shape
+                      MatShapes{100, 257, 31},   // column tail, two depth slices
+                      MatShapes{1000, 48, 32},   // GMAE projection shape
+                      MatShapes{4099, 32, 48},   // tall-skinny X*W
+                      MatShapes{4099, 48, 32},   // tall-skinny H*W
+                      MatShapes{3001, 25, 7},    // narrow n, column tail
+                      MatShapes{2050, 64, 65},   // one column past the tiles
+                      MatShapes{7, 5003, 48},    // long depth, < 1 row tile
+                      MatShapes{32, 5003, 48},   // long depth (A^T g shape)
+                      MatShapes{48, 5003, 32}));
+
+TEST(TensorTest, MatMulWithAnEmptyDimension) {
+  // Zero rows, zero depth or zero columns: the kernel must neither divide
+  // by the width nor read a row, and a zero depth sums nothing (zeros).
+  Tensor c = MatMul(RandomTensor(5, 3, 1), Tensor(3, 0));
+  EXPECT_EQ(c.rows(), 5);
+  EXPECT_EQ(c.cols(), 0);
+  c = MatMul(Tensor(0, 3), RandomTensor(3, 4, 2));
+  EXPECT_EQ(c.rows(), 0);
+  EXPECT_EQ(c.cols(), 4);
+  c = MatMul(Tensor(5, 0), Tensor(0, 4));
+  EXPECT_EQ(MaxAbsDiff(c, Tensor(5, 4)), 0.0);
+  c = MatMulTransA(Tensor(0, 6), Tensor(0, 2));
+  EXPECT_EQ(MaxAbsDiff(c, Tensor(6, 2)), 0.0);
+  c = MatMulTransA(RandomTensor(7, 3, 3), Tensor(7, 0));
+  EXPECT_EQ(c.rows(), 3);
+  EXPECT_EQ(c.cols(), 0);
+}
 
 TEST(TensorTest, MatMulThreadCountInvariance) {
   Tensor a = RandomTensor(143, 77, 131);
