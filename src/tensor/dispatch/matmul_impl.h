@@ -47,7 +47,7 @@ inline constexpr int kMaxDepthBlock = 256;
 
 /// Below this many multiply-adds the whole product runs on the calling
 /// thread: a pool dispatch costs more than the product.
-inline constexpr int64_t kSmallMatMulMuls = 1 << 14;
+inline constexpr int64_t kSmallMatMulMuls = 1 << 15;
 
 /// A row-major-or-transposed A operand: element (i, p) of the m x k
 /// matrix A sits at data[i * row_stride + p * k_stride]. A tensor read as
