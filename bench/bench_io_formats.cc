@@ -1,6 +1,6 @@
 // On-disk format shootout: serialises Retail at the default bench scale in
 // both graph formats and times save + load of each, plus the mmap load and
-// the chunked edge-list importer. Acceptance bars (docs/FORMATS.md): the
+// the edge-list importer. Acceptance bars (docs/FORMATS.md): the
 // binary load is >= 20x faster than the text path at this size, and the
 // mmap load materialises >= 5x less memory than the copying binary load —
 // the copying reader pulls every file byte through the page cache and then
@@ -168,9 +168,9 @@ int Main() {
             << " less (target >= 5x)\n\n";
 
   // Edge-list import: the same graph round-tripped through the text
-  // dialect, parsed serially and chunked at 1 and 4 pool lanes. The
-  // imported graph is bit-identical in every row (io_differential_test
-  // asserts it); only the wall clock moves.
+  // dialect at 1 and 4 pool lanes. The parse is serial; only the graph
+  // checks after it run on the pool. The imported graph is bit-identical
+  // either way (io_differential_test asserts it).
   UMGAD_CHECK(ExportEdgeList(graph, edges_path, features_path).ok());
   EdgeListOptions import_options;
   import_options.features_path = features_path;
@@ -179,25 +179,14 @@ int Main() {
   }
   const int saved_threads = NumThreads();
   TablePrinter import_table;
-  import_table.SetHeader({"Importer", "Threads", "Parse (ms)", "Speedup"});
-  double serial_1t = 0.0;
+  import_table.SetHeader({"Threads", "Import (ms)"});
   for (const int threads : {1, 4}) {
     SetNumThreads(threads);
-    EdgeListOptions serial = import_options;
-    serial.import_chunks = 1;
-    const double serial_seconds = BestOfSeconds(reps, [&] {
-      UMGAD_CHECK(ImportEdgeList(edges_path, serial).ok());
-    });
-    const double chunked_seconds = BestOfSeconds(reps, [&] {
+    const double seconds = BestOfSeconds(reps, [&] {
       UMGAD_CHECK(ImportEdgeList(edges_path, import_options).ok());
     });
-    if (threads == 1) serial_1t = serial_seconds;
-    import_table.AddRow({"serial", StrFormat("%d", threads),
-                         FormatFloat(serial_seconds * 1e3, 2),
-                         StrFormat("%.1fx", serial_1t / serial_seconds)});
-    import_table.AddRow({"chunked", StrFormat("%d", threads),
-                         FormatFloat(chunked_seconds * 1e3, 2),
-                         StrFormat("%.1fx", serial_1t / chunked_seconds)});
+    import_table.AddRow(
+        {StrFormat("%d", threads), FormatFloat(seconds * 1e3, 2)});
   }
   SetNumThreads(saved_threads);
   std::cout << "Edge-list import ("

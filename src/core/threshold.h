@@ -21,15 +21,18 @@ struct ThresholdResult {
   std::vector<double> smoothed;
 };
 
-/// The paper's label-free threshold: sort scores descending, moving-average
-/// smooth with window w = max(floor(1e-4 * N), 5) (Eq. 20), take first and
-/// second differences (Eqs. 21-22), and put the threshold at the inflection
-/// point of maximal |Delta_2| (Eq. 23). Points whose |Delta_2| is within a
-/// tolerance of the maximum are all "selectable" (the paper's
-/// multi-candidate rule) and the one whose smoothed score is closest to the
-/// tail plateau s(|V|) wins — this is what anchors the threshold at the
-/// anomaly/normal boundary rather than at curvature among the extreme top
-/// scores.
+/// The label-free threshold of Sec. IV-E: sort scores descending,
+/// moving-average smooth with window w = max(floor(1e-4 * N), 5) (Eq. 20),
+/// and take first and second differences (Eqs. 21-22). Eq. 23 then puts the
+/// threshold at the maximal |Delta_2|; this selection step differs:
+///   - a candidate is a point whose Delta_2 is positive and at least 8 times
+///     the median |Delta_2|; when none is, the argmax of positive Delta_2
+///     is the only candidate (index 0 when no Delta_2 is positive);
+///   - the candidate nearest TwoSegmentChangePoint of the smoothed curve
+///     wins, the earliest on a tie.
+/// The factor 8 and the change point are not in Eqs. 20-23. They keep the
+/// pick off the curvature among the extreme top scores. Fewer than three
+/// smoothed points put the threshold at the first.
 ///
 /// `window` <= 0 selects the paper's default.
 ThresholdResult SelectThresholdInflection(const std::vector<double>& scores,

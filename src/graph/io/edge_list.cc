@@ -8,11 +8,10 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/byte_io.h"
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "graph/io/io_limits.h"
-#include "graph/io/line_chunks.h"
 
 namespace umgad {
 
@@ -40,12 +39,6 @@ std::vector<std::string> SplitFields(const std::string& line, char delim) {
   return fields;
 }
 
-char DetectDelimiter(const std::string& line) {
-  if (line.find('\t') != std::string::npos) return '\t';
-  if (line.find(',') != std::string::npos) return ',';
-  return ' ';
-}
-
 bool ParseInt(const std::string& field, int64_t* value) {
   if (field.empty()) return false;
   char* end = nullptr;
@@ -69,17 +62,19 @@ bool IsSpaceChar(char c) {
   return std::isspace(static_cast<unsigned char>(c)) != 0;
 }
 
-/// Yields the trimmed data lines of a byte range: '\r' stripped, blanks and
-/// '#' comments skipped. Byte-for-byte the same lines ReadDataLines used to
-/// produce via getline, but over an in-memory buffer so disjoint ranges can
-/// be walked from different threads.
+/// Yields the trimmed data lines of a whole-file image: '\r' stripped,
+/// blanks and '#' comments skipped. line_number() is the 1-based physical
+/// line of the last line yielded, comments and blanks included, so a
+/// diagnostic names the line an editor shows.
 class DataLineReader {
  public:
-  DataLineReader(const char* data, ByteRange range)
-      : p_(data + range.begin), end_(data + range.end) {}
+  explicit DataLineReader(const FileImage& image)
+      : p_(reinterpret_cast<const char*>(image.data())),
+        end_(p_ + image.size()) {}
 
   bool Next(std::string* line) {
     while (p_ < end_) {
+      ++line_number_;
       const char* nl = static_cast<const char*>(
           std::memchr(p_, '\n', static_cast<size_t>(end_ - p_)));
       const char* b = p_;
@@ -94,111 +89,107 @@ class DataLineReader {
     return false;
   }
 
+  size_t line_number() const { return line_number_; }
+
  private:
   const char* p_;
   const char* end_;
+  size_t line_number_ = 0;
 };
 
-/// First data line of a buffer plus the delimiter resolved from it —
-/// everything the chunk parsers need to know up front.
-struct Prologue {
-  bool has_data = false;
-  char delim = ' ';
-  std::string first_line;
-};
-
-Prologue ScanPrologue(const std::string& buffer, char requested_delim) {
-  Prologue p;
-  DataLineReader reader(buffer.data(), ByteRange{0, buffer.size()});
-  if (!reader.Next(&p.first_line)) return p;
-  p.has_data = true;
-  p.delim = requested_delim == '\0' ? DetectDelimiter(p.first_line)
-                                    : requested_delim;
-  return p;
+/// The delimiter a file is split with: `requested`, or when that is '\0'
+/// the one detected from its first data line (tab > comma > spaces).
+char ResolveDelimiter(char requested, const std::string& first_line) {
+  if (requested != '\0') return requested;
+  if (first_line.find('\t') != std::string::npos) return '\t';
+  if (first_line.find(',') != std::string::npos) return ',';
+  return ' ';
 }
 
-/// Chunk count for a parse buffer: one chunk per ~256 KiB, at most 4 per
-/// pool lane (enough slack for load balancing), never fewer than one.
-int AutoChunkCount(size_t bytes) {
-  constexpr size_t kBytesPerChunk = size_t{1} << 18;
-  const size_t by_size = bytes / kBytesPerChunk;
-  const size_t cap = static_cast<size_t>(NumThreads()) * 4;
-  return static_cast<int>(std::max<size_t>(1, std::min(by_size, cap)));
-}
-
-int ResolveChunkCount(const EdgeListOptions& options, size_t bytes) {
-  if (options.import_chunks >= 1) return options.import_chunks;
-  return AutoChunkCount(bytes);
-}
-
-/// First malformed row of a chunk. Only the error from the earliest failing
-/// chunk is ever reported, and all chunks before it parsed cleanly, so their
-/// exact row counts turn `local_row` back into the serial line number.
-struct ChunkError {
-  enum Kind { kNone, kFieldCount, kBadIds, kIdRange, kUnknownRel };
-  Kind kind = kNone;
-  size_t local_row = 0;
-  size_t field_count = 0;
-  std::string a;
-  std::string b;
-};
-
-struct EdgeChunk {
-  std::vector<std::string> rel_names;        // local first-seen order
+struct EdgeRows {
+  std::vector<std::string> rel_names;
   std::vector<std::vector<Edge>> rel_edges;  // parallel to rel_names
-  size_t data_rows = 0;  // data lines consumed, including skipped header
   int max_id = -1;
-  ChunkError error;
 };
 
-EdgeChunk ParseEdgeChunk(const char* data, ByteRange range, char delim,
-                         const std::vector<std::string>& pinned,
-                         size_t skip_rows) {
-  EdgeChunk out;
-  const bool discover = pinned.empty();
-  if (!discover) {
-    out.rel_names = pinned;
-    out.rel_edges.resize(pinned.size());
-  }
-  DataLineReader reader(data, range);
+Result<EdgeRows> ParseEdgeFile(const std::string& path,
+                               const EdgeListOptions& options) {
+  UMGAD_ASSIGN_OR_RETURN(const std::shared_ptr<const FileImage> image,
+                         FileImage::Read(path));
+  DataLineReader reader(*image);
   std::string line;
-  while (reader.Next(&line)) {
-    const size_t row = out.data_rows++;
-    if (row < skip_rows) continue;
+  if (!reader.Next(&line)) {
+    return Status::InvalidArgument(path + ": no edges");
+  }
+  const char delim = ResolveDelimiter(options.delimiter, line);
+
+  // Header handling: kAuto treats the first row as a header only when
+  // *neither* id column parses as an integer — a mixed row like "0,weight"
+  // is malformed data and errors below instead of being silently dropped,
+  // and an all-numeric header ("0,1,2") needs an explicit kAlways.
+  bool skip_header = options.header == HeaderMode::kAlways;
+  if (options.header == HeaderMode::kAuto) {
+    const std::vector<std::string> fields = SplitFields(line, delim);
+    int64_t src = 0;
+    int64_t dst = 0;
+    skip_header = fields.size() >= 2 && !ParseInt(fields[0], &src) &&
+                  !ParseInt(fields[1], &dst);
+  }
+  if (skip_header && !reader.Next(&line)) {
+    return Status::InvalidArgument(path + ": no edges after header");
+  }
+
+  EdgeRows out;
+  out.rel_names = options.relation_names;
+  out.rel_edges.resize(out.rel_names.size());
+  const bool discover_relations = out.rel_names.empty();
+  do {
+    const size_t at = reader.line_number();
     const std::vector<std::string> fields = SplitFields(line, delim);
     if (fields.size() < 2 || fields.size() > 3) {
-      out.error = ChunkError{ChunkError::kFieldCount, row, fields.size(),
-                             "", ""};
-      return out;
+      return Status::InvalidArgument(StrFormat(
+          "%s: line %zu has %zu fields (want 'src dst [relation]')",
+          path.c_str(), at, fields.size()));
     }
     int64_t src = 0;
     int64_t dst = 0;
     if (!ParseInt(fields[0], &src) || !ParseInt(fields[1], &dst)) {
-      out.error =
-          ChunkError{ChunkError::kBadIds, row, 0, fields[0], fields[1]};
-      return out;
+      return Status::InvalidArgument(
+          StrFormat("%s: line %zu: bad node ids '%s' '%s'", path.c_str(), at,
+                    fields[0].c_str(), fields[1].c_str()));
     }
     if (src < 0 || dst < 0 || src >= io_limits::kMaxNodes ||
         dst >= io_limits::kMaxNodes) {
-      out.error = ChunkError{ChunkError::kIdRange, row, 0, "", ""};
-      return out;
+      return Status::OutOfRange(StrFormat(
+          "%s: line %zu: node id out of range", path.c_str(), at));
     }
     const std::string rel = fields.size() == 3 ? fields[2] : "edges";
     size_t r = 0;
     while (r < out.rel_names.size() && out.rel_names[r] != rel) ++r;
     if (r == out.rel_names.size()) {
-      if (!discover) {
-        out.error = ChunkError{ChunkError::kUnknownRel, row, 0, rel, ""};
-        return out;
+      if (!discover_relations) {
+        return Status::InvalidArgument(
+            StrFormat("%s: line %zu: unknown relation '%s'", path.c_str(), at,
+                      rel.c_str()));
+      }
+      if (static_cast<int64_t>(rel.size()) > io_limits::kMaxNameLen) {
+        return Status::InvalidArgument(StrFormat(
+            "%s: line %zu: relation name of %zu chars exceeds the %lld-char "
+            "cap", path.c_str(), at, rel.size(),
+            static_cast<long long>(io_limits::kMaxNameLen)));
+      }
+      if (static_cast<int64_t>(r) == io_limits::kMaxRelations) {
+        return Status::InvalidArgument(
+            StrFormat("%s: line %zu: more than %lld relations", path.c_str(),
+                      at, static_cast<long long>(io_limits::kMaxRelations)));
       }
       out.rel_names.push_back(rel);
       out.rel_edges.emplace_back();
     }
     out.rel_edges[r].push_back(
         Edge{static_cast<int>(src), static_cast<int>(dst)});
-    out.max_id = std::max(out.max_id,
-                          static_cast<int>(std::max(src, dst)));
-  }
+    out.max_id = std::max(out.max_id, static_cast<int>(std::max(src, dst)));
+  } while (reader.Next(&line));
   return out;
 }
 
@@ -225,278 +216,149 @@ Tensor StructuralFeatures(const std::vector<std::vector<Edge>>& rel_edges,
   return x;
 }
 
-/// Two-phase parallel feature parse: count rows per chunk (so the row-count
-/// check still precedes any per-value diagnostics, as the serial reader's
-/// did), then parse each chunk straight into its rows of the output tensor.
-Result<Tensor> ParseFeatureFile(const std::string& path,
-                                const EdgeListOptions& options,
-                                const std::string& buffer,
-                                const Prologue& prologue, int num_nodes) {
-  const std::vector<ByteRange> ranges = SplitNewlineAligned(
-      buffer.data(), buffer.size(), ResolveChunkCount(options, buffer.size()));
-  std::vector<size_t> counts(ranges.size(), 0);
-  ParallelFor(static_cast<int64_t>(ranges.size()), 1,
-              [&](int64_t begin, int64_t end) {
-                for (int64_t c = begin; c < end; ++c) {
-                  DataLineReader reader(buffer.data(), ranges[c]);
-                  std::string line;
-                  while (reader.Next(&line)) ++counts[c];
-                }
-              });
-  std::vector<size_t> first_row(ranges.size() + 1, 0);
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    first_row[c + 1] = first_row[c] + counts[c];
-  }
-  const size_t total_rows = first_row[ranges.size()];
-  if (total_rows != static_cast<size_t>(num_nodes)) {
-    return Status::InvalidArgument(
-        StrFormat("%s: %zu feature rows for %d nodes", path.c_str(),
-                  total_rows, num_nodes));
-  }
-  const size_t dim = SplitFields(prologue.first_line, prologue.delim).size();
-  if (dim == 0) {
-    return Status::InvalidArgument(path + ": empty feature row");
-  }
+/// A features file walked once. A bad row does not stop the walk: its
+/// error is kept so the caller can report a row-count mismatch first, then
+/// the first row of the wrong width, then the first bad value. Values are
+/// collected only while no error is kept, four bytes per field read, so
+/// their size is bounded by the file's, never by a row count times a width.
+struct FeatureRows {
+  size_t rows = 0;
+  size_t dim = 0;  // the first row's width
+  std::vector<float> values;  // rows x dim, row-major, when both errors are OK
+  Status width_error;
+  Status value_error;
+};
 
-  struct FeatError {
-    enum Kind { kNone, kWidth, kValue };
-    Kind kind = kNone;
-    int row = 0;
-    size_t field = 0;  // kWidth: the row's field count; kValue: the column
-    std::string value;
-  };
-  Tensor attributes(num_nodes, static_cast<int>(dim));
-  std::vector<FeatError> errors(ranges.size());
-  ParallelFor(
-      static_cast<int64_t>(ranges.size()), 1,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t c = begin; c < end; ++c) {
-          DataLineReader reader(buffer.data(), ranges[c]);
-          std::string line;
-          size_t local = 0;
-          while (reader.Next(&line)) {
-            const int i = static_cast<int>(first_row[c] + local++);
-            const std::vector<std::string> fields =
-                SplitFields(line, prologue.delim);
-            if (fields.size() != dim) {
-              errors[c] = FeatError{FeatError::kWidth, i, fields.size(), ""};
-              break;
-            }
-            bool bad = false;
-            for (size_t j = 0; j < dim; ++j) {
-              if (!ParseFloat(fields[j],
-                              &attributes.at(i, static_cast<int>(j)))) {
-                errors[c] = FeatError{FeatError::kValue, i, j, fields[j]};
-                bad = true;
-                break;
-              }
-            }
-            if (bad) break;
-          }
-        }
-      });
-  // Chunks cover ascending disjoint row ranges, so the earliest failing
-  // chunk holds the first bad row — identical diagnostics at every thread
-  // and chunk count.
-  for (const FeatError& err : errors) {
-    if (err.kind == FeatError::kWidth) {
-      return Status::InvalidArgument(
-          StrFormat("%s: row %d has %zu values, expected %zu", path.c_str(),
-                    err.row, err.field, dim));
-    }
-    if (err.kind == FeatError::kValue) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: attribute (%d, %zu) is not a finite number: '%s'",
-          path.c_str(), err.row, err.field, err.value.c_str()));
-    }
+Result<FeatureRows> ParseFeatureFile(const std::string& path,
+                                     char requested_delim) {
+  UMGAD_ASSIGN_OR_RETURN(const std::shared_ptr<const FileImage> image,
+                         FileImage::Read(path));
+  DataLineReader reader(*image);
+  std::string line;
+  if (!reader.Next(&line)) return Status::InvalidArgument(path + ": empty");
+  const char delim = ResolveDelimiter(requested_delim, line);
+  FeatureRows out;
+  out.dim = SplitFields(line, delim).size();
+  if (static_cast<int64_t>(out.dim) > io_limits::kMaxFeatures) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: %zu values per row exceed the limit of %lld", path.c_str(),
+        out.dim, static_cast<long long>(io_limits::kMaxFeatures)));
   }
-  return attributes;
+  do {
+    const size_t row = out.rows++;
+    const std::vector<std::string> fields = SplitFields(line, delim);
+    if (fields.size() != out.dim) {
+      if (out.width_error.ok()) {
+        out.width_error = Status::InvalidArgument(
+            StrFormat("%s: row %zu has %zu values, expected %zu",
+                      path.c_str(), row, fields.size(), out.dim));
+      }
+      continue;
+    }
+    if (!out.width_error.ok() || !out.value_error.ok()) continue;
+    for (size_t j = 0; j < out.dim; ++j) {
+      float value = 0.0f;
+      if (!ParseFloat(fields[j], &value)) {
+        out.value_error = Status::InvalidArgument(StrFormat(
+            "%s: attribute (%zu, %zu) is not a finite number: '%s'",
+            path.c_str(), row, j, fields[j].c_str()));
+        break;
+      }
+      out.values.push_back(value);
+    }
+  } while (reader.Next(&line));
+  return out;
+}
+
+/// One 0/1 label per data line; the row count is checked before any value.
+Result<std::vector<int>> ParseLabelFile(const std::string& path,
+                                        char requested_delim, int num_nodes) {
+  UMGAD_ASSIGN_OR_RETURN(const std::shared_ptr<const FileImage> image,
+                         FileImage::Read(path));
+  DataLineReader reader(*image);
+  std::vector<int> labels;
+  size_t first_bad_line = 0;
+  std::string line;
+  char delim = requested_delim;
+  while (reader.Next(&line)) {
+    if (labels.empty()) delim = ResolveDelimiter(requested_delim, line);
+    const std::vector<std::string> fields = SplitFields(line, delim);
+    int64_t v = 0;
+    const bool ok = fields.size() == 1 && ParseInt(fields[0], &v) &&
+                    (v == 0 || v == 1);
+    if (!ok && first_bad_line == 0) first_bad_line = reader.line_number();
+    labels.push_back(ok ? static_cast<int>(v) : 0);
+  }
+  if (labels.size() != static_cast<size_t>(num_nodes)) {
+    return Status::InvalidArgument(StrFormat("%s: %zu labels for %d nodes",
+                                             path.c_str(), labels.size(),
+                                             num_nodes));
+  }
+  if (first_bad_line != 0) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: line %zu: labels must be 0 or 1", path.c_str(), first_bad_line));
+  }
+  return labels;
 }
 
 }  // namespace
 
 Result<MultiplexGraph> ImportEdgeList(const std::string& edges_path,
                                       const EdgeListOptions& options) {
-  std::string buffer;
-  UMGAD_RETURN_IF_ERROR(ReadFileToString(edges_path, &buffer));
-  const Prologue prologue = ScanPrologue(buffer, options.delimiter);
-  if (!prologue.has_data) {
-    return Status::InvalidArgument(edges_path + ": no edges");
-  }
-
-  // Header handling: kAuto treats the first row as a header only when
-  // *neither* id column parses as an integer — a mixed row like "0,weight"
-  // is malformed data and errors below instead of being silently dropped,
-  // and an all-numeric header ("0,1,2") needs an explicit kAlways.
-  bool skip_header = false;
-  if (options.header == HeaderMode::kAlways) {
-    skip_header = true;
-  } else if (options.header == HeaderMode::kAuto) {
-    const std::vector<std::string> fields =
-        SplitFields(prologue.first_line, prologue.delim);
-    int64_t src = 0;
-    int64_t dst = 0;
-    skip_header = fields.size() >= 2 && !ParseInt(fields[0], &src) &&
-                  !ParseInt(fields[1], &dst);
-  }
-
-  const std::vector<ByteRange> ranges = SplitNewlineAligned(
-      buffer.data(), buffer.size(), ResolveChunkCount(options, buffer.size()));
-  std::vector<EdgeChunk> chunks(ranges.size());
-  ParallelFor(static_cast<int64_t>(ranges.size()), 1,
-              [&](int64_t begin, int64_t end) {
-                for (int64_t c = begin; c < end; ++c) {
-                  chunks[c] = ParseEdgeChunk(
-                      buffer.data(), ranges[c], prologue.delim,
-                      options.relation_names,
-                      c == 0 && skip_header ? 1 : 0);
-                }
-              });
-
-  // Report the first malformed row in file order with its serial line
-  // number: chunks before the earliest failing one are clean, so their row
-  // counts are exact. Lines are 1-based over data rows (header included),
-  // matching the serial parse for every chunk count.
-  size_t rows_before = 0;
-  for (const EdgeChunk& chunk : chunks) {
-    const ChunkError& err = chunk.error;
-    if (err.kind != ChunkError::kNone) {
-      const size_t line = rows_before + err.local_row + 1;
-      switch (err.kind) {
-        case ChunkError::kFieldCount:
-          return Status::InvalidArgument(StrFormat(
-              "%s: line %zu has %zu fields (want 'src dst [relation]')",
-              edges_path.c_str(), line, err.field_count));
-        case ChunkError::kBadIds:
-          return Status::InvalidArgument(StrFormat(
-              "%s: line %zu: bad node ids '%s' '%s'", edges_path.c_str(),
-              line, err.a.c_str(), err.b.c_str()));
-        case ChunkError::kIdRange:
-          return Status::OutOfRange(
-              StrFormat("%s: line %zu: node id out of range",
-                        edges_path.c_str(), line));
-        case ChunkError::kUnknownRel:
-          return Status::InvalidArgument(
-              StrFormat("%s: line %zu: unknown relation '%s'",
-                        edges_path.c_str(), line, err.a.c_str()));
-        case ChunkError::kNone:
-          break;
-      }
-    }
-    rows_before += chunk.data_rows;
-  }
-  if (skip_header && rows_before == 1) {
-    return Status::InvalidArgument(edges_path + ": no edges after header");
-  }
-
-  // Merge in chunk order: relation discovery order and per-relation edge
-  // order both reproduce the serial scan exactly.
-  std::vector<std::string> rel_names = options.relation_names;
-  const bool discover_relations = rel_names.empty();
-  std::vector<std::vector<Edge>> rel_edges(rel_names.size());
-  int max_id = -1;
-  for (EdgeChunk& chunk : chunks) {
-    max_id = std::max(max_id, chunk.max_id);
-    for (size_t lr = 0; lr < chunk.rel_names.size(); ++lr) {
-      size_t r = 0;
-      while (r < rel_names.size() && rel_names[r] != chunk.rel_names[lr]) {
-        ++r;
-      }
-      if (r == rel_names.size()) {
-        UMGAD_CHECK(discover_relations);
-        rel_names.push_back(chunk.rel_names[lr]);
-        rel_edges.emplace_back();
-      }
-      rel_edges[r].insert(rel_edges[r].end(), chunk.rel_edges[lr].begin(),
-                          chunk.rel_edges[lr].end());
-    }
-  }
+  UMGAD_ASSIGN_OR_RETURN(EdgeRows edges, ParseEdgeFile(edges_path, options));
 
   // Optional feature rows; their count can define the node count (isolated
   // trailing nodes are real nodes).
-  std::string feature_buffer;
-  Prologue feature_prologue;
+  FeatureRows features;
   if (!options.features_path.empty()) {
-    UMGAD_RETURN_IF_ERROR(
-        ReadFileToString(options.features_path, &feature_buffer));
-    feature_prologue = ScanPrologue(feature_buffer, options.delimiter);
-    if (!feature_prologue.has_data) {
-      return Status::InvalidArgument(options.features_path + ": empty");
-    }
+    UMGAD_ASSIGN_OR_RETURN(
+        features, ParseFeatureFile(options.features_path, options.delimiter));
   }
-
   int num_nodes = options.num_nodes;
   if (num_nodes <= 0) {
-    if (options.features_path.empty()) {
-      num_nodes = max_id + 1;
-    } else {
-      size_t rows = 0;
-      DataLineReader reader(feature_buffer.data(),
-                            ByteRange{0, feature_buffer.size()});
-      std::string line;
-      while (reader.Next(&line)) ++rows;
-      num_nodes = static_cast<int>(rows);
-    }
+    num_nodes = options.features_path.empty()
+                    ? edges.max_id + 1
+                    : static_cast<int>(features.rows);
   }
-  if (num_nodes <= 0 || max_id >= num_nodes) {
-    return Status::OutOfRange(StrFormat(
-        "edge references node %d but the graph has %d nodes", max_id,
-        num_nodes));
+  if (num_nodes <= 0 || edges.max_id >= num_nodes) {
+    return Status::OutOfRange(
+        StrFormat("%s: edge references node %d but the graph has %d nodes",
+                  edges_path.c_str(), edges.max_id, num_nodes));
   }
 
   Tensor attributes;
   if (!options.features_path.empty()) {
-    UMGAD_ASSIGN_OR_RETURN(
-        attributes,
-        ParseFeatureFile(options.features_path, options, feature_buffer,
-                         feature_prologue, num_nodes));
+    if (features.rows != static_cast<size_t>(num_nodes)) {
+      return Status::InvalidArgument(
+          StrFormat("%s: %zu feature rows for %d nodes",
+                    options.features_path.c_str(), features.rows, num_nodes));
+    }
+    UMGAD_RETURN_IF_ERROR(features.width_error);
+    UMGAD_RETURN_IF_ERROR(features.value_error);
+    attributes =
+        Tensor(num_nodes, static_cast<int>(features.dim), features.values);
   } else {
-    attributes = StructuralFeatures(rel_edges, num_nodes);
+    attributes = StructuralFeatures(edges.rel_edges, num_nodes);
   }
 
   std::vector<int> labels;
   if (!options.labels_path.empty()) {
-    std::string label_buffer;
-    UMGAD_RETURN_IF_ERROR(
-        ReadFileToString(options.labels_path, &label_buffer));
-    const Prologue label_prologue =
-        ScanPrologue(label_buffer, options.delimiter);
-    std::vector<std::vector<std::string>> label_rows;
-    DataLineReader reader(label_buffer.data(),
-                          ByteRange{0, label_buffer.size()});
-    std::string line;
-    while (reader.Next(&line)) {
-      label_rows.push_back(SplitFields(line, label_prologue.delim));
-    }
-    if (label_rows.size() != static_cast<size_t>(num_nodes)) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: %zu labels for %d nodes", options.labels_path.c_str(),
-          label_rows.size(), num_nodes));
-    }
-    labels.resize(num_nodes);
-    for (int i = 0; i < num_nodes; ++i) {
-      int64_t v = 0;
-      if (label_rows[i].size() != 1 || !ParseInt(label_rows[i][0], &v) ||
-          (v != 0 && v != 1)) {
-        return Status::InvalidArgument(StrFormat(
-            "%s: line %d: labels must be 0 or 1",
-            options.labels_path.c_str(), i + 1));
-      }
-      labels[i] = static_cast<int>(v);
-    }
+    UMGAD_ASSIGN_OR_RETURN(labels, ParseLabelFile(options.labels_path,
+                                                  options.delimiter,
+                                                  num_nodes));
   }
 
   std::vector<SparseMatrix> layers;
-  layers.reserve(rel_edges.size());
-  for (const std::vector<Edge>& edges : rel_edges) {
+  layers.reserve(edges.rel_edges.size());
+  for (const std::vector<Edge>& rel : edges.rel_edges) {
     layers.push_back(
-        SparseMatrix::FromEdges(num_nodes, edges, /*symmetrize=*/true));
+        SparseMatrix::FromEdges(num_nodes, rel, /*symmetrize=*/true));
   }
 
   UMGAD_ASSIGN_OR_RETURN(
       MultiplexGraph graph,
       MultiplexGraph::Create(options.name, std::move(attributes),
-                             std::move(layers), std::move(rel_names),
+                             std::move(layers), std::move(edges.rel_names),
                              std::move(labels)));
 
   if (!graph.has_labels() && options.inject_if_unlabeled) {

@@ -36,12 +36,14 @@ enum class HeaderMode {
 /// single-relation graph. Relations appear in first-seen order unless
 /// `relation_names` pins the order up front.
 ///
-/// Parsing is chunked: the file is read in one bulk read, split into
-/// newline-aligned byte ranges (line_chunks.h), and the ranges are parsed
-/// on the global ThreadPool, then merged in chunk order. The merged graph
-/// — and every error message — is bit-identical to the serial parse
-/// (`import_chunks = 1`) for any UMGAD_THREADS;
-/// tests/io_differential_test.cc pins that contract.
+/// Each of the three files is read whole (FileImage) and walked once, in
+/// order, on the calling thread. An edges or labels diagnostic names the
+/// 1-based physical line (comments, blanks and the header counted) of the
+/// first bad row. The side files report a row-count mismatch before any bad
+/// row; a features file then reports its first row of the wrong width, then
+/// its first value that is not a finite number. The shared io_limits cap
+/// relations, relation names and feature columns, so nothing is sized from
+/// an oversized count.
 struct EdgeListOptions {
   /// Graph name recorded in the result.
   std::string name = "imported";
@@ -51,12 +53,6 @@ struct EdgeListOptions {
 
   /// Header handling for the edges file (see HeaderMode).
   HeaderMode header = HeaderMode::kAuto;
-
-  /// Chunk-count override: 0 sizes chunks automatically from the file size
-  /// and thread count; >= 1 forces exactly that target (1 is the serial
-  /// parse; tests use larger counts to exercise multi-chunk merges on small
-  /// files).
-  int import_chunks = 0;
 
   /// Node count; 0 infers (max node id + 1, or the feature-file row count
   /// when a features file is given).

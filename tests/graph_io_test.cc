@@ -19,6 +19,7 @@
 #include "graph/io/graph_io.h"
 #include "graph/io/mmap_format.h"
 #include "graph/io/text_format.h"
+#include "tensor/pool.h"
 
 namespace umgad {
 namespace {
@@ -750,6 +751,114 @@ TEST(EdgeListTest, MalformedInputsAreRejected) {
 
   std::remove(path.c_str());
   std::remove(side.c_str());
+}
+
+TEST(EdgeListTest, DiagnosticsNameThePhysicalLine) {
+  // Comments, blank lines and the header row all count, and CRLF endings
+  // do not: the bad row below is the sixth line an editor shows.
+  const std::string edges = TempPath("physical_lines.tsv");
+  WriteFile(edges,
+            "# exported by a tool\r\n"
+            "\r\n"
+            "# columns: src dst relation\n"
+            "src\tdst\trelation\r\n"
+            "0\t1\tfollows\r\n"
+            "0\tx\tfollows\r\n");
+  auto bad_edge = ImportEdgeList(edges);
+  ASSERT_FALSE(bad_edge.ok());
+  EXPECT_NE(bad_edge.status().message().find(edges + ": line 6: bad node ids"),
+            std::string::npos)
+      << bad_edge.status().message();
+
+  const std::string labels = TempPath("physical_lines_labels.txt");
+  WriteFile(edges, "0\t1\n");
+  WriteFile(labels, "# label per node\r\n\r\n0\r\n2\r\n");
+  EdgeListOptions options;
+  options.labels_path = labels;
+  auto bad_label = ImportEdgeList(edges, options);
+  ASSERT_FALSE(bad_label.ok());
+  EXPECT_NE(bad_label.status().message().find(
+                labels + ": line 4: labels must be 0 or 1"),
+            std::string::npos)
+      << bad_label.status().message();
+  std::remove(edges.c_str());
+  std::remove(labels.c_str());
+}
+
+TEST(EdgeListTest, RelationCountAndNameLengthAreCapped) {
+  const std::string edges = TempPath("many_relations.tsv");
+  std::string content;
+  for (int r = 0; r < 4096; ++r) content += StrFormat("0\t1\tr%d\n", r);
+  WriteFile(edges, content);
+  auto at_cap = ImportEdgeList(edges);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->num_relations(), 4096);
+
+  WriteFile(edges, content + "0\t1\tone-too-many\n");
+  auto over_cap = ImportEdgeList(edges);
+  ASSERT_FALSE(over_cap.ok());
+  EXPECT_NE(over_cap.status().message().find(
+                "line 4097: more than 4096 relations"),
+            std::string::npos)
+      << over_cap.status().message();
+
+  WriteFile(edges, "0\t1\t" + std::string(4096, 'n') + "\n");
+  auto longest = ImportEdgeList(edges);
+  ASSERT_TRUE(longest.ok()) << longest.status().ToString();
+  EXPECT_EQ(longest->relation_name(0).size(), 4096u);
+
+  WriteFile(edges, "0\t1\tr\n1\t2\t" + std::string(4097, 'n') + "\n");
+  auto too_long = ImportEdgeList(edges);
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_NE(too_long.status().message().find(
+                "line 2: relation name of 4097 chars exceeds the 4096-char "
+                "cap"),
+            std::string::npos)
+      << too_long.status().message();
+  std::remove(edges.c_str());
+}
+
+TEST(EdgeListTest, FeatureWidthIsCappedAndCheckedBeforeAllocation) {
+  const std::string edges = TempPath("wide.tsv");
+  const std::string features = TempPath("wide_features.tsv");
+  WriteFile(edges, "0\t1\n");
+  EdgeListOptions options;
+  options.features_path = features;
+  auto row_of = [](int width) {
+    std::string row = "1";
+    for (int j = 1; j < width; ++j) row += "\t0";
+    return row + "\n";
+  };
+  WriteFile(features, row_of(65536) + row_of(65536));
+  auto at_cap = ImportEdgeList(edges, options);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->feature_dim(), 65536);
+
+  WriteFile(features, row_of(65537) + row_of(65537));
+  auto over_cap = ImportEdgeList(edges, options);
+  ASSERT_FALSE(over_cap.ok());
+  EXPECT_NE(over_cap.status().message().find(
+                "65537 values per row exceed the limit of 65536"),
+            std::string::npos)
+      << over_cap.status().message();
+
+  // A wide first row over short ones: 1000 x 4096 floats would be 16.4 MB,
+  // and the width error must come before any of it is allocated.
+  std::string short_rows;
+  for (int i = 1; i < 1000; ++i) short_rows += "1\n";
+  WriteFile(edges, "0\t999\n");
+  WriteFile(features, row_of(4096) + short_rows);
+  const int64_t fresh_before = TensorPool::Global().stats().fresh_bytes;
+  auto narrow = ImportEdgeList(edges, options);
+  const int64_t fresh_growth =
+      TensorPool::Global().stats().fresh_bytes - fresh_before;
+  ASSERT_FALSE(narrow.ok());
+  EXPECT_NE(narrow.status().message().find("row 1 has 1 values, expected 4096"),
+            std::string::npos)
+      << narrow.status().message();
+  EXPECT_LT(fresh_growth, 16'000'000);
+  std::remove(edges.c_str());
+  std::remove(features.c_str());
 }
 
 // ------------------------- LoadDataset dispatch ---------------------------

@@ -1,10 +1,9 @@
 // Cross-loader differential harness: every on-disk representation of a
 // graph must load back bit-for-bit identically — text v1, binary v3
 // through the copying reader, binary v3 through the mmap reader, and the
-// edge-list dialect through both the serial and the forced-multi-chunk
-// importer — for every registry dataset and any thread count. This is the
-// io analogue of the kernel oracle sweeps: the reference is the in-memory
-// graph the generators built, and each loader is an independent
+// edge-list dialect — for every registry dataset and any thread count. This
+// is the io analogue of the kernel oracle sweeps: the reference is the
+// in-memory graph the generators built, and each loader is an independent
 // implementation that must reproduce its exact bits (memcmp on floats, so
 // the check is NaN-proof and catches any precision loss).
 
@@ -81,22 +80,9 @@ TEST_P(IoDifferentialTest, AllLoadersBitIdentical) {
     EXPECT_EQ(mapped->mapped(), MmapSupported()) << tag;
     ExpectGraphsBitIdentical(tag + "mmap", mapped->graph(), reference);
 
-    EdgeListOptions serial = import;
-    serial.import_chunks = 1;
-    Result<MultiplexGraph> from_serial = ImportEdgeList(edges_path, serial);
-    ASSERT_TRUE(from_serial.ok()) << tag << from_serial.status().message();
-    ExpectGraphsBitIdentical(tag + "edge-list serial", *from_serial,
-                             reference);
-
-    // Force a multi-chunk merge even on these small files so the
-    // chunk-boundary and merge logic is exercised, not just the
-    // one-chunk fast path.
-    EdgeListOptions chunked = import;
-    chunked.import_chunks = 5;
-    Result<MultiplexGraph> from_chunks = ImportEdgeList(edges_path, chunked);
-    ASSERT_TRUE(from_chunks.ok()) << tag << from_chunks.status().message();
-    ExpectGraphsBitIdentical(tag + "edge-list chunked", *from_chunks,
-                             reference);
+    Result<MultiplexGraph> from_edges = ImportEdgeList(edges_path, import);
+    ASSERT_TRUE(from_edges.ok()) << tag << from_edges.status().message();
+    ExpectGraphsBitIdentical(tag + "edge-list", *from_edges, reference);
   }
   SetNumThreads(saved_threads);
 

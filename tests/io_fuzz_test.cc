@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -33,7 +34,6 @@
 #include "graph/io/binary_format.h"
 #include "graph/io/edge_list.h"
 #include "graph/io/graph_io.h"
-#include "graph/io/line_chunks.h"
 #include "graph/io/mmap_format.h"
 #include "graph/io/text_format.h"
 #include "graph/multiplex_graph.h"
@@ -73,6 +73,12 @@ void WriteImage(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good());
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 class IoFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -84,7 +90,7 @@ class IoFuzzTest : public ::testing::Test {
     path_ = ::testing::TempDir() + "/umgad_fuzz_" + info->name() + ".umgb";
     const MultiplexGraph g = FuzzGraph();
     ASSERT_TRUE(SaveGraphBinary(g, path_).ok());
-    ASSERT_TRUE(ReadFileToString(path_, &image_).ok());
+    image_ = ReadBytes(path_);
   }
 
   void TearDown() override { std::remove(path_.c_str()); }
@@ -202,48 +208,110 @@ TEST_F(IoFuzzTest, HostileHeaderCountsAreAStatusNotAnAllocation) {
   EXPECT_FALSE(LoadBothAndCheckAgreement("hostile name length"));
 }
 
-TEST_F(IoFuzzTest, EdgeListFuzzNeverCrashes) {
-  // The text importer gets the same treatment: seeded mutations of a valid
-  // export — truncations and byte flips, including ones that corrupt ids,
-  // field counts, and relation names — must parse or fail cleanly, and the
-  // serial and chunked parsers must agree on every mutant.
-  const MultiplexGraph g = FuzzGraph();
-  const std::string edges_path = ::testing::TempDir() + "/umgad_fuzz.tsv";
-  ASSERT_TRUE(ExportEdgeList(g, edges_path).ok());
-  std::string text;
-  ASSERT_TRUE(ReadFileToString(edges_path, &text).ok());
+/// The edge-list oracle for one mutant. A rejected mutant fails with
+/// InvalidArgument or OutOfRange and a message that starts with one of
+/// `paths`. An accepted one survives ExportEdgeList (with its features and
+/// labels, written next to `base`) and a re-import bit for bit.
+void CheckEdgeListMutant(const std::string& what,
+                         const Result<MultiplexGraph>& imported,
+                         const std::vector<std::string>& paths,
+                         const std::string& base) {
+  if (!imported.ok()) {
+    const Status& status = imported.status();
+    EXPECT_TRUE(status.code() == StatusCode::kInvalidArgument ||
+                status.code() == StatusCode::kOutOfRange)
+        << what << ": " << status.ToString();
+    bool named = false;
+    for (const std::string& path : paths) {
+      named = named || status.message().rfind(path + ": ", 0) == 0;
+    }
+    EXPECT_TRUE(named) << what << ": " << status.message();
+    return;
+  }
+  const MultiplexGraph& graph = *imported;
+  EdgeListOptions again;
+  again.name = graph.name();
+  again.features_path = base + "_features.tsv";
+  if (graph.has_labels()) again.labels_path = base + "_labels.tsv";
+  for (int r = 0; r < graph.num_relations(); ++r) {
+    again.relation_names.push_back(graph.relation_name(r));
+  }
+  ASSERT_TRUE(ExportEdgeList(graph, base + ".tsv", again.features_path,
+                             again.labels_path)
+                  .ok())
+      << what;
+  Result<MultiplexGraph> reimported = ImportEdgeList(base + ".tsv", again);
+  ASSERT_TRUE(reimported.ok()) << what << ": "
+                               << reimported.status().message();
+  ExpectGraphsBitIdentical(what, *reimported, graph);
+}
 
-  Rng rng(0xED6E5ULL);
+/// 200 seeded mutants of `text`, each a byte flip or a truncation, written
+/// to `target` and imported as `edges_path` with `options`; every one goes
+/// through CheckEdgeListMutant.
+void FuzzEdgeListFile(uint64_t seed, const std::string& target,
+                      const std::string& text, const std::string& edges_path,
+                      const EdgeListOptions& options,
+                      const std::vector<std::string>& paths) {
+  Rng rng(seed);
   for (int trial = 0; trial < 200; ++trial) {
     std::string mutant = text;
     const size_t at = static_cast<size_t>(rng.UniformInt(mutant.size()));
+    std::string what = target + " trial " + std::to_string(trial) + ": ";
     if (rng.Bernoulli(0.5)) {
       mutant[at] = static_cast<char>(
           static_cast<unsigned char>(mutant[at]) ^
           static_cast<unsigned char>(1 + rng.UniformInt(255)));
+      what += "flip at " + std::to_string(at);
     } else {
       mutant.resize(at);
+      what += "truncated to " + std::to_string(at);
     }
-    WriteImage(edges_path, mutant);
-    EdgeListOptions serial;
-    serial.import_chunks = 1;
-    EdgeListOptions chunked;
-    chunked.import_chunks = 4;
-    Result<MultiplexGraph> s = ImportEdgeList(edges_path, serial);
-    Result<MultiplexGraph> c = ImportEdgeList(edges_path, chunked);
-    ASSERT_EQ(s.ok(), c.ok())
-        << "trial " << trial << ": serial says "
-        << (s.ok() ? "ok" : s.status().message()) << ", chunked says "
-        << (c.ok() ? "ok" : c.status().message());
-    if (!s.ok()) {
-      EXPECT_EQ(s.status().message(), c.status().message())
-          << "trial " << trial;
-    } else {
-      ExpectGraphsBitIdentical("edge-list flip trial " + std::to_string(trial),
-                               *c, *s);
-    }
+    WriteImage(target, mutant);
+    CheckEdgeListMutant(what, ImportEdgeList(edges_path, options), paths,
+                        target + "_roundtrip");
   }
+  for (const char* suffix : {".tsv", "_features.tsv", "_labels.tsv"}) {
+    std::remove((target + "_roundtrip" + suffix).c_str());
+  }
+}
+
+TEST_F(IoFuzzTest, EdgeListFuzzNeverCrashes) {
+  // The text importer gets the same treatment: seeded mutations of a valid
+  // export — truncations and byte flips, including ones that corrupt ids,
+  // field counts, and relation names — must parse or fail cleanly.
+  const MultiplexGraph g = FuzzGraph();
+  const std::string edges_path = ::testing::TempDir() + "/umgad_fuzz.tsv";
+  ASSERT_TRUE(ExportEdgeList(g, edges_path).ok());
+  FuzzEdgeListFile(0xED6E5ULL, edges_path, ReadBytes(edges_path), edges_path,
+                   EdgeListOptions(), {edges_path});
   std::remove(edges_path.c_str());
+}
+
+TEST_F(IoFuzzTest, EdgeListSideFilesFuzzNeverCrash) {
+  // The features and labels files are untrusted too. A features mutant can
+  // change the node count, so its rejection may name the edges file.
+  const MultiplexGraph g = FuzzGraph();
+  const std::string base = ::testing::TempDir() + "/umgad_fuzz_side";
+  const std::string edges_path = base + ".tsv";
+  const std::string features_path = base + "_features.tsv";
+  const std::string labels_path = base + "_labels.tsv";
+  ASSERT_TRUE(
+      ExportEdgeList(g, edges_path, features_path, labels_path).ok());
+  EdgeListOptions options;
+  options.relation_names = {"r1", "r2"};
+  options.features_path = features_path;
+  FuzzEdgeListFile(0xFEA7ULL, features_path, ReadBytes(features_path),
+                   edges_path, options, {features_path, edges_path});
+
+  ASSERT_TRUE(
+      ExportEdgeList(g, edges_path, features_path, labels_path).ok());
+  options.labels_path = labels_path;
+  FuzzEdgeListFile(0x1ABE1ULL, labels_path, ReadBytes(labels_path),
+                   edges_path, options, {labels_path});
+  std::remove(edges_path.c_str());
+  std::remove(features_path.c_str());
+  std::remove(labels_path.c_str());
 }
 
 // ------------------------- non-finite and subnormal values ---------------
@@ -430,10 +498,8 @@ TEST(IoFuzzValueTest, TextAttributesNameTheCellAndKeepSubnormals) {
   const std::string features_path = dir + "/umgad_fuzz_values_features.tsv";
   ASSERT_TRUE(SaveGraph(g, text_path).ok());
   ASSERT_TRUE(ExportEdgeList(g, edges_path, features_path).ok());
-  std::string text;
-  std::string features;
-  ASSERT_TRUE(ReadFileToString(text_path, &text).ok());
-  ASSERT_TRUE(ReadFileToString(features_path, &features).ok());
+  const std::string text = ReadBytes(text_path);
+  const std::string features = ReadBytes(features_path);
   const size_t text_block = text.find("attributes\n") + 11;
 
   LoadDatasetOptions edge_list;
@@ -508,7 +574,7 @@ class IoFuzzModelTest : public ::testing::Test {
     Result<TrainedModel> trained = TrainedModel::FromFitted(model, graph_);
     ASSERT_TRUE(trained.ok()) << trained.status().ToString();
     ASSERT_TRUE(trained->Save(path_).ok());
-    ASSERT_TRUE(ReadFileToString(path_, &image_).ok());
+    image_ = ReadBytes(path_);
     tensor_count_at_ =
         kNumRelationsAt + 4 + 8 * graph_.num_relations() + 8 + 41;
   }
