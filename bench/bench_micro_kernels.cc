@@ -179,12 +179,13 @@ void BM_GatAttention(benchmark::State& state) {
   Rng rng(5);
   // Persistent: the inputs must survive the per-iteration tape rewind that
   // reclaims each iteration's op node.
-  ag::VarPtr h = ag::PersistentConstant(RandomNormal(n, 48, 0, 1, &rng));
+  ag::VarPtr x = ag::PersistentConstant(RandomNormal(n, 32, 0, 1, &rng));
+  ag::VarPtr w = ag::PersistentConstant(RandomNormal(32, 48, 0, 1, &rng));
   ag::VarPtr a_src = ag::PersistentConstant(RandomNormal(1, 48, 0, 1, &rng));
   ag::VarPtr a_dst = ag::PersistentConstant(RandomNormal(1, 48, 0, 1, &rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ag::GatAttention(h, a_src, a_dst, adj, 0.2f));
+        ag::GatAttention(x, w, a_src, a_dst, adj, 0.2f));
     ag::Tape::Global().Reset();
   }
 }

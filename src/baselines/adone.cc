@@ -36,6 +36,8 @@ class Adone : public BaselineBase {
     Train(ParametersOf({&attr_enc, &attr_dec, &struct_enc, &struct_dec}),
           kBaselineEpochs, [&] {
             za = ag::Retain(ag::Relu(attr_enc.Forward(ag::Constant(x))));
+            // Retained: scoring reads it, and so does the `align` MseLoss
+            // closure, which holds its value by reference.
             zs = ag::Retain(
                 ag::Relu(struct_enc.Forward(ag::Constant(structure_signal))));
             attr_recon = ag::Retain(attr_dec.Forward(za));

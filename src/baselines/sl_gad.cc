@@ -25,6 +25,7 @@ class SlGad : public BaselineBase {
     constexpr int kBatch = 384;
     constexpr int kContextSize = 4;
 
+    Tensor target;  // MseLoss reads it in Backward, after the lambda
     Train(ParametersOf({&enc, &gen}), kBaselineEpochs, [&] {
       std::vector<int> batch = SampleBatch(view.n, kBatch, &rng_);
       ag::VarPtr h = enc.Forward(view.norm, ag::Constant(x));
@@ -33,7 +34,7 @@ class SlGad : public BaselineBase {
           RwrContextOperator(view.adj, batch, kContextSize, &rng_), h);
       // Generative: predict the (target) node attributes from context.
       ag::VarPtr predicted = gen.Forward(ctx);
-      Tensor target = GatherRows(x, batch);
+      target = GatherRows(x, batch);
       ag::VarPtr gen_loss = ag::MseLoss(predicted, target);
       // Contrastive: standard discrimination.
       std::vector<int> perm = rng_.Permutation(static_cast<int>(batch.size()));

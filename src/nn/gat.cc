@@ -15,18 +15,16 @@ GatConv::GatConv(int in_dim, int out_dim, Activation act, Rng* rng,
 
 ag::VarPtr GatConv::Forward(std::shared_ptr<const SparseMatrix> adj,
                             const ag::VarPtr& x) const {
-  ag::VarPtr h = ag::MatMul(x, weight_);
-  ag::VarPtr out =
-      ag::GatAttention(h, attn_src_, attn_dst_, std::move(adj), slope_);
-  return Activate(out, act_);
+  return Activate(ag::GatAttention(x, weight_, attn_src_, attn_dst_,
+                                   std::move(adj), slope_),
+                  act_);
 }
 
 ag::VarPtr GatConv::ForwardNaive(std::shared_ptr<const SparseMatrix> adj,
                                  const ag::VarPtr& x) const {
-  ag::VarPtr h = ag::MatMul(x, weight_);
-  ag::VarPtr out =
-      ag::GatAttentionNaive(h, attn_src_, attn_dst_, std::move(adj), slope_);
-  return Activate(out, act_);
+  return Activate(ag::GatAttentionNaive(x, weight_, attn_src_, attn_dst_,
+                                        std::move(adj), slope_),
+                  act_);
 }
 
 }  // namespace nn

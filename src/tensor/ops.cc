@@ -690,7 +690,7 @@ VarPtr MseLoss(const VarPtr& recon, const Tensor& target,
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(loss / denom);
   return MakeNode(std::move(out), {recon}, "mse_loss",
-                  [idx = std::move(idx), target, denom](Node* self) {
+                  [idx = std::move(idx), &target, denom](Node* self) {
                     const auto& in = self->inputs();
                     if (!Wants(in[0])) return;
                     const double gv = self->grad().scalar();
@@ -1456,72 +1456,97 @@ void EdgeSoftmaxBackwardNaive(const SparseMatrix& adj, float slope,
 
 namespace {
 
-/// Shared body of GatAttention / GatAttentionNaive: forward kernel + tape
-/// node whose closure routes to the matching backward kernel.
-VarPtr MakeGatAttention(const VarPtr& h, const VarPtr& a_src,
+/// Shared body of GatAttention / GatAttentionNaive. The projection
+/// H = x W is a local of the forward and of the closure, never a tape
+/// value: the closure recomputes it with the forward's kernel on the same
+/// inputs (so bit for bit), runs the edge-softmax backward into a dH that
+/// dies with the closure, and applies MatMul's two gradient products. The
+/// naive twin runs every step through the kept-serial kernels.
+VarPtr MakeGatAttention(const VarPtr& x, const VarPtr& w, const VarPtr& a_src,
                         const VarPtr& a_dst,
                         std::shared_ptr<const SparseMatrix> adj, float slope,
                         bool naive) {
   UMGAD_CHECK(adj != nullptr);
-  const Tensor& hv = h->value();
-  const int n = hv.rows();
-  const int d = hv.cols();
+  const int n = x->value().rows();
+  const int d = w->value().cols();
   UMGAD_CHECK_EQ(adj->rows(), n);
   UMGAD_CHECK_EQ(a_src->value().cols(), d);
   UMGAD_CHECK_EQ(a_dst->value().cols(), d);
+  auto project = [naive](const Tensor& xv, const Tensor& wv) {
+    return naive ? MatMulNaive(xv, wv) : umgad::MatMul(xv, wv);
+  };
 
   Tensor out;
   std::vector<float> alpha;
   std::vector<char> pos;
-  if (naive) {
-    EdgeSoftmaxForwardNaive(*adj, slope, hv, a_src->value(), a_dst->value(),
-                            &out, &alpha, &pos);
-  } else {
-    EdgeSoftmaxForward(*adj, slope, hv, a_src->value(), a_dst->value(), &out,
-                       &alpha, &pos);
-    if (h->requires_grad() || a_src->requires_grad() ||
-        a_dst->requires_grad()) {
-      // Build the ownership index during forward (often already inside the
-      // K x R fan-out) rather than lazily inside the first backward batch.
-      adj->EnsureIncomingIndex();
+  {
+    const Tensor h = project(x->value(), w->value());
+    if (naive) {
+      EdgeSoftmaxForwardNaive(*adj, slope, h, a_src->value(), a_dst->value(),
+                              &out, &alpha, &pos);
+    } else {
+      EdgeSoftmaxForward(*adj, slope, h, a_src->value(), a_dst->value(),
+                         &out, &alpha, &pos);
     }
+  }
+  if (!naive && (x->requires_grad() || w->requires_grad() ||
+                 a_src->requires_grad() || a_dst->requires_grad())) {
+    // Build the ownership index during forward (often already inside the
+    // K x R fan-out) rather than lazily inside the first backward batch.
+    adj->EnsureIncomingIndex();
   }
 
   return MakeNode(
-      std::move(out), {h, a_src, a_dst},
+      std::move(out), {x, w, a_src, a_dst},
       naive ? "gat_attention_naive" : "gat_attention",
-      [adj, slope, naive, alpha = std::move(alpha),
+      [adj, slope, naive, project, alpha = std::move(alpha),
        pos = std::move(pos)](Node* self) {
         const auto& in = self->inputs();
+        const Tensor& xv = in[0]->value();
+        const Tensor& wv = in[1]->value();
+        const Tensor h = project(xv, wv);
+        Tensor dh;
         EdgeSoftmaxGrads io;
         io.g = &self->grad();
-        io.h = &in[0]->value();
-        io.a_src = &in[1]->value();
-        io.a_dst = &in[2]->value();
-        if (Wants(in[0])) io.dh = &in[0]->grad();
-        if (Wants(in[1])) io.da_src = &in[1]->grad();
-        if (Wants(in[2])) io.da_dst = &in[2]->grad();
+        io.h = &h;
+        io.a_src = &in[2]->value();
+        io.a_dst = &in[3]->value();
+        if (Wants(in[0]) || Wants(in[1])) {
+          dh = Tensor(h.rows(), h.cols());
+          io.dh = &dh;
+        }
+        if (Wants(in[2])) io.da_src = &in[2]->grad();
+        if (Wants(in[3])) io.da_dst = &in[3]->grad();
         if (naive) {
           EdgeSoftmaxBackwardNaive(*adj, slope, alpha, pos, io);
         } else {
           EdgeSoftmaxBackward(*adj, slope, alpha, pos, io);
+        }
+        if (Wants(in[0])) {
+          in[0]->grad().AddInPlace(naive ? MatMulNaive(dh, Transpose(wv))
+                                         : MatMulTransB(dh, wv));
+        }
+        if (Wants(in[1])) {
+          in[1]->grad().AddInPlace(naive ? MatMulTransANaive(xv, dh)
+                                         : MatMulTransA(xv, dh));
         }
       });
 }
 
 }  // namespace
 
-VarPtr GatAttention(const VarPtr& h, const VarPtr& a_src, const VarPtr& a_dst,
+VarPtr GatAttention(const VarPtr& x, const VarPtr& w, const VarPtr& a_src,
+                    const VarPtr& a_dst,
                     std::shared_ptr<const SparseMatrix> adj, float slope) {
-  return MakeGatAttention(h, a_src, a_dst, std::move(adj), slope,
+  return MakeGatAttention(x, w, a_src, a_dst, std::move(adj), slope,
                           /*naive=*/false);
 }
 
-VarPtr GatAttentionNaive(const VarPtr& h, const VarPtr& a_src,
+VarPtr GatAttentionNaive(const VarPtr& x, const VarPtr& w, const VarPtr& a_src,
                          const VarPtr& a_dst,
                          std::shared_ptr<const SparseMatrix> adj,
                          float slope) {
-  return MakeGatAttention(h, a_src, a_dst, std::move(adj), slope,
+  return MakeGatAttention(x, w, a_src, a_dst, std::move(adj), slope,
                           /*naive=*/true);
 }
 

@@ -102,6 +102,9 @@ VarPtr ScaledCosineLossNaive(const VarPtr& recon, const Tensor& target,
                              std::vector<int> idx, float eta);
 
 /// Mean squared error over all entries (or a row subset if idx not empty).
+/// `target` carries no gradient. As in ScaledCosineLoss it is not copied:
+/// it must stay alive and unchanged until Backward() has run through the
+/// returned node, so an op value passed here must be Retain()ed first.
 VarPtr MseLoss(const VarPtr& recon, const Tensor& target,
                std::vector<int> idx = {});
 
@@ -166,20 +169,27 @@ int64_t LossScratchFreshBytes();
 // Graph attention
 // ---------------------------------------------------------------------------
 
-/// Single-head GAT aggregation: given projected features H (N x d) and
-/// attention vectors a_src, a_dst (1 x d),
+/// Single-head GAT layer before its activation: given features x (N x f),
+/// the projection W (f x d) and attention vectors a_src, a_dst (1 x d),
+///   H      = x W,
 ///   e_ij   = LeakyReLU(<a_src, h_i> + <a_dst, h_j>)  for j in N(i) u {i},
 ///   alpha  = softmax_j(e_ij),
 ///   out_i  = sum_j alpha_ij h_j.
 /// The adjacency must contain self-loops if self-attention is desired (the
-/// callers add them). Backward differentiates through the edge softmax via
-/// EdgeSoftmaxBackward (parallel; bit-identical to GatAttentionNaive).
-VarPtr GatAttention(const VarPtr& h, const VarPtr& a_src, const VarPtr& a_dst,
+/// callers add them). H is not kept on the tape: the backward recomputes
+/// it (same kernel, same inputs, same bits), differentiates through the
+/// edge softmax via EdgeSoftmaxBackward (parallel) into a dH local to the
+/// closure, and passes dH through the projection as MatMul does. The
+/// tape holds the N x d output and the per-edge softmax state only.
+/// Bit-identical to GatAttentionNaive for any UMGAD_THREADS.
+VarPtr GatAttention(const VarPtr& x, const VarPtr& w, const VarPtr& a_src,
+                    const VarPtr& a_dst,
                     std::shared_ptr<const SparseMatrix> adj, float slope);
 
-/// Kept-serial oracle of GatAttention: serial forward loops and
-/// EdgeSoftmaxBackwardNaive in the closure.
-VarPtr GatAttentionNaive(const VarPtr& h, const VarPtr& a_src,
+/// Kept-serial oracle of GatAttention: MatMulNaive projections, serial
+/// forward loops, EdgeSoftmaxBackwardNaive and the naive gradient products
+/// in the closure.
+VarPtr GatAttentionNaive(const VarPtr& x, const VarPtr& w, const VarPtr& a_src,
                          const VarPtr& a_dst,
                          std::shared_ptr<const SparseMatrix> adj,
                          float slope);

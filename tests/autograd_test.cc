@@ -244,12 +244,16 @@ TEST(AutogradTest, DualContrastiveLossGradient) {
 }
 
 TEST(AutogradTest, GatAttentionGradient) {
+  // Every input is a leaf, so the recomputed projection's gradient
+  // products (into x and W) are checked along with the attention vectors.
   auto adj = SmallGraph(5, 77);
   Tensor probe = Rand(5, 3, 86);
   CheckGradients(
-      {Rand(5, 3, 36, 0.5), Rand(1, 3, 37, 0.5), Rand(1, 3, 38, 0.5)},
+      {Rand(5, 4, 36, 0.5), Rand(4, 3, 87, 0.5), Rand(1, 3, 37, 0.5),
+       Rand(1, 3, 38, 0.5)},
       [&](const auto& v) {
-        return ToScalar(GatAttention(v[0], v[1], v[2], adj, 0.2f), probe);
+        return ToScalar(GatAttention(v[0], v[1], v[2], v[3], adj, 0.2f),
+                        probe);
       },
       /*eps=*/5e-3);
 }
@@ -543,12 +547,14 @@ TEST(TapeTest, BackwardReleasesDeadValues) {
     VarPtr a_dst = leaf(1, d, 108);
     VarPtr logits = leaf(1, 2, 109);
     VarPtr w_out = leaf(d, f, 110);
+    VarPtr w_att = leaf(d, d, 111);
     VarPtr x = Constant(x_value);
     out.constants.push_back(x);
 
     VarPtr masked = op(MaskRows(x, {1, 4, 7}, token));
     VarPtr h = op(AddRowBroadcast(op(MatMul(masked, w)), bias));
-    VarPtr att = op(GatAttention(op(Spmm(adj, h)), a_src, a_dst, adj, 0.2f));
+    VarPtr att =
+        op(GatAttention(op(Spmm(adj, h)), w_att, a_src, a_dst, adj, 0.2f));
     VarPtr other = op(Tanh(op(Spmm(adj, op(MatMul(x, w))))));
     VarPtr fused = op(SimplexWeightedSum({att, other}, logits));
     VarPtr recon = op(MatMul(fused, w_out));

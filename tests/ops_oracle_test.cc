@@ -269,26 +269,31 @@ TEST_P(GatAttentionOracle, BitIdenticalToNaive) {
   const GatShape shape = GetParam();
   const int n = shape.n;
   const int d = shape.d;
+  const int f = d + 3;
   auto adj = std::make_shared<const SparseMatrix>(
       shape.edges == 0  ? DegreeLadderAdj(n, 53)
       : shape.edges < 0 ? RandomAdj(n, n / 2, 53)
                         : RandomAdj(n, shape.edges, 53).NormalizedWithSelfLoops());
-  Tensor h = Rand(n, d, 59, 0.5);
+  Tensor x = Rand(n, f, 59, 0.5);
+  Tensor w = Rand(f, d, 73, 0.5);
   Tensor a_src = Rand(1, d, 61, 0.5);
   Tensor a_dst = Rand(1, d, 67, 0.5);
   Tensor probe = Rand(n, d, 71);
-  // Outputs: attention forward, then grads of h / a_src / a_dst under a
-  // random upstream gradient (loss = sum(out .* probe)).
+  // Outputs: the layer's forward, then the grads of x / W / a_src / a_dst
+  // under a random upstream gradient (loss = sum(out .* probe)).
   auto run = [&](bool naive) {
     return [&, naive]() -> Tensors {
-      ag::VarPtr hv = ag::Leaf(h);
+      ag::VarPtr xv = ag::Leaf(x);
+      ag::VarPtr wv = ag::Leaf(w);
       ag::VarPtr as = ag::Leaf(a_src);
       ag::VarPtr ad = ag::Leaf(a_dst);
-      ag::VarPtr out = naive ? ag::GatAttentionNaive(hv, as, ad, adj, 0.2f)
-                             : ag::GatAttention(hv, as, ad, adj, 0.2f);
+      ag::VarPtr out = naive
+                           ? ag::GatAttentionNaive(xv, wv, as, ad, adj, 0.2f)
+                           : ag::GatAttention(xv, wv, as, ad, adj, 0.2f);
       ag::Retain(out);  // read after Backward
       ag::Backward(ag::Sum(ag::Hadamard(out, ag::Constant(probe))));
-      return Tensors{out->value(), hv->grad(), as->grad(), ad->grad()};
+      return Tensors{out->value(), xv->grad(), wv->grad(), as->grad(),
+                     ad->grad()};
     };
   };
   ExpectBitIdentical("gat_attention", run(false), run(true));
@@ -305,30 +310,41 @@ INSTANTIATE_TEST_SUITE_P(
                       GatShape{1003, 5, -1})); // ... odd d, few chunks
 
 TEST(GatAttentionOracleTest, ConstantFeaturesSkipDh) {
-  // h as a Constant: io.dh == nullptr inside the backward kernels; only the
-  // attention vectors receive gradients.
+  // x as a Constant. With W constant too, no projection gradient is wanted,
+  // so io.dh == nullptr inside the backward kernels and only the attention
+  // vectors receive gradients; with W a leaf (a first layer), dH is built
+  // and passed to W alone.
   const int n = 200;
+  const int f = 11;
   const int d = 16;
   auto adj = std::make_shared<const SparseMatrix>(
       RandomAdj(n, 900, 73).NormalizedWithSelfLoops());
-  Tensor h = Rand(n, d, 79, 0.5);
+  Tensor x = Rand(n, f, 79, 0.5);
+  Tensor w = Rand(f, d, 101, 0.5);
   Tensor probe = Rand(n, d, 83);
   Tensor a_src = Rand(1, d, 89, 0.5);
   Tensor a_dst = Rand(1, d, 97, 0.5);
-  auto run = [&](bool naive) {
-    return [&, naive]() -> Tensors {
-      ag::VarPtr as = ag::Leaf(a_src);
-      ag::VarPtr ad = ag::Leaf(a_dst);
-      ag::VarPtr out =
-          naive
-              ? ag::GatAttentionNaive(ag::Constant(h), as, ad, adj, 0.2f)
-              : ag::GatAttention(ag::Constant(h), as, ad, adj, 0.2f);
-      ag::Retain(out);  // read after Backward
-      ag::Backward(ag::Sum(ag::Hadamard(out, ag::Constant(probe))));
-      return Tensors{out->value(), as->grad(), ad->grad()};
+  for (bool w_leaf : {false, true}) {
+    auto run = [&](bool naive) {
+      return [&, naive]() -> Tensors {
+        ag::VarPtr xv = ag::Constant(x);
+        ag::VarPtr wv = w_leaf ? ag::Leaf(w) : ag::Constant(w);
+        ag::VarPtr as = ag::Leaf(a_src);
+        ag::VarPtr ad = ag::Leaf(a_dst);
+        ag::VarPtr out = naive
+                             ? ag::GatAttentionNaive(xv, wv, as, ad, adj, 0.2f)
+                             : ag::GatAttention(xv, wv, as, ad, adj, 0.2f);
+        ag::Retain(out);  // read after Backward
+        ag::Backward(ag::Sum(ag::Hadamard(out, ag::Constant(probe))));
+        Tensors got{out->value(), as->grad(), ad->grad()};
+        if (w_leaf) got.push_back(wv->grad());
+        return got;
+      };
     };
-  };
-  ExpectBitIdentical("gat_attention_const_h", run(false), run(true));
+    ExpectBitIdentical(
+        w_leaf ? "gat_attention_const_x" : "gat_attention_const_xw",
+        run(false), run(true));
+  }
 }
 
 TEST(EdgeSoftmaxKernelTest, BackwardAccumulatesBitIdentically) {

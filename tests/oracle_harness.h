@@ -14,9 +14,9 @@
 // The naive callable runs once at 1 thread / arena on to produce the
 // reference; then *both* callables re-run under every thread-count x
 // arena-mode combination and every output tensor is compared against the
-// reference with MaxAbsDiff (== 0 by default; a nonzero `tolerance` is for
-// kernels that document a changed accumulation precision, e.g.
-// MatMulTransB's float vs the naive double).
+// reference byte for byte (the default), or with MaxAbsDiff up to a nonzero
+// `tolerance` for kernels that document a changed accumulation precision,
+// e.g. MatMulTransB's float vs the naive double.
 //
 // Callables must rebuild their computation from scratch on every
 // invocation: the harness rewinds the global tape before each call, so
@@ -44,7 +44,7 @@ namespace testing {
 struct OracleSweep {
   std::vector<int> thread_counts = {1, 4};
   std::vector<bool> arena_modes = {true, false};
-  /// MaxAbsDiff bound per output tensor; 0 = bit-identical.
+  /// MaxAbsDiff bound per output tensor; 0 = the same bytes.
   double tolerance = 0.0;
 };
 
@@ -77,10 +77,21 @@ inline void ExpectBitIdentical(const std::string& label,
         ASSERT_EQ(got.size(), reference.size())
             << label << ": output-count mismatch";
         for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_LE(MaxAbsDiff(got[i], reference[i]), sweep.tolerance)
+          ASSERT_TRUE(got[i].SameShape(reference[i]))
+              << label << " output " << i << ": " << got[i].ShapeString()
+              << " vs " << reference[i].ShapeString();
+          // Tolerance 0 compares bytes: MaxAbsDiff equates -0 with +0, and
+          // its std::max drops NaN entries.
+          const bool same =
+              sweep.tolerance == 0.0
+                  ? std::memcmp(got[i].data(), reference[i].data(),
+                                got[i].size() * sizeof(float)) == 0
+                  : MaxAbsDiff(got[i], reference[i]) <= sweep.tolerance;
+          EXPECT_TRUE(same)
               << label << " [" << (variant == 0 ? "kernel" : "naive")
               << "] output " << i << " threads=" << threads
-              << " arena=" << (arena ? 1 : 0);
+              << " arena=" << (arena ? 1 : 0)
+              << " max|diff|=" << MaxAbsDiff(got[i], reference[i]);
         }
       }
     }

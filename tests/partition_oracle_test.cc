@@ -290,7 +290,8 @@ TEST_P(PartitionedKernels, EdgeSoftmaxMatchesNaive) {
   auto adj = std::make_shared<const SparseMatrix>(
       graph.layer(1).NormalizedWithSelfLoops());
   adj->AttachRowBlocks(Partition(graph, p, PartitionMethod::kHdrf));
-  Tensor h = Rand(n, d, 59, 0.5);
+  Tensor x = Rand(n, graph.feature_dim(), 59, 0.5);
+  Tensor w = Rand(graph.feature_dim(), d, 73, 0.5);
   Tensor a_src = Rand(1, d, 61, 0.5);
   Tensor a_dst = Rand(1, d, 67, 0.5);
   Tensor probe = Rand(n, d, 71);
@@ -299,14 +300,17 @@ TEST_P(PartitionedKernels, EdgeSoftmaxMatchesNaive) {
   // serial oracle with the schedule attached.
   auto run = [&](bool naive) {
     return [&, naive]() -> Tensors {
-      ag::VarPtr hv = ag::Leaf(h);
+      ag::VarPtr xv = ag::Leaf(x);
+      ag::VarPtr wv = ag::Leaf(w);
       ag::VarPtr as = ag::Leaf(a_src);
       ag::VarPtr ad = ag::Leaf(a_dst);
-      ag::VarPtr out = naive ? ag::GatAttentionNaive(hv, as, ad, adj, 0.2f)
-                             : ag::GatAttention(hv, as, ad, adj, 0.2f);
+      ag::VarPtr out = naive
+                           ? ag::GatAttentionNaive(xv, wv, as, ad, adj, 0.2f)
+                           : ag::GatAttention(xv, wv, as, ad, adj, 0.2f);
       ag::Retain(out);  // read after Backward
       ag::Backward(ag::Sum(ag::Hadamard(out, ag::Constant(probe))));
-      return Tensors{out->value(), hv->grad(), as->grad(), ad->grad()};
+      return Tensors{out->value(), xv->grad(), wv->grad(), as->grad(),
+                     ad->grad()};
     };
   };
   ExpectBitIdentical("edge_softmax p=" + std::to_string(p), run(false),

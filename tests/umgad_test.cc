@@ -217,5 +217,26 @@ TEST(UmgadTest, FirstEpochFitsInFourFifthsOfTheKeepEverythingTape) {
   SetArenaEnabled(prev_arena);
 }
 
+TEST(UmgadTest, FirstEpochHoldsNoGatProjection) {
+  // Memory guard for the GAT layer: the backward recomputes the projection
+  // H = x W, so no N x d projection lives from the forward to Backward.
+  // Same run as the guard above (one lane, emptied pool, DG-Fin at scale
+  // 0.05, 1 epoch): 43,023,620 fresh bytes while every GAT layer kept H on
+  // the tape, 30,452,740 with H recomputed. The bound is the latter plus a
+  // quarter of the 12,570,880-byte difference, so holding the projections
+  // again fails it.
+  MultiplexGraph g = MakeDataset("DG-Fin", 1, 0.05).value();
+  const bool prev_arena = ArenaEnabled();
+  SetArenaEnabled(true);
+  SetNumThreads(1);
+  TensorPool::Global().Trim();
+  UmgadConfig config;
+  config.epochs = 1;
+  UmgadModel model(config);
+  ASSERT_TRUE(model.Fit(g).ok());
+  EXPECT_LE(model.first_epoch_fresh_bytes(), 33595460);
+  SetArenaEnabled(prev_arena);
+}
+
 }  // namespace
 }  // namespace umgad
