@@ -8,8 +8,7 @@
 
 namespace umgad {
 
-Result<std::shared_ptr<const FileImage>> FileImage::Read(
-    const std::string& path) {
+Result<ReadOnlyFile> ReadOnlyFile::Open(const std::string& path) {
   const int fd = open(path.c_str(), O_RDONLY);
   if (fd < 0) return Status::IoError("cannot open " + path);
   struct stat st;
@@ -17,28 +16,37 @@ Result<std::shared_ptr<const FileImage>> FileImage::Read(
     close(fd);
     return Status::IoError("cannot stat " + path);
   }
-  const int64_t size = static_cast<int64_t>(st.st_size);
-  const int64_t word_count = (size + 7) / 8;
-  std::unique_ptr<int64_t[]> words(new int64_t[word_count]);
-  // The read overwrites every byte below `size`; zero the padding after it.
-  if (word_count > 0) words[word_count - 1] = 0;
-  unsigned char* dst = reinterpret_cast<unsigned char*>(words.get());
+  return ReadOnlyFile(path, fd, static_cast<int64_t>(st.st_size));
+}
+
+ReadOnlyFile::~ReadOnlyFile() {
+  if (fd_ >= 0) close(fd_);
+}
+
+Status ReadOnlyFile::ReadAt(int64_t offset, void* dst, int64_t n) const {
+  unsigned char* out = static_cast<unsigned char*>(dst);
   int64_t done = 0;
-  while (done < size) {
-    const ssize_t got =
-        read(fd, dst + done, static_cast<size_t>(size - done));
+  while (done < n) {
+    const ssize_t got = pread(fd_, out + done, static_cast<size_t>(n - done),
+                              static_cast<off_t>(offset + done));
     if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) break;
+    if (got <= 0) {
+      return Status::IoError(StrFormat(
+          "read of %s stopped at byte %lld of %lld", path_.c_str(),
+          static_cast<long long>(offset + done),
+          static_cast<long long>(offset + n)));
+    }
     done += got;
   }
-  close(fd);
-  if (done != size) {
-    return Status::IoError(StrFormat(
-        "read of %s stopped at byte %lld of %lld", path.c_str(),
-        static_cast<long long>(done), static_cast<long long>(size)));
-  }
-  return std::shared_ptr<const FileImage>(
-      new FileImage(std::move(words), size));
+  return Status::OK();
+}
+
+Result<FileImage> FileImage::Read(const std::string& path) {
+  UMGAD_ASSIGN_OR_RETURN(const ReadOnlyFile file, ReadOnlyFile::Open(path));
+  std::unique_ptr<unsigned char[]> bytes(
+      new unsigned char[static_cast<size_t>(file.size())]);
+  UMGAD_RETURN_IF_ERROR(file.ReadAt(0, bytes.get(), file.size()));
+  return FileImage(std::move(bytes), file.size());
 }
 
 ByteWriter::ByteWriter(const std::string& path)

@@ -6,10 +6,10 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/result.h"
-#include "common/span.h"
 #include "common/string_util.h"
 
 namespace umgad {
@@ -30,17 +30,51 @@ inline Status RequireLittleEndianHost() {
       "hosts are not supported");
 }
 
-/// Bounds-checked cursor over a byte span: the one reader behind every
-/// binary container, whatever holds the bytes (a file mapping or an owned
-/// buffer). Every read is checked against the remaining byte count first
-/// and fails with InvalidArgument naming `what`; element counts are bounded
-/// by dividing the remaining bytes, never by multiplying the count, so a
-/// hostile count cannot wrap past the span. Scalars are memcpy'd (header
-/// fields sit at arbitrary offsets); View hands out in-place pointers.
+/// A file opened read-only and closed when this dies, with its stat size
+/// at open.
+class ReadOnlyFile {
+ public:
+  /// IoError when the file cannot be opened or stat'ed.
+  static Result<ReadOnlyFile> Open(const std::string& path);
+
+  ReadOnlyFile(ReadOnlyFile&& o) noexcept
+      : path_(std::move(o.path_)), fd_(o.fd_), size_(o.size_) {
+    o.fd_ = -1;
+  }
+  ReadOnlyFile& operator=(ReadOnlyFile&&) = delete;
+  ~ReadOnlyFile();
+
+  int fd() const { return fd_; }
+  int64_t size() const { return size_; }
+
+  /// Reads the `n` bytes at `offset` into `dst`; IoError when a read fails
+  /// or the file ends first (it shrank since Open).
+  Status ReadAt(int64_t offset, void* dst, int64_t n) const;
+
+ private:
+  ReadOnlyFile(std::string path, int fd, int64_t size)
+      : path_(std::move(path)), fd_(fd), size_(size) {}
+
+  std::string path_;
+  int fd_;
+  int64_t size_;
+};
+
+/// Bounds-checked cursor over a container's bytes: the one reader behind
+/// every binary container, whether the bytes are in memory (a buffer or a
+/// file mapping) or still in a file, which it then reads straight into
+/// each destination. Every read is checked against the remaining byte
+/// count first and fails with InvalidArgument naming `what`; element
+/// counts are bounded by dividing the remaining bytes, never by
+/// multiplying the count, so a hostile count cannot wrap past the end.
+/// Reads copy out, so no offset needs any alignment.
 class ByteReader {
  public:
   ByteReader(const unsigned char* base, int64_t size)
       : base_(base), size_(size) {}
+  /// Reads the first file->size() bytes of `file`, which must outlive this.
+  explicit ByteReader(const ReadOnlyFile* file)
+      : file_(file), size_(file->size()) {}
 
   int64_t Remaining() const { return size_ - pos_; }
 
@@ -49,9 +83,7 @@ class ByteReader {
     if (Remaining() < static_cast<int64_t>(sizeof(T))) {
       return Status::InvalidArgument(StrFormat("truncated %s", what));
     }
-    std::memcpy(value, base_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
+    return Copy(value, sizeof(T));
   }
 
   /// Fails unless `count` elements of T remain (a caller sizing its own
@@ -66,14 +98,11 @@ class ByteReader {
     return Status::OK();
   }
 
-  /// Copies `count` elements into `dst` (no alignment requirement).
+  /// Copies `count` elements into `dst`.
   template <typename T>
   Status Read(T* dst, int64_t count, const char* what) {
     UMGAD_RETURN_IF_ERROR(Require<T>(count, what));
-    const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
-    if (bytes > 0) std::memcpy(dst, base_ + pos_, static_cast<size_t>(bytes));
-    pos_ += bytes;
-    return Status::OK();
+    return Copy(dst, count * static_cast<int64_t>(sizeof(T)));
   }
 
   /// A u32 length prefix, then that many bytes; lengths above `max_len`
@@ -84,9 +113,9 @@ class ByteReader {
     if (static_cast<int64_t>(len) > max_len) {
       return Status::InvalidArgument(StrFormat("oversized %s", what));
     }
-    UMGAD_RETURN_IF_ERROR(Skip(len, what));
-    s->assign(reinterpret_cast<const char*>(base_ + pos_ - len), len);
-    return Status::OK();
+    UMGAD_RETURN_IF_ERROR(Require<char>(len, what));
+    s->resize(len);
+    return Copy(&(*s)[0], len);
   }
 
   Status Skip(int64_t n, const char* what) {
@@ -104,47 +133,49 @@ class ByteReader {
     return Skip((alignment - pos_ % alignment) % alignment, what);
   }
 
-  /// A view of `count` elements of T at the cursor: no copy, no
-  /// allocation. The container's layout must place the array at an offset
-  /// aligned for T, and the base must be aligned at least as strictly (a
-  /// mapping is page-aligned, an owned buffer is allocated as 8-byte
-  /// words) — a misaligned view is a programmer error.
+  /// Replaces `out` with the next `count` elements; the count is checked
+  /// against the remaining bytes before anything is allocated.
   template <typename T>
-  Status View(ConstSpan<T>* out, int64_t count, const char* what) {
+  Status ReadVector(std::vector<T>* out, int64_t count, const char* what) {
     UMGAD_RETURN_IF_ERROR(Require<T>(count, what));
-    UMGAD_CHECK(reinterpret_cast<uintptr_t>(base_ + pos_) % alignof(T) == 0);
-    *out = ConstSpan<T>(reinterpret_cast<const T*>(base_ + pos_),
-                        static_cast<size_t>(count));
-    pos_ += count * static_cast<int64_t>(sizeof(T));
-    return Status::OK();
+    out->resize(static_cast<size_t>(count));
+    return Read(out->data(), count, what);
   }
 
  private:
-  const unsigned char* base_;
+  /// Copies the next `n` bytes (already bounds-checked) into `dst`.
+  Status Copy(void* dst, int64_t n) {
+    if (n == 0) return Status::OK();
+    if (file_ != nullptr) {
+      UMGAD_RETURN_IF_ERROR(file_->ReadAt(pos_, dst, n));
+    } else {
+      std::memcpy(dst, base_ + pos_, static_cast<size_t>(n));
+    }
+    pos_ += n;
+    return Status::OK();
+  }
+
+  const unsigned char* base_ = nullptr;
+  const ReadOnlyFile* file_ = nullptr;
   int64_t size_;
   int64_t pos_ = 0;
 };
 
 /// A whole file read into one owned buffer, sized from the file's stat size
-/// (never from anything inside the file). The storage is allocated as
-/// 8-byte words, so every offset a container aligns to 8 or less is aligned
-/// in memory too and ByteReader::View may point into it.
+/// (never from anything inside the file).
 class FileImage {
  public:
   /// IoError when the file cannot be opened, stat'ed or fully read.
-  static Result<std::shared_ptr<const FileImage>> Read(
-      const std::string& path);
+  static Result<FileImage> Read(const std::string& path);
 
-  const unsigned char* data() const {
-    return reinterpret_cast<const unsigned char*>(words_.get());
-  }
+  const unsigned char* data() const { return bytes_.get(); }
   int64_t size() const { return size_; }
 
  private:
-  FileImage(std::unique_ptr<int64_t[]> words, int64_t size)
-      : words_(std::move(words)), size_(size) {}
+  FileImage(std::unique_ptr<unsigned char[]> bytes, int64_t size)
+      : bytes_(std::move(bytes)), size_(size) {}
 
-  std::unique_ptr<int64_t[]> words_;
+  std::unique_ptr<unsigned char[]> bytes_;
   int64_t size_;
 };
 

@@ -7,16 +7,13 @@
 
 namespace umgad {
 
-/// Non-owning read-only view over a contiguous array. The accessor type of
-/// SparseMatrix's CSR arrays: owned matrices view their internal vectors,
-/// `.umgb`-loaded matrices view the file image directly, and callers cannot
-/// tell the difference. Implicitly constructible from const std::vector<T>&
-/// so existing `const auto& rp = m.row_ptr();` call sites keep working.
+/// Non-owning read-only view over a contiguous array: the accessor type of
+/// SparseMatrix's CSR arrays, which view the matrix's own vectors.
+/// Implicitly constructible from const std::vector<T>& so existing
+/// `const auto& rp = m.row_ptr();` call sites keep working.
 ///
-/// Like all views, a ConstSpan is valid only while its backing storage is —
-/// for matrices that is managed by the SparseMatrix itself (vectors or a
-/// keepalive on the image), so spans obtained from accessors share the
-/// matrix's lifetime.
+/// Like all views, a ConstSpan is valid only while its backing storage is:
+/// a span obtained from a matrix accessor shares the matrix's lifetime.
 template <typename T>
 class ConstSpan {
  public:
@@ -35,8 +32,6 @@ class ConstSpan {
 
   const T* begin() const { return data_; }
   const T* end() const { return data_ + size_; }
-
-  std::vector<T> ToVector() const { return std::vector<T>(begin(), end()); }
 
  private:
   const T* data_ = nullptr;

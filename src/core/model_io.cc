@@ -223,9 +223,9 @@ Status TrainedModel::Save(const std::string& path) const {
 
 Result<TrainedModel> TrainedModel::Load(const std::string& path) {
   UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
-  Result<std::shared_ptr<const FileImage>> image = FileImage::Read(path);
+  Result<FileImage> image = FileImage::Read(path);
   if (!image.ok()) return Status::NotFound(image.status().message());
-  ByteReader r((*image)->data(), (*image)->size());
+  ByteReader r(image->data(), image->size());
   uint32_t magic = 0;
   uint32_t version = 0;
   uint32_t flags = 0;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <utility>
+#include <vector>
 
 #include "common/byte_io.h"
 #include "common/string_util.h"
@@ -17,7 +18,8 @@ namespace {
 
 // v3 zero-pads to kSectionAlign before each relation's row_ptr block and
 // before the attribute block, so every bulk array sits at a naturally
-// aligned offset — the precondition for reading the arrays in place.
+// aligned offset. The padding is part of the v3 layout; the reader skips
+// it.
 constexpr uint32_t kMagic = 0x42474D55;         // 'U' 'M' 'G' 'B'
 constexpr uint32_t kTrailerMagic = 0x444E4547;  // 'G' 'E' 'N' 'D'
 constexpr uint32_t kVersion = 3;
@@ -75,20 +77,12 @@ Status SaveGraphBinary(const MultiplexGraph& graph, const std::string& path) {
   return w.Commit();
 }
 
-Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
-  UMGAD_ASSIGN_OR_RETURN(std::shared_ptr<const FileImage> image,
-                         FileImage::Read(path));
-  const unsigned char* bytes = image->data();
-  const int64_t size = image->size();
-  return ParseGraphImage(path, bytes, size, std::move(image));
-}
+namespace {
 
-Result<MultiplexGraph> ParseGraphImage(
-    const std::string& path, const unsigned char* bytes, int64_t size,
-    std::shared_ptr<const void> keepalive,
-    void (*prefetch)(const void* p, int64_t bytes)) {
+/// The parse behind both public entry points, over whichever source `in`
+/// reads from.
+Result<MultiplexGraph> ParseGraph(const std::string& path, ByteReader in) {
   UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
-  ByteReader in(bytes, size);
   uint32_t magic = 0;
   uint32_t version = 0;
   uint32_t flags = 0;
@@ -148,47 +142,30 @@ Result<MultiplexGraph> ParseGraphImage(
     uint64_t nnz = 0;
     UMGAD_RETURN_IF_ERROR(in.Pod(&nnz, "nnz"));
     UMGAD_RETURN_IF_ERROR(in.Align(kSectionAlign, "relation section"));
-    ConstSpan<int64_t> row_ptr;
-    ConstSpan<int> col_idx;
-    ConstSpan<float> values;
-    UMGAD_RETURN_IF_ERROR(
-        in.View(&row_ptr, static_cast<int64_t>(nodes) + 1, "row_ptr"));
-    UMGAD_RETURN_IF_ERROR(
-        in.View(&col_idx, static_cast<int64_t>(nnz), "col_idx"));
-    UMGAD_RETURN_IF_ERROR(
-        in.View(&values, static_cast<int64_t>(nnz), "values"));
-    // The CSR validation scan and the graph factory (finite weights,
-    // symmetry) read row_ptr, col_idx and values, which sit back to back.
-    if (prefetch != nullptr) {
-      prefetch(row_ptr.data(),
-               reinterpret_cast<const unsigned char*>(values.end()) -
-                   reinterpret_cast<const unsigned char*>(row_ptr.data()));
-    }
+    std::vector<int64_t> row_ptr;
+    std::vector<int> col_idx;
+    std::vector<float> values;
+    const int64_t count = static_cast<int64_t>(nnz);
+    UMGAD_RETURN_IF_ERROR(in.ReadVector(&row_ptr, n + int64_t{1}, "row_ptr"));
+    UMGAD_RETURN_IF_ERROR(in.ReadVector(&col_idx, count, "col_idx"));
+    UMGAD_RETURN_IF_ERROR(in.ReadVector(&values, count, "values"));
     UMGAD_ASSIGN_OR_RETURN(
-        SparseMatrix layer, SparseMatrix::FromBorrowedCsr(
-                                n, n, row_ptr, col_idx, values, keepalive));
+        SparseMatrix layer,
+        SparseMatrix::FromCsr(n, n, std::move(row_ptr), std::move(col_idx),
+                              std::move(values)));
     layers.push_back(std::move(layer));
     rel_names.push_back(std::move(rel_name));
   }
 
   UMGAD_RETURN_IF_ERROR(in.Align(kSectionAlign, "attribute section"));
-  ConstSpan<float> attr;
-  UMGAD_RETURN_IF_ERROR(in.View(&attr, static_cast<int64_t>(nodes) * d,
-                                "attribute matrix"));
-  Tensor x = Tensor::FromBorrowed(attr.data(), n, d, keepalive);
+  const int64_t cells = static_cast<int64_t>(n) * d;
+  UMGAD_RETURN_IF_ERROR(in.Require<float>(cells, "attribute matrix"));
+  Tensor x = Tensor::Uninitialized(n, d);
+  UMGAD_RETURN_IF_ERROR(in.Read(x.data(), cells, "attribute matrix"));
 
-  // Labels are copied (4 bytes per node): labels() is consumed as a
-  // std::vector across metrics/eval.
   std::vector<int> labels;
   if (flags & kFlagHasLabels) {
-    ConstSpan<int> label_view;
-    UMGAD_RETURN_IF_ERROR(
-        in.View(&label_view, static_cast<int64_t>(nodes), "labels"));
-    if (prefetch != nullptr) {
-      prefetch(label_view.data(),
-               static_cast<int64_t>(label_view.size() * sizeof(int)));
-    }
-    labels = label_view.ToVector();
+    UMGAD_RETURN_IF_ERROR(in.ReadVector(&labels, n, "labels"));
   }
 
   uint32_t trailer = 0;
@@ -204,6 +181,19 @@ Result<MultiplexGraph> ParseGraphImage(
 
   return MultiplexGraph::Create(name, std::move(x), std::move(layers),
                                 std::move(rel_names), std::move(labels));
+}
+
+}  // namespace
+
+Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
+  UMGAD_ASSIGN_OR_RETURN(const ReadOnlyFile file, ReadOnlyFile::Open(path));
+  return ParseGraph(path, ByteReader(&file));
+}
+
+Result<MultiplexGraph> ParseGraphImage(const std::string& path,
+                                       const unsigned char* bytes,
+                                       int64_t size) {
+  return ParseGraph(path, ByteReader(bytes, size));
 }
 
 bool LooksLikeBinaryGraph(const std::string& path) {

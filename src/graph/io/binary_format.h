@@ -2,7 +2,6 @@
 #define UMGAD_GRAPH_IO_BINARY_FORMAT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -17,38 +16,33 @@ namespace umgad {
 /// raw sections — per relation the CSR arrays exactly as stored in memory
 /// (row_ptr int64, col_idx int32, values float32), the attribute matrix as
 /// one float32 block, labels as int32 — closed by a trailer magic that
-/// detects truncation. Every bulk array sits at an 8-aligned offset, so a
-/// loaded graph's CSR arrays and attribute matrix are views into the image
-/// rather than per-value parses.
+/// detects truncation. Every bulk array starts at an 8-aligned offset and
+/// loads with one block copy rather than a per-value parse.
 ///
 /// Round trips are bit-exact: the CSR arrays, attribute floats, and labels
 /// are preserved verbatim in both directions. Save replaces `path`
-/// atomically (a temp file renamed over it), so it never truncates a file
-/// another graph is still mapped from.
+/// atomically (a temp file renamed over it), so a reader that has the old
+/// file open or mapped keeps seeing the old bytes.
 Status SaveGraphBinary(const MultiplexGraph& graph, const std::string& path);
 
-/// Reads the whole file into one owned buffer and parses it with
-/// ParseGraphImage: the graph borrows its CSR arrays and attribute matrix
-/// from that buffer (mutable_attributes() is copy-on-write). Unlike a
-/// mapping, the buffer is a snapshot — a later rewrite of the file by
-/// another process cannot reach it.
+/// Runs ParseGraphImage's parse over the file itself: each section is
+/// read from the file straight into the array that keeps it, with no
+/// whole-file buffer. The graph and every Status are those ParseGraphImage
+/// gives for the file's bytes, except that a file that shrinks during the
+/// load fails with IoError.
 Result<MultiplexGraph> LoadGraphBinary(const std::string& path);
 
-/// The one `.umgb` parse behind both loaders (LoadGraphBinary and
-/// MappedGraph::Load). Parses the `size`-byte image at `bytes` into a graph
-/// whose CSR arrays and attribute matrix are views into the image, kept
-/// alive by `keepalive` (labels are copied). `bytes` must be 8-byte
-/// aligned. Every section is bounded by `size` before use, header counts
-/// are capped, the CSR invariants are checked (FromBorrowedCsr), trailing
-/// bytes after the trailer are rejected, and the graph passes
-/// MultiplexGraph::Create's checks (finite weights, symmetric layers) —
-/// a corrupt image fails with a Status. The attribute section is not
-/// read. `prefetch`, when set, is called on each byte range the parse is
-/// about to scan (the mmap loader issues readahead there).
-Result<MultiplexGraph> ParseGraphImage(
-    const std::string& path, const unsigned char* bytes, int64_t size,
-    std::shared_ptr<const void> keepalive,
-    void (*prefetch)(const void* p, int64_t bytes) = nullptr);
+/// The one `.umgb` parse. Copies every section of the `size`-byte image at
+/// `bytes` into storage the returned graph owns, so the image may be freed
+/// or unmapped as soon as this returns. Every section is bounded by `size`
+/// before anything is allocated for it, header counts are capped, the CSR
+/// invariants are checked (SparseMatrix::FromCsr), trailing bytes after
+/// the trailer are rejected, and the graph passes MultiplexGraph::Create's
+/// checks (finite weights and attributes, symmetric layers): a corrupt
+/// image fails with a Status.
+Result<MultiplexGraph> ParseGraphImage(const std::string& path,
+                                       const unsigned char* bytes,
+                                       int64_t size);
 
 /// True if the file starts with the binary magic (cheap format sniff used
 /// by LoadDataset; does not validate anything past the first 4 bytes).

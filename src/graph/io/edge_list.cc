@@ -114,9 +114,8 @@ struct EdgeRows {
 
 Result<EdgeRows> ParseEdgeFile(const std::string& path,
                                const EdgeListOptions& options) {
-  UMGAD_ASSIGN_OR_RETURN(const std::shared_ptr<const FileImage> image,
-                         FileImage::Read(path));
-  DataLineReader reader(*image);
+  UMGAD_ASSIGN_OR_RETURN(const FileImage image, FileImage::Read(path));
+  DataLineReader reader(image);
   std::string line;
   if (!reader.Next(&line)) {
     return Status::InvalidArgument(path + ": no edges");
@@ -231,9 +230,8 @@ struct FeatureRows {
 
 Result<FeatureRows> ParseFeatureFile(const std::string& path,
                                      char requested_delim) {
-  UMGAD_ASSIGN_OR_RETURN(const std::shared_ptr<const FileImage> image,
-                         FileImage::Read(path));
-  DataLineReader reader(*image);
+  UMGAD_ASSIGN_OR_RETURN(const FileImage image, FileImage::Read(path));
+  DataLineReader reader(image);
   std::string line;
   if (!reader.Next(&line)) return Status::InvalidArgument(path + ": empty");
   const char delim = ResolveDelimiter(requested_delim, line);
@@ -273,9 +271,8 @@ Result<FeatureRows> ParseFeatureFile(const std::string& path,
 /// One 0/1 label per data line; the row count is checked before any value.
 Result<std::vector<int>> ParseLabelFile(const std::string& path,
                                         char requested_delim, int num_nodes) {
-  UMGAD_ASSIGN_OR_RETURN(const std::shared_ptr<const FileImage> image,
-                         FileImage::Read(path));
-  DataLineReader reader(*image);
+  UMGAD_ASSIGN_OR_RETURN(const FileImage image, FileImage::Read(path));
+  DataLineReader reader(image);
   std::vector<int> labels;
   size_t first_bad_line = 0;
   std::string line;
@@ -324,6 +321,14 @@ Result<MultiplexGraph> ImportEdgeList(const std::string& edges_path,
     return Status::OutOfRange(
         StrFormat("%s: edge references node %d but the graph has %d nodes",
                   edges_path.c_str(), edges.max_id, num_nodes));
+  }
+  const int64_t relations = static_cast<int64_t>(edges.rel_edges.size());
+  if (io_limits::CheckedElemCount(num_nodes, relations,
+                                  io_limits::kMaxImportNodeRelations) < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: %d nodes x %lld relations exceeds the import cap of %lld",
+        edges_path.c_str(), num_nodes, static_cast<long long>(relations),
+        static_cast<long long>(io_limits::kMaxImportNodeRelations)));
   }
 
   Tensor attributes;

@@ -42,8 +42,8 @@ enum class HeaderMode {
 /// first bad row. The side files report a row-count mismatch before any bad
 /// row; a features file then reports its first row of the wrong width, then
 /// its first value that is not a finite number. The shared io_limits cap
-/// relations, relation names and feature columns, so nothing is sized from
-/// an oversized count.
+/// relations, relation names, feature columns and nodes x relations, so
+/// nothing is sized from an oversized count.
 struct EdgeListOptions {
   /// Graph name recorded in the result.
   std::string name = "imported";

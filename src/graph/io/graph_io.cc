@@ -6,7 +6,6 @@
 #include "common/string_util.h"
 #include "graph/dataset_registry.h"
 #include "graph/io/binary_format.h"
-#include "graph/io/mmap_format.h"
 #include "graph/io/text_format.h"
 
 namespace umgad {
@@ -51,15 +50,7 @@ Result<MultiplexGraph> LoadDataset(const std::string& path_or_name,
                                    const LoadDatasetOptions& options) {
   if (FileExists(path_or_name)) {
     if (LooksLikeBinaryGraph(path_or_name)) {
-      Result<MultiplexGraph> graph = options.prefer_mmap
-                                         ? LoadGraphMapped(path_or_name)
-                                         : LoadGraphBinary(path_or_name);
-      // The .umgb loads leave the attribute section unread (see
-      // MultiplexGraph::Create); a caller that trains or scores reads it.
-      if (graph.ok()) {
-        UMGAD_RETURN_IF_ERROR(CheckFiniteAttributes(graph->attributes()));
-      }
-      return graph;
+      return LoadGraphBinary(path_or_name);
     }
     if (LooksLikeTextGraph(path_or_name)) {
       return LoadGraph(path_or_name);

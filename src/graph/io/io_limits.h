@@ -16,6 +16,14 @@ constexpr int64_t kMaxFeatures = 65'536;
 constexpr int64_t kMaxRelations = 4'096;
 constexpr int64_t kMaxNameLen = 4'096;
 constexpr int64_t kMaxAttributeEntries = int64_t{1} << 31;  // 8 GiB of f32
+/// Edge-list import cap on nodes x relations. The importer sizes a row_ptr
+/// of nodes + 1 int64s per relation and, without a features file, a
+/// nodes x (relations + 1) float matrix, both from the largest node id in
+/// the file, so a few lines can name a huge graph. At this cap those take
+/// about 200 MB. It admits DG-Fin at its paper size (3.7M nodes x 3
+/// relations) but not T-Social (5.78M x 3); training either is out of
+/// reach anyway, as a 37k-node Fit already peaks near 0.9 GB.
+constexpr int64_t kMaxImportNodeRelations = int64_t{1} << 24;
 
 /// Training-side partition fan-out cap (umgad_cli --partitions /
 /// UMGAD_PARTITIONS): far above any useful block count (blocks are

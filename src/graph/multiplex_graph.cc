@@ -8,6 +8,10 @@
 
 namespace umgad {
 
+namespace {
+
+/// InvalidArgument naming the first non-finite attribute (row, column);
+/// OK when every entry is finite.
 Status CheckFiniteAttributes(const Tensor& attributes) {
   const float* x = attributes.data();
   for (int64_t k = 0; k < attributes.size(); ++k) {
@@ -21,6 +25,8 @@ Status CheckFiniteAttributes(const Tensor& attributes) {
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Result<MultiplexGraph> MultiplexGraph::Create(
     std::string name, Tensor attributes, std::vector<SparseMatrix> layers,
@@ -89,9 +95,7 @@ Result<MultiplexGraph> MultiplexGraph::Create(
       return Status::InvalidArgument("labels must be 0 (normal) or 1 (anomal)");
     }
   }
-  if (!attributes.borrowed()) {
-    UMGAD_RETURN_IF_ERROR(CheckFiniteAttributes(attributes));
-  }
+  UMGAD_RETURN_IF_ERROR(CheckFiniteAttributes(attributes));
 
   MultiplexGraph g;
   g.name_ = std::move(name);

@@ -25,10 +25,7 @@ class MultiplexGraph {
   /// passes the same checks, and the first failure is an InvalidArgument
   /// naming its position: layer shapes, relation names, finite edge
   /// weights, symmetric layers (an O(nnz) merge over each pattern), labels
-  /// in {0, 1}, and finite attributes (CheckFiniteAttributes). A borrowed
-  /// attribute matrix is the section of a .umgb image that both .umgb
-  /// loads leave unread — the mapped load keeps it on disk until first
-  /// use — so its values are checked by LoadDataset instead.
+  /// in {0, 1}, and finite attributes.
   static Result<MultiplexGraph> Create(std::string name, Tensor attributes,
                                        std::vector<SparseMatrix> layers,
                                        std::vector<std::string> relation_names,
@@ -40,15 +37,7 @@ class MultiplexGraph {
   int feature_dim() const { return attributes_.cols(); }
 
   const Tensor& attributes() const { return attributes_; }
-  /// Mutable attribute access is copy-on-write: a `.umgb`-loaded graph
-  /// views the read-only image section (mapped or in the loader's buffer)
-  /// until the first mutable request, which materialises an owned copy (so
-  /// injection/perturbation work on loaded graphs without ever writing
-  /// through a mapping).
-  Tensor& mutable_attributes() {
-    attributes_.EnsureOwned();
-    return attributes_;
-  }
+  Tensor& mutable_attributes() { return attributes_; }
 
   const SparseMatrix& layer(int r) const {
     UMGAD_CHECK(r >= 0 && r < num_relations());
@@ -85,10 +74,6 @@ class MultiplexGraph {
   std::vector<std::string> relation_names_;
   std::vector<int> labels_;
 };
-
-/// InvalidArgument naming the first non-finite attribute (row, column);
-/// OK when every entry is finite.
-Status CheckFiniteAttributes(const Tensor& attributes);
 
 }  // namespace umgad
 

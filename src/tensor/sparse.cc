@@ -20,15 +20,13 @@ constexpr int64_t kSpmmRowGrain = 64;
 /// Rows per parallel CSR-validation chunk (pure read scan, memory bound).
 constexpr int64_t kValidateRowGrain = 4096;
 
-/// Shared validation behind FromCsr and FromBorrowedCsr. The row scan is
-/// parallel (chunks of rows are independent once the chunk's starting
-/// offset passes its own bounds check), with the first failing row
-/// re-diagnosed serially so the Status message is deterministic across
-/// thread counts. Each chunk is one flat cursor walk — row_ptr read once
-/// per row, columns once each — so the scan runs at memory bandwidth; this
-/// is the dominant cost of the mmap load path, which touches nothing else.
-/// It never reads outside [0, nnz) of col_idx: the cursor only advances to
-/// offsets already proven <= nnz.
+/// FromCsr's validation. The row scan is parallel (chunks of rows are
+/// independent once the chunk's starting offset passes its own bounds
+/// check), with the first failing row re-diagnosed serially so the Status
+/// message is deterministic across thread counts. Each chunk is one flat
+/// cursor walk — row_ptr read once per row, columns once each — so the
+/// scan runs at memory bandwidth. It never reads outside [0, nnz) of
+/// col_idx: the cursor only advances to offsets already proven <= nnz.
 Status ValidateCsr(int rows, int cols, ConstSpan<int64_t> row_ptr,
                    ConstSpan<int> col_idx, size_t values_size) {
   if (rows < 0 || cols < 0) {
@@ -127,9 +125,9 @@ SparseMatrix SparseMatrix::FromCoo(int rows, int cols,
   SparseMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
-  m.row_ptr_store_.assign(rows + 1, 0);
-  m.col_idx_store_.reserve(nnz_in);
-  m.values_store_.reserve(nnz_in);
+  m.row_ptr_.assign(rows + 1, 0);
+  m.col_idx_.reserve(nnz_in);
+  m.values_.reserve(nnz_in);
 
   int prev_r = -1;
   int prev_c = -1;
@@ -139,17 +137,16 @@ SparseMatrix SparseMatrix::FromCoo(int rows, int cols,
     const float v = values[order[k]];
     UMGAD_CHECK(r >= 0 && r < rows && c >= 0 && c < cols);
     if (r == prev_r && c == prev_c) {
-      m.values_store_.back() += v;  // merge duplicates
+      m.values_.back() += v;  // merge duplicates
       continue;
     }
-    m.col_idx_store_.push_back(c);
-    m.values_store_.push_back(v);
-    m.row_ptr_store_[r + 1] += 1;
+    m.col_idx_.push_back(c);
+    m.values_.push_back(v);
+    m.row_ptr_[r + 1] += 1;
     prev_r = r;
     prev_c = c;
   }
-  for (int i = 0; i < rows; ++i) m.row_ptr_store_[i + 1] += m.row_ptr_store_[i];
-  m.SyncSpans();
+  for (int i = 0; i < rows; ++i) m.row_ptr_[i + 1] += m.row_ptr_[i];
   return m;
 }
 
@@ -170,7 +167,7 @@ SparseMatrix SparseMatrix::FromEdges(int n, const std::vector<Edge>& edges,
   std::vector<float> v(r.size(), 1.0f);
   SparseMatrix m = FromCoo(n, n, r, c, v);
   // Clamp merged duplicates back to 1 so the result stays a 0/1 adjacency.
-  for (auto& val : m.values_store_) val = 1.0f;
+  for (auto& val : m.values_) val = 1.0f;
   return m;
 }
 
@@ -183,51 +180,24 @@ Result<SparseMatrix> SparseMatrix::FromCsr(int rows, int cols,
   SparseMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
-  m.row_ptr_store_ = std::move(row_ptr);
-  m.col_idx_store_ = std::move(col_idx);
-  m.values_store_ = std::move(values);
-  m.SyncSpans();
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
   return m;
-}
-
-Result<SparseMatrix> SparseMatrix::FromBorrowedCsr(
-    int rows, int cols, ConstSpan<int64_t> row_ptr, ConstSpan<int> col_idx,
-    ConstSpan<float> values, std::shared_ptr<const void> payload) {
-  UMGAD_CHECK(payload != nullptr);
-  UMGAD_RETURN_IF_ERROR(
-      ValidateCsr(rows, cols, row_ptr, col_idx, values.size()));
-  SparseMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.payload_ = std::move(payload);
-  m.row_ptr_ = row_ptr;
-  m.col_idx_ = col_idx;
-  m.values_ = values;
-  return m;
-}
-
-void SparseMatrix::MaterializeOwned() {
-  if (payload_ == nullptr) return;
-  row_ptr_store_.assign(row_ptr_.begin(), row_ptr_.end());
-  col_idx_store_.assign(col_idx_.begin(), col_idx_.end());
-  values_store_.assign(values_.begin(), values_.end());
-  payload_.reset();
-  SyncSpans();
 }
 
 SparseMatrix SparseMatrix::Identity(int n) {
   SparseMatrix m;
   m.rows_ = n;
   m.cols_ = n;
-  m.row_ptr_store_.resize(n + 1);
-  m.col_idx_store_.resize(n);
-  m.values_store_.assign(n, 1.0f);
+  m.row_ptr_.resize(n + 1);
+  m.col_idx_.resize(n);
+  m.values_.assign(n, 1.0f);
   for (int i = 0; i < n; ++i) {
-    m.row_ptr_store_[i] = i;
-    m.col_idx_store_[i] = i;
+    m.row_ptr_[i] = i;
+    m.col_idx_[i] = i;
   }
-  m.row_ptr_store_[n] = n;
-  m.SyncSpans();
+  m.row_ptr_[n] = n;
   return m;
 }
 
@@ -421,11 +391,11 @@ SparseMatrix SparseMatrix::NormalizedWithSelfLoops() const {
   SparseMatrix m;
   m.rows_ = n;
   m.cols_ = n;
-  m.row_ptr_store_.assign(n + 1, 0);
-  m.col_idx_store_.resize(nnz() + n);
-  m.values_store_.resize(nnz() + n);
-  int* out_col = m.col_idx_store_.data();
-  float* out_val = m.values_store_.data();
+  m.row_ptr_.assign(n + 1, 0);
+  m.col_idx_.resize(nnz() + n);
+  m.values_.resize(nnz() + n);
+  int* out_col = m.col_idx_.data();
+  float* out_val = m.values_.data();
   int64_t w = 0;
   for (int i = 0; i < n; ++i) {
     const float self = static_cast<float>(inv_sqrt[i] * inv_sqrt[i]);
@@ -449,11 +419,10 @@ SparseMatrix SparseMatrix::NormalizedWithSelfLoops() const {
       out_col[w] = i;
       out_val[w++] = self;
     }
-    m.row_ptr_store_[i + 1] = w;
+    m.row_ptr_[i + 1] = w;
   }
-  m.col_idx_store_.resize(w);
-  m.values_store_.resize(w);
-  m.SyncSpans();
+  m.col_idx_.resize(w);
+  m.values_.resize(w);
   return m;
 }
 
@@ -462,34 +431,32 @@ SparseMatrix SparseMatrix::WithoutEntries(const std::vector<char>& drop) const {
   SparseMatrix m;
   m.rows_ = rows_;
   m.cols_ = cols_;
-  m.row_ptr_store_.assign(rows_ + 1, 0);
+  m.row_ptr_.assign(rows_ + 1, 0);
   const int64_t kept =
       nnz() - std::count_if(drop.begin(), drop.end(),
                             [](char flag) { return flag != 0; });
-  m.col_idx_store_.resize(kept);
-  m.values_store_.resize(kept);
+  m.col_idx_.resize(kept);
+  m.values_.resize(kept);
   int64_t w = 0;
   for (int i = 0; i < rows_; ++i) {
     for (int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       if (drop[k]) continue;
-      m.col_idx_store_[w] = col_idx_[k];
-      m.values_store_[w++] = values_[k];
+      m.col_idx_[w] = col_idx_[k];
+      m.values_[w++] = values_[k];
     }
-    m.row_ptr_store_[i + 1] = w;
+    m.row_ptr_[i + 1] = w;
   }
-  m.SyncSpans();
   return m;
 }
 
 SparseMatrix SparseMatrix::RowNormalized() const {
   std::vector<double> deg = RowSums();
   SparseMatrix m = *this;
-  m.MaterializeOwned();  // copies of borrowed matrices stay views; unshare
   for (int i = 0; i < rows_; ++i) {
     if (deg[i] <= 0.0) continue;
     const float inv = static_cast<float>(1.0 / deg[i]);
     for (int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      m.values_store_[k] *= inv;
+      m.values_[k] *= inv;
     }
   }
   return m;

@@ -109,37 +109,22 @@ class SparseMatrix {
   static SparseMatrix FromEdges(int n, const std::vector<Edge>& edges,
                                 bool symmetrize);
 
-  /// Adopt raw CSR arrays without re-sorting (DynamicAdjacency's
-  /// snapshots). Validates the invariants every other constructor
-  /// guarantees — monotonic row_ptr covering all of col_idx/values, and
-  /// strictly ascending in-range columns within each row — and returns an
-  /// error Status for malformed input instead of constructing a matrix
-  /// that would break those invariants downstream.
+  /// Adopt raw CSR arrays without re-sorting (the `.umgb` parse and
+  /// DynamicAdjacency's snapshots). Validates the invariants every other
+  /// constructor guarantees — monotonic row_ptr covering all of
+  /// col_idx/values, and strictly ascending in-range columns within each
+  /// row — and returns an error Status for malformed input instead of
+  /// constructing a matrix that would break those invariants downstream.
   static Result<SparseMatrix> FromCsr(int rows, int cols,
                                       std::vector<int64_t> row_ptr,
                                       std::vector<int> col_idx,
                                       std::vector<float> values);
-
-  /// Adopt CSR arrays the matrix does not own — the `.umgb` parse's view
-  /// straight into a loaded image's section. Runs the same validation as
-  /// FromCsr; `payload` keeps the backing storage (the file mapping or the
-  /// owned file buffer) alive for as long as this matrix — or any
-  /// copy-on-write descendant that still shares the view — exists. The
-  /// matrix is read-only like every other; mutating factories
-  /// (RowNormalized) transparently materialise an owned copy first.
-  static Result<SparseMatrix> FromBorrowedCsr(
-      int rows, int cols, ConstSpan<int64_t> row_ptr, ConstSpan<int> col_idx,
-      ConstSpan<float> values, std::shared_ptr<const void> payload);
 
   static SparseMatrix Identity(int n);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   int64_t nnz() const { return static_cast<int64_t>(col_idx_.size()); }
-
-  /// True when the CSR arrays alias external storage (FromBorrowedCsr) and
-  /// are kept alive by the payload rather than owned vectors.
-  bool borrowed() const { return payload_ != nullptr; }
 
   ConstSpan<int64_t> row_ptr() const { return row_ptr_; }
   ConstSpan<int> col_idx() const { return col_idx_; }
@@ -254,20 +239,10 @@ class SparseMatrix {
   /// Dense copy (tests and small-graph scoring only).
   Tensor ToDense() const;
 
-  // Copies drop the lazy caches; a copy of a borrowed matrix stays borrowed
-  // (it shares the payload keepalive instead of materialising the arrays).
+  // Copies drop the lazy caches and the row-block attachment.
   SparseMatrix(const SparseMatrix& o)
-      : rows_(o.rows_), cols_(o.cols_), row_ptr_store_(o.row_ptr_store_),
-        col_idx_store_(o.col_idx_store_), values_store_(o.values_store_),
-        payload_(o.payload_) {
-    if (payload_ != nullptr) {
-      row_ptr_ = o.row_ptr_;
-      col_idx_ = o.col_idx_;
-      values_ = o.values_;
-    } else {
-      SyncSpans();
-    }
-  }
+      : rows_(o.rows_), cols_(o.cols_), row_ptr_(o.row_ptr_),
+        col_idx_(o.col_idx_), values_(o.values_) {}
   SparseMatrix& operator=(const SparseMatrix& o) {
     if (this != &o) {
       SparseMatrix copy(o);
@@ -279,17 +254,6 @@ class SparseMatrix {
   SparseMatrix& operator=(SparseMatrix&&) = default;
 
  private:
-  /// Re-points the span views at the owned vectors (after any store write).
-  void SyncSpans() {
-    row_ptr_ = row_ptr_store_;
-    col_idx_ = col_idx_store_;
-    values_ = values_store_;
-  }
-
-  /// Deep-copies borrowed arrays into the owned vectors and drops the
-  /// payload. Called by mutating factories before they write; no-op for
-  /// owned matrices.
-  void MaterializeOwned();
   /// CSR of S^T: per original column, the (row, value) entries in ascending
   /// row order. Built lazily by EnsureTransposedIndex().
   struct TransposedIndex {
@@ -300,16 +264,9 @@ class SparseMatrix {
 
   int rows_;
   int cols_;
-  // Owned storage (empty while borrowing) plus the span views every reader
-  // goes through. For owned matrices the spans alias the vectors below; for
-  // borrowed ones they alias external storage kept alive by payload_.
-  std::vector<int64_t> row_ptr_store_;
-  std::vector<int> col_idx_store_;
-  std::vector<float> values_store_;
-  std::shared_ptr<const void> payload_;
-  ConstSpan<int64_t> row_ptr_;
-  ConstSpan<int> col_idx_;
-  ConstSpan<float> values_;
+  std::vector<int64_t> row_ptr_;
+  std::vector<int> col_idx_;
+  std::vector<float> values_;
   // Mutable caches: logically const (derived from the CSR arrays, which are
   // immutable after construction). Concurrent lazy builds use the
   // shared_ptr atomic free functions (acquire load + CAS publication);

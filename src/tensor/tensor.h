@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,13 +16,6 @@ namespace umgad {
 /// recycled through size buckets instead of hitting the heap on every
 /// construction (see pool.h). Fresh buffers are zero-initialised, matching
 /// the std::vector<float> storage this replaces.
-///
-/// A buffer can also *borrow* read-only external storage (a loaded `.umgb`
-/// image's attribute section, mapped or in an owned file buffer): a
-/// borrowed buffer holds a keepalive on its owner instead of a pool
-/// allocation, rejects every non-const access with UMGAD_CHECK (a mapping
-/// is PROT_READ — writes must go through an owned copy), and materialises
-/// into a normal pool buffer on copy.
 class TensorBuffer {
  public:
   TensorBuffer() noexcept = default;
@@ -33,27 +25,17 @@ class TensorBuffer {
   struct Uninit {};
   TensorBuffer(size_t n, Uninit)
       : data_(TensorPool::Global().AcquireUninit(n)), size_(n) {}
-  /// Borrowing constructor: view `n` floats at `borrowed`, kept alive by
-  /// `owner` (never null). The buffer is read-only from here on.
-  TensorBuffer(const float* borrowed, size_t n,
-               std::shared_ptr<const void> owner)
-      : data_(const_cast<float*>(borrowed)), size_(n),
-        owner_(std::move(owner)) {
-    UMGAD_CHECK(owner_ != nullptr);
-  }
   TensorBuffer(const TensorBuffer& o) : TensorBuffer(o.size_, Uninit{}) {
     if (size_ > 0) std::memcpy(data_, o.data_, size_ * sizeof(float));
   }
-  TensorBuffer(TensorBuffer&& o) noexcept
-      : data_(o.data_), size_(o.size_), owner_(std::move(o.owner_)) {
+  TensorBuffer(TensorBuffer&& o) noexcept : data_(o.data_), size_(o.size_) {
     o.data_ = nullptr;
     o.size_ = 0;
   }
   TensorBuffer& operator=(const TensorBuffer& o) {
     if (this == &o) return *this;
-    if (owner_ != nullptr || size_ != o.size_) {
-      if (owner_ == nullptr) TensorPool::Global().Release(data_, size_);
-      owner_.reset();
+    if (size_ != o.size_) {
+      TensorPool::Global().Release(data_, size_);
       size_ = o.size_;
       data_ = TensorPool::Global().AcquireUninit(size_);
     }
@@ -64,25 +46,13 @@ class TensorBuffer {
     if (this == &o) return *this;
     std::swap(data_, o.data_);
     std::swap(size_, o.size_);
-    std::swap(owner_, o.owner_);
     return *this;
   }
-  ~TensorBuffer() {
-    if (owner_ == nullptr) TensorPool::Global().Release(data_, size_);
-  }
+  ~TensorBuffer() { TensorPool::Global().Release(data_, size_); }
 
-  /// True when the storage is a read-only view into external memory.
-  bool borrowed() const noexcept { return owner_ != nullptr; }
-
-  float* data() noexcept {
-    UMGAD_CHECK(owner_ == nullptr);  // writes rejected on borrowed storage
-    return data_;
-  }
+  float* data() noexcept { return data_; }
   const float* data() const noexcept { return data_; }
-  float& operator[](size_t i) noexcept {
-    UMGAD_CHECK(owner_ == nullptr);  // writes rejected on borrowed storage
-    return data_[i];
-  }
+  float& operator[](size_t i) noexcept { return data_[i]; }
   float operator[](size_t i) const noexcept { return data_[i]; }
   size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
@@ -90,7 +60,6 @@ class TensorBuffer {
  private:
   float* data_ = nullptr;
   size_t size_ = 0;
-  std::shared_ptr<const void> owner_;
 };
 
 /// Dense row-major float32 matrix. This is the single dense container used
@@ -134,31 +103,6 @@ class Tensor {
   }
   static Tensor Full(int rows, int cols, float value);
   static Tensor Identity(int n);
-
-  /// Read-only view over external row-major storage (a loaded `.umgb`
-  /// image's attribute section); `owner` keeps the backing memory alive. All
-  /// mutating accessors UMGAD_CHECK-fail until EnsureOwned() materialises a
-  /// pool-backed copy; const reads and copies behave like any other tensor.
-  static Tensor FromBorrowed(const float* data, int rows, int cols,
-                             std::shared_ptr<const void> owner) {
-    Tensor t;
-    t.rows_ = rows;
-    t.cols_ = cols;
-    t.data_ = TensorBuffer(data, static_cast<size_t>(rows) * cols,
-                           std::move(owner));
-    return t;
-  }
-
-  /// True when the storage is a borrowed read-only view.
-  bool borrowed() const { return data_.borrowed(); }
-
-  /// Copy-on-write escape hatch: replaces borrowed storage with an owned
-  /// pool buffer holding the same floats. No-op for owned tensors.
-  void EnsureOwned() {
-    if (!data_.borrowed()) return;
-    TensorBuffer copy(data_);
-    data_ = std::move(copy);
-  }
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }

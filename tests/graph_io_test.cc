@@ -7,16 +7,19 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 
 #include <gtest/gtest.h>
 
+#include "common/byte_io.h"
 #include "common/string_util.h"
 #include "graph/dataset_registry.h"
 #include "graph/datasets.h"
 #include "graph/io/binary_format.h"
 #include "graph/io/edge_list.h"
 #include "graph/io/graph_io.h"
+#include "graph/io/io_limits.h"
 #include "graph/io/mmap_format.h"
 #include "graph/io/text_format.h"
 #include "tensor/pool.h"
@@ -411,16 +414,23 @@ void Poke(std::string* bytes, size_t offset, T value) {
   std::memcpy(&(*bytes)[offset], &value, sizeof(T));
 }
 
-/// Both .umgb loads (copying and mapped) reject `path` with an
-/// InvalidArgument whose message contains `want`.
+/// The two .umgb load functions, named for failure messages.
+struct BinaryLoad {
+  const char* name;
+  Result<MultiplexGraph> (*load)(const std::string& path);
+};
+constexpr BinaryLoad kBinaryLoads[] = {{"LoadGraphBinary", LoadGraphBinary},
+                                       {"LoadGraphMapped", LoadGraphMapped}};
+
+/// Both .umgb loads reject `path` with an InvalidArgument whose message
+/// contains `want`.
 void ExpectBothLoadsReject(const std::string& path, const std::string& want) {
-  for (bool mapped : {false, true}) {
-    Result<MultiplexGraph> g =
-        mapped ? LoadGraphMapped(path) : LoadGraphBinary(path);
-    ASSERT_FALSE(g.ok()) << (mapped ? "mapped" : "copying") << " load";
-    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  for (const BinaryLoad& load : kBinaryLoads) {
+    Result<MultiplexGraph> g = load.load(path);
+    ASSERT_FALSE(g.ok()) << load.name;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument) << load.name;
     EXPECT_NE(g.status().message().find(want), std::string::npos)
-        << g.status().message();
+        << load.name << ": " << g.status().message();
   }
 }
 
@@ -494,6 +504,53 @@ TEST(BinaryFormatTest, WriterEnforcesNameCap) {
   auto saved = SaveGraphBinary(*g, path);
   ASSERT_FALSE(saved.ok());
   EXPECT_NE(saved.message().find("format cap"), std::string::npos);
+}
+
+TEST(BinaryFormatTest, SaveOverAnOpenFileReplacesItByRename) {
+  const std::string path = TempPath("save_over_open.umgb");
+  const MultiplexGraph original = MakeTiny(5);
+  ASSERT_TRUE(SaveGraphBinary(original, path).ok());
+  const std::string original_bytes = ReadFile(path);
+  // Far smaller than the original, so an in-place truncation would leave
+  // the open reader below a short or different file.
+  auto replacement = MultiplexGraph::Create(
+      "small", Tensor(2, 1), {SparseMatrix::FromEdges(2, {Edge{0, 1}}, true)},
+      {"r"});
+  ASSERT_TRUE(replacement.ok());
+  std::ifstream open_reader(path, std::ios::binary);
+  ASSERT_TRUE(open_reader.good());
+  // Save writes a temp file and renames it over `path`: the open reader
+  // keeps the old inode, so it still reads every original byte.
+  ASSERT_TRUE(SaveGraphBinary(*replacement, path).ok());
+  const std::string still_open(std::istreambuf_iterator<char>(open_reader),
+                               std::istreambuf_iterator<char>{});
+  EXPECT_EQ(still_open, original_bytes);
+  Result<MultiplexGraph> fresh = LoadGraphBinary(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectBitIdentical(*fresh, *replacement);
+  std::remove(path.c_str());
+}
+
+TEST(ByteIoTest, ReadsPastTheEndOfAShrunkFileAreIoErrors) {
+  const std::string path = TempPath("shrinks.bin");
+  WriteFile(path, std::string(64, 'x'));
+  Result<ReadOnlyFile> file = ReadOnlyFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file->size(), 64);
+  // Rewritten in place (same inode): the open file now has 16 bytes, while
+  // a reader bounded by the size at open still expects 64.
+  WriteFile(path, std::string(16, 'y'));
+  ByteReader in(&*file);
+  char head[16];
+  ASSERT_TRUE(in.Read(head, 16, "head").ok());
+  EXPECT_EQ(std::string(head, 16), std::string(16, 'y'));
+  char tail[48];
+  const Status past_end = in.Read(tail, 48, "tail");
+  EXPECT_EQ(past_end.code(), StatusCode::kIoError);
+  EXPECT_NE(past_end.message().find("stopped at byte 16 of 64"),
+            std::string::npos)
+      << past_end.message();
+  std::remove(path.c_str());
 }
 
 TEST(BinaryFormatTest, SniffsFormat) {
@@ -861,6 +918,38 @@ TEST(EdgeListTest, FeatureWidthIsCappedAndCheckedBeforeAllocation) {
   std::remove(features.c_str());
 }
 
+TEST(EdgeListTest, NodesTimesRelationsIsCappedBeforeAllocation) {
+  // Four relations that each name the largest node: the import would size
+  // four row_ptr arrays and a 5-column feature matrix from that id.
+  constexpr int kRelations = 4;
+  const int at_cap_nodes =
+      static_cast<int>(io_limits::kMaxImportNodeRelations / kRelations);
+  const std::string edges = TempPath("node_relation_cap.tsv");
+  auto write_edges = [&](int nodes) {
+    std::string content;
+    for (int r = 0; r < kRelations; ++r) {
+      content += StrFormat("0\t%d\tr%d\n", nodes - 1, r);
+    }
+    WriteFile(edges, content);
+  };
+  write_edges(at_cap_nodes);
+  auto at_cap = ImportEdgeList(edges);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->num_nodes(), at_cap_nodes);
+  EXPECT_EQ(at_cap->num_relations(), kRelations);
+
+  write_edges(at_cap_nodes + 1);
+  auto over_cap = ImportEdgeList(edges);
+  ASSERT_FALSE(over_cap.ok());
+  EXPECT_EQ(over_cap.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over_cap.status().message().find(StrFormat(
+                "%d nodes x 4 relations exceeds the import cap",
+                at_cap_nodes + 1)),
+            std::string::npos)
+      << over_cap.status().message();
+  std::remove(edges.c_str());
+}
+
 // ------------------------- LoadDataset dispatch ---------------------------
 
 TEST(LoadDatasetTest, RejectsANonFiniteUmgbAttributeFromBothLoads) {
@@ -880,17 +969,14 @@ TEST(LoadDatasetTest, RejectsANonFiniteUmgbAttributeFromBothLoads) {
     std::string mutant = bytes;
     Poke<float>(&mutant, attr + (row * x.cols() + col) * sizeof(float), bad);
     WriteFile(path, mutant);
-    for (bool mmap : {false, true}) {
-      LoadDatasetOptions options;
-      options.prefer_mmap = mmap;
-      Result<MultiplexGraph> loaded = LoadDataset(path, options);
-      ASSERT_FALSE(loaded.ok()) << (mmap ? "mapped" : "copying") << " load";
-      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(loaded.status().message().find(
-                    StrFormat("attribute (%d, %d) is not finite", row, col)),
-                std::string::npos)
-          << loaded.status().message();
-    }
+    const std::string want =
+        StrFormat("attribute (%d, %d) is not finite", row, col);
+    ExpectBothLoadsReject(path, want);
+    Result<MultiplexGraph> loaded = LoadDataset(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(want), std::string::npos)
+        << loaded.status().message();
   }
   std::remove(path.c_str());
 }

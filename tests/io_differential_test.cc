@@ -1,6 +1,6 @@
 // Cross-loader differential harness: every on-disk representation of a
 // graph must load back bit-for-bit identically — text v1, binary v3
-// through the copying reader, binary v3 through the mmap reader, and the
+// through LoadGraphBinary, binary v3 through LoadGraphMapped, and the
 // edge-list dialect — for every registry dataset and any thread count. This
 // is the io analogue of the kernel oracle sweeps: the reference is the
 // in-memory graph the generators built, and each loader is an independent
@@ -75,10 +75,9 @@ TEST_P(IoDifferentialTest, AllLoadersBitIdentical) {
     ASSERT_TRUE(binary.ok()) << tag << binary.status().message();
     ExpectGraphsBitIdentical(tag + "binary", *binary, reference);
 
-    Result<MappedGraph> mapped = MappedGraph::Load(binary_path);
+    Result<MultiplexGraph> mapped = LoadGraphMapped(binary_path);
     ASSERT_TRUE(mapped.ok()) << tag << mapped.status().message();
-    EXPECT_EQ(mapped->mapped(), MmapSupported()) << tag;
-    ExpectGraphsBitIdentical(tag + "mmap", mapped->graph(), reference);
+    ExpectGraphsBitIdentical(tag + "mmap", *mapped, reference);
 
     Result<MultiplexGraph> from_edges = ImportEdgeList(edges_path, import);
     ASSERT_TRUE(from_edges.ok()) << tag << from_edges.status().message();

@@ -4,9 +4,10 @@
 // random byte flips, hostile counts at computed offsets — must come back
 // as a Status (or as a successfully loaded, usable object, for flips in
 // bytes that are not structurally validated), never as a crash, a hang, or
-// an attempted huge allocation. The copying and mmap .umgb readers
-// validate the same invariants, so the two must also *agree*: same
-// ok-ness on every mutant, bit-identical graphs whenever both accept.
+// an attempted huge allocation. LoadGraphBinary and LoadGraphMapped run
+// the same parse over differently read bytes, so the two must also
+// *agree*: same ok-ness on every mutant, bit-identical graphs whenever
+// both accept.
 // Value mutations — NaN, +-Inf and subnormal values in the attribute,
 // edge-weight and .umgm weight sections of every format, and a moved
 // column index that breaks symmetry — must fail with a Status naming the
@@ -84,7 +85,7 @@ class IoFuzzTest : public ::testing::Test {
   void SetUp() override {
     // Each test case runs as its own ctest process, concurrently under
     // `ctest -j` — the scratch file must be per-test, or one process
-    // truncates the mutant another has mapped (SIGBUS).
+    // rewrites the mutant another is loading.
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
     path_ = ::testing::TempDir() + "/umgad_fuzz_" + info->name() + ".umgb";
@@ -99,14 +100,14 @@ class IoFuzzTest : public ::testing::Test {
   /// the agreement contract. Returns the copying reader's verdict.
   bool LoadBothAndCheckAgreement(const std::string& what) {
     Result<MultiplexGraph> copy = LoadGraphBinary(path_);
-    Result<MappedGraph> mapped = MappedGraph::Load(path_);
+    Result<MultiplexGraph> mapped = LoadGraphMapped(path_);
     EXPECT_EQ(copy.ok(), mapped.ok())
         << what << ": copying reader says "
         << (copy.ok() ? "ok" : copy.status().message())
         << ", mmap reader says "
         << (mapped.ok() ? "ok" : mapped.status().message());
     if (copy.ok() && mapped.ok()) {
-      ExpectGraphsBitIdentical(what, mapped->graph(), *copy);
+      ExpectGraphsBitIdentical(what, *mapped, *copy);
     }
     return copy.ok();
   }
@@ -122,7 +123,7 @@ TEST_F(IoFuzzTest, TruncationAtEveryLengthIsAStatus) {
   for (size_t len = 0; len < image_.size(); ++len) {
     WriteImage(path_, image_.substr(0, len));
     Result<MultiplexGraph> copy = LoadGraphBinary(path_);
-    Result<MappedGraph> mapped = MappedGraph::Load(path_);
+    Result<MultiplexGraph> mapped = LoadGraphMapped(path_);
     EXPECT_FALSE(copy.ok()) << "copying reader accepted a " << len
                             << "-byte prefix of a " << image_.size()
                             << "-byte image";
@@ -370,14 +371,16 @@ ImageSections LocateSections(const std::string& image) {
   return out;
 }
 
-/// Both .umgb loads of the on-disk image fail, each with a message that
-/// contains `want`.
+/// Both .umgb loads of the on-disk image fail with an InvalidArgument whose
+/// message contains `want`.
 void ExpectBothLoadsFail(const std::string& path, const std::string& want,
                          const std::string& what) {
   Result<MultiplexGraph> copy = LoadGraphBinary(path);
-  Result<MappedGraph> mapped = MappedGraph::Load(path);
+  Result<MultiplexGraph> mapped = LoadGraphMapped(path);
   ASSERT_FALSE(copy.ok()) << what << ": the copying load accepted it";
   ASSERT_FALSE(mapped.ok()) << what << ": the mapped load accepted it";
+  EXPECT_EQ(copy.status().code(), StatusCode::kInvalidArgument) << what;
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument) << what;
   EXPECT_NE(copy.status().message().find(want), std::string::npos)
       << what << ": " << copy.status().message();
   EXPECT_NE(mapped.status().message().find(want), std::string::npos)
@@ -446,33 +449,47 @@ TEST_F(IoFuzzTest, MovedColumnIndexFailsBothLoadsAsAsymmetric) {
                       "column 5 moved to 4");
 }
 
-TEST_F(IoFuzzTest, NonFiniteAttributesFailLoadDatasetAtTheirCell) {
-  // Neither .umgb load reads the attribute section (the mapped load keeps
-  // it on disk); LoadDataset checks it after either load.
+TEST_F(IoFuzzTest, NonFiniteAttributesFailBothLoadsAtTheirCell) {
   const int cols = FuzzGraph().feature_dim();
   const size_t cell_at = LocateSections(image_).attributes + 4 * (4 * cols + 2);
-  for (const bool mmap : {false, true}) {
-    LoadDatasetOptions options;
-    options.prefer_mmap = mmap;
-    const std::string load = mmap ? "mapped" : "copying";
-    for (const float bad : kNonFinite) {
-      std::string mutant = image_;
-      PatchPod(&mutant, cell_at, bad);
-      WriteImage(path_, mutant);
-      Result<MultiplexGraph> loaded = LoadDataset(path_, options);
-      ASSERT_FALSE(loaded.ok()) << load << " load accepted " << bad;
-      EXPECT_NE(loaded.status().message().find("attribute (4, 2) is not finite"),
-                std::string::npos)
-          << load << ": " << loaded.status().message();
-    }
-    for (const float tiny : kSubnormal) {
-      std::string mutant = image_;
-      PatchPod(&mutant, cell_at, tiny);
-      WriteImage(path_, mutant);
-      Result<MultiplexGraph> loaded = LoadDataset(path_, options);
-      ASSERT_TRUE(loaded.ok()) << load << ": " << loaded.status().ToString();
-      EXPECT_TRUE(SameBits(loaded->attributes().at(4, 2), tiny)) << load;
-    }
+  for (const float bad : kNonFinite) {
+    std::string mutant = image_;
+    PatchPod(&mutant, cell_at, bad);
+    WriteImage(path_, mutant);
+    ExpectBothLoadsFail(path_, "attribute (4, 2) is not finite",
+                        "attribute " + std::to_string(bad));
+  }
+  // Subnormal attributes are finite: both loads keep them bit for bit.
+  for (const float tiny : kSubnormal) {
+    std::string mutant = image_;
+    PatchPod(&mutant, cell_at, tiny);
+    WriteImage(path_, mutant);
+    ASSERT_TRUE(LoadBothAndCheckAgreement("subnormal attribute"));
+    Result<MultiplexGraph> copy = LoadGraphBinary(path_);
+    EXPECT_TRUE(SameBits(copy->attributes().at(4, 2), tiny));
+  }
+}
+
+TEST_F(IoFuzzTest, NonFiniteAttributesFailLoadDatasetAtTheirCell) {
+  const int cols = FuzzGraph().feature_dim();
+  const size_t cell_at = LocateSections(image_).attributes + 4 * (4 * cols + 2);
+  for (const float bad : kNonFinite) {
+    std::string mutant = image_;
+    PatchPod(&mutant, cell_at, bad);
+    WriteImage(path_, mutant);
+    Result<MultiplexGraph> loaded = LoadDataset(path_);
+    ASSERT_FALSE(loaded.ok()) << "LoadDataset accepted " << bad;
+    EXPECT_NE(loaded.status().message().find("attribute (4, 2) is not finite"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+  for (const float tiny : kSubnormal) {
+    std::string mutant = image_;
+    PatchPod(&mutant, cell_at, tiny);
+    WriteImage(path_, mutant);
+    Result<MultiplexGraph> loaded = LoadDataset(path_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(SameBits(loaded->attributes().at(4, 2), tiny));
   }
 }
 

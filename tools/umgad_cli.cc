@@ -11,7 +11,6 @@
 //
 // Common flags: --seed N, --scale S (registered generators only),
 // --inject (edge-list imports without labels get injected anomalies),
-// --mmap (map .umgb inputs read-only instead of copying them),
 // --header auto|always|never (edge-list header row handling).
 // gen:   --out PATH_OR_DIR, --format binary|text
 // run:   --detector NAME (repeatable), --baseline NAME, --epochs N,
@@ -84,7 +83,6 @@ struct CliArgs {
   int shards = 0;  // 0 = flat single-scorer path
   int queue_capacity = 0;  // 0 = RouterOptions default
   bool metrics = false;
-  bool mmap = false;
   std::string header = "auto";
   bool kernels = false;  // inspect --kernels
 };
@@ -115,12 +113,10 @@ int Usage() {
       "                  [--shards S] [--queue-capacity N] [--metrics]\n"
       "                  [--seed N] [--scale S]\n"
       "\n"
-      "load flags (any command that loads a graph): --mmap maps .umgb\n"
-      "inputs read-only instead of reading them into memory (zero-copy;\n"
-      "same parse, bit-identical graph), --header auto|always|never\n"
-      "controls edge-list header-row detection. Saves replace their target\n"
-      "file atomically, so converting a .umgb onto itself is safe even\n"
-      "under --mmap.\n"
+      "load flags (any command that loads a graph): --header\n"
+      "auto|always|never controls edge-list header-row detection. Saves\n"
+      "replace their target file atomically, so converting a .umgb onto\n"
+      "itself is safe.\n"
       "\n"
       "serve applies a stream of edge updates (\"+ src dst rel\" inserts,\n"
       "\"- src dst rel\" removes; '#' comments) with incremental re-scoring\n"
@@ -272,8 +268,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->metrics = true;
     } else if (arg == "--kernels") {
       args->kernels = true;
-    } else if (arg == "--mmap") {
-      args->mmap = true;
     } else if (arg == "--header") {
       const char* v = next("--header");
       if (v == nullptr) return false;
@@ -297,7 +291,6 @@ LoadDatasetOptions LoadOptionsFrom(const CliArgs& args) {
   LoadDatasetOptions load;
   load.seed = args.seed;
   load.scale = args.scale;
-  load.prefer_mmap = args.mmap;
   load.edge_list.inject_if_unlabeled = args.inject;
   load.edge_list.injection_seed = args.seed;
   load.edge_list.header = args.header == "always" ? HeaderMode::kAlways
